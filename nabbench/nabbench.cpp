@@ -9,9 +9,11 @@
 //
 //   nabbench --workload NAME --seed N --seconds S --trace 0|1 [--tiny]
 //
-// --trace 0 measures the end-to-end metrics with no collector installed.
-// --trace 1 runs every session twice, untraced and under obs collectors in
-// alternating order, and reports per-layer self times and counts (README.md).
+// --trace 0 measures the end-to-end metrics with no collector installed,
+// correcting each timed operation for the machine's speed around it
+// (speed_probe). --trace 1 runs every session twice, untraced and under obs
+// collectors in alternating order, and reports per-layer self times and
+// counts (README.md).
 // Every metric is printed by name with its unit; the last stdout line is one
 // JSON object {correct, attempted, failed, metrics}. Any invariant
 // violation or determinism mismatch makes the exit code nonzero.
@@ -25,7 +27,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -56,6 +57,113 @@ clock_type::time_point after(clock_type::time_point t, double seconds) {
                  std::chrono::duration<double>(seconds));
 }
 
+/// Linear-interpolation quantile (the "type 7" estimator).
+double quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(pos));
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+// ------------------------------------------------------------------ machine speed
+
+/// The host is shared. For seconds to minutes at a time it runs the same
+/// code up to ~1.8x slower: other tenants load the core's caches and ports,
+/// while the clock rate stays put. No repetition inside one run escapes a
+/// stretch that long, so a run also measures how fast the machine is.
+/// This fixed kernel, which no libnab change touches, runs between the
+/// timed operations: a GF(2^16)-style log/exp table pass over a 4096-word
+/// row (load-bound) and four xorshift streams with a data-dependent branch
+/// (ALU-bound). Of the kernels tried on the baseline host (pointer chase,
+/// multiply chain, sort, std::map, these two alone and together), the two
+/// together slowed most like set-ups and instances on every workload. Its
+/// own time never enters a timed operation.
+class speed_probe {
+ public:
+  /// The kernel's median wall on the baseline host in its fast state
+  /// (META.json): the scale that turns the kernel's time into a factor.
+  static constexpr double nominal_s = 105e-6;
+
+  speed_probe() : log_(65536), exp_(131072), seed_row_(4096), row_(4096) {
+    for (std::size_t i = 0; i < log_.size(); ++i) log_[i] = static_cast<std::uint16_t>(i * 40503u);
+    for (std::size_t i = 0; i < exp_.size(); ++i)
+      exp_[i] = static_cast<std::uint16_t>(i * 2654435761u);
+    for (std::size_t i = 0; i < seed_row_.size(); ++i)
+      seed_row_[i] = static_cast<std::uint16_t>(runtime::splitmix64(i));
+  }
+
+  /// Starts the share accounting of tick().
+  void start() {
+    start_ = clock_type::now();
+    busy_ = 0.0;
+  }
+
+  /// Runs the kernel until it has taken `share` of the wall since start().
+  void tick(double share) {
+    while (busy_ < share * seconds_between(start_, clock_type::now())) busy_ += run_once();
+  }
+
+  std::size_t mark() const { return samples_.size(); }
+
+  /// Speed factor of an operation that started at `mark` and whose tick()
+  /// just ended: the kernel's nominal time over the median of the `window`
+  /// samples before the operation and the `window` samples after it. The
+  /// factor is below 1 on a slow stretch.
+  double speed_around(std::size_t mark, std::size_t window) const {
+    const std::size_t lo = mark > window ? mark - window : 0;
+    const std::size_t hi = std::min(samples_.size(), mark + window);
+    if (lo >= hi) return 1.0;
+    const std::vector<double> near(samples_.begin() + static_cast<std::ptrdiff_t>(lo),
+                                   samples_.begin() + static_cast<std::ptrdiff_t>(hi));
+    return nominal_s / quantile(near, 0.5);
+  }
+
+  const std::vector<double>& samples() const { return samples_; }
+
+ private:
+  double run_once() {
+    const auto t0 = clock_type::now();
+    row_ = seed_row_;
+    for (std::size_t pass = 0; pass < 16; ++pass) {
+      const std::size_t shift = log_[pass + 2];
+      for (auto& w : row_) w ^= w == 0 ? 0 : exp_[static_cast<std::size_t>(log_[w]) + shift];
+    }
+    std::array<std::uint64_t, 4> x = {row_[0] | 1u, row_[1] | 1u, row_[2] | 1u, row_[3] | 1u};
+    std::uint64_t acc = 0;
+    for (int k = 0; k < 16000; ++k) {
+      for (auto& v : x) {
+        v ^= v << 13;
+        v ^= v >> 7;
+        v ^= v << 17;
+      }
+      if (((x[0] ^ x[1]) & 1) != 0)
+        acc += x[2];
+      else
+        acc ^= x[3];
+    }
+    sink_ = sink_ + acc;
+    const double s = seconds_between(t0, clock_type::now());
+    samples_.push_back(s);
+    return s;
+  }
+
+  std::vector<std::uint16_t> log_;
+  std::vector<std::uint16_t> exp_;
+  std::vector<std::uint16_t> seed_row_;
+  std::vector<std::uint16_t> row_;
+  std::vector<double> samples_;
+  clock_type::time_point start_ = clock_type::now();
+  double busy_ = 0.0;
+  volatile std::uint64_t sink_ = 0;
+};
+
+/// Share of a measured pass's wall given to the speed probe, and how many of
+/// its samples on each side of an operation give the operation's factor.
+constexpr double probe_share = 0.1;
+constexpr std::size_t probe_window = 16;
+
 // ------------------------------------------------------------------ workloads
 
 struct workload {
@@ -80,7 +188,7 @@ const std::vector<workload>& workloads() {
       {"stream_sparse", q5, 2, adversary_kind::honest, bb::claim_backend::auto_select,
        4096, 100, 1, "none"},
       {"dispute_churn", k13, 3, adversary_kind::stealth, bb::claim_backend::collapsed,
-       1024, 16, 5, "none"},
+       1024, 16, 12, "none"},
       {"lossy_dense", k16, 2, adversary_kind::honest, bb::claim_backend::auto_select,
        4096, 100, 2, "bursty"},
   };
@@ -216,7 +324,9 @@ struct session_result {
   bool complete = false;
   bool ok = true;
   double setup_s = 0.0;
+  double setup_speed = 1.0;  ///< speed factor around the set-up (speed_probe)
   std::vector<double> instance_s;
+  std::vector<double> instance_speed;  ///< speed factor around each instance
   std::vector<double> stall_s;
   std::uint64_t delivered_bits = 0;
   int attempted = 0;
@@ -266,7 +376,7 @@ void violation(const workload& w, const session_inputs& in, const std::string& w
 template <class StopRule>
 session_result run_session(const workload& w, const graph::digraph& g,
                            const session_inputs& in, int max_instances,
-                           const StopRule& may_stop, tracer* tr) {
+                           const StopRule& may_stop, tracer* tr, speed_probe* probe = nullptr) {
   session_result r;
   r.slot = in.slot;
   auto adv = runtime::make_adversary(w.adversary, in.adversary_seed, 1);
@@ -284,11 +394,17 @@ session_result run_session(const workload& w, const graph::digraph& g,
   try {
     {
       obs::scoped_collector col(tr != nullptr ? &tr->setup : nullptr);
+      const std::size_t mark = probe != nullptr ? probe->mark() : 0;
       r.setup_s = timed_setup(s, w, g, in, adv.get());
+      if (probe != nullptr) {
+        probe->tick(probe_share);
+        r.setup_speed = probe->speed_around(mark, probe_window);
+      }
     }
     obs::scoped_collector col(tr != nullptr ? &tr->loop : nullptr);
     for (int i = 0; i < max_instances; ++i) {
       if (i > 0 && may_stop(i)) break;
+      const std::size_t mark = probe != nullptr ? probe->mark() : 0;
       const auto t0 = clock_type::now();
       {
         // Mid-stream re-analysis of G_{k+1} happens here (a no-op while G_k
@@ -315,6 +431,10 @@ session_result run_session(const workload& w, const graph::digraph& g,
       r.instance_s.push_back(seconds_between(t0, t1));
       r.delivered_bits += 16 * in.values[static_cast<std::size_t>(i)].size();
       ++r.attempted;
+      if (probe != nullptr) {
+        probe->tick(probe_share);
+        r.instance_speed.push_back(probe->speed_around(mark, probe_window));
+      }
       if (!rep.agreement || !rep.validity) {
         violation(w, in, "instance " + std::to_string(i) + " broke " +
                              (rep.agreement ? "validity" : "agreement"));
@@ -385,16 +505,6 @@ session_result run_session(const workload& w, const graph::digraph& g,
 
 // ------------------------------------------------------------------ statistics
 
-/// Linear-interpolation quantile (the "type 7" estimator).
-double quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(pos));
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
-}
-
 double peak_rss_mb() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
@@ -409,9 +519,16 @@ struct metric {
 
 // ------------------------------------------------------------------ passes
 
+/// An extra cold set-up, run between sessions.
+struct extra_setup {
+  int slot = 0;
+  double s = 0.0;
+  double speed = 1.0;  ///< speed factor around it (speed_probe)
+};
+
 struct pass_result {
   std::vector<session_result> sessions;
-  std::vector<std::pair<int, double>> setup_only;  ///< (slot, s) of extra cold set-ups
+  std::vector<extra_setup> setup_only;
 };
 
 struct options {
@@ -459,19 +576,23 @@ class bench {
       return clock_type::now() >= deadline &&
              *std::min_element(completed.begin(), completed.end()) >= min_repeats_;
     };
+    probe_.start();
     for (int k = 0; !done(); ++k) {
       const session_inputs& in = inputs_[static_cast<std::size_t>(k % cycle_)];
-      session_result r = run_session(w_, g_, in, instances_, [&](int) { return done(); }, nullptr);
+      session_result r =
+          run_session(w_, g_, in, instances_, [&](int) { return done(); }, nullptr, &probe_);
       setup_wall += r.setup_s;
       if (r.complete) ++completed[static_cast<std::size_t>(in.slot)];
-      out.sessions.push_back(std::move(r));
       while (setup_wall < setup_share * seconds_between(start, clock_type::now())) {
         auto adv = runtime::make_adversary(w_.adversary, in.adversary_seed, 1);
         std::optional<core::session> s;
+        const std::size_t mark = probe_.mark();
         const double t = timed_setup(s, w_, g_, in, adv.get());
-        out.setup_only.emplace_back(in.slot, t);
         setup_wall += t;
+        probe_.tick(probe_share);
+        out.setup_only.push_back({in.slot, t, probe_.speed_around(mark, probe_window)});
       }
+      out.sessions.push_back(std::move(r));
     }
     return out;
   }
@@ -537,61 +658,65 @@ class bench {
     return ok;
   }
 
-  /// Timings are repetition floors: every operation (the cold set-up of a
-  /// slot, instance i of a slot) reruns on identical inputs several times a
-  /// run, and its cost is its fastest repetition. The machine is shared and
-  /// its speed drifts by tens of percent over seconds, which a plain median
-  /// over all samples carries straight into the result; the floor keeps
-  /// only the program's own cost. Medians and p90 are then taken over the
-  /// distinct operations. The plain statistics are printed alongside.
+  /// Timings are corrected for the machine's speed, then taken as medians.
+  /// Every sample is multiplied by the speed factor the probe measured
+  /// around it (speed_probe), which takes out the host's slow stretches.
+  /// Every operation (the cold set-up of a slot, instance i of a slot)
+  /// reruns on identical inputs several times a run, and its cost is the
+  /// median of its corrected repetitions. setup_s is the median of those
+  /// costs over the slots; instance p50/p90 and goodput are taken over the
+  /// distinct instances. The raw wall statistics print alongside.
   std::vector<metric> end_to_end(const pass_result& p) const {
-    constexpr double unseen = std::numeric_limits<double>::infinity();
-    std::vector<double> setup_floor(static_cast<std::size_t>(cycle_), unseen);
-    std::vector<std::vector<double>> instance_floor(
+    using samples = std::vector<double>;
+    std::vector<samples> setup_ops(static_cast<std::size_t>(cycle_));
+    std::vector<std::vector<samples>> instance_ops(
         static_cast<std::size_t>(cycle_),
-        std::vector<double>(static_cast<std::size_t>(instances_), unseen));
-    std::vector<double> setups;
-    std::vector<double> instances;
+        std::vector<samples>(static_cast<std::size_t>(instances_)));
+    samples setups;
+    samples instances;
+    samples speeds;
     double loop_wall = 0.0;
     double delivered = 0.0;
-    const auto keep_setup = [&](int slot, double s) {
-      setups.push_back(s);
-      auto& f = setup_floor[static_cast<std::size_t>(slot)];
-      f = std::min(f, s);
-    };
     // capacity_fraction: one cycle of complete sessions, first of each slot.
     std::map<int, const fingerprint*> first;
     for (const session_result& r : p.sessions) {
-      keep_setup(r.slot, r.setup_s);
-      auto& floors = instance_floor[static_cast<std::size_t>(r.slot)];
+      setups.push_back(r.setup_s);
+      speeds.push_back(r.setup_speed);
+      setup_ops[static_cast<std::size_t>(r.slot)].push_back(r.setup_s * r.setup_speed);
+      auto& ops = instance_ops[static_cast<std::size_t>(r.slot)];
       for (std::size_t i = 0; i < r.instance_s.size(); ++i) {
         instances.push_back(r.instance_s[i]);
         loop_wall += r.instance_s[i];
-        floors[i] = std::min(floors[i], r.instance_s[i]);
+        speeds.push_back(r.instance_speed[i]);
+        ops[i].push_back(r.instance_s[i] * r.instance_speed[i]);
       }
       delivered += static_cast<double>(r.delivered_bits);
       if (r.complete) first.emplace(r.slot, &r.fp);
     }
-    for (const auto& [slot, s] : p.setup_only) keep_setup(slot, s);
+    for (const extra_setup& e : p.setup_only) {
+      setups.push_back(e.s);
+      speeds.push_back(e.speed);
+      setup_ops[static_cast<std::size_t>(e.slot)].push_back(e.s * e.speed);
+    }
 
-    std::vector<double> setup_floors;
-    for (double f : setup_floor)
-      if (f != unseen) setup_floors.push_back(f);
-    std::vector<double> floors;
-    double floor_wall = 0.0;
-    double floor_bits = 0.0;
+    samples setup_costs;
+    for (const samples& v : setup_ops)
+      if (!v.empty()) setup_costs.push_back(quantile(v, 0.5));
+    samples costs;
+    double cost_wall = 0.0;
+    double cost_bits = 0.0;
     for (int slot = 0; slot < cycle_; ++slot)
       for (int i = 0; i < instances_; ++i) {
-        const double f =
-            instance_floor[static_cast<std::size_t>(slot)][static_cast<std::size_t>(i)];
-        if (f == unseen) continue;
-        floors.push_back(f);
-        floor_wall += f;
-        floor_bits += 16.0 * static_cast<double>(
-                                 inputs_[static_cast<std::size_t>(slot)]
-                                     .values[static_cast<std::size_t>(i)]
-                                     .size());
+        const samples& v =
+            instance_ops[static_cast<std::size_t>(slot)][static_cast<std::size_t>(i)];
+        if (v.empty()) continue;
+        costs.push_back(quantile(v, 0.5));
+        cost_wall += costs.back();
+        cost_bits += 16.0 * static_cast<double>(inputs_[static_cast<std::size_t>(slot)]
+                                                    .values[static_cast<std::size_t>(i)]
+                                                    .size());
       }
+
     double sim_elapsed = 0.0;
     std::uint64_t bits = 0;
     for (const auto& [slot, fp] : first) {
@@ -599,21 +724,24 @@ class bench {
       bits += fp->bits;
     }
     const std::size_t tail =
-        floors.size() -
-        static_cast<std::size_t>(std::ceil(0.9 * static_cast<double>(floors.size())));
+        costs.size() - static_cast<std::size_t>(std::ceil(0.9 * static_cast<double>(costs.size())));
     std::printf("samples: setup=%zu instance=%zu distinct_setups=%zu distinct_instances=%zu "
-                "beyond_p90=%zu\n",
-                setups.size(), instances.size(), setup_floors.size(), floors.size(), tail);
-    std::printf("plain: setup_s=%.6g instance_ms_p50=%.6g instance_ms_p90=%.6g "
+                "beyond_p90=%zu probe=%zu\n",
+                setups.size(), instances.size(), setup_costs.size(), costs.size(), tail,
+                probe_.samples().size());
+    std::printf("speed: p10=%.4g p50=%.4g p90=%.4g (per operation; probe median %.4g us)\n",
+                quantile(speeds, 0.1), quantile(speeds, 0.5), quantile(speeds, 0.9),
+                1e6 * quantile(probe_.samples(), 0.5));
+    std::printf("raw: setup_s=%.6g instance_ms_p50=%.6g instance_ms_p90=%.6g "
                 "goodput_mbit_s=%.6g\n",
                 quantile(setups, 0.5), 1e3 * quantile(instances, 0.5),
                 1e3 * quantile(instances, 0.9),
                 loop_wall > 0.0 ? delivered / loop_wall / 1e6 : 0.0);
     return {
-        {"setup_s", quantile(setup_floors, 0.5), "s"},
-        {"instance_ms_p50", 1e3 * quantile(floors, 0.5), "ms"},
-        {"instance_ms_p90", 1e3 * quantile(floors, 0.9), "ms"},
-        {"goodput_mbit_s", floor_wall > 0.0 ? floor_bits / floor_wall / 1e6 : 0.0, "Mbit/s"},
+        {"setup_s", quantile(setup_costs, 0.5), "s"},
+        {"instance_ms_p50", 1e3 * quantile(costs, 0.5), "ms"},
+        {"instance_ms_p90", 1e3 * quantile(costs, 0.9), "ms"},
+        {"goodput_mbit_s", cost_wall > 0.0 ? cost_bits / cost_wall / 1e6 : 0.0, "Mbit/s"},
         {"capacity_fraction", fraction(bits, sim_elapsed), "ratio"},
         {"peak_rss_mb", peak_rss_mb(), "MB"},
     };
@@ -718,6 +846,7 @@ class bench {
   int min_repeats_ = 0;
   std::vector<session_inputs> inputs_;
   double bound_ = 0.0;
+  speed_probe probe_;
 };
 
 double stall_ms_p50(const pass_result& p) {
