@@ -8,56 +8,105 @@
 
 namespace nab::obs {
 
-/// Deterministic protocol counters. Every counter here is a pure function of
-/// the workload — bit-identical across `--jobs` counts and scheduling — with
-/// three documented exceptions that describe the *machine*, not the run:
+/// Which contract a counter obeys. Deterministic counters are pure
+/// functions of the workload — bit-identical across `--jobs` counts and
+/// scheduling — and the runtime exports them inside run_record (covered by
+/// the jobs-1-vs-N byte-identity contract). Machine counters describe the
+/// machine, not the run, and ride with the wall-clock keys, stripped the
+/// same way.
+enum class counter_set : std::uint8_t { deterministic, machine };
+
+/// The counter table: one row per counter, X(identifier, set). The
+/// identifier is the counter's name everywhere — enumerator, tables, JSON
+/// key — and the enum, counter_table and counter_name are generated from
+/// this list, so adding a counter means adding one row. The machine rows:
 /// cache_hits / cache_misses (the process-wide omega_cache is shared across
 /// executor shards, so which run pays a miss depends on scheduling; the
 /// lookup count is the deterministic companion) and the arena pair (the
 /// per-shard arena's page state depends on what ran on the shard before).
-/// The runtime exports the deterministic set inside run_record (covered by
-/// the jobs-1-vs-N byte-identity contract) and the machine set alongside the
-/// wall-clock keys, stripped the same way.
+#define NAB_OBS_COUNTERS(X)                                                             \
+  /* GF(2^16) kernel work (src/gf) */                                                   \
+  X(gf_axpy_words, deterministic)      /* words processed by gf2_16::axpy */            \
+  X(gf_scale_words, deterministic)     /* words processed by gf2_16::scale */           \
+  X(gf_mul_ops, deterministic)         /* bulk-counted scalar mul/Horner (digests) */   \
+  X(gf_rows_eliminated, deterministic) /* pivot rows set by row_reduce / certifier */   \
+  /* batched certifier prefix tree (core/certify) */                                    \
+  X(cert_prefix_pushes, deterministic)  /* extensions pushed onto the shared basis */   \
+  X(cert_prefix_pops, deterministic)    /* node extensions rewound */                   \
+  X(cert_ghost_repushes, deterministic) /* ghost rows re-reduced over a new window */   \
+  X(cert_subgraphs, deterministic)      /* Omega_k leaves whose rank was checked */     \
+  X(cert_loo_downdates, deterministic)  /* f=1 rank downdates, one per member */        \
+  /* omega_cache (core/omega_cache) */                                                  \
+  X(cache_lookups, deterministic) /* queries issued by this run */                      \
+  X(cache_hits, machine)          /* depends on cross-shard scheduling */               \
+  X(cache_misses, machine)        /* ditto */                                           \
+  /* planning layer: arborescence packing + route tables (graph, bb) */                 \
+  X(plan_safety_checks, deterministic)       /* packer per-sink certificate checks */   \
+  X(plan_flow_augmentations, deterministic)  /* packer unit augmenting paths */         \
+  X(route_pairs, deterministic)              /* ordered pairs in the route table */     \
+  X(route_flow_augmentations, deterministic) /* route-builder augmenting paths */       \
+  /* Phase-3 claim backends (bb/claim_bcast) */                                         \
+  X(claim_echoes, deterministic)    /* echo digests sent on the wire (collapsed) */     \
+  X(claim_readys, deterministic)    /* ready digests sent on the wire (collapsed) */    \
+  X(claim_fallbacks, deterministic) /* full-transcript retrieval fallbacks */           \
+  /* link-fault layer (sim/link_faults + network ARQ): 0 on perfect links */            \
+  X(link_drops, deterministic)             /* erased by a Gilbert-Elliott chain */      \
+  X(link_retransmits, deterministic)       /* ARQ retransmissions honest senders pay */ \
+  X(link_burst_spans, deterministic)       /* good -> bad transitions (burst onsets) */ \
+  X(link_retry_exhaustions, deterministic) /* messages that ran out of retry budget */  \
+  /* run arena (sim/run_arena) */                                                       \
+  X(arena_allocs, machine)    /* arena allocations served during the run */             \
+  X(arena_pool_hits, machine) /* of which from a free list */
+
 enum class counter : int {
-  // --- GF(2^16) kernel work (src/gf) ---
-  gf_axpy_words,        ///< words processed by gf2_16::axpy
-  gf_scale_words,       ///< words processed by gf2_16::scale
-  gf_mul_ops,           ///< scalar mul/Horner ops counted in bulk (digests)
-  gf_rows_eliminated,   ///< pivot rows established by row_reduce / certifier
-  // --- batched certifier prefix tree (core/certify) ---
-  cert_prefix_pushes,   ///< node extensions pushed onto the shared basis
-  cert_prefix_pops,     ///< node extensions rewound
-  cert_ghost_repushes,  ///< ghost rows re-reduced over a fresh column window
-  cert_subgraphs,       ///< Omega_k leaves whose rank was checked
-  cert_loo_downdates,   ///< f=1 leave-one-out rank downdates (one per member)
-  // --- omega_cache (core/omega_cache) ---
-  cache_lookups,        ///< deterministic: queries issued by this run
-  cache_hits,           ///< machine: depends on cross-shard scheduling
-  cache_misses,         ///< machine: ditto
-  // --- planning layer: arborescence packing + route tables (graph, bb) ---
-  plan_safety_checks,       ///< per-sink certificate validations in the packer
-  plan_flow_augmentations,  ///< unit augmenting paths pushed by the packer
-  route_pairs,              ///< ordered pairs routed into the route table
-  route_flow_augmentations, ///< augmenting paths pushed by the route builder
-  // --- Phase-3 claim backends (bb/claim_bcast) ---
-  claim_echoes,         ///< echo digests sent on the wire (collapsed)
-  claim_readys,         ///< ready digests sent on the wire (collapsed)
-  claim_fallbacks,      ///< retrieval fallbacks (mirrors dc1_fallbacks)
-  // --- link-fault layer (sim/link_faults + network ARQ) ---
-  link_drops,             ///< transmissions erased by a Gilbert-Elliott chain
-  link_retransmits,       ///< ARQ retransmissions honest senders paid
-  link_burst_spans,       ///< good -> bad chain transitions (burst onsets)
-  link_retry_exhaustions, ///< messages that ran out of retry budget
-  // --- run arena (sim/run_arena; machine set) ---
-  arena_allocs,         ///< arena allocations served during the run
-  arena_pool_hits,      ///< of which from a free list
+#define NAB_OBS_ENUMERATOR(name, set) name,
+  NAB_OBS_COUNTERS(NAB_OBS_ENUMERATOR)
+#undef NAB_OBS_ENUMERATOR
   count_  // sentinel: number of counters
 };
 
 inline constexpr int counter_count = static_cast<int>(counter::count_);
 
-/// Human-readable name of a counter (JSON keys, tables).
-const char* counter_name(counter c);
+/// One row of the counter table.
+struct counter_row {
+  counter id;
+  const char* name;
+  counter_set set;
+};
+
+/// Every counter in enum order — what exporters and checks loop over.
+inline constexpr std::array<counter_row, counter_count> counter_table{{
+#define NAB_OBS_ROW(name, set) {counter::name, #name, counter_set::set},
+    NAB_OBS_COUNTERS(NAB_OBS_ROW)
+#undef NAB_OBS_ROW
+}};
+
+#undef NAB_OBS_COUNTERS
+
+/// A counter's name (JSON keys, tables).
+constexpr const char* counter_name(counter c) {
+  return counter_table[static_cast<std::size_t>(c)].name;
+}
+
+/// One value per counter, indexed by the enum: a collector's tallies, a run
+/// record's counters.
+class counter_values {
+ public:
+  std::uint64_t& operator[](counter c) { return v_[static_cast<std::size_t>(c)]; }
+  std::uint64_t operator[](counter c) const {
+    return v_[static_cast<std::size_t>(c)];
+  }
+  bool operator==(const counter_values&) const = default;
+
+ private:
+  std::array<std::uint64_t, counter_count> v_{};
+};
+
+/// The headline GF work figure: the four gf_* kernel counters summed.
+inline std::uint64_t gf_ops(const counter_values& v) {
+  return v[counter::gf_axpy_words] + v[counter::gf_scale_words] +
+         v[counter::gf_mul_ops] + v[counter::gf_rows_eliminated];
+}
 
 /// Invariant-margin gauges: how much headroom a run kept before a paper
 /// invariant or a quorum rule would have failed. Minimum over the run —
@@ -116,12 +165,8 @@ class collector {
   collector();
 
   // --- counters ---
-  void add(counter c, std::uint64_t n) {
-    counters_[static_cast<std::size_t>(c)] += n;
-  }
-  std::uint64_t value(counter c) const {
-    return counters_[static_cast<std::size_t>(c)];
-  }
+  void add(counter c, std::uint64_t n) { counters_[c] += n; }
+  std::uint64_t value(counter c) const { return counters_[c]; }
 
   // --- gauges (record-minimum semantics) ---
   void gauge_min(gauge g, std::int64_t v) {
@@ -151,7 +196,7 @@ class collector {
   void reset();
 
  private:
-  std::array<std::uint64_t, counter_count> counters_{};
+  counter_values counters_;
   std::array<std::int64_t, gauge_count> gauges_;
   std::vector<span_record> spans_;
   std::vector<int> open_stack_;
@@ -209,12 +254,6 @@ inline constexpr std::uint64_t signature_mix(std::uint64_t h, std::uint64_t v) {
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
   return h ^ (h >> 31);
 }
-
-/// Folds a collector's deterministic counters and all gauges into one
-/// signature (fixed enum order). Machine-set counters (cache hit/miss, the
-/// arena pair) are skipped so the signature obeys the same jobs-1-vs-N
-/// contract as the run_record counters it summarizes.
-std::uint64_t behavior_signature(const collector& c);
 
 /// RAII span over the ambient collector. Constructed with the sim-time at
 /// entry when the caller has a network clock (tau carries into timelines);

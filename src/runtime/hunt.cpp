@@ -318,17 +318,17 @@ std::uint64_t record_signature(const run_record& rec) {
   h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.mismatch_instances));
   h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.phase1_only_instances));
   h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.default_outcome_instances));
-  h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.dc1_fallbacks));
+  h = obs::signature_mix(h, rec.counters[obs::counter::claim_fallbacks]);
   h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.ok() ? 1 : 0));
   // Margin gauges: raw (the scoring coordinate must stay fine-grained).
   h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.margin_quorum_slack));
   h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.margin_hold_surplus));
   h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.margin_dispute_headroom));
   // Work-volume counters: bucketed.
-  h = obs::signature_mix(h, bucket(rec.gf_ops));
-  h = obs::signature_mix(h, bucket(rec.cert_subgraphs));
-  h = obs::signature_mix(h, bucket(rec.claim_echoes));
-  h = obs::signature_mix(h, bucket(rec.claim_readys));
+  h = obs::signature_mix(h, bucket(obs::gf_ops(rec.counters)));
+  h = obs::signature_mix(h, bucket(rec.counters[obs::counter::cert_subgraphs]));
+  h = obs::signature_mix(h, bucket(rec.counters[obs::counter::claim_echoes]));
+  h = obs::signature_mix(h, bucket(rec.counters[obs::counter::claim_readys]));
   h = obs::signature_mix(h, bucket(rec.dc1_claim_bits));
   return h;
 }
@@ -697,263 +697,67 @@ json entry_json(const corpus_entry& e) {
   return obj;
 }
 
-// --- minimal recursive-descent JSON reader (the repo's json class is an
-// --- emitter by design; the corpus is the one document we also load) ---
-
-struct jvalue {
-  enum class kind { null, object, array, string, number, boolean } k = kind::null;
-  std::vector<std::pair<std::string, jvalue>> members;
-  std::vector<jvalue> elements;
-  std::string text;   // string payload
-  std::int64_t num = 0;
-  bool flag = false;
-
-  const jvalue* find(std::string_view key) const {
-    for (const auto& [k2, v] : members)
-      if (k2 == key) return &v;
-    return nullptr;
-  }
-};
-
-class jreader {
- public:
-  explicit jreader(std::string_view text) : text_(text) {}
-
-  jvalue parse() {
-    jvalue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) {
-    throw error("hunt corpus: malformed JSON (" + what + " at byte " +
-                std::to_string(pos_) + ")");
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  jvalue value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': {
-        jvalue v;
-        v.k = jvalue::kind::string;
-        v.text = string();
-        return v;
-      }
-      case 't':
-      case 'f': return boolean();
-      default: return number();
-    }
-  }
-
-  jvalue object() {
-    expect('{');
-    jvalue v;
-    v.k = jvalue::kind::object;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.members.emplace_back(std::move(key), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  jvalue array() {
-    expect('[');
-    jvalue v;
-    v.k = jvalue::kind::array;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.elements.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("dangling escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          default: fail("unsupported escape");
-        }
-        continue;
-      }
-      out.push_back(c);
-    }
-  }
-
-  jvalue boolean() {
-    jvalue v;
-    v.k = jvalue::kind::boolean;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      v.flag = true;
-      pos_ += 4;
-    } else if (text_.compare(pos_, 5, "false") == 0) {
-      v.flag = false;
-      pos_ += 5;
-    } else {
-      fail("expected boolean");
-    }
-    return v;
-  }
-
-  jvalue number() {
-    jvalue v;
-    v.k = jvalue::kind::number;
-    bool negative = false;
-    if (peek() == '-') {
-      negative = true;
-      ++pos_;
-    }
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9')
-      fail("expected number");
-    std::int64_t out = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      out = out * 10 + (text_[pos_] - '0');
-      ++pos_;
-    }
-    v.num = negative ? -out : out;
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-const jvalue& member(const jvalue& obj, std::string_view key) {
-  const jvalue* v = obj.find(key);
+/// The member named `key`, which must exist and be of kind `want` (`what`
+/// names that kind in the error).
+const json& member(const json& obj, std::string_view key, json::kind want,
+                   const char* what) {
+  const json* v = obj.find(key);
   if (v == nullptr)
     throw error("hunt corpus: missing key '" + std::string(key) + "'");
+  if (v->type() != want)
+    throw error("hunt corpus: key '" + std::string(key) + "' is not " + what);
   return *v;
 }
 
-std::int64_t int_member(const jvalue& obj, std::string_view key) {
-  const jvalue& v = member(obj, key);
-  if (v.k != jvalue::kind::number)
-    throw error("hunt corpus: key '" + std::string(key) + "' is not a number");
-  return v.num;
+std::int64_t int64_member(const json& obj, std::string_view key) {
+  return member(obj, key, json::kind::number_int, "a number").int_value();
 }
 
-std::string str_member(const jvalue& obj, std::string_view key) {
-  const jvalue& v = member(obj, key);
-  if (v.k != jvalue::kind::string)
-    throw error("hunt corpus: key '" + std::string(key) + "' is not a string");
-  return v.text;
+/// Fields the corpus stores as `int` must fit one, not wrap silently.
+int int_member(const json& obj, std::string_view key) {
+  const std::int64_t v = int64_member(obj, key);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max())
+    throw error("hunt corpus: key '" + std::string(key) + "' is out of int range");
+  return static_cast<int>(v);
 }
 
-std::uint64_t seed_member(const jvalue& obj, std::string_view key) {
-  const std::string text = str_member(obj, key);
-  if (text.size() != 18 || text.compare(0, 2, "0x") != 0)
-    throw error("hunt corpus: key '" + std::string(key) +
-                "' is not a 0x-prefixed 16-digit seed");
-  std::uint64_t out = 0;
-  for (std::size_t i = 2; i < text.size(); ++i) {
-    const char c = text[i];
-    std::uint64_t digit;
-    if (c >= '0' && c <= '9') digit = static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') digit = static_cast<std::uint64_t>(c - 'a') + 10;
-    else if (c >= 'A' && c <= 'F') digit = static_cast<std::uint64_t>(c - 'A') + 10;
-    else
-      throw error("hunt corpus: bad hex digit in '" + text + "'");
-    out = (out << 4) | digit;
-  }
-  return out;
+const std::string& str_member(const json& obj, std::string_view key) {
+  return member(obj, key, json::kind::string, "a string").string_value();
 }
 
-corpus_entry entry_from_json(const jvalue& obj) {
+std::uint64_t seed_member(const json& obj, std::string_view key) {
+  return parse_hex_seed(str_member(obj, key));
+}
+
+corpus_entry entry_from_json(const json& obj) {
   corpus_entry e;
   e.context = str_member(obj, "context");
-  if (const jvalue* g = obj.find("gauge")) {
-    if (g->k != jvalue::kind::string)
-      throw error("hunt corpus: key 'gauge' is not a string");
-    e.gauge = g->text;
-  }
-  const jvalue& genome = member(obj, "genome");
-  if (genome.k != jvalue::kind::object)
-    throw error("hunt corpus: key 'genome' is not an object");
+  if (obj.find("gauge") != nullptr) e.gauge = str_member(obj, "gauge");
+  const json& genome =
+      member(obj, "genome", json::kind::object, "an object");
   std::string params;
-  for (const auto& [key, v] : genome.members) {
-    if (v.k != jvalue::kind::number)
+  for (const auto& [key, v] : genome.members()) {
+    if (v.type() != json::kind::number_int)
       throw error("hunt corpus: genome field '" + key + "' is not a number");
     if (!params.empty()) params.push_back(',');
-    params += key + "=" + std::to_string(v.num);
+    params += key + "=" + std::to_string(v.int_value());
   }
   e.genome = hunt_genome::from_params(params);
-  e.run_index = static_cast<int>(int_member(obj, "run_index"));
+  e.run_index = int_member(obj, "run_index");
   e.signature = seed_member(obj, "signature");
-  e.margin_quorum_slack = int_member(obj, "margin_quorum_slack");
-  e.margin_hold_surplus = int_member(obj, "margin_hold_surplus");
-  e.margin_dispute_headroom = int_member(obj, "margin_dispute_headroom");
-  e.score = int_member(obj, "score");
-  const jvalue& ok = member(obj, "ok");
-  if (ok.k != jvalue::kind::boolean)
-    throw error("hunt corpus: key 'ok' is not a boolean");
-  e.ok = ok.flag;
+  e.margin_quorum_slack = int64_member(obj, "margin_quorum_slack");
+  e.margin_hold_surplus = int64_member(obj, "margin_hold_surplus");
+  e.margin_dispute_headroom = int64_member(obj, "margin_dispute_headroom");
+  e.score = int64_member(obj, "score");
+  e.ok = member(obj, "ok", json::kind::boolean, "a boolean").bool_value();
   return e;
 }
 
-std::vector<corpus_entry> entries_from_json(const jvalue& doc,
+std::vector<corpus_entry> entries_from_json(const json& doc,
                                             std::string_view key) {
-  const jvalue& arr = member(doc, key);
-  if (arr.k != jvalue::kind::array)
-    throw error("hunt corpus: key '" + std::string(key) + "' is not an array");
   std::vector<corpus_entry> out;
-  for (const jvalue& e : arr.elements) out.push_back(entry_from_json(e));
+  for (const json& e : member(doc, key, json::kind::array, "an array").elements())
+    out.push_back(entry_from_json(e));
   return out;
 }
 
@@ -983,20 +787,20 @@ json corpus_document(const hunt_corpus& corpus) {
 }
 
 hunt_corpus corpus_from_text(std::string_view text) {
-  const jvalue doc = jreader(text).parse();
-  if (doc.k != jvalue::kind::object)
+  const json doc = json::parse(text);
+  if (doc.type() != json::kind::object)
     throw error("hunt corpus: document is not a JSON object");
   if (str_member(doc, "kind") != "nabcast-hunt-corpus")
     throw error("hunt corpus: not a hunt corpus document");
   hunt_corpus corpus;
   corpus.families = str_member(doc, "families");
   corpus.seed = seed_member(doc, "seed");
-  corpus.budget = static_cast<int>(int_member(doc, "budget"));
-  corpus.words = static_cast<std::uint64_t>(int_member(doc, "words"));
-  corpus.instances = static_cast<int>(int_member(doc, "instances"));
-  corpus.evaluations = static_cast<int>(int_member(doc, "evaluations"));
-  corpus.violations = static_cast<int>(int_member(doc, "violations"));
-  corpus.errors = static_cast<int>(int_member(doc, "errors"));
+  corpus.budget = int_member(doc, "budget");
+  corpus.words = static_cast<std::uint64_t>(int64_member(doc, "words"));
+  corpus.instances = int_member(doc, "instances");
+  corpus.evaluations = int_member(doc, "evaluations");
+  corpus.violations = int_member(doc, "violations");
+  corpus.errors = int_member(doc, "errors");
   corpus.champions = entries_from_json(doc, "champions");
   corpus.novel = entries_from_json(doc, "novel");
   corpus.violators = entries_from_json(doc, "violators");

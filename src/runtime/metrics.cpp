@@ -1,177 +1,10 @@
 #include "runtime/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
 
 #include "util/assert.hpp"
-#include "util/error.hpp"
 
 namespace nab::runtime {
-
-json json::object() {
-  json j;
-  j.kind_ = kind::object;
-  return j;
-}
-
-json json::array() {
-  json j;
-  j.kind_ = kind::array;
-  return j;
-}
-
-json json::str(std::string v) {
-  json j;
-  j.kind_ = kind::string;
-  j.string_ = std::move(v);
-  return j;
-}
-
-json json::num(double v) {
-  json j;
-  j.kind_ = kind::number_real;
-  j.real_ = v;
-  return j;
-}
-
-json json::num(std::int64_t v) {
-  json j;
-  j.kind_ = kind::number_int;
-  j.int_ = v;
-  return j;
-}
-
-json json::boolean(bool v) {
-  json j;
-  j.kind_ = kind::boolean;
-  j.bool_ = v;
-  return j;
-}
-
-json& json::set(std::string key, json value) {
-  NAB_ASSERT(kind_ == kind::object, "json::set on a non-object");
-  members_.emplace_back(std::move(key), std::move(value));
-  return *this;
-}
-
-json& json::push(json value) {
-  NAB_ASSERT(kind_ == kind::array, "json::push on a non-array");
-  elements_.push_back(std::move(value));
-  return *this;
-}
-
-namespace {
-
-void write_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void write_real(std::string& out, double v) {
-  if (!std::isfinite(v)) {  // JSON has no inf/nan; null is the convention
-    out += "null";
-    return;
-  }
-  // Shortest round-trippable decimal would need to_chars; %.17g is longer
-  // but equally deterministic, which is what matters here.
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void indent(std::string& out, int depth) {
-  out.append(static_cast<std::size_t>(2 * depth), ' ');
-}
-
-}  // namespace
-
-void json::write(std::string& out, int depth) const {
-  switch (kind_) {
-    case kind::null:
-      out += "null";
-      break;
-    case kind::string:
-      write_escaped(out, string_);
-      break;
-    case kind::number_int:
-      out += std::to_string(int_);
-      break;
-    case kind::number_real:
-      write_real(out, real_);
-      break;
-    case kind::boolean:
-      out += bool_ ? "true" : "false";
-      break;
-    case kind::object: {
-      if (members_.empty()) {
-        out += "{}";
-        break;
-      }
-      out += "{\n";
-      for (std::size_t i = 0; i < members_.size(); ++i) {
-        indent(out, depth + 1);
-        write_escaped(out, members_[i].first);
-        out += ": ";
-        members_[i].second.write(out, depth + 1);
-        if (i + 1 < members_.size()) out.push_back(',');
-        out.push_back('\n');
-      }
-      indent(out, depth);
-      out.push_back('}');
-      break;
-    }
-    case kind::array: {
-      if (elements_.empty()) {
-        out += "[]";
-        break;
-      }
-      out += "[\n";
-      for (std::size_t i = 0; i < elements_.size(); ++i) {
-        indent(out, depth + 1);
-        elements_[i].write(out, depth + 1);
-        if (i + 1 < elements_.size()) out.push_back(',');
-        out.push_back('\n');
-      }
-      indent(out, depth);
-      out.push_back(']');
-      break;
-    }
-  }
-}
-
-std::string json::dump() const {
-  std::string out;
-  write(out, 0);
-  out.push_back('\n');
-  return out;
-}
-
-// Seeds are full-width uint64; JSON numbers are lossy there (2^53 mantissa,
-// and int64 casts turn the high bit into a sign), so they travel as hex.
-std::string hex_seed(std::uint64_t seed) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(seed));
-  return buf;
-}
 
 std::vector<std::pair<std::string, double>> wall_by_phase_of(
     const std::vector<obs::span_record>& spans) {
@@ -219,29 +52,11 @@ json run_record::to_json(bool include_timing) const {
       .set("phase1_only_instances", json::num(phase1_only_instances))
       .set("default_outcome_instances", json::num(default_outcome_instances))
       .set("dc1_claim_bits", json::num(dc1_claim_bits))
-      .set("dc1_fallbacks", json::num(dc1_fallbacks))
-      .set("gf_ops", json::num(gf_ops))
-      .set("gf_axpy_words", json::num(gf_axpy_words))
-      .set("gf_scale_words", json::num(gf_scale_words))
-      .set("gf_mul_ops", json::num(gf_mul_ops))
-      .set("gf_rows_eliminated", json::num(gf_rows_eliminated))
-      .set("cert_prefix_pushes", json::num(cert_prefix_pushes))
-      .set("cert_prefix_pops", json::num(cert_prefix_pops))
-      .set("cert_ghost_repushes", json::num(cert_ghost_repushes))
-      .set("cert_subgraphs", json::num(cert_subgraphs))
-      .set("cert_loo_downdates", json::num(cert_loo_downdates))
-      .set("cache_lookups", json::num(cache_lookups))
-      .set("plan_safety_checks", json::num(plan_safety_checks))
-      .set("plan_flow_augmentations", json::num(plan_flow_augmentations))
-      .set("route_pairs", json::num(route_pairs))
-      .set("route_flow_augmentations", json::num(route_flow_augmentations))
-      .set("claim_echoes", json::num(claim_echoes))
-      .set("claim_readys", json::num(claim_readys))
-      .set("link_drops", json::num(link_drops))
-      .set("retransmits", json::num(retransmits))
-      .set("burst_spans", json::num(burst_spans))
-      .set("retry_budget_exhaustions", json::num(retry_budget_exhaustions))
-      .set("margin_quorum_slack", json::num(margin_quorum_slack))
+      .set("gf_ops", json::num(obs::gf_ops(counters)));
+  for (const obs::counter_row& row : obs::counter_table)
+    if (row.set == obs::counter_set::deterministic)
+      j.set(row.name, json::num(counters[row.id]));
+  j.set("margin_quorum_slack", json::num(margin_quorum_slack))
       .set("margin_hold_surplus", json::num(margin_hold_surplus))
       .set("margin_dispute_headroom", json::num(margin_dispute_headroom))
       .set("margin_retry_headroom", json::num(margin_retry_headroom))
@@ -260,11 +75,10 @@ json run_record::to_json(bool include_timing) const {
     for (const auto& [phase, seconds] : timing.wall_by_phase)
       wall.set(phase, json::num(seconds));
     json t = json::object();
-    t.set("wall_seconds_by_phase", std::move(wall))
-        .set("cache_hits", json::num(timing.cache_hits))
-        .set("cache_misses", json::num(timing.cache_misses))
-        .set("arena_allocs", json::num(timing.arena_allocs))
-        .set("arena_pool_hits", json::num(timing.arena_pool_hits));
+    t.set("wall_seconds_by_phase", std::move(wall));
+    for (const obs::counter_row& row : obs::counter_table)
+      if (row.set == obs::counter_set::machine)
+        t.set(row.name, json::num(timing.counters[row.id]));
     j.set("timing", std::move(t));
   }
   return j;
@@ -404,15 +218,6 @@ json timeline_document(const std::string& sweep_name, std::uint64_t base_seed,
       .set("displayTimeUnit", json::str("ms"))
       .set("traceEvents", std::move(events));
   return doc;
-}
-
-void write_json_file(const std::string& path, const json& doc) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw error("cannot open " + path + " for writing");
-  const std::string text = doc.dump();
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  out.flush();  // surface disk-full/quota errors now, not in the destructor
-  if (!out) throw error("short write to " + path);
 }
 
 }  // namespace nab::runtime

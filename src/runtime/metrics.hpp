@@ -2,55 +2,14 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "runtime/json.hpp"
 
 namespace nab::runtime {
-
-/// Minimal insertion-ordered JSON value for the runtime's machine-readable
-/// outputs (BENCH_runtime.json and friends). Deliberately tiny: objects keep
-/// key insertion order and numbers print deterministically, so two sweeps
-/// that measured the same values serialize to byte-identical files — the
-/// property the `--jobs 1` vs `--jobs N` determinism contract is checked
-/// against. Not a parser; the repo only ever *emits* JSON.
-class json {
- public:
-  json() : kind_(kind::null) {}
-
-  static json object();
-  static json array();
-  static json str(std::string v);
-  static json num(double v);
-  static json num(std::int64_t v);
-  static json num(std::uint64_t v) { return num(static_cast<std::int64_t>(v)); }
-  static json num(int v) { return num(static_cast<std::int64_t>(v)); }
-  static json boolean(bool v);
-
-  /// Object member (insertion order preserved). Returns *this for chaining.
-  json& set(std::string key, json value);
-  /// Array element. Returns *this for chaining.
-  json& push(json value);
-
-  /// Serializes with 2-space indentation and a trailing newline at depth 0.
-  std::string dump() const;
-
- private:
-  enum class kind { null, object, array, string, number_int, number_real, boolean };
-
-  void write(std::string& out, int depth) const;
-
-  kind kind_;
-  std::string string_;
-  std::int64_t int_ = 0;
-  double real_ = 0.0;
-  bool bool_ = false;
-  std::vector<std::pair<std::string, json>> members_;  // object
-  std::vector<json> elements_;                         // array
-};
 
 /// Machine-set observability data riding along with a run_record: wall-clock
 /// per phase, the scheduling-dependent cache/arena counters, and — when the
@@ -65,10 +24,9 @@ struct run_timing {
   /// name and sorted (phase1, equality_check, flags, phase3, refresh_graph,
   /// plus any omega_cache fill the run happened to pay).
   std::vector<std::pair<std::string, double>> wall_by_phase;
-  std::uint64_t cache_hits = 0;       ///< omega_cache hits this run observed
-  std::uint64_t cache_misses = 0;     ///< misses this run paid for the fleet
-  std::uint64_t arena_allocs = 0;     ///< arena allocations served
-  std::uint64_t arena_pool_hits = 0;  ///< of which from a free list
+  /// The machine-set obs counters (cache hits/misses, the arena pair),
+  /// indexed by obs::counter; deterministic entries stay 0 here.
+  obs::counter_values counters;
   /// Full span list (nesting via parent/depth); captured only under
   /// fleet --timeline, empty otherwise.
   std::vector<obs::span_record> spans;
@@ -116,41 +74,16 @@ struct run_record {
   int phase1_only_instances = 0;
   int default_outcome_instances = 0;
   /// Wire bits DC1's claim dissemination consumed across the session (0
-  /// when no dispute phase ran) and, for the collapsed backend, how many
-  /// (claimant, receiver) pairs needed the full-transcript retrieval
-  /// fallback — the per-backend accounting the Theta(n^f) -> polynomial
-  /// claim-traffic claim is asserted against.
+  /// when no dispute phase ran) — the per-backend accounting the
+  /// Theta(n^f) -> polynomial claim-traffic claim is asserted against.
   std::uint64_t dc1_claim_bits = 0;
-  int dc1_fallbacks = 0;
 
-  // Deterministic obs counters (src/obs): pure functions of the workload,
-  // bit-identical across --jobs counts and pooled/unpooled sessions, so they
-  // sit inside the defaulted operator== and the determinism contract covers
-  // them. gf_ops is the headline sum the CI perf smoke asserts nonzero on
-  // certified runs.
-  std::uint64_t gf_ops = 0;              ///< sum of the four gf_* below
-  std::uint64_t gf_axpy_words = 0;
-  std::uint64_t gf_scale_words = 0;
-  std::uint64_t gf_mul_ops = 0;
-  std::uint64_t gf_rows_eliminated = 0;
-  std::uint64_t cert_prefix_pushes = 0;
-  std::uint64_t cert_prefix_pops = 0;
-  std::uint64_t cert_ghost_repushes = 0;
-  std::uint64_t cert_subgraphs = 0;
-  std::uint64_t cert_loo_downdates = 0;  ///< f=1 leave-one-out rank downdates
-  std::uint64_t cache_lookups = 0;       ///< deterministic companion of hit/miss
-  std::uint64_t plan_safety_checks = 0;       ///< packer certificate validations
-  std::uint64_t plan_flow_augmentations = 0;  ///< packer unit augmenting paths
-  std::uint64_t route_pairs = 0;              ///< ordered pairs in the route table
-  std::uint64_t route_flow_augmentations = 0; ///< route-builder augmenting paths
-  std::uint64_t claim_echoes = 0;
-  std::uint64_t claim_readys = 0;
-  // Link-fault layer (sim/link_faults + the network ARQ loop): all zero on
-  // perfect links and under the inert "zero" model.
-  std::uint64_t link_drops = 0;               ///< transmissions erased
-  std::uint64_t retransmits = 0;              ///< ARQ retransmissions paid
-  std::uint64_t burst_spans = 0;              ///< good->bad chain transitions
-  std::uint64_t retry_budget_exhaustions = 0; ///< messages degraded to missing
+  /// Deterministic obs counters (src/obs), indexed by obs::counter: pure
+  /// functions of the workload, bit-identical across --jobs counts and
+  /// pooled/unpooled sessions, so they sit inside the defaulted operator==
+  /// and the determinism contract covers them. Machine-set entries stay 0
+  /// here; their values live in timing.counters.
+  obs::counter_values counters;
 
   // Invariant-margin gauges (minimum over the run, -1 = never exercised):
   // how much headroom the run kept before a quorum rule or the paper's
@@ -190,9 +123,12 @@ struct run_record {
 
   bool operator==(const run_record&) const = default;
 
-  /// `include_timing` adds the run_timing fields (wall_seconds_by_phase and
-  /// the machine counters) — the same keys the determinism CI strips, named
-  /// with the wall_seconds prefix so one strip rule covers both layers.
+  /// Counters are keyed by their obs names, the deterministic set preceded
+  /// by gf_ops (obs::gf_ops — the headline sum the CI perf smoke asserts
+  /// nonzero on certified runs). `include_timing` adds the run_timing
+  /// fields (wall_seconds_by_phase and the machine counters) — the same keys
+  /// the determinism CI strips, named with the wall_seconds prefix so one
+  /// strip rule covers both layers.
   json to_json(bool include_timing = false) const;
 };
 
@@ -208,10 +144,6 @@ struct sweep_summary {
 };
 
 sweep_summary summarize(const std::vector<run_record>& records);
-
-/// "0x"-prefixed 16-digit hex for a seed. Seeds are serialized as strings:
-/// JSON numbers lose uint64 range (2^53 mantissa, int64 sign flip).
-std::string hex_seed(std::uint64_t seed);
 
 /// The canonical BENCH_runtime.json document: metadata + per-run records +
 /// aggregate summary. Deterministic for fixed records; `wall_seconds` < 0
@@ -244,8 +176,5 @@ json timeline_document(const std::string& sweep_name, std::uint64_t base_seed,
 /// for the runner and tests.
 std::vector<std::pair<std::string, double>> wall_by_phase_of(
     const std::vector<obs::span_record>& spans);
-
-/// Writes `doc.dump()` to `path` (throws nab::error on I/O failure).
-void write_json_file(const std::string& path, const json& doc);
 
 }  // namespace nab::runtime

@@ -121,35 +121,14 @@ run_record execute_scenario(const scenario& s, int run_index,
   obs::collector col;
   obs::scoped_collector col_scope(&col);
   const auto harvest_obs = [&] {
-    rec.gf_axpy_words = col.value(obs::counter::gf_axpy_words);
-    rec.gf_scale_words = col.value(obs::counter::gf_scale_words);
-    rec.gf_mul_ops = col.value(obs::counter::gf_mul_ops);
-    rec.gf_rows_eliminated = col.value(obs::counter::gf_rows_eliminated);
-    rec.gf_ops = rec.gf_axpy_words + rec.gf_scale_words + rec.gf_mul_ops +
-                 rec.gf_rows_eliminated;
-    rec.cert_prefix_pushes = col.value(obs::counter::cert_prefix_pushes);
-    rec.cert_prefix_pops = col.value(obs::counter::cert_prefix_pops);
-    rec.cert_ghost_repushes = col.value(obs::counter::cert_ghost_repushes);
-    rec.cert_subgraphs = col.value(obs::counter::cert_subgraphs);
-    rec.cert_loo_downdates = col.value(obs::counter::cert_loo_downdates);
-    rec.cache_lookups = col.value(obs::counter::cache_lookups);
-    rec.plan_safety_checks = col.value(obs::counter::plan_safety_checks);
-    rec.plan_flow_augmentations = col.value(obs::counter::plan_flow_augmentations);
-    rec.route_pairs = col.value(obs::counter::route_pairs);
-    rec.route_flow_augmentations = col.value(obs::counter::route_flow_augmentations);
-    rec.claim_echoes = col.value(obs::counter::claim_echoes);
-    rec.claim_readys = col.value(obs::counter::claim_readys);
-    rec.link_drops = col.value(obs::counter::link_drops);
-    rec.retransmits = col.value(obs::counter::link_retransmits);
-    rec.burst_spans = col.value(obs::counter::link_burst_spans);
-    rec.retry_budget_exhaustions = col.value(obs::counter::link_retry_exhaustions);
+    for (const obs::counter_row& row : obs::counter_table) {
+      auto& values = row.set == obs::counter_set::machine ? rec.timing.counters
+                                                          : rec.counters;
+      values[row.id] = col.value(row.id);
+    }
     rec.margin_quorum_slack = col.gauge_value(obs::gauge::quorum_slack);
     rec.margin_hold_surplus = col.gauge_value(obs::gauge::hold_surplus);
     rec.margin_retry_headroom = col.gauge_value(obs::gauge::retry_headroom);
-    rec.timing.cache_hits = col.value(obs::counter::cache_hits);
-    rec.timing.cache_misses = col.value(obs::counter::cache_misses);
-    rec.timing.arena_allocs = col.value(obs::counter::arena_allocs);
-    rec.timing.arena_pool_hits = col.value(obs::counter::arena_pool_hits);
     rec.timing.wall_by_phase = wall_by_phase_of(col.spans());
     if (capture_spans) rec.timing.spans = col.spans();
   };
@@ -260,7 +239,6 @@ run_record execute_scenario(const scenario& s, int run_index,
   rec.throughput = run.stats.throughput();
   rec.dispute_phases = run.stats.dispute_phases;
   rec.dc1_claim_bits = run.stats.claim_bits;
-  rec.dc1_fallbacks = run.stats.claim_fallbacks;
   rec.disputes = static_cast<int>(run.disputes.pairs().size());
   rec.convictions = static_cast<int>(run.disputes.convicted().size());
   double tau_total = 0.0;

@@ -3,8 +3,9 @@
 /// Umbrella header for the parallel scenario runtime: declarative scenario
 /// registry (scenario.hpp), work-stealing sharded executor (executor.hpp),
 /// per-run execution with invariant checking (runner.hpp), the JSON metrics
-/// sink (metrics.hpp), the coverage-guided adversary search (hunt.hpp), and
-/// the fleet CLI parser (fleet_cli.hpp).
+/// sink (metrics.hpp) over the one JSON writer/reader (json.hpp), the
+/// coverage-guided adversary search (hunt.hpp), and the fleet CLI parser
+/// (fleet_cli.hpp).
 ///
 /// Quick start:
 ///   #include "runtime/runtime.hpp"
@@ -21,6 +22,7 @@
 #include "runtime/executor.hpp"
 #include "runtime/fleet_cli.hpp"
 #include "runtime/hunt.hpp"
+#include "runtime/json.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/runner.hpp"
 #include "runtime/scenario.hpp"

@@ -59,8 +59,9 @@ TEST(Capacity, BoundsRelationshipsHold) {
     const capacity_bounds b = compute_bounds(g, 0, 1, gamma_mode::exhaustive);
     // Theorem 3 algebra: T_NAB >= bound/3, and >= bound/2 when gamma* <= rho*.
     EXPECT_GE(b.nab_throughput_bound + 1e-9, b.capacity_upper_bound / 3.0);
-    if (static_cast<double>(b.gamma_star) <= b.rho_star)
+    if (static_cast<double>(b.gamma_star) <= b.rho_star) {
       EXPECT_GE(b.nab_throughput_bound + 1e-9, b.capacity_upper_bound / 2.0);
+    }
     EXPECT_LE(b.nab_throughput_bound, b.capacity_upper_bound + 1e-9);
     EXPECT_TRUE(b.gamma_exact);
   }
@@ -71,8 +72,9 @@ TEST(Capacity, GuaranteedFractionSelection) {
   const graph::digraph g = graph::complete(4, 4);
   const capacity_bounds b = compute_bounds(g, 0, 1);
   EXPECT_TRUE(b.guaranteed_fraction == 0.5 || b.guaranteed_fraction == 1.0 / 3.0);
-  if (static_cast<double>(b.gamma_star) <= b.rho_star)
+  if (static_cast<double>(b.gamma_star) <= b.rho_star) {
     EXPECT_DOUBLE_EQ(b.guaranteed_fraction, 0.5);
+  }
 }
 
 TEST(Capacity, AutoModeSelectsExhaustiveForSmallGraphs) {

@@ -75,8 +75,11 @@ TEST(GfKernels, ScalarIsTheDefaultFallbackAndNamesRoundTrip) {
   // At least one SIMD backend is expected on the CI x86 / AArch64 runners,
   // but a build must never FAIL for lacking one — unsupported requests are
   // rejected cleanly.
-  for (gf_backend b : {gf_backend::ssse3, gf_backend::avx2, gf_backend::neon})
-    if (!gf2_16::set_backend(b)) EXPECT_NE(gf2_16::backend(), b);
+  for (gf_backend b : {gf_backend::ssse3, gf_backend::avx2, gf_backend::neon}) {
+    if (!gf2_16::set_backend(b)) {
+      EXPECT_NE(gf2_16::backend(), b);
+    }
+  }
   gf2_16::set_backend(gf_backend::scalar);
 }
 

@@ -55,8 +55,9 @@ TEST_P(ThroughputProperty, Theorem3AlgebraHolds) {
   const graph::digraph g = draw_graph(GetParam());
   const capacity_bounds b = compute_bounds(g, 0, 1, gamma_mode::exhaustive);
   EXPECT_GE(b.nab_throughput_bound + 1e-9, b.capacity_upper_bound / 3.0);
-  if (static_cast<double>(b.gamma_star) <= b.rho_star)
+  if (static_cast<double>(b.gamma_star) <= b.rho_star) {
     EXPECT_GE(b.nab_throughput_bound + 1e-9, b.capacity_upper_bound / 2.0);
+  }
   EXPECT_LE(b.nab_throughput_bound, b.capacity_upper_bound + 1e-9);
 }
 

@@ -111,6 +111,20 @@ TEST(HuntCorpus, CorpusFromTextRejectsDrift) {
   EXPECT_THROW(corpus_from_text("{}"), nab::error);
   EXPECT_THROW(corpus_from_text(R"({"kind":"something-else"})"), nab::error);
   EXPECT_THROW(corpus_from_text("not json at all"), nab::error);
+
+  // Integer fields out of range are rejected, never wrapped: a literal
+  // beyond int64, and an `int` field beyond int.
+  const std::string good = corpus_document(hunt_corpus{}).dump();
+  EXPECT_NO_THROW(corpus_from_text(good));
+  const auto with_budget = [&](const std::string& literal) {
+    std::string text = good;
+    const std::string key = "\"budget\": 0";
+    text.replace(text.find(key), key.size(), "\"budget\": " + literal);
+    return text;
+  };
+  EXPECT_EQ(corpus_from_text(with_budget("2147483647")).budget, 2147483647);
+  EXPECT_THROW(corpus_from_text(with_budget("99999999999999999999")), nab::error);
+  EXPECT_THROW(corpus_from_text(with_budget("2147483648")), nab::error);
 }
 
 TEST(HuntCorpus, GoldenCorpusParsesAndReplays) {

@@ -88,8 +88,8 @@ TEST(LossyAcceptance, K7BurstyHonestSurvivesWithZeroDisputes) {
     EXPECT_TRUE(r.ok()) << r.scenario;
     EXPECT_TRUE(r.agreement) << r.scenario;
     EXPECT_EQ(r.loss, "bursty") << r.scenario;
-    EXPECT_GT(r.link_drops, 0u) << r.scenario;
-    EXPECT_GT(r.retransmits, 0u) << r.scenario;
+    EXPECT_GT(r.counters[obs::counter::link_drops], 0u) << r.scenario;
+    EXPECT_GT(r.counters[obs::counter::link_retransmits], 0u) << r.scenario;
     if (r.adversary == "honest") {
       saw_honest = true;
       EXPECT_EQ(r.disputes, 0) << r.scenario;
@@ -112,7 +112,7 @@ TEST(LossyAcceptance, HonestLossyFamiliesHoldAllInvariants) {
   std::uint64_t total_drops = 0;
   for (const run_record& r : records) {
     EXPECT_TRUE(r.ok()) << r.scenario;
-    total_drops += r.link_drops;
+    total_drops += r.counters[obs::counter::link_drops];
     if (r.adversary == "honest") {
       EXPECT_EQ(r.disputes, 0) << r.scenario;
       EXPECT_EQ(r.convictions, 0) << r.scenario;
@@ -141,8 +141,8 @@ TEST(LossyRunner, RetryHeadroomGaugeIsRecordedOnlyUnderLoss) {
   EXPECT_LE(lossy.margin_retry_headroom, 12);  // the default retry budget
   const run_record clean = execute_scenario(select_scenarios("fig1").front(), 0, 1);
   EXPECT_EQ(clean.margin_retry_headroom, -1);
-  EXPECT_EQ(clean.link_drops, 0u);
-  EXPECT_EQ(clean.retransmits, 0u);
+  EXPECT_EQ(clean.counters[obs::counter::link_drops], 0u);
+  EXPECT_EQ(clean.counters[obs::counter::link_retransmits], 0u);
 }
 
 TEST(LossyRunner, PipelinedPropagationRejectsRealLossAllowsInert) {

@@ -1,10 +1,13 @@
 // The obs counters' own contracts at the runtime layer: deterministic
 // counters actually populate on real runs (a zero gf_ops on a certified
 // run means an instrumentation site was lost), they are bit-identical
-// between pooled and unpooled sessions, and span capture stays opt-in so
-// BENCH_runtime.json is byte-stable.
+// between pooled and unpooled sessions, each is exported once under its
+// set, and span capture stays opt-in so BENCH_runtime.json is byte-stable.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string_view>
 
 #include "core/session.hpp"
 #include "graph/generators.hpp"
@@ -22,16 +25,14 @@ TEST(ObsCounters, PopulateOnACertifiedRun) {
   ASSERT_FALSE(sweep.empty());
   const run_record r = execute_scenario(sweep.front(), 0, 11);
   ASSERT_TRUE(r.ok());
-  EXPECT_GT(r.gf_ops, 0u);
-  EXPECT_EQ(r.gf_ops, r.gf_axpy_words + r.gf_scale_words + r.gf_mul_ops +
-                          r.gf_rows_eliminated);
-  EXPECT_GT(r.gf_axpy_words, 0u);
-  EXPECT_GT(r.gf_rows_eliminated, 0u);
-  EXPECT_GT(r.cert_subgraphs, 0u);
+  EXPECT_GT(obs::gf_ops(r.counters), 0u);
+  EXPECT_GT(r.counters[obs::counter::gf_axpy_words], 0u);
+  EXPECT_GT(r.counters[obs::counter::gf_rows_eliminated], 0u);
+  EXPECT_GT(r.counters[obs::counter::cert_subgraphs], 0u);
   // fig1 runs fault-free: omega is the whole graph, so the f = 1
   // leave-one-out certifier must NOT have engaged.
-  EXPECT_EQ(r.cert_loo_downdates, 0u);
-  EXPECT_GT(r.cache_lookups, 0u);
+  EXPECT_EQ(r.counters[obs::counter::cert_loo_downdates], 0u);
+  EXPECT_GT(r.counters[obs::counter::cache_lookups], 0u);
   // fig1's front scenario is honest: no dispute phase ran, so the headroom
   // gauge keeps its -1 "never exercised" sentinel like the quorum gauges
   // (tests/runtime/test_margins.cpp pins the disputed cases).
@@ -62,11 +63,12 @@ TEST(ObsCounters, LeaveOneOutCertifierCountsOneDowndatePerSubgraph) {
   ASSERT_NE(loo, nullptr);
   const run_record r = execute_scenario(*loo, 0, 11);
   ASSERT_TRUE(r.ok()) << r.scenario;
-  EXPECT_GT(r.cert_loo_downdates, 0u);
-  EXPECT_EQ(r.cert_loo_downdates, r.cert_subgraphs);
+  EXPECT_GT(r.counters[obs::counter::cert_loo_downdates], 0u);
+  EXPECT_EQ(r.counters[obs::counter::cert_loo_downdates],
+            r.counters[obs::counter::cert_subgraphs]);
   // The leave-one-out path never touches the sparse prefix walk.
-  EXPECT_EQ(r.cert_prefix_pushes, 0u);
-  EXPECT_EQ(r.cert_prefix_pops, 0u);
+  EXPECT_EQ(r.counters[obs::counter::cert_prefix_pushes], 0u);
+  EXPECT_EQ(r.counters[obs::counter::cert_prefix_pops], 0u);
   // Counter determinism: an identical re-execution reproduces the record.
   EXPECT_EQ(r, execute_scenario(*loo, 0, 11));
 }
@@ -82,8 +84,8 @@ TEST(ObsCounters, ClaimTalliesAndMarginsOnDisputedCollapsedRuns) {
     ASSERT_TRUE(r.ok()) << r.scenario;
     if (r.dispute_phases == 0) continue;
     saw_collapsed_dispute = true;
-    EXPECT_GT(r.claim_echoes, 0u) << r.scenario;
-    EXPECT_GT(r.claim_readys, 0u) << r.scenario;
+    EXPECT_GT(r.counters[obs::counter::claim_echoes], 0u) << r.scenario;
+    EXPECT_GT(r.counters[obs::counter::claim_readys], 0u) << r.scenario;
     // Quorums were met, so the recorded minima are true non-negative slack.
     EXPECT_GE(r.margin_quorum_slack, 0) << r.scenario;
     EXPECT_GE(r.margin_hold_surplus, 0) << r.scenario;
@@ -111,12 +113,10 @@ TEST(ObsCounters, IdenticalAcrossPooledAndUnpooledSessions) {
   };
   const obs::collector pooled = run_counted(true);
   const obs::collector unpooled = run_counted(false);
-  for (int i = 0; i < obs::counter_count; ++i) {
-    const auto c = static_cast<obs::counter>(i);
-    if (c == obs::counter::arena_allocs || c == obs::counter::arena_pool_hits ||
-        c == obs::counter::cache_hits || c == obs::counter::cache_misses)
-      continue;  // machine set: allowed (and expected) to differ
-    EXPECT_EQ(pooled.value(c), unpooled.value(c)) << obs::counter_name(c);
+  for (const obs::counter_row& row : obs::counter_table) {
+    if (row.set == obs::counter_set::machine)
+      continue;  // allowed (and expected) to differ
+    EXPECT_EQ(pooled.value(row.id), unpooled.value(row.id)) << row.name;
   }
   for (int i = 0; i < obs::gauge_count; ++i) {
     const auto g = static_cast<obs::gauge>(i);
@@ -153,6 +153,82 @@ TEST(ObsCounters, SpanCaptureIsOptIn) {
     EXPECT_LT(s.parent, s.id);
     EXPECT_GE(s.wall_end, s.wall_begin);
   }
+}
+
+TEST(ObsCounters, EveryCounterRowIsExportedOnceUnderItsSet) {
+  // The counter table is the only declaration: each row appears exactly
+  // once in the exported record, under its obs name — deterministic rows at
+  // the top level, machine rows only inside "timing".
+  const std::vector<scenario> sweep = select_scenarios("fig1");
+  const run_record r = execute_scenario(sweep.front(), 0, 11);
+  const json doc = r.to_json(/*include_timing=*/true);
+  const json* timing = doc.find("timing");
+  ASSERT_NE(timing, nullptr);
+  const auto occurrences = [](const json& obj, std::string_view key) {
+    return std::count_if(obj.members().begin(), obj.members().end(),
+                         [&](const auto& m) { return m.first == key; });
+  };
+  for (const obs::counter_row& row : obs::counter_table) {
+    const bool machine = row.set == obs::counter_set::machine;
+    EXPECT_EQ(occurrences(doc, row.name), machine ? 0 : 1) << row.name;
+    EXPECT_EQ(occurrences(*timing, row.name), machine ? 1 : 0) << row.name;
+    const json* v = (machine ? timing : &doc)->find(row.name);
+    ASSERT_NE(v, nullptr) << row.name;
+    const std::uint64_t want =
+        machine ? r.timing.counters[row.id] : r.counters[row.id];
+    EXPECT_EQ(static_cast<std::uint64_t>(v->int_value()), want) << row.name;
+  }
+  // gf_ops is derived at export: the sum of the four exported gf_* keys.
+  std::int64_t gf_sum = 0;
+  for (const char* key :
+       {"gf_axpy_words", "gf_scale_words", "gf_mul_ops", "gf_rows_eliminated"})
+    gf_sum += doc.find(key)->int_value();
+  ASSERT_NE(doc.find("gf_ops"), nullptr);
+  EXPECT_EQ(doc.find("gf_ops")->int_value(), gf_sum);
+}
+
+TEST(ObsCounters, ClaimFallbacksCounterMatchesSessionStats) {
+  // The claim_fallbacks counter replaced the record's copy of
+  // core::session_stats::claim_fallbacks. hunted_k9_hold (run 78 of the
+  // seed-1 sweep) needs three retrieval fallbacks; drive the same session
+  // the runner drives — same seeds, topology, corrupt set and adversary —
+  // and check the counter against the session's own tally.
+  const std::vector<scenario> sweep = select_scenarios("hunted_k9_hold");
+  ASSERT_EQ(sweep.size(), 1u);
+  const scenario& s = sweep.front();
+  const int run_index = 78;
+  const std::uint64_t sweep_seed = 1;
+  const run_record rec = execute_scenario(s, run_index, sweep_seed);
+  ASSERT_TRUE(rec.ok());
+
+  const std::uint64_t run_seed =
+      derive_run_seed(sweep_seed, static_cast<std::uint64_t>(run_index));
+  rng topo_rand(0);  // K_9 at unit capacity: the generator draws nothing
+  core::session_config cfg;
+  cfg.g = build_topology(s.topology, topo_rand);
+  cfg.f = s.f;
+  cfg.source = s.source;
+  cfg.coding_seed = splitmix64(run_seed ^ 0x5eedULL);
+  cfg.propagation = s.propagation;
+  cfg.flag_protocol = s.flag_protocol;
+  cfg.claim_backend = s.claim_backend;
+  cfg.certify_cost_limit = s.certify_cost_limit;
+  cfg.pool_memory = s.pool_memory;
+  sim::fault_set faults(cfg.g.universe(), rec.corrupt);
+  const auto adv = make_adversary(s.adversary, splitmix64(run_seed ^ 0xadbeefULL),
+                                  s.source == 0 ? 1 : 0, s.genome);
+  const core::session_run run = core::run_session(
+      std::move(cfg), faults, adv.get(), s.instances, s.words,
+      splitmix64(run_seed ^ 0x1235813ULL), s.rotate_sources);
+
+  // The replica is the recorded run ...
+  ASSERT_EQ(run.stats.bits_broadcast, rec.bits_broadcast);
+  ASSERT_EQ(run.stats.dispute_phases, rec.dispute_phases);
+  ASSERT_EQ(run.stats.claim_bits, rec.dc1_claim_bits);
+  // ... and its session tally is what the counter recorded.
+  EXPECT_EQ(run.stats.claim_fallbacks, 3);
+  EXPECT_EQ(rec.counters[obs::counter::claim_fallbacks],
+            static_cast<std::uint64_t>(run.stats.claim_fallbacks));
 }
 
 }  // namespace

@@ -83,9 +83,10 @@ TEST(Executor, WorkStealingDrainsImbalancedLoads) {
   // observable here as plain completion (no deadlock, all indices run).
   std::atomic<int> done{0};
   parallel_for_each_index(4, 64, [&](std::size_t i) {
-    if (i == 0)
-      for (volatile int spin = 0; spin < 2'000'000; ++spin) {
-      }
+    if (i == 0) {
+      volatile int spin = 0;
+      while (spin < 2'000'000) spin = spin + 1;
+    }
     done.fetch_add(1);
   });
   EXPECT_EQ(done.load(), 64);
