@@ -90,6 +90,22 @@ channel_plan::route_table channel_plan::assemble(const graph::digraph& g,
     out.stats_.pairs += block.pairs;
     out.stats_.flow_augmentations += block.flow_augmentations;
   }
+
+  // Every path's hops as network link ids; a pair's paths are adjacent, so
+  // its links come out contiguous in path-then-hop order.
+  out.links_.reserve(out.pool_.size() - out.path_end_.size());
+  std::vector<char> crossed(static_cast<std::size_t>(n) * n, 0);
+  std::uint32_t path_start = 0;
+  for (const std::uint32_t path_end : out.path_end_) {
+    for (std::uint32_t i = path_start; i + 1 < path_end; ++i) {
+      const std::uint32_t id = sim::network::link_index(n, out.pool_[i], out.pool_[i + 1]);
+      out.links_.push_back(id);
+      crossed[id] = 1;
+    }
+    path_start = path_end;
+  }
+  for (std::uint32_t id = 0; id < crossed.size(); ++id)
+    if (crossed[id] != 0) out.all_links_.push_back(id);
   return out;
 }
 
@@ -124,58 +140,76 @@ void channel_plan::unicast(graph::node_id from, graph::node_id to, std::uint64_t
                            sim::payload payload, std::uint64_t bits) {
   NAB_ASSERT(!routes_->at(from, to).empty(),
              "unicast between nodes with no planned route");
+  if (bits == 0 && !payload.empty())
+    throw error("channel_plan::unicast of nonempty payload with bits == 0 on " +
+                std::to_string(from) + "->" + std::to_string(to) +
+                " (zero-bit messages model absent/default values and must be empty)");
   queued_.push_back({from, to, tag, std::move(payload), bits});
 }
+
+namespace {
+
+/// True when an interior relay of `path` is corrupt — the only way a copy
+/// can reach the receiver altered.
+bool has_corrupt_relay(const route_table::path_view path, const sim::fault_set& faults) {
+  for (std::size_t i = 1; i + 1 < path.size(); ++i)
+    if (faults.is_corrupt(path[i])) return true;
+  return false;
+}
+
+}  // namespace
 
 double channel_plan::end_round(sim::network& net, const sim::fault_set& faults,
                                relay_adversary* adv) {
   for (auto& box : inboxes_) box.clear();
 
+  // Clean links deliver every copy, so a message is one bulk charge of its
+  // pair's link list — the hops of every route, in the order the per-hop
+  // walk below charges them. The network is checked once per round to
+  // carry every link the routes cross, instead of once per hop.
+  const bool lossy_net = net.link_faults() != nullptr;
+  if (!lossy_net && !queued_.empty())
+    net.require_links(routes_->universe(), routes_->all_links());
   // Per-path delivery flags, tracked only under an attached fault model so
   // the clean path stays allocation-free. Hoisted across messages.
-  const bool lossy_net = net.link_faults() != nullptr;
   std::vector<char> arrived;
 
   for (sim::message& m : queued_) {
     const route_table::route_view route_set = routes_->at(m.from, m.to);
-    // Fast path: a single direct link has no interior relays to tamper and
-    // is its own majority — transmit it (link-layer ARQ under loss) and
-    // deliver the payload by move. A budget-exhausted copy degrades to the
-    // receiver's missing-message default.
-    if (route_set.size() == 1 && route_set[0].size() == 2) {
-      if (net.lossy_transmit(m.from, m.to, m.bits, m.tag))
-        inboxes_[static_cast<std::size_t>(m.to)].push_back(std::move(m));
-      continue;
+    std::size_t live = route_set.size();
+    if (!lossy_net) {
+      net.charge_links(routes_->links(m.from, m.to), m.bits, m.tag);
+    } else {
+      // Each hop runs its own ARQ loop; a copy survives iff every hop of its
+      // path got through, and a dropped copy never charges the hops past
+      // the failure. Paths are contiguous node spans in the flat pool.
+      live = 0;
+      arrived.clear();
+      for (const route_table::path_view path : route_set) {
+        bool ok = true;
+        for (std::size_t i = 0; i + 1 < path.size(); ++i)
+          if (!net.lossy_transmit(path[i], path[i + 1], m.bits, m.tag)) {
+            ok = false;
+            break;
+          }
+        arrived.push_back(ok ? 1 : 0);
+        if (ok) ++live;
+      }
+      // Every copy erased in transit: the receiver sees nothing and falls
+      // back to its missing-message default (vanishingly rare within budget).
+      if (live == 0) continue;
     }
-    // Transmit every link of every route (each hop runs its own ARQ loop;
-    // a copy survives iff every hop of its path got through, and a dropped
-    // copy never charges the hops past the failure), noting which *arrived*
-    // paths a corrupt interior relay could have tampered. Paths are
-    // contiguous node spans in the flat pool, so this is a linear walk.
-    bool any_compromised = false;
-    std::size_t live = 0;
-    arrived.clear();
-    for (const route_table::path_view path : route_set) {
-      bool ok = true;
-      for (std::size_t i = 0; i + 1 < path.size(); ++i)
-        if (!net.lossy_transmit(path[i], path[i + 1], m.bits, m.tag)) {
-          ok = false;
-          break;
-        }
-      if (lossy_net) arrived.push_back(ok ? 1 : 0);
-      if (!ok) continue;
-      ++live;
-      for (std::size_t i = 1; i + 1 < path.size(); ++i)
-        if (faults.is_corrupt(path[i])) any_compromised = true;
-    }
-    // Every copy erased in transit: the receiver sees nothing and falls
-    // back to its missing-message default (vanishingly rare within budget).
-    if (live == 0) continue;
-    // With no tamperable relay on a surviving path (or no tampering
-    // adversary) every delivered copy is the queued payload verbatim: the
-    // majority is the payload itself, so deliver it by move without
-    // materializing per-route copies.
-    if (!any_compromised || adv == nullptr) {
+    // With no tampering adversary, or no corrupt interior relay on a
+    // surviving path (a direct link has none), every delivered copy is the
+    // queued payload verbatim: the majority is the payload itself, so
+    // deliver it by move without materializing per-route copies. Relays
+    // are scanned only when an adversary is attached.
+    bool compromised = false;
+    if (adv != nullptr)
+      for (std::size_t p = 0; p < route_set.size(); ++p)
+        if ((!lossy_net || arrived[p] != 0) && has_corrupt_relay(route_set[p], faults))
+          compromised = true;
+    if (!compromised) {
       inboxes_[static_cast<std::size_t>(m.to)].push_back(std::move(m));
       continue;
     }
@@ -184,15 +218,11 @@ double channel_plan::end_round(sim::network& net, const sim::fault_set& faults,
     // every honest receiver applies the same deterministic rule.
     std::vector<sim::payload> copies;
     copies.reserve(live);
-    std::size_t path_idx = 0;
-    for (const route_table::path_view path : route_set) {
-      const std::size_t idx = path_idx++;
-      if (lossy_net && arrived[idx] == 0) continue;
-      bool compromised_relay = false;
-      for (std::size_t i = 1; i + 1 < path.size(); ++i)
-        if (faults.is_corrupt(path[i])) compromised_relay = true;
+    for (std::size_t p = 0; p < route_set.size(); ++p) {
+      if (lossy_net && arrived[p] == 0) continue;
+      const route_table::path_view path = route_set[p];
       sim::payload copy = m.payload;
-      if (compromised_relay) {
+      if (has_corrupt_relay(path, faults)) {
         sim::scoped_run_arena suspend_pooling(nullptr);  // stateful strategies
         const std::vector<graph::node_id> path_nodes(path.begin(), path.end());
         if (auto forged = adv->tamper(path_nodes, m)) copy = std::move(*forged);

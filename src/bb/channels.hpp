@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,10 @@ namespace nab::bb {
 /// Pairs are stored row-major (from * n + to), so all routes out of one
 /// source form a contiguous block — which is also the unit of parallel
 /// construction (build_routes_for_source / assemble).
+///
+/// Next to the paths sit their hops as sim::network link ids: each pair's
+/// links form one contiguous list in path-then-hop order, so a clean round
+/// charges a message with one bulk call instead of a per-hop walk.
 class route_table {
  public:
   struct build_stats {
@@ -84,6 +89,19 @@ class route_table {
     return {this, idx == 0 ? 0 : pair_end_[idx - 1], pair_end_[idx]};
   }
 
+  /// The links the routes of (from, to) cross, as sim::network link ids in
+  /// path-then-hop order — the hops a per-hop walk of the routes charges.
+  std::span<const std::uint32_t> links(graph::node_id from, graph::node_id to) const {
+    const std::size_t idx = static_cast<std::size_t>(from) * n_ + to;
+    const std::uint32_t first = idx == 0 ? 0 : pair_end_[idx - 1];
+    const std::uint32_t last = pair_end_[idx];
+    return {links_.data() + link_begin(first), links_.data() + link_begin(last)};
+  }
+
+  /// Every link some route crosses, ascending and without repeats (the list
+  /// a network is checked against, sim::network::require_links).
+  std::span<const std::uint32_t> all_links() const { return all_links_; }
+
   int universe() const { return n_; }
   const build_stats& stats() const { return stats_; }
 
@@ -97,15 +115,23 @@ class route_table {
  private:
   friend class channel_plan;
 
+  std::uint32_t path_begin(std::uint32_t p) const { return p == 0 ? 0 : path_end_[p - 1]; }
+
   path_view path(std::uint32_t p) const {
-    const std::uint32_t b = p == 0 ? 0 : path_end_[p - 1];
+    const std::uint32_t b = path_begin(p);
     return {pool_.data() + b, path_end_[p] - b};
   }
+
+  /// Offset of path p's first hop in links_: each earlier path of k nodes
+  /// contributed k - 1 links.
+  std::uint32_t link_begin(std::uint32_t p) const { return path_begin(p) - p; }
 
   int n_ = 0;
   std::vector<graph::node_id> pool_;       ///< all path nodes, concatenated
   std::vector<std::uint32_t> path_end_;    ///< cumulative end offset per path
   std::vector<std::uint32_t> pair_end_;    ///< cumulative end path index per pair
+  std::vector<std::uint32_t> links_;       ///< every path's hop link ids, concatenated
+  std::vector<std::uint32_t> all_links_;   ///< distinct ids of links_, ascending
   build_stats stats_;
 };
 
@@ -140,6 +166,12 @@ class relay_adversary {
 ///
 /// Accounting model: multi-hop forwarding within one synchronous step
 /// (cut-through); see DESIGN.md §2.
+///
+/// Charging: on clean networks (no link-fault model attached) every copy
+/// arrives, so each message is one bulk charge of its pair's precomputed
+/// link list, and the network is checked once per round to carry every
+/// link the routes cross. Lossy networks walk each route hop by hop, every
+/// hop running its own ARQ loop.
 class channel_plan {
  public:
   /// The flat pooled route storage (see route_table above).
@@ -181,13 +213,16 @@ class channel_plan {
   static route_table assemble(const graph::digraph& g,
                               std::vector<source_block> blocks);
 
-  /// Queues a logical unicast for the current round.
+  /// Queues a logical unicast for the current round. Under network::send's
+  /// rule, a nonempty payload must be charged (bits > 0); throws nab::error
+  /// otherwise.
   void unicast(graph::node_id from, graph::node_id to, std::uint64_t tag,
                sim::payload payload, std::uint64_t bits);
 
   /// Ends the round: charges `net`, applies relay tampering on compromised
   /// paths, majority-resolves copies, and fills the channel inboxes.
-  /// Returns the step duration.
+  /// Returns the step duration. Throws nab::error when `net` lacks a link
+  /// a route crosses or spans another node universe.
   double end_round(sim::network& net, const sim::fault_set& faults,
                    relay_adversary* adv = nullptr);
 

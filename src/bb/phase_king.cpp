@@ -1,5 +1,6 @@
 #include "bb/phase_king.hpp"
 
+#include <algorithm>
 #include <map>
 
 #include "util/assert.hpp"
@@ -7,14 +8,42 @@
 namespace nab::bb {
 namespace {
 
-/// One all-to-all (or king-to-all) exchange; returns received[receiver][sender].
-std::vector<std::map<graph::node_id, std::uint64_t>> exchange(
-    channel_plan& channels, sim::network& net, const sim::fault_set& faults,
-    const std::vector<graph::node_id>& participants,
-    const std::vector<std::uint64_t>& current, int phase, bool king_round,
-    graph::node_id king, std::uint64_t value_bits, pk_adversary* adv,
-    relay_adversary* relay_adv) {
-  const int universe = channels.topology().universe();
+/// What every receiver heard in one exchange round: dense over the node
+/// universe and reused from round to round, so a round costs no per-message
+/// allocation. value(r, s) is sender s's word at receiver r, meaningful only
+/// where heard(r, s).
+class round_inbox {
+ public:
+  explicit round_inbox(int universe)
+      : n_(static_cast<std::size_t>(universe)), value_(n_ * n_, 0), heard_(n_ * n_, 0) {}
+
+  void clear() { std::fill(heard_.begin(), heard_.end(), 0); }
+
+  void deliver(graph::node_id r, graph::node_id s, std::uint64_t v) {
+    value_[at(r, s)] = v;
+    heard_[at(r, s)] = 1;
+  }
+
+  bool heard(graph::node_id r, graph::node_id s) const { return heard_[at(r, s)] != 0; }
+  std::uint64_t value(graph::node_id r, graph::node_id s) const { return value_[at(r, s)]; }
+
+ private:
+  std::size_t at(graph::node_id r, graph::node_id s) const {
+    return static_cast<std::size_t>(r) * n_ + static_cast<std::size_t>(s);
+  }
+
+  std::size_t n_;
+  std::vector<std::uint64_t> value_;
+  std::vector<char> heard_;
+};
+
+/// One all-to-all (or king-to-all) exchange; fills `received` with what
+/// each participant heard from each sender.
+void exchange(channel_plan& channels, sim::network& net, const sim::fault_set& faults,
+              const std::vector<graph::node_id>& participants,
+              const std::vector<std::uint64_t>& current, int phase, bool king_round,
+              graph::node_id king, std::uint64_t value_bits, pk_adversary* adv,
+              relay_adversary* relay_adv, round_inbox& received) {
   for (graph::node_id i : participants) {
     if (king_round && i != king) continue;
     for (graph::node_id j : participants) {
@@ -28,12 +57,10 @@ std::vector<std::map<graph::node_id, std::uint64_t>> exchange(
     }
   }
   channels.end_round(net, faults, relay_adv);
-  std::vector<std::map<graph::node_id, std::uint64_t>> received(
-      static_cast<std::size_t>(universe));
+  received.clear();
   for (graph::node_id j : participants)
     for (const sim::message& m : channels.inbox(j))
-      if (!m.payload.empty()) received[static_cast<std::size_t>(j)][m.from] = m.payload[0];
-  return received;
+      if (!m.payload.empty()) received.deliver(j, m.from, m.payload[0]);
 }
 
 }  // namespace
@@ -50,18 +77,20 @@ pk_result phase_king_consensus(channel_plan& channels, sim::network& net,
              "initial values must cover the node universe");
 
   std::vector<std::uint64_t> current = initial;
+  round_inbox received(channels.topology().universe());
   const double t0 = net.elapsed();
 
   for (int phase = 0; phase <= f; ++phase) {
     // Round A: all-to-all exchange; take the most frequent value.
-    const auto seen = exchange(channels, net, faults, participants, current, phase,
-                               /*king_round=*/false, -1, value_bits, adv, relay_adv);
+    exchange(channels, net, faults, participants, current, phase,
+             /*king_round=*/false, -1, value_bits, adv, relay_adv, received);
     std::vector<std::uint64_t> maj(current.size(), 0);
     std::vector<int> mult(current.size(), 0);
     for (graph::node_id v : participants) {
       std::map<std::uint64_t, int> votes;
       ++votes[current[static_cast<std::size_t>(v)]];  // own value counts
-      for (const auto& [from, val] : seen[static_cast<std::size_t>(v)]) ++votes[val];
+      for (graph::node_id s : participants)
+        if (received.heard(v, s)) ++votes[received.value(v, s)];
       int best = 0;
       std::uint64_t best_val = 0;
       for (const auto& [val, count] : votes)
@@ -76,18 +105,17 @@ pk_result phase_king_consensus(channel_plan& channels, sim::network& net,
     // Round B: the phase king broadcasts its majority value.
     const graph::node_id king = participants[static_cast<std::size_t>(phase) %
                                              participants.size()];
-    const auto king_msgs = exchange(channels, net, faults, participants, maj, phase,
-                                    /*king_round=*/true, king, value_bits, adv,
-                                    relay_adv);
+    exchange(channels, net, faults, participants, maj, phase, /*king_round=*/true, king,
+             value_bits, adv, relay_adv, received);
     for (graph::node_id v : participants) {
       const bool confident =
           2 * mult[static_cast<std::size_t>(v)] > n + 2 * f;  // mult > n/2 + f
       if (confident || v == king) {
         current[static_cast<std::size_t>(v)] = maj[static_cast<std::size_t>(v)];
       } else {
-        const auto& inbox = king_msgs[static_cast<std::size_t>(v)];
-        const auto it = inbox.find(king);
-        current[static_cast<std::size_t>(v)] = it == inbox.end() ? 0 : it->second;
+        // A missing king message falls back to the default value 0.
+        current[static_cast<std::size_t>(v)] =
+            received.heard(v, king) ? received.value(v, king) : 0;
       }
     }
   }

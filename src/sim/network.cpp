@@ -66,9 +66,45 @@ void network::charge(graph::node_id u, graph::node_id v, std::uint64_t bits,
   if (trace_ != nullptr) trace_->record(steps_, u, v, tag, bits);
 }
 
+const std::vector<graph::edge>& network::kept_edges() {
+  if (!edges_kept_) {
+    edges_ = topo_.edges();
+    edges_kept_ = true;
+  }
+  return edges_;
+}
+
+void network::require_links(int universe, std::span<const std::uint32_t> links) {
+  if (universe != this->universe())
+    throw error("network::require_links: link ids over " + std::to_string(universe) +
+                " nodes on a network of " + std::to_string(this->universe()));
+  // One merge pass: both the list and the kept edges ascend by link id.
+  const std::vector<graph::edge>& edges = kept_edges();
+  auto e = edges.begin();
+  for (const std::uint32_t id : links) {
+    while (e != edges.end() && link_index(e->from, e->to) < id) ++e;
+    if (e == edges.end() || link_index(e->from, e->to) != id) {
+      const auto n = static_cast<std::uint32_t>(universe);
+      throw error("network::require_links: nonexistent link " + std::to_string(id / n) +
+                  "->" + std::to_string(id % n));
+    }
+  }
+}
+
+void network::charge_links(std::span<const std::uint32_t> links, std::uint64_t bits,
+                           std::uint64_t tag) {
+  const auto n = static_cast<std::uint32_t>(universe());
+  for (const std::uint32_t id : links) {
+    step_bits_[id] += bits;
+    if (trace_ != nullptr)
+      trace_->record(steps_, static_cast<graph::node_id>(id / n),
+                     static_cast<graph::node_id>(id % n), tag, bits);
+  }
+}
+
 double network::end_step() {
   double duration = 0.0;
-  for (const graph::edge& e : topo_.edges()) {
+  for (const graph::edge& e : kept_edges()) {
     const std::uint64_t bits = step_bits_[link_index(e.from, e.to)];
     if (bits == 0) continue;
     // digraph::add_edge rejects cap <= 0, so every active link divides

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -61,6 +62,28 @@ class network {
   void charge(graph::node_id u, graph::node_id v, std::uint64_t bits,
               std::uint64_t tag = 0);
 
+  /// Dense id of the directed link u -> v over `universe` nodes (row-major).
+  /// The one definition of link ids: it indexes the network's per-link
+  /// arrays, and route tables precompute their per-pair link lists in it
+  /// (bb/channels.hpp).
+  static std::uint32_t link_index(int universe, graph::node_id u, graph::node_id v) {
+    return static_cast<std::uint32_t>(u) * static_cast<std::uint32_t>(universe) +
+           static_cast<std::uint32_t>(v);
+  }
+
+  /// Throws nab::error unless `links` (ascending link ids over a universe
+  /// of `universe` nodes) all name links of the topology. Bulk chargers run
+  /// it once per round over every link they may charge, in place of
+  /// charge's per-call check.
+  void require_links(int universe, std::span<const std::uint32_t> links);
+
+  /// `charge` over a precomputed link list, without the per-link check
+  /// (callers vouch for the list with require_links): adds `bits` to every
+  /// listed link and records one trace event per link, in list order —
+  /// exactly what calling `charge` link by link records.
+  void charge_links(std::span<const std::uint32_t> links, std::uint64_t bits,
+                    std::uint64_t tag);
+
   /// Charges one logical message of `bits` on u -> v under the attached
   /// fault model, with link-layer ARQ: the initial copy is charged, and
   /// while the model erases the copy and the retry budget allows, a 1-bit
@@ -111,10 +134,17 @@ class network {
   int steps_ = 0;
   trace* trace_ = nullptr;
   link_fault_model* faults_ = nullptr;
+  std::vector<graph::edge> edges_;  // see kept_edges()
+  bool edges_kept_ = false;
 
   std::size_t link_index(graph::node_id u, graph::node_id v) const {
-    return static_cast<std::size_t>(u) * topo_.universe() + v;
+    return link_index(universe(), u, v);
   }
+
+  /// The topology's edges in ascending link-id order, built at the first
+  /// step or link check (not in the constructor, so constructing a network
+  /// costs what it did before) and kept for the network's lifetime.
+  const std::vector<graph::edge>& kept_edges();
 };
 
 }  // namespace nab::sim

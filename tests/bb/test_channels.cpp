@@ -182,6 +182,165 @@ TEST(Channels, WarmFinderMatchesColdReferencePerPair) {
   }
 }
 
+TEST(Channels, ZeroBitUnicastWithPayloadThrows) {
+  // network::send's rule holds on emulated channels too: content must be
+  // charged, or it would cross every hop for free. Empty zero-bit messages
+  // (absent/default values) stay legal.
+  graph::digraph g = graph::complete(5);
+  g.remove_edge_pair(0, 3);
+  channel_plan plan(g, 1);
+  EXPECT_THROW(plan.unicast(0, 3, 0, {7}, 0), nab::error);
+  EXPECT_THROW(plan.unicast(0, 1, 0, {7}, 0), nab::error);
+  EXPECT_NO_THROW(plan.unicast(0, 3, 0, {}, 0));
+}
+
+TEST(Channels, EndRoundOnAnotherTopologyThrows) {
+  // A route hop the network does not carry is a nab::error, as it was when
+  // every hop went through network::charge: never an abort, never bits
+  // dropped silently.
+  graph::digraph g = graph::complete(5);
+  g.remove_edge_pair(0, 3);
+  channel_plan plan(g, 1);
+  const auto routes = plan.routes(0, 3);
+  ASSERT_EQ(routes.size(), 3u);
+  const auto path = routes[0];
+  ASSERT_EQ(path.size(), 3u);  // 0 -> r -> 3: the relay's hop r -> 3 goes missing
+  graph::digraph lacking = g;
+  lacking.remove_edge(path[1], path[2]);
+  sim::network net(lacking);
+  sim::fault_set faults(5);
+  plan.unicast(0, 3, 0, {7}, 6);
+  EXPECT_THROW(plan.end_round(net, faults), nab::error);
+
+  // A network over another node universe cannot match the plan's link ids.
+  channel_plan direct(graph::complete(3), 0);
+  sim::network wider(graph::complete(4));
+  direct.unicast(0, 1, 0, {1}, 1);
+  EXPECT_THROW(direct.end_round(wider, sim::fault_set(4)), nab::error);
+}
+
+/// The per-hop charging the clean bulk path replaces: network::charge on
+/// every hop of every route, in path order, then the step.
+double charge_per_hop(const channel_plan& plan, sim::network& net,
+                      const std::vector<sim::message>& batch) {
+  for (const sim::message& m : batch)
+    for (const route_table::path_view path : plan.routes(m.from, m.to))
+      for (std::size_t i = 0; i + 1 < path.size(); ++i)
+        net.charge(path[i], path[i + 1], m.bits, m.tag);
+  return net.end_step();
+}
+
+/// Runs `batches` as rounds through end_round on one network and through
+/// charge_per_hop on another; tau, link loads, totals and the exact trace
+/// must agree. Every message must also arrive with its payload.
+void expect_clean_charging_matches_reference(
+    const graph::digraph& g, int f, const sim::fault_set& faults,
+    relay_adversary* adv, const std::vector<std::vector<sim::message>>& batches) {
+  channel_plan plan(g, f);
+  sim::trace bulk_trace, ref_trace;
+  sim::network bulk(g), ref(g);
+  bulk.attach_trace(&bulk_trace);
+  ref.attach_trace(&ref_trace);
+  for (const auto& batch : batches) {
+    for (const sim::message& m : batch) plan.unicast(m.from, m.to, m.tag, m.payload, m.bits);
+    EXPECT_EQ(plan.end_round(bulk, faults, adv), charge_per_hop(plan, ref, batch));
+    std::vector<std::size_t> delivered(static_cast<std::size_t>(g.universe()), 0);
+    for (const sim::message& m : batch) {
+      const auto& box = plan.inbox(m.to);
+      const std::size_t k = delivered[static_cast<std::size_t>(m.to)]++;
+      ASSERT_LT(k, box.size());
+      EXPECT_EQ(box[k].from, m.from);
+      EXPECT_EQ(box[k].tag, m.tag);
+      EXPECT_EQ(box[k].payload, m.payload) << m.from << "->" << m.to;
+    }
+  }
+  for (graph::node_id u = 0; u < g.universe(); ++u)
+    for (graph::node_id v = 0; v < g.universe(); ++v)
+      EXPECT_EQ(bulk.link_bits(u, v), ref.link_bits(u, v)) << u << "->" << v;
+  EXPECT_EQ(bulk.total_bits(), ref.total_bits());
+  EXPECT_EQ(bulk.elapsed(), ref.elapsed());
+  const auto& got = bulk_trace.events();
+  const auto& want = ref_trace.events();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].step, want[i].step) << "event " << i;
+    EXPECT_EQ(got[i].from, want[i].from) << "event " << i;
+    EXPECT_EQ(got[i].to, want[i].to) << "event " << i;
+    EXPECT_EQ(got[i].tag, want[i].tag) << "event " << i;
+    EXPECT_EQ(got[i].bits, want[i].bits) << "event " << i;
+  }
+}
+
+/// All-to-all and random sparse unicast batches with mixed bits and tags.
+std::vector<std::vector<sim::message>> mixed_batches(const graph::digraph& g, rng& rand) {
+  const std::vector<graph::node_id> nodes = g.active_nodes();
+  const std::uint64_t tags[] = {0, 42, 0xc1a1b};
+  std::vector<sim::message> all, sparse;
+  for (graph::node_id u : nodes)
+    for (graph::node_id v : nodes)
+      if (u != v) {
+        const std::uint64_t bits = 1 + rand.below(64);
+        all.push_back({u, v, tags[rand.below(3)], {bits * 3 + 1}, bits});
+      }
+  for (int i = 0; i < 3 * static_cast<int>(nodes.size()); ++i) {
+    const graph::node_id u = nodes[rand.below(nodes.size())];
+    const graph::node_id v = nodes[rand.below(nodes.size())];
+    if (u == v) continue;
+    const std::uint64_t bits = rand.below(1000);
+    sparse.push_back({u, v, tags[rand.below(3)],
+                      bits == 0 ? sim::payload{} : sim::payload{bits, bits ^ 5}, bits});
+  }
+  return {all, sparse, all};
+}
+
+TEST(Channels, CleanChargingMatchesPerHopReference) {
+  rng rand(13);
+  const std::vector<std::pair<graph::digraph, int>> cases = {
+      {graph::hypercube(4), 1},
+      {graph::hypercube(5, 2), 2},
+      {graph::clustered_wan(3, 3, 4, 1), 1},
+      {graph::paper_fig1a(), 0}};
+  for (const auto& [g, f] : cases) {
+    ASSERT_TRUE(graph::global_vertex_connectivity_at_least(g, 2 * f + 1));
+    SCOPED_TRACE("n=" + std::to_string(g.universe()) + " f=" + std::to_string(f));
+    expect_clean_charging_matches_reference(g, f, sim::fault_set(g.universe()), nullptr,
+                                            mixed_batches(g, rand));
+  }
+
+  // Corrupt relays with a forging adversary: every compromised copy is
+  // forged, charged like any other, and loses the majority vote (at most f
+  // of the 2f+1 node-disjoint paths cross the f corrupt nodes).
+  class counting_forger : public forger {
+   public:
+    std::optional<sim::payload> tamper(const std::vector<graph::node_id>& path,
+                                       const sim::message& m) override {
+      ++calls;
+      return forger::tamper(path, m);
+    }
+    std::size_t calls = 0;
+  };
+  const graph::digraph cube = graph::hypercube(5, 2);
+  const sim::fault_set faults(32, {5, 18});
+  channel_plan plan(cube, 2);
+  std::vector<sim::message> honest;
+  std::size_t compromised_paths = 0;
+  for (graph::node_id u = 0; u < 32; ++u)
+    for (graph::node_id v = 0; v < 32; ++v) {
+      if (u == v || faults.is_corrupt(u) || faults.is_corrupt(v)) continue;
+      honest.push_back({u, v, 7, {static_cast<std::uint64_t>(u * 32 + v)}, 3});
+      for (const route_table::path_view path : plan.routes(u, v))
+        for (std::size_t i = 1; i + 1 < path.size(); ++i)
+          if (faults.is_corrupt(path[i])) {
+            ++compromised_paths;
+            break;
+          }
+    }
+  ASSERT_GT(compromised_paths, 0u);
+  counting_forger adv;
+  expect_clean_charging_matches_reference(cube, 2, faults, &adv, {honest});
+  EXPECT_EQ(adv.calls, compromised_paths);
+}
+
 TEST(Channels, RoundsClearInboxes) {
   const graph::digraph g = graph::complete(3);
   sim::network net(g);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "sim/link_faults.hpp"
 #include "util/rng.hpp"
 
 namespace nab::bb {
@@ -97,6 +98,34 @@ TEST(PhaseKing, AdversarialKingCannotBreakConfidentMajority) {
   init[0] = 3;
   const auto r = phase_king_consensus(h.plan, h.net, h.faults, init, 1, 64, &adv);
   expect_consensus(h, r, 88);
+}
+
+TEST(PhaseKing, ErasedMessagesFallBackToDefault) {
+  // Every transmission erased and no retries: nobody hears anything. Each
+  // node's majority is its own value with multiplicity 1 (never confident),
+  // so the king keeps its own value and every other node takes the missing
+  // king message's default, 0.
+  sim::link_fault_params erase_all;
+  erase_all.p_loss_good = 1.0;
+  erase_all.p_loss_bad = 1.0;
+  erase_all.retry_budget = 0;
+  sim::link_fault_model model(erase_all, 1);
+  sim::scoped_link_faults lossy(&model);
+
+  // f = 0: one phase, king 0.
+  {
+    harness h(3, {}, 0);
+    const auto r = phase_king_consensus(h.plan, h.net, h.faults, {7, 8, 9}, 0, 64);
+    EXPECT_EQ(r.decided, (std::vector<std::uint64_t>{7, 0, 0}));
+  }
+  // f = 1: king 0 keeps 5 in phase 0 while the rest fall to 0; king 1 then
+  // holds 0, and everyone ends on the default.
+  {
+    harness h(5, {}, 1);
+    const auto r = phase_king_consensus(h.plan, h.net, h.faults, {5, 6, 7, 8, 9}, 1, 64);
+    EXPECT_EQ(r.decided, (std::vector<std::uint64_t>(5, 0)));
+    EXPECT_GT(h.net.total_bits(), 0u);  // the copies were sent, then erased
+  }
 }
 
 TEST(PhaseKing, RandomizedAdversarySweep) {
