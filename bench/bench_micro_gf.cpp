@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
 #include "gf/gf2m.hpp"
 #include "gf/linalg.hpp"
@@ -26,7 +25,6 @@ void bm_mul(benchmark::State& state) {
     ++i;
   }
 }
-BENCHMARK(bm_mul<nab::gf::gf256>)->Name("gf256_mul");
 BENCHMARK(bm_mul<nab::gf::gf2_16>)->Name("gf2_16_mul");
 BENCHMARK(bm_mul<nab::gf::gf2m<16>>)->Name("gf2m16_mul_shiftadd");
 

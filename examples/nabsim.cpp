@@ -17,8 +17,9 @@
 //   --f F             fault budget (default 1)
 //   --source S        broadcasting node (default 0)
 //   --corrupt A,B     corrupt node ids (default none)
-//   --adversary KIND  honest|p1garble|equivocate|p2lie|falseflag|stealth|chaos
-//   --claim-backend B Phase-3 DC1 engine: auto|eig|phase_king|collapsed
+//   --adversary KIND  honest|p1_garble|equivocate|p2_lie|false_flag|stealth|
+//                     dispute_farm|chaos (the fleet registry's names)
+//   --claim-backend B Phase-3 DC1 engine: auto|eig|collapsed
 //                     (default eig — the oracle; collapsed is the
 //                     polynomial-traffic Bracha-style backend)
 //   --q Q             instances (default 8)
@@ -28,10 +29,12 @@
 //                     heavy, or p_good,p_bad,p_g2b,p_b2g (Gilbert-Elliott
 //                     erasures + ARQ; run command only)
 //   --tsv             emit per-instance TSV instead of prose
+//
+// Numbers parse strictly with fleet's parsers: a malformed value such as
+// `--f one` or `--corrupt x` is rejected by name.
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -40,6 +43,9 @@
 #include "core/nab.hpp"
 #include "graph/generators.hpp"
 #include "graph/topology_io.hpp"
+#include "runtime/fleet_cli.hpp"
+#include "runtime/scenario.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -51,8 +57,8 @@ struct options {
   int f = 1;
   nab::graph::node_id source = 0;
   std::vector<nab::graph::node_id> corrupt;
-  std::string adversary = "honest";
-  std::string claim_backend = "eig";
+  nab::runtime::adversary_kind adversary = nab::runtime::adversary_kind::honest;
+  nab::bb::claim_backend claim_backend = nab::bb::claim_backend::eig;
   int q = 8;
   std::size_t words = 64;
   std::uint64_t seed = 1;
@@ -60,12 +66,13 @@ struct options {
   bool tsv = false;
 };
 
-[[noreturn]] void usage() {
+[[noreturn]] void usage(const char* why = nullptr) {
+  if (why != nullptr) std::fprintf(stderr, "nabsim: %s\n", why);
   std::fprintf(stderr,
                "usage: nabsim run|bounds|pipeline [--topology FILE | --n N --cap C] "
                "[--f F] [--source S]\n"
                "              [--corrupt A,B] [--adversary KIND] "
-               "[--claim-backend auto|eig|phase_king|collapsed]\n"
+               "[--claim-backend auto|eig|collapsed]\n"
                "              [--q Q] [--words W] [--seed S] [--tsv]\n"
                "              [--loss none|zero|light|bursty|heavy|pG,pB,pG2B,pB2G]\n");
   std::exit(2);
@@ -76,7 +83,7 @@ std::vector<nab::graph::node_id> parse_ids(const std::string& csv) {
   std::string cur;
   for (char c : csv + ",") {
     if (c == ',') {
-      if (!cur.empty()) out.push_back(std::atoi(cur.c_str()));
+      if (!cur.empty()) out.push_back(nab::runtime::parse_int_flag("--corrupt", cur));
       cur.clear();
     } else {
       cur.push_back(c);
@@ -85,30 +92,36 @@ std::vector<nab::graph::node_id> parse_ids(const std::string& csv) {
   return out;
 }
 
+/// Throws nab::error naming the flag or value on any malformed input.
 options parse(int argc, char** argv) {
+  using nab::runtime::parse_int_flag;
+  using nab::runtime::parse_u64_flag;
   if (argc < 2) usage();
   options o;
   o.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) throw nab::error(a + " expects a value");
       return argv[++i];
     };
     if (a == "--topology") o.topology_file = next();
-    else if (a == "--n") o.n = std::atoi(next());
-    else if (a == "--cap") o.cap = std::atoll(next());
-    else if (a == "--f") o.f = std::atoi(next());
-    else if (a == "--source") o.source = std::atoi(next());
+    else if (a == "--n") o.n = parse_int_flag(a, next());
+    else if (a == "--cap")
+      o.cap = static_cast<nab::graph::capacity_t>(parse_int_flag(a, next()));
+    else if (a == "--f") o.f = parse_int_flag(a, next());
+    else if (a == "--source") o.source = parse_int_flag(a, next());
     else if (a == "--corrupt") o.corrupt = parse_ids(next());
-    else if (a == "--adversary") o.adversary = next();
-    else if (a == "--claim-backend") o.claim_backend = next();
-    else if (a == "--q") o.q = std::atoi(next());
-    else if (a == "--words") o.words = static_cast<std::size_t>(std::atoll(next()));
-    else if (a == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(next()));
+    else if (a == "--adversary")
+      o.adversary = nab::runtime::adversary_kind_from_string(next());
+    else if (a == "--claim-backend")
+      o.claim_backend = nab::runtime::claim_backend_from_string(next());
+    else if (a == "--q") o.q = parse_int_flag(a, next());
+    else if (a == "--words") o.words = parse_u64_flag(a, next());
+    else if (a == "--seed") o.seed = parse_u64_flag(a, next());
     else if (a == "--loss") o.loss = next();
     else if (a == "--tsv") o.tsv = true;
-    else usage();
+    else throw nab::error("unknown flag '" + a + "'");
   }
   return o;
 }
@@ -126,35 +139,14 @@ nab::graph::digraph load_graph(const options& o) {
   return nab::graph::complete(5, 2);
 }
 
-std::unique_ptr<nab::core::nab_adversary> make_adversary(const options& o) {
-  using namespace nab::core;
-  if (o.adversary == "honest") return nullptr;
-  if (o.adversary == "p1garble") return std::make_unique<phase1_corruptor>();
-  if (o.adversary == "equivocate")
-    return std::make_unique<equivocating_source>(std::set<nab::graph::node_id>{1});
-  if (o.adversary == "p2lie") return std::make_unique<phase2_liar>(o.seed);
-  if (o.adversary == "falseflag") return std::make_unique<false_flagger>();
-  if (o.adversary == "stealth") return std::make_unique<stealth_disputer>();
-  if (o.adversary == "chaos") return std::make_unique<chaos_adversary>(o.seed);
-  std::fprintf(stderr, "unknown adversary '%s'\n", o.adversary.c_str());
-  std::exit(2);
-}
-
-nab::bb::claim_backend parse_claim_backend(const std::string& s) {
-  using nab::bb::claim_backend;
-  if (s == "auto") return claim_backend::auto_select;
-  if (s == "eig") return claim_backend::eig;
-  if (s == "phase_king") return claim_backend::phase_king;
-  if (s == "collapsed") return claim_backend::collapsed;
-  std::fprintf(stderr, "unknown claim backend '%s'\n", s.c_str());
-  std::exit(2);
-}
-
 int cmd_run(const options& o) {
   using namespace nab;
   const graph::digraph g = load_graph(o);
   sim::fault_set faults(g.universe(), o.corrupt);
-  const auto adv = make_adversary(o);
+  // The equivocating source's minority victim follows the fleet runner's
+  // rule: the lowest non-source node.
+  const auto adv = runtime::make_adversary(o.adversary, o.seed,
+                                           o.source == 0 ? 1 : 0);
   // Ambient link-fault model (validated spec): the session's internal
   // networks pick it up; must outlive the session, hence declared first.
   std::unique_ptr<sim::link_fault_model> fault_model;
@@ -167,7 +159,7 @@ int cmd_run(const options& o) {
   core::session s({.g = g,
                    .f = o.f,
                    .source = o.source,
-                   .claim_backend = parse_claim_backend(o.claim_backend)},
+                   .claim_backend = o.claim_backend},
                   faults, adv.get());
   rng rand(o.seed);
   const auto reports = s.run_many(o.q, o.words, rand);
@@ -206,7 +198,12 @@ int cmd_pipeline(const options& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const options o = parse(argc, argv);
+  options o;
+  try {
+    o = parse(argc, argv);
+  } catch (const nab::error& e) {
+    usage(e.what());
+  }
   try {
     if (o.command == "run") return cmd_run(o);
     if (o.command == "bounds") return cmd_bounds(o);

@@ -1,6 +1,5 @@
 #include "bb/broadcast.hpp"
 
-#include "bb/claim_bcast.hpp"
 #include "util/assert.hpp"
 
 namespace nab::bb {

@@ -9,7 +9,7 @@
 
 namespace nab::bb {
 
-/// Which classical BB engine to run underneath broadcast_default.
+/// Which classical BB engine runs broadcast_default and the step-2.2 flags.
 enum class bb_protocol {
   auto_select,  ///< phase-king when participants > 4f and value fits a word, else EIG
   eig,          ///< PSL'80 exponential information gathering (n > 3f)
@@ -23,10 +23,12 @@ struct broadcast_outcome {
   double time = 0.0;
 };
 
-/// The paper's "Broadcast Default": a capacity-oblivious classical BB
-/// protocol used for the 1-bit flags of step 2.2 and the claim dumps of
-/// Phase 3. Correct for any topology with connectivity >= 2f+1 (channels
-/// emulate the complete graph) and more than 3f participants.
+/// The paper's "Broadcast Default": a capacity-oblivious classical BB of one
+/// source's value. NAB itself runs batched forms: the step-2.2 flags go
+/// through broadcast_flags / broadcast_flags_phase_king below, and the
+/// Phase-3 claim dumps through bb::broadcast_claims (bb/claim_bcast.hpp).
+/// Correct for any topology with connectivity >= 2f+1 (channels emulate the
+/// complete graph) and more than 3f participants.
 broadcast_outcome broadcast_default(channel_plan& channels, sim::network& net,
                                     const sim::fault_set& faults,
                                     graph::node_id source, const value& input, int f,
@@ -59,7 +61,7 @@ flags_outcome broadcast_flags(channel_plan& channels, sim::network& net,
 
 /// Phase-king variant of broadcast_flags: one phase-king broadcast per
 /// source, run back to back. Needs participants > 4f — checked by
-/// bb::phase_king_admissible (bb/claim_bcast.hpp) at this function's entry,
+/// bb::phase_king_admissible (bb/phase_king.hpp) at this function's entry,
 /// with the same predicate applied by every auto_select boundary
 /// (core::session validates explicit selections at construction), so an
 /// undersized participant set is a clean registry/session-time rejection,

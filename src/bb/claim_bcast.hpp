@@ -28,10 +28,6 @@ enum class claim_backend {
   /// transcripts. Theta(n^f) * L claim traffic — the documented
   /// hypercube_d5 bottleneck, infeasible at n >= 64.
   eig,
-  /// Batched multi-valued phase-king over the full transcripts: polynomial
-  /// O(n^2 * L * f) traffic, but pays L on every exchange round. Requires
-  /// participants > 4f (the simple phase-king variant's price).
-  phase_king,
   /// Collapsed-claim Bracha-style broadcast: fixed-size GF(2^16) transcript
   /// digests (evaluation points seeded per run) travel through echo/ready
   /// quorums while the full transcript is unicast exactly once per
@@ -48,18 +44,8 @@ enum class claim_backend {
 /// account DC1 claim bytes per backend — see trace::tag_total.
 inline constexpr std::uint64_t claim_traffic_tag = 0xC1A1B;
 
-/// True iff the simple phase-king variant tolerates f faults among this many
-/// participants (> 4f). Every auto_select boundary (session construction,
-/// flag-engine resolution, the claim dispatcher) checks this up front so an
-/// undersized group is rejected cleanly instead of tripping an invariant
-/// deep inside a run.
-constexpr bool phase_king_admissible(std::size_t participants, int f) {
-  return participants > 4 * static_cast<std::size_t>(f);
-}
-
 /// Resolves auto_select for the given participant count. Never returns
-/// auto_select; never returns phase_king (the batched phase-king path is an
-/// explicit ablation choice, not an auto default).
+/// auto_select.
 claim_backend resolve_claim_backend(claim_backend requested,
                                     std::size_t participants, int f);
 
@@ -140,8 +126,7 @@ struct claim_outcome {
 /// Adversary hooks for corrupt participants of the collapsed backend. Every
 /// hook receives what an honest node would have sent; the default behaves
 /// honestly, so strategies override only their attack surface. (The EIG
-/// backend keeps its own eig_adversary; the batched phase-king path carries
-/// no in-protocol hooks — corrupt claimants there lie via their inputs.)
+/// backend keeps its own eig_adversary.)
 class claim_adversary {
  public:
   virtual ~claim_adversary() = default;
@@ -212,14 +197,6 @@ claim_outcome broadcast_claims_eig(channel_plan& channels, sim::network& net,
                                    int f, eig_adversary* adv = nullptr,
                                    relay_adversary* relay_adv = nullptr);
 
-/// Batched multi-valued phase-king backend (participants > 4f): one
-/// dissemination round, then f+1 phases of all-to-all exchange + king
-/// broadcast, all instances sharing rounds.
-claim_outcome broadcast_claims_phase_king(
-    channel_plan& channels, sim::network& net, const sim::fault_set& faults,
-    const std::vector<claim_instance>& instances, int f,
-    relay_adversary* relay_adv = nullptr);
-
 /// Collapsed-claim Bracha-style backend (participants > 3f): digest
 /// echo/ready agreement + single direct transcript copies + retrieval
 /// fallback for the digest-mismatched minority, served by at most 2f+1 of
@@ -232,8 +209,7 @@ claim_outcome broadcast_claims_collapsed(
     std::uint64_t digest_seed = 0);
 
 /// Dispatches on a *resolved* backend (auto_select is resolved here too, on
-/// the channel plan's participant count). The phase-king backend asserts its
-/// > 4f precondition at this boundary.
+/// the channel plan's participant count).
 claim_outcome broadcast_claims(claim_backend backend, channel_plan& channels,
                                sim::network& net, const sim::fault_set& faults,
                                const std::vector<claim_instance>& instances, int f,

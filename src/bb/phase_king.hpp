@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -10,6 +11,14 @@
 #include "sim/network.hpp"
 
 namespace nab::bb {
+
+/// True iff the simple phase-king variant tolerates f faults among this many
+/// participants (> 4f). Every auto_select boundary (session construction,
+/// flag-engine resolution) checks this up front so an undersized group is
+/// rejected cleanly instead of tripping an invariant deep inside a run.
+constexpr bool phase_king_admissible(std::size_t participants, int f) {
+  return participants > 4 * static_cast<std::size_t>(f);
+}
 
 /// Adversary hooks for corrupt participants of phase-king consensus.
 class pk_adversary {

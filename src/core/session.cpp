@@ -31,21 +31,16 @@ session::session(session_config cfg, const sim::fault_set& faults, nab_adversary
   NAB_ASSERT(faults_.universe() == n, "fault set universe mismatch");
   NAB_ASSERT(faults_.count() <= cfg_.f, "more corrupt nodes than the budget f");
 
-  // Phase-king engines require > 4f participants (the classical-BB
-  // sub-protocols run over the whole original network G). Reject an
+  // The phase-king flag engine requires > 4f participants (the classical-BB
+  // sub-protocol runs over the whole original network G). Reject an
   // undersized explicit selection here — the auto_select boundary — instead
-  // of tripping an invariant deep inside the first flag or claim round.
+  // of tripping an invariant deep inside the first flag round.
   const std::size_t participants = cfg_.g.active_nodes().size();
   if (cfg_.flag_protocol == bb::bb_protocol::phase_king &&
       !bb::phase_king_admissible(participants, cfg_.f))
     throw error("session: phase-king flag broadcast needs more than 4f "
                 "participants (n=" + std::to_string(participants) +
                 ", f=" + std::to_string(cfg_.f) + ") — use eig or auto_select");
-  if (cfg_.claim_backend == bb::claim_backend::phase_king &&
-      !bb::phase_king_admissible(participants, cfg_.f))
-    throw error("session: phase-king claim backend needs more than 4f "
-                "participants (n=" + std::to_string(participants) +
-                ", f=" + std::to_string(cfg_.f) + ") — use eig or collapsed");
 }
 
 void session::refresh_graph_state() {

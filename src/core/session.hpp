@@ -47,10 +47,8 @@ struct session_config {
   /// Claim-dissemination backend for Phase-3 DC1 (bb/claim_bcast.hpp): eig
   /// is the seed path and correctness oracle at Theta(n^f) * L claim
   /// traffic; collapsed drops DC1 to O(n^2 digest + disputes * L), which is
-  /// what opens the n >= 64 presets; phase_king is the polynomial
-  /// full-transcript midpoint (> 4f participants, validated at
-  /// construction). Dispute sets, convictions, and agreed values are
-  /// byte-identical across backends.
+  /// what opens the n >= 64 presets. Dispute sets, convictions, and agreed
+  /// values are byte-identical across backends.
   bb::claim_backend claim_backend = bb::claim_backend::eig;
   /// Pool per-instance protocol memory (transcripts, claim maps, payloads)
   /// in a run arena that resets between instances. Results are bit-identical

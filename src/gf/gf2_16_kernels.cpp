@@ -50,6 +50,8 @@ using word = gf2_16::value_type;
 void axpy_scalar(word* dst, const word* src, word coeff, std::size_t n) {
   const auto& tab = detail::gf2_16_t;
   const unsigned lc = tab.log[coeff];
+  // Unrolled so short rows stay fast wherever the linker places this loop.
+#pragma GCC unroll 4
   for (std::size_t i = 0; i < n; ++i) {
     const word s = src[i];
     if (s == 0) continue;
@@ -60,6 +62,7 @@ void axpy_scalar(word* dst, const word* src, word coeff, std::size_t n) {
 void scale_scalar(word* v, word coeff, std::size_t n) {
   const auto& tab = detail::gf2_16_t;
   const unsigned lc = tab.log[coeff];
+#pragma GCC unroll 4  // as in axpy_scalar
   for (std::size_t i = 0; i < n; ++i) {
     const word s = v[i];
     if (s == 0) continue;

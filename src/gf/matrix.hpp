@@ -10,7 +10,7 @@ namespace nab::gf {
 
 /// Dense row-major matrix over a binary extension field.
 ///
-/// `F` is a stateless field tag (gf256, gf2_16, gf2m<M>) exposing
+/// `F` is a stateless field tag (gf2_16, gf2m<M>) exposing
 /// value_type, zero/one, add/sub/mul/inv/div. The matrix owns its storage;
 /// copying is explicit and cheap enough for the sizes NAB needs (the largest
 /// matrices are the (n-f-1)*rho square certification matrices, well under

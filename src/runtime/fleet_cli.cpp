@@ -17,16 +17,14 @@ std::string fleet_usage() {
 
 std::uint64_t parse_u64_flag(const std::string& flag, const std::string& text) {
   if (text.empty() || text[0] == '-' || text[0] == '+')
-    throw error("fleet: " + flag + " expects a non-negative integer, got '" +
-                text + "'");
+    throw error(flag + " expects a non-negative integer, got '" + text + "'");
   std::uint64_t out = 0;
   for (char c : text) {
     if (c < '0' || c > '9')
-      throw error("fleet: " + flag + " expects a non-negative integer, got '" +
-                  text + "'");
+      throw error(flag + " expects a non-negative integer, got '" + text + "'");
     const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
     if (out > (UINT64_MAX - digit) / 10)
-      throw error("fleet: " + flag + " value '" + text + "' overflows");
+      throw error(flag + " value '" + text + "' overflows");
     out = out * 10 + digit;
   }
   return out;
@@ -35,7 +33,7 @@ std::uint64_t parse_u64_flag(const std::string& flag, const std::string& text) {
 int parse_int_flag(const std::string& flag, const std::string& text) {
   const std::uint64_t v = parse_u64_flag(flag, text);
   if (v > 1'000'000)
-    throw error("fleet: " + flag + " value '" + text + "' is out of range");
+    throw error(flag + " value '" + text + "' is out of range");
   return static_cast<int>(v);
 }
 

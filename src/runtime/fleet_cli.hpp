@@ -54,8 +54,9 @@ std::string fleet_usage();
 /// number; never exits and never silently ignores input.
 fleet_options parse_fleet_args(const std::vector<std::string>& args);
 
-/// Strict non-negative integer parse for flag values. Throws nab::error
-/// (naming `flag`) on empty input, sign, trailing junk, or overflow.
+/// Strict non-negative integer parse for flag values (fleet and nabsim).
+/// Throws nab::error (naming `flag`) on empty input, sign, trailing junk, or
+/// overflow.
 std::uint64_t parse_u64_flag(const std::string& flag, const std::string& text);
 
 /// parse_u64_flag, additionally bounded to [0, 1'000'000].

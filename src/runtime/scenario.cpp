@@ -106,7 +106,7 @@ std::string axis_suffix(const scenario_family& fam, const scenario& s) {
   if (fam.propagations.size() > 1) out += "/" + to_string(s.propagation);
   if (fam.flag_protocols.size() > 1) out += "/" + to_string(s.flag_protocol);
   // "cb-" disambiguates from the flag-protocol suffix (both axes share the
-  // "eig"/"phase_king" value names).
+  // "auto"/"eig" value names).
   if (fam.claim_backends.size() > 1) out += "/cb-" + to_string(s.claim_backend);
   if (fam.losses.size() > 1) out += "/loss-" + s.loss;
   return out;
@@ -437,16 +437,15 @@ std::vector<scenario_family> build_registry() {
     scenario_family fam;
     fam.name = "ablation-claims";
     fam.description =
-        "EIG vs batched phase-king vs collapsed for the Phase-3 claim "
-        "broadcast on K_9 with an f = 2 coalition (false flags force a "
-        "dispute phase every instance; stealth farms real disputes): "
-        "dispute sets, convictions, and agreed values must be byte-identical "
-        "across backends — only the DC1 claim bytes move.";
+        "EIG vs collapsed for the Phase-3 claim broadcast on K_9 with an "
+        "f = 2 coalition (false flags force a dispute phase every instance; "
+        "stealth farms real disputes): dispute sets, convictions, and agreed "
+        "values must be byte-identical across backends — only the DC1 claim "
+        "bytes move.";
     fam.topologies = {{.kind = tk::complete, .n = 9, .cap_lo = 1, .cap_hi = 1}};
     fam.fault_budgets = {2};
     fam.adversaries = {ak::false_flag, ak::stealth};
-    fam.claim_backends = {bb::claim_backend::eig, bb::claim_backend::phase_king,
-                          bb::claim_backend::collapsed};
+    fam.claim_backends = {bb::claim_backend::eig, bb::claim_backend::collapsed};
     fam.instances = 4;
     reg.push_back(std::move(fam));
   }
@@ -721,7 +720,6 @@ std::string to_string(bb::claim_backend b) {
   switch (b) {
     case bb::claim_backend::auto_select: return "auto";
     case bb::claim_backend::eig: return "eig";
-    case bb::claim_backend::phase_king: return "phase_king";
     case bb::claim_backend::collapsed: return "collapsed";
   }
   return "?";
@@ -778,7 +776,7 @@ bb::bb_protocol flag_protocol_from_string(std::string_view s) {
 bb::claim_backend claim_backend_from_string(std::string_view s) {
   static const std::vector<bb::claim_backend> all = {
       bb::claim_backend::auto_select, bb::claim_backend::eig,
-      bb::claim_backend::phase_king, bb::claim_backend::collapsed};
+      bb::claim_backend::collapsed};
   return parse_enum(s, all, "claim backend");
 }
 

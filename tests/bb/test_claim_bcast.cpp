@@ -1,7 +1,7 @@
 // Unit tests for the pluggable claim-broadcast layer (bb/claim_bcast.hpp):
 // digest algebra, the collapsed Bracha-style backend's agreement/validity
 // under digest equivocation, echo/ready suppression and forged retrievals,
-// the batched phase-king backend, and the auto_select resolution rule.
+// and the auto_select resolution rule.
 
 #include "bb/claim_bcast.hpp"
 
@@ -101,8 +101,7 @@ TEST(ClaimDigest, PackedRoundTrips) {
 // --- auto_select boundary --------------------------------------------------
 
 TEST(ClaimBackendResolve, ExplicitChoicesPassThrough) {
-  for (claim_backend b :
-       {claim_backend::eig, claim_backend::phase_king, claim_backend::collapsed})
+  for (claim_backend b : {claim_backend::eig, claim_backend::collapsed})
     EXPECT_EQ(resolve_claim_backend(b, 64, 2), b);
 }
 
@@ -126,27 +125,17 @@ TEST(ClaimBackendResolve, AutoCollapsesWhereTheLabelTreeDominates) {
             claim_backend::collapsed);
 }
 
-TEST(ClaimBackendResolve, PhaseKingAdmissibilityPredicate) {
-  EXPECT_TRUE(phase_king_admissible(9, 2));
-  EXPECT_FALSE(phase_king_admissible(8, 2));
-  EXPECT_TRUE(phase_king_admissible(5, 1));
-  EXPECT_FALSE(phase_king_admissible(4, 1));
-}
-
-// --- honest paths across all three backends --------------------------------
+// --- honest paths across both backends ------------------------------------
 
 TEST(ClaimBroadcast, AllBackendsDecideSubmittedInputsOnK9F2) {
   const auto instances_of = [](const harness& h) { return distinct_claims(h.g); };
-  for (claim_backend b :
-       {claim_backend::eig, claim_backend::phase_king, claim_backend::collapsed}) {
+  for (claim_backend b : {claim_backend::eig, claim_backend::collapsed}) {
     harness h(graph::complete(9), 2, {2, 5});  // corrupt but in-BB honest
     const auto instances = instances_of(h);
     const claim_outcome out =
         broadcast_claims(b, h.plan, h.net, h.faults, instances, 2);
     expect_all_decide_inputs(out, instances, h,
-                             b == claim_backend::eig         ? "eig"
-                             : b == claim_backend::phase_king ? "phase_king"
-                                                              : "collapsed");
+                             b == claim_backend::eig ? "eig" : "collapsed");
     EXPECT_EQ(out.fallback_retrievals, 0);
     EXPECT_GT(h.net.total_bits(), 0u);
   }
@@ -294,16 +283,6 @@ TEST(ClaimBroadcast, CollapsedSurvivesSuppressionAndForgedRetrievals) {
   const claim_outcome out = broadcast_claims_collapsed(h.plan, h.net, h.faults,
                                                        instances, 2, &adv);
   expect_all_decide_inputs(out, instances, h, "suppression");
-}
-
-TEST(ClaimBroadcast, PhaseKingRejectsUndersizedGroupsAtTheBoundary) {
-  // n = 8 <= 4f at f = 2: the engine must abort at entry (the session and
-  // registry reject the combination before ever reaching it).
-  harness h(graph::complete(8), 2);
-  const auto instances = distinct_claims(h.g);
-  EXPECT_DEATH(
-      broadcast_claims_phase_king(h.plan, h.net, h.faults, instances, 2),
-      "more than 4f participants");
 }
 
 }  // namespace

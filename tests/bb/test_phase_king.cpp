@@ -34,6 +34,13 @@ void expect_consensus(const harness& h, const pk_result& r,
   }
 }
 
+TEST(PhaseKing, AdmissibilityPredicate) {
+  EXPECT_TRUE(phase_king_admissible(9, 2));
+  EXPECT_FALSE(phase_king_admissible(8, 2));
+  EXPECT_TRUE(phase_king_admissible(5, 1));
+  EXPECT_FALSE(phase_king_admissible(4, 1));
+}
+
 TEST(PhaseKing, ValidityAllAgreeInitially) {
   harness h(5);
   std::vector<std::uint64_t> init(5, 77);

@@ -166,16 +166,11 @@ TEST(DisputeScenario, VerdictsAreBackendObliviousAndOnlyWireCostMoves) {
 
     const auto eig = run_scenario({corrupt}, adv, bb::claim_backend::eig);
     const auto col = run_scenario({corrupt}, adv, bb::claim_backend::collapsed);
-    const auto pk = run_scenario({corrupt}, adv, bb::claim_backend::phase_king);
-    for (const auto* other : {&col, &pk}) {
-      EXPECT_EQ(eig.outcome.new_disputes, other->outcome.new_disputes)
-          << adversary_case;
-      EXPECT_EQ(eig.outcome.newly_convicted, other->outcome.newly_convicted)
-          << adversary_case;
-      EXPECT_EQ(eig.outcome.agreed_value, other->outcome.agreed_value)
-          << adversary_case;
-      EXPECT_EQ(eig.record.pairs(), other->record.pairs()) << adversary_case;
-    }
+    EXPECT_EQ(eig.outcome.new_disputes, col.outcome.new_disputes) << adversary_case;
+    EXPECT_EQ(eig.outcome.newly_convicted, col.outcome.newly_convicted)
+        << adversary_case;
+    EXPECT_EQ(eig.outcome.agreed_value, col.outcome.agreed_value) << adversary_case;
+    EXPECT_EQ(eig.record.pairs(), col.record.pairs()) << adversary_case;
     EXPECT_GT(eig.outcome.claim_bits, 0u) << adversary_case;
     EXPECT_GT(col.outcome.claim_bits, 0u) << adversary_case;
     EXPECT_EQ(col.outcome.claim_fallbacks, 0) << adversary_case;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
 #include "util/rng.hpp"
 

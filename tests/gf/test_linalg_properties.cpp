@@ -1,17 +1,19 @@
-// Parameterized linear-algebra properties across matrix sizes and both
-// table-backed fields: the identities Gaussian elimination must satisfy,
-// which the Theorem-1 certification (rank of C_H) silently relies on.
+// Parameterized linear-algebra properties across matrix sizes over GF(2^16)
+// and GF(2^8): the identities Gaussian elimination must satisfy, which the
+// Theorem-1 certification (rank of C_H) silently relies on.
 
 #include <gtest/gtest.h>
 
-#include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
+#include "gf/gf2m.hpp"
 #include "gf/linalg.hpp"
 #include "gf/matrix.hpp"
 #include "util/rng.hpp"
 
 namespace nab::gf {
 namespace {
+
+using gf8 = gf2m<8>;
 
 struct la_param {
   std::size_t n;
@@ -70,19 +72,19 @@ TEST_P(LinalgProperty, DeterminantOfIdentityAndScaling) {
 TEST_P(LinalgProperty, SolveLeftConsistency) {
   const auto [n, seed] = GetParam();
   rng rand(seed ^ 0x4);
-  const auto a = matrix<gf256>::random(n, n + 3, rand);
-  std::vector<gf256::value_type> x(n);
-  for (auto& v : x) v = static_cast<gf256::value_type>(rand.below(256));
-  std::vector<gf256::value_type> b(n + 3, 0);
+  const auto a = matrix<gf8>::random(n, n + 3, rand);
+  std::vector<gf8::value_type> x(n);
+  for (auto& v : x) v = static_cast<gf8::value_type>(rand.below(256));
+  std::vector<gf8::value_type> b(n + 3, 0);
   for (std::size_t c = 0; c < b.size(); ++c)
     for (std::size_t r = 0; r < n; ++r)
-      b[c] = gf256::add(b[c], gf256::mul(x[r], a.at(r, c)));
+      b[c] = gf8::add(b[c], gf8::mul(x[r], a.at(r, c)));
   const auto sol = solve_left(a, b);
   ASSERT_TRUE(sol.has_value());
-  std::vector<gf256::value_type> b2(b.size(), 0);
+  std::vector<gf8::value_type> b2(b.size(), 0);
   for (std::size_t c = 0; c < b.size(); ++c)
     for (std::size_t r = 0; r < n; ++r)
-      b2[c] = gf256::add(b2[c], gf256::mul((*sol)[r], a.at(r, c)));
+      b2[c] = gf8::add(b2[c], gf8::mul((*sol)[r], a.at(r, c)));
   EXPECT_EQ(b2, b);
 }
 

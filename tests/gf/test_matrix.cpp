@@ -2,15 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "gf/gf256.hpp"
 #include "gf/gf2_16.hpp"
+#include "gf/gf2m.hpp"
 #include "util/rng.hpp"
 
 namespace nab::gf {
 namespace {
 
 using m16 = matrix<gf2_16>;
-using m8 = matrix<gf256>;
+using m8 = matrix<gf2m<8>>;
 
 TEST(Matrix, ZeroConstruction) {
   m16 m(3, 4);

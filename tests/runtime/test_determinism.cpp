@@ -12,7 +12,7 @@ namespace nab::runtime {
 namespace {
 
 // Families chosen to cover random topologies, dispute control, both flag
-// protocols, and all three claim backends while staying fast enough for CI.
+// protocols, and both claim backends while staying fast enough for CI.
 constexpr const char* kSweep =
     "fig1,capacity-skew,ablation-flags,ablation-claims,random-regular";
 

@@ -62,6 +62,11 @@ TEST(Registry, FromParamsRejectsMissingAndMalformedKeys) {
   auto bad_number = params;
   bad_number["n"] = "abc";
   EXPECT_THROW(scenario_from_params(bad_number), nab::error);
+  // A log from before the phase-king claim backend's removal is rejected,
+  // not silently rerun on another engine.
+  auto removed_backend = params;
+  removed_backend["claim_backend"] = "phase_king";
+  EXPECT_THROW(scenario_from_params(removed_backend), nab::error);
   auto huge = params;
   huge["cap_lo"] = "99999999999999999999999999";
   EXPECT_THROW(scenario_from_params(huge), nab::error);
@@ -141,12 +146,12 @@ TEST(Registry, N64PresetsPinTheCollapsedClaimBackend) {
       EXPECT_GT(s.certify_cost_limit, 1'000'000'000u) << s.name;
     }
   }
-  // The three-backend ablation sweeps all engines on one topology.
+  // The claim ablation sweeps both engines on one topology.
   const scenario_family* ablation = find_family("ablation-claims");
   ASSERT_NE(ablation, nullptr);
   std::set<bb::claim_backend> seen;
   for (const scenario& s : ablation->expand()) seen.insert(s.claim_backend);
-  EXPECT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen.size(), 2u);
 }
 
 TEST(Registry, FrontierPresetsPinTheLeaveOneOutScale) {
@@ -201,18 +206,13 @@ TEST(Registry, EveryPresetsCertifyCostEstimateFitsItsLimit) {
 }
 
 TEST(Registry, PhaseKingEnginesAreOnlyConfiguredAboveFourF) {
-  // The > 4f precondition of both phase-king engines (flag broadcast and
-  // claim backend) is a registry-time feasibility rule: an undersized preset
-  // would be rejected at session construction, so none may exist. Checked
-  // against the topology's node count (every preset runs BB over the whole
-  // original network).
+  // The > 4f precondition of the phase-king flag engine is a registry-time
+  // feasibility rule: an undersized preset would be rejected at session
+  // construction, so none may exist. Checked against the topology's node
+  // count (every preset runs BB over the whole original network).
   for (const scenario& s : all_scenarios()) {
     const int n = topology_nodes(s.topology);
     if (s.flag_protocol == bb::bb_protocol::phase_king) {
-      EXPECT_TRUE(bb::phase_king_admissible(static_cast<std::size_t>(n), s.f))
-          << s.name;
-    }
-    if (s.claim_backend == bb::claim_backend::phase_king) {
       EXPECT_TRUE(bb::phase_king_admissible(static_cast<std::size_t>(n), s.f))
           << s.name;
     }
@@ -221,9 +221,12 @@ TEST(Registry, PhaseKingEnginesAreOnlyConfiguredAboveFourF) {
 
 TEST(Registry, ClaimBackendStringsRoundTrip) {
   for (auto b : {bb::claim_backend::auto_select, bb::claim_backend::eig,
-                 bb::claim_backend::phase_king, bb::claim_backend::collapsed})
+                 bb::claim_backend::collapsed})
     EXPECT_EQ(claim_backend_from_string(to_string(b)), b);
   EXPECT_THROW(claim_backend_from_string("telepathy"), nab::error);
+  // The batched phase-king claim backend was removed; its name must fail
+  // loudly rather than map onto another engine.
+  EXPECT_THROW(claim_backend_from_string("phase_king"), nab::error);
 }
 
 TEST(Registry, TraceCaptureFillsDeterministicTrafficMatrices) {
