@@ -10,7 +10,6 @@
 // Topology format:  nodes <n> / edge <u> <v> <cap> / biedge <u> <v> <cap>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
@@ -21,12 +20,23 @@
 #include "graph/gomory_hu.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/topology_io.hpp"
+#include "runtime/fleet_cli.hpp"
+#include "util/error.hpp"
 
 int main(int argc, char** argv) {
   using namespace nab;
 
   graph::digraph g;
-  int f = argc > 2 ? std::atoi(argv[2]) : 1;
+  int f = 1;
+  if (argc > 2) {
+    try {
+      f = runtime::parse_int_flag("f", argv[2]);
+    } catch (const error& e) {
+      std::fprintf(stderr, "capacity_planner: %s\n"
+                   "usage: capacity_planner [topology.txt [f]]\n", e.what());
+      return 2;
+    }
+  }
   if (argc > 1) {
     std::ifstream in(argv[1]);
     if (!in) {

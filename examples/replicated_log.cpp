@@ -10,12 +10,13 @@
 //   ./examples/replicated_log [commands=40]
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/nab.hpp"
 #include "graph/generators.hpp"
+#include "runtime/fleet_cli.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -45,7 +46,18 @@ std::string decode_command(const std::vector<nab::core::word>& words) {
 
 int main(int argc, char** argv) {
   using namespace nab;
-  const int commands = argc > 1 ? std::atoi(argv[1]) : 40;
+  int commands = 40;
+  if (argc > 1) {
+    try {
+      commands = runtime::parse_int_flag("commands", argv[1]);
+      if (commands < 1)
+        throw error("commands must be at least 1, got '" + std::string(argv[1]) + "'");
+    } catch (const error& e) {
+      std::fprintf(stderr, "replicated_log: %s\n"
+                   "usage: replicated_log [commands=40]\n", e.what());
+      return 2;
+    }
+  }
 
   graph::digraph g = graph::complete(6, 2);
   sim::fault_set faults(g.universe(), {3});

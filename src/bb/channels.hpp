@@ -213,9 +213,10 @@ class channel_plan {
   static route_table assemble(const graph::digraph& g,
                               std::vector<source_block> blocks);
 
-  /// Queues a logical unicast for the current round. Under network::send's
-  /// rule, a nonempty payload must be charged (bits > 0); throws nab::error
-  /// otherwise.
+  /// Queues a logical unicast for the current round. A nonempty payload
+  /// must be charged (bits > 0), or its content would cross every hop for
+  /// free; throws nab::error otherwise. An empty zero-bit message models an
+  /// absent/default value and is legal.
   void unicast(graph::node_id from, graph::node_id to, std::uint64_t tag,
                sim::payload payload, std::uint64_t bits);
 

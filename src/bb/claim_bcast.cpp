@@ -8,16 +8,11 @@
 #include "bb/round_batch.hpp"
 #include "gf/gf2_16.hpp"
 #include "obs/obs.hpp"
-#include "sim/trace.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace nab::bb {
 namespace {
-
-// Traces and timelines print "claim" instead of the raw tag constant.
-[[maybe_unused]] const bool claim_tag_registered =
-    (sim::register_tag_name(claim_traffic_tag, "claim"), true);
 
 // ---------------------------------------------------------------------------
 // Digest: polynomial evaluation over GF(2^16) at four seeded points.

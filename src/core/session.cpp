@@ -55,16 +55,14 @@ void session::refresh_graph_state() {
   uk_ = analysis_->uk;
   rho_ = analysis_->rho;
 
-  // Generate (and, if asked, certify) the shared coding matrices. Theorem 1
+  // Generate (and, if affordable, certify) the shared coding matrices. Theorem 1
   // makes failure vanishingly unlikely; regeneration with a fresh seed is
   // the correct response when it does happen. When the rank checks would be
   // prohibitively large (rho_k scales with link capacities) we trust the
   // theorem instead of certifying. The estimate mirrors the batched
   // certifier's leave-one-out / dense / DFS dispatch, so the gate prices
   // the path that will actually run; it is cached with the analysis.
-  bool certify = cfg_.certify;
-  if (certify && analysis_->certify_cost > cfg_.certify_cost_limit)
-    certify = false;
+  const bool certify = analysis_->certify_cost <= cfg_.certify_cost_limit;
   for (int attempt = 0;; ++attempt) {
     {
       obs::scoped_span gen_span("coding_generate");

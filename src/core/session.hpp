@@ -28,9 +28,9 @@ struct session_config {
   int f = 1;                         ///< fault budget (f < n/3)
   graph::node_id source = 0;         ///< broadcasting node (the paper's node 1)
   std::uint64_t coding_seed = 0x5eed;///< seed for the shared coding matrices
-  bool certify = true;               ///< certify Theorem-1 condition, regenerating on failure
-  /// Certification is skipped (trusting Theorem 1's probabilistic guarantee)
-  /// when certify_cost_estimate exceeds this — on high-capacity networks
+  /// The session certifies the Theorem-1 condition, regenerating on
+  /// failure, unless certify_cost_estimate exceeds this limit; then it
+  /// trusts Theorem 1's probabilistic guarantee — on high-capacity networks
   /// rho_k grows with link capacities and exact certification becomes a
   /// one-off multi-second computation. The default admits K_16-class
   /// topologies (~0.6G ops at f = 2, ~0.3 s with the batched GF kernels);

@@ -1,8 +1,6 @@
 #include "runtime/scenario.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <stdexcept>
 
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
@@ -778,100 +776,6 @@ bb::claim_backend claim_backend_from_string(std::string_view s) {
       bb::claim_backend::auto_select, bb::claim_backend::eig,
       bb::claim_backend::collapsed};
   return parse_enum(s, all, "claim backend");
-}
-
-std::map<std::string, std::string> scenario_to_params(const scenario& s) {
-  std::map<std::string, std::string> p;
-  p["name"] = s.name;
-  p["family"] = s.family;
-  p["topology"] = to_string(s.topology.kind);
-  p["n"] = std::to_string(s.topology.n);
-  p["param_a"] = std::to_string(s.topology.param_a);
-  p["param_b"] = std::to_string(s.topology.param_b);
-  p["cap_lo"] = std::to_string(s.topology.cap_lo);
-  p["cap_hi"] = std::to_string(s.topology.cap_hi);
-  {
-    char buf[40];  // %.17g round-trips every double exactly through stod
-    std::snprintf(buf, sizeof buf, "%.17g", s.topology.p);
-    p["p"] = buf;
-  }
-  p["f"] = std::to_string(s.f);
-  p["source"] = std::to_string(s.source);
-  p["adversary"] = to_string(s.adversary);
-  p["propagation"] = to_string(s.propagation);
-  p["flag_protocol"] = to_string(s.flag_protocol);
-  p["claim_backend"] = to_string(s.claim_backend);
-  p["instances"] = std::to_string(s.instances);
-  p["words"] = std::to_string(s.words);
-  p["rotate_sources"] = s.rotate_sources ? "1" : "0";
-  p["certify_cost_limit"] = std::to_string(s.certify_cost_limit);
-  p["genome"] = s.genome;
-  p["pool_memory"] = s.pool_memory ? "1" : "0";
-  p["loss"] = s.loss;
-  return p;
-}
-
-namespace {
-
-const std::string& param(const std::map<std::string, std::string>& params,
-                         const std::string& key) {
-  auto it = params.find(key);
-  if (it == params.end()) throw error("scenario_from_params: missing key " + key);
-  return it->second;
-}
-
-/// Numeric conversions rethrow as nab::error naming the key, keeping the
-/// function's single error contract (callers reject malformed logs by
-/// catching nab::error, not std::invalid_argument).
-template <typename Conv>
-auto numeric(const std::map<std::string, std::string>& params,
-             const std::string& key, Conv conv) {
-  try {
-    return conv(param(params, key));
-  } catch (const std::invalid_argument&) {
-    throw error("scenario_from_params: malformed value for " + key);
-  } catch (const std::out_of_range&) {
-    throw error("scenario_from_params: out-of-range value for " + key);
-  }
-}
-
-}  // namespace
-
-scenario scenario_from_params(const std::map<std::string, std::string>& params) {
-  scenario s;
-  s.name = param(params, "name");
-  s.family = param(params, "family");
-  const auto to_int = [](const std::string& v) { return std::stoi(v); };
-  const auto to_cap = [](const std::string& v) {
-    return static_cast<graph::capacity_t>(std::stoll(v));
-  };
-  s.topology.kind = topology_kind_from_string(param(params, "topology"));
-  s.topology.n = numeric(params, "n", to_int);
-  s.topology.param_a = numeric(params, "param_a", to_int);
-  s.topology.param_b = numeric(params, "param_b", to_int);
-  s.topology.cap_lo = numeric(params, "cap_lo", to_cap);
-  s.topology.cap_hi = numeric(params, "cap_hi", to_cap);
-  s.topology.p = numeric(params, "p", [](const std::string& v) { return std::stod(v); });
-  s.f = numeric(params, "f", to_int);
-  s.source = numeric(params, "source", to_int);
-  s.adversary = adversary_kind_from_string(param(params, "adversary"));
-  s.propagation = propagation_from_string(param(params, "propagation"));
-  s.flag_protocol = flag_protocol_from_string(param(params, "flag_protocol"));
-  s.claim_backend = claim_backend_from_string(param(params, "claim_backend"));
-  s.instances = numeric(params, "instances", to_int);
-  const auto to_u64 = [](const std::string& v) { return std::stoull(v); };
-  s.words = numeric(params, "words", to_u64);
-  s.rotate_sources = param(params, "rotate_sources") == "1";
-  s.certify_cost_limit = numeric(params, "certify_cost_limit", to_u64);
-  // Absent in pre-hunt logs; an empty genome is the non-hunted default.
-  const auto genome_it = params.find("genome");
-  s.genome = genome_it != params.end() ? genome_it->second : "";
-  const auto pool_it = params.find("pool_memory");
-  s.pool_memory = pool_it == params.end() || pool_it->second == "1";
-  // Absent in pre-loss logs; "none" is the perfect-link default.
-  const auto loss_it = params.find("loss");
-  s.loss = loss_it != params.end() ? loss_it->second : "none";
-  return s;
 }
 
 }  // namespace nab::runtime

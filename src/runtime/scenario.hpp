@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -110,8 +109,8 @@ struct scenario {
   /// Link-fault process (sim::link_faults): "none" = perfect links (no model
   /// attached), otherwise a spec sim::parse_loss_spec accepts — a preset
   /// name ("zero", "light", "bursty", "heavy") or a custom
-  /// "p_good,p_bad,p_g2b,p_b2g" tuple. Stored as the verbatim spec string
-  /// so scenario_to_params round-trips exactly.
+  /// "p_good,p_bad,p_g2b,p_b2g" tuple. Stored as the verbatim spec string,
+  /// which run records echo.
   std::string loss = "none";
 
   bool operator==(const scenario&) const = default;
@@ -171,10 +170,5 @@ adversary_kind adversary_kind_from_string(std::string_view s);
 core::propagation_mode propagation_from_string(std::string_view s);
 bb::bb_protocol flag_protocol_from_string(std::string_view s);
 bb::claim_backend claim_backend_from_string(std::string_view s);
-
-/// Flat key->value encoding of every scenario field, suitable for logs and
-/// exact reconstruction. scenario_from_params(scenario_to_params(s)) == s.
-std::map<std::string, std::string> scenario_to_params(const scenario& s);
-scenario scenario_from_params(const std::map<std::string, std::string>& params);
 
 }  // namespace nab::runtime

@@ -8,14 +8,17 @@
 
 namespace nab::sim {
 
-/// One point-to-point message in the synchronous network.
+/// One logical message on a bb::channel_plan channel: a unicast between two
+/// nodes that the plan delivers over the direct link or the 2f+1
+/// node-disjoint emulation paths, charging every hop on a sim::network.
 ///
 /// `payload` is protocol-defined opaque data (arena-backed when a run arena
 /// is ambient — see sim/run_arena.hpp); `bits` is the size charged
-/// against the link for time accounting (the paper's capacity constraint is
+/// against each link for time accounting (the paper's capacity constraint is
 /// about bits on the wire, which can be smaller than the in-memory
-/// representation). `tag` disambiguates concurrent logical streams within a
-/// step (e.g. which spanning tree or which coded edge a message belongs to).
+/// representation). `tag` disambiguates concurrent logical streams (a
+/// phase-king phase, bb::claim_traffic_tag for DC1 claims) and is forwarded
+/// onto every hop's charge, so traces account wire bits per protocol.
 struct message {
   graph::node_id from = -1;
   graph::node_id to = -1;

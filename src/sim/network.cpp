@@ -12,26 +12,8 @@ namespace nab::sim {
 network::network(graph::digraph topology)
     : topo_(std::move(topology)),
       step_bits_(static_cast<std::size_t>(topo_.universe()) * topo_.universe(), 0),
-      lifetime_bits_(step_bits_.size(), 0),
-      pending_(static_cast<std::size_t>(topo_.universe())),
-      inboxes_(static_cast<std::size_t>(topo_.universe())),
       trace_(ambient_trace()),
       faults_(ambient_link_faults()) {}
-
-void network::send(message m) {
-  if (!topo_.has_edge(m.from, m.to))
-    throw error("network::send on nonexistent link " + std::to_string(m.from) + "->" +
-                std::to_string(m.to));
-  if (m.bits == 0 && !m.payload.empty())
-    throw error("network::send of nonempty payload with bits == 0 on " +
-                std::to_string(m.from) + "->" + std::to_string(m.to) +
-                " (zero-bit messages model absent/default values and must be empty)");
-  step_bits_[link_index(m.from, m.to)] += m.bits;
-  if (trace_ != nullptr) trace_->record(steps_, m.from, m.to, m.tag, m.bits);
-  // The channel may erase the copy: bits were spent, nothing is delivered.
-  if (faults_ != nullptr && faults_->erase(m.from, m.to, universe())) return;
-  pending_[static_cast<std::size_t>(m.to)].push_back(std::move(m));
-}
 
 bool network::lossy_transmit(graph::node_id u, graph::node_id v, std::uint64_t bits,
                              std::uint64_t tag) {
@@ -117,33 +99,13 @@ double network::end_step() {
     if (faults_ != nullptr)
       link_time *= faults_->time_dilation(e.from, e.to, universe());
     duration = std::max(duration, link_time);
-    lifetime_bits_[link_index(e.from, e.to)] += bits;
     total_bits_ += bits;
   }
   NAB_ASSERT(std::isfinite(duration), "step duration tau must be finite");
   std::fill(step_bits_.begin(), step_bits_.end(), 0);
-  for (std::size_t v = 0; v < pending_.size(); ++v) {
-    inboxes_[v] = std::move(pending_[v]);
-    pending_[v].clear();
-  }
   elapsed_ += duration;
   ++steps_;
   return duration;
-}
-
-const message_list& network::inbox(graph::node_id v) const {
-  NAB_ASSERT(v >= 0 && v < universe(), "inbox node out of range");
-  return inboxes_[static_cast<std::size_t>(v)];
-}
-
-void network::clear_inboxes() {
-  for (auto& box : inboxes_) box.clear();
-}
-
-std::uint64_t network::link_bits(graph::node_id u, graph::node_id v) const {
-  NAB_ASSERT(u >= 0 && v >= 0 && u < universe() && v < universe(),
-             "link_bits node out of range");
-  return lifetime_bits_[link_index(u, v)];
 }
 
 }  // namespace nab::sim

@@ -6,25 +6,27 @@
 
 #include "graph/digraph.hpp"
 #include "sim/link_faults.hpp"
-#include "sim/message.hpp"
 #include "sim/trace.hpp"
 
 namespace nab::sim {
 
-/// Synchronous point-to-point network with the paper's deterministic
-/// capacity/time model.
+/// Link meter of a synchronous point-to-point network under the paper's
+/// deterministic capacity/time model.
 ///
 /// Protocols proceed in *steps* (synchronous communication rounds). During a
-/// step, nodes queue messages with `send`; `end_step` then (a) charges every
-/// link with the bits queued on it, (b) computes the step duration
+/// step, callers charge the bits they put on each link (`charge`,
+/// `charge_links`, `lossy_transmit`); `end_step` then computes the step
+/// duration
 ///     tau = max over links e of bits(e) / z_e
 /// (a link of capacity z_e carries z_e * tau bits in tau time — Section 1's
-/// capacity model), (c) delivers all queued messages into per-node inboxes,
-/// and (d) advances the simulation clock by tau.
+/// capacity model) and advances the simulation clock by tau. The network
+/// carries no data: bb::channel_plan delivers the classical-BB
+/// sub-protocols' messages and charges their hops here, and Phases 1 and
+/// 2.1 charge their coded symbols with lossy_transmit.
 ///
-/// The network itself is oblivious to faults: a Byzantine node "sends" via
-/// the same API (protocol-level adversaries decide what). Messages sent on
-/// nonexistent links are rejected — the paper's model has no such channel.
+/// The meter is oblivious to faults: a Byzantine node's traffic is charged
+/// like any other (protocol-level adversaries decide what it sends). Charges
+/// on nonexistent links are rejected — the paper's model has no such channel.
 class network {
  public:
   explicit network(graph::digraph topology);
@@ -32,33 +34,14 @@ class network {
   const graph::digraph& topology() const { return topo_; }
   int universe() const { return topo_.universe(); }
 
-  /// Queues a message for delivery at the end of the current step.
-  /// Preconditions: the link from->to exists in the topology and bits > 0
-  /// unless the payload is empty (zero-bit control messages are allowed for
-  /// default-value semantics of missing messages).
-  ///
-  /// Under an attached fault model the link may erase the message: the bits
-  /// are still charged (they were transmitted — the channel ate them) but
-  /// nothing reaches the receiver's inbox. Senders that need reliability
-  /// use lossy_transmit's ARQ loop instead.
-  void send(message m);
-
   /// Ends the current step; returns its duration in time units.
   double end_step();
 
-  /// Messages delivered to node v in the most recently completed step, in
-  /// send order.
-  const message_list& inbox(graph::node_id v) const;
-
-  /// Clears all inboxes (start of a fresh protocol phase).
-  void clear_inboxes();
-
-  /// Charges `bits` on the link u -> v without delivering data. Used to
-  /// account for protocol overheads whose content the simulation does not
-  /// model bit-for-bit (e.g. claim dumps in dispute control). `tag` labels
+  /// Charges `bits` on the link u -> v in the current step. `tag` labels
   /// the charge for attached traces (channel emulation forwards the logical
   /// message's tag so per-protocol wire accounting survives multi-hop
-  /// routing); it never affects time or capacity accounting.
+  /// routing); it never affects time or capacity accounting. Throws
+  /// nab::error when the topology has no link u -> v.
   void charge(graph::node_id u, graph::node_id v, std::uint64_t bits,
               std::uint64_t tag = 0);
 
@@ -111,11 +94,9 @@ class network {
   /// Cumulative simulated time over all completed steps.
   double elapsed() const { return elapsed_; }
 
-  /// Cumulative bits ever carried, over all links.
+  /// Cumulative bits charged over all completed steps and links. Per-link
+  /// totals are an attached trace's (trace::link_total).
   std::uint64_t total_bits() const { return total_bits_; }
-
-  /// Bits carried by link u->v over the whole run.
-  std::uint64_t link_bits(graph::node_id u, graph::node_id v) const;
 
   /// Number of completed steps.
   int steps() const { return steps_; }
@@ -125,10 +106,7 @@ class network {
 
  private:
   graph::digraph topo_;
-  std::vector<std::uint64_t> step_bits_;        // per-link bits queued this step
-  std::vector<std::uint64_t> lifetime_bits_;    // per-link cumulative
-  std::vector<message_list> pending_;           // queued this step, per receiver
-  std::vector<message_list> inboxes_;           // delivered last step
+  std::vector<std::uint64_t> step_bits_;  // per-link bits charged this step
   double elapsed_ = 0.0;
   std::uint64_t total_bits_ = 0;
   int steps_ = 0;

@@ -1,44 +1,6 @@
 #include "sim/trace.hpp"
 
-#include <map>
-#include <mutex>
-#include <sstream>
-
 namespace nab::sim {
-
-namespace {
-
-/// Process-wide tag registry. Function-local statics dodge static-init-order
-/// hazards with the registrars that run during other TUs' dynamic init.
-std::map<std::uint64_t, std::string>& tag_registry() {
-  static std::map<std::uint64_t, std::string> names;
-  return names;
-}
-
-std::mutex& tag_registry_mu() {
-  static std::mutex mu;
-  return mu;
-}
-
-}  // namespace
-
-std::string tag_name(std::uint64_t tag) {
-  if (tag == 0) return "data";
-  {
-    std::lock_guard<std::mutex> lock(tag_registry_mu());
-    const auto& names = tag_registry();
-    const auto it = names.find(tag);
-    if (it != names.end()) return it->second;
-  }
-  std::ostringstream out;
-  out << "0x" << std::hex << tag;
-  return out.str();
-}
-
-void register_tag_name(std::uint64_t tag, std::string name) {
-  std::lock_guard<std::mutex> lock(tag_registry_mu());
-  tag_registry()[tag] = std::move(name);
-}
 
 std::uint64_t trace::link_total(graph::node_id from, graph::node_id to) const {
   std::uint64_t total = 0;
@@ -84,13 +46,5 @@ scoped_ambient_trace::scoped_ambient_trace(trace* t) : previous_(ambient) {
 }
 
 scoped_ambient_trace::~scoped_ambient_trace() { ambient = previous_; }
-
-std::string trace::dump() const {
-  std::ostringstream out;
-  for (const trace_event& e : events_)
-    out << "step " << e.step << ": " << e.from << "->" << e.to
-        << " tag=" << tag_name(e.tag) << " bits=" << e.bits << "\n";
-  return out.str();
-}
 
 }  // namespace nab::sim

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -31,7 +30,8 @@ class trace {
   const std::vector<trace_event>& events() const { return events_; }
   void clear() { events_.clear(); }
 
-  /// Total bits recorded on link (from, to).
+  /// Total bits recorded on link (from, to): the per-link ledger, which the
+  /// network itself does not keep.
   std::uint64_t link_total(graph::node_id from, graph::node_id to) const;
 
   /// Total bits recorded under one protocol tag, across all links and steps.
@@ -50,23 +50,9 @@ class trace {
   /// True iff some event used the given link.
   bool used(graph::node_id from, graph::node_id to) const;
 
-  /// Compact textual dump (one line per event) for logs.
-  std::string dump() const;
-
  private:
   std::vector<trace_event> events_;
 };
-
-/// Human-readable name for a protocol tag: "data" for 0 (bare charges),
-/// registered names for everything else, and a hex rendering ("0xc1a1b")
-/// as the fallback. Used by trace::dump, fleet --trace output, and the
-/// timeline exporter's per-tag traffic tracks, so a claim round reads
-/// "claim", not a raw 64-bit constant.
-std::string tag_name(std::uint64_t tag);
-
-/// Registers (or replaces) the display name of a protocol tag. Sub-protocols
-/// register their tag once at static-init time; thread-safe.
-void register_tag_name(std::uint64_t tag, std::string name);
 
 /// The calling thread's ambient trace (nullptr when none is installed).
 /// Networks constructed on a thread attach its ambient trace automatically,

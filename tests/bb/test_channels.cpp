@@ -45,7 +45,9 @@ TEST(Channels, InsufficientConnectivityThrows) {
 
 TEST(Channels, DeliveryAndAccounting) {
   const graph::digraph g = graph::complete(3, 2);
+  sim::trace wire;
   sim::network net(g);
+  net.attach_trace(&wire);
   sim::fault_set faults(3);
   channel_plan plan(g, 0);
   plan.unicast(0, 1, 9, {123}, 10);
@@ -54,7 +56,8 @@ TEST(Channels, DeliveryAndAccounting) {
   ASSERT_EQ(plan.inbox(1).size(), 1u);
   EXPECT_EQ(plan.inbox(1)[0].payload, (sim::payload{123}));
   EXPECT_EQ(plan.inbox(1)[0].tag, 9u);
-  EXPECT_EQ(net.link_bits(0, 1), 10u);
+  EXPECT_EQ(wire.link_total(0, 1), 10u);
+  EXPECT_EQ(net.total_bits(), 10u);
 }
 
 TEST(Channels, TagsSurviveMultiHopEmulation) {
@@ -183,8 +186,8 @@ TEST(Channels, WarmFinderMatchesColdReferencePerPair) {
 }
 
 TEST(Channels, ZeroBitUnicastWithPayloadThrows) {
-  // network::send's rule holds on emulated channels too: content must be
-  // charged, or it would cross every hop for free. Empty zero-bit messages
+  // Content must be charged, or it would cross every hop for free, on
+  // direct and emulated channels alike. Empty zero-bit messages
   // (absent/default values) stay legal.
   graph::digraph g = graph::complete(5);
   g.remove_edge_pair(0, 3);
@@ -256,7 +259,8 @@ void expect_clean_charging_matches_reference(
   }
   for (graph::node_id u = 0; u < g.universe(); ++u)
     for (graph::node_id v = 0; v < g.universe(); ++v)
-      EXPECT_EQ(bulk.link_bits(u, v), ref.link_bits(u, v)) << u << "->" << v;
+      EXPECT_EQ(bulk_trace.link_total(u, v), ref_trace.link_total(u, v))
+          << u << "->" << v;
   EXPECT_EQ(bulk.total_bits(), ref.total_bits());
   EXPECT_EQ(bulk.elapsed(), ref.elapsed());
   const auto& got = bulk_trace.events();

@@ -10,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "sim/link_faults.hpp"
 #include "sim/network.hpp"
+#include "sim/trace.hpp"
 
 namespace nab::bb {
 namespace {
@@ -21,7 +22,9 @@ TEST(ChannelsLossy, DirectLinkSurvivesViaRetransmission) {
   sim::link_fault_model m(sim::parse_loss_spec("0.5,0.5,0,1"), 21);
   sim::scoped_link_faults scope(&m);
   const graph::digraph g = graph::complete(3, 2);
+  sim::trace t;
   sim::network net(g);
+  net.attach_trace(&t);
   sim::fault_set faults(3);
   channel_plan plan(g, 0);
   int delivered = 0;
@@ -34,7 +37,7 @@ TEST(ChannelsLossy, DirectLinkSurvivesViaRetransmission) {
   }
   EXPECT_EQ(delivered, 50);
   // Retransmissions cost real wire bits beyond the clean accounting.
-  EXPECT_GT(net.link_bits(0, 1), clean_bits);
+  EXPECT_GT(t.link_total(0, 1), clean_bits);
 }
 
 TEST(ChannelsLossy, DeadLinkDegradesToMissingMessage) {
@@ -43,14 +46,16 @@ TEST(ChannelsLossy, DeadLinkDegradesToMissingMessage) {
   sim::link_fault_model m(sim::parse_loss_spec("1,1,0,1"), 5);
   sim::scoped_link_faults scope(&m);
   const graph::digraph g = graph::complete(3, 2);
+  sim::trace t;
   sim::network net(g);
+  net.attach_trace(&t);
   sim::fault_set faults(3);
   channel_plan plan(g, 0);
   plan.unicast(0, 1, 9, {123}, 10);
   plan.end_round(net, faults);
   EXPECT_TRUE(plan.inbox(1).empty());
   // The budget was still paid for: initial + retry_budget charges.
-  EXPECT_EQ(net.link_bits(0, 1), 10u * 13);
+  EXPECT_EQ(t.link_total(0, 1), 10u * 13);
 }
 
 TEST(ChannelsLossy, EmulatedRoutesSurviveWhileAnyPathDelivers) {
@@ -99,7 +104,9 @@ TEST(ChannelsLossy, ZeroModelMatchesCleanRunExactly) {
   g.remove_edge_pair(0, 3);
   sim::fault_set faults(5);
 
+  sim::trace clean_trace, lossy_trace;
   sim::network clean_net(g);
+  clean_net.attach_trace(&clean_trace);
   channel_plan clean_plan(g, 1);
   clean_plan.unicast(0, 3, 7, {11, 22}, 16);
   clean_plan.unicast(2, 4, 8, {33}, 4);
@@ -108,6 +115,7 @@ TEST(ChannelsLossy, ZeroModelMatchesCleanRunExactly) {
   sim::link_fault_model zero(sim::parse_loss_spec("zero"), 77);
   sim::scoped_link_faults scope(&zero);
   sim::network lossy_net(g);
+  lossy_net.attach_trace(&lossy_trace);
   channel_plan lossy_plan(g, 1);
   lossy_plan.unicast(0, 3, 7, {11, 22}, 16);
   lossy_plan.unicast(2, 4, 8, {33}, 4);
@@ -123,7 +131,7 @@ TEST(ChannelsLossy, ZeroModelMatchesCleanRunExactly) {
   for (graph::node_id u = 0; u < 5; ++u)
     for (graph::node_id v = 0; v < 5; ++v)
       if (g.has_edge(u, v)) {
-        EXPECT_EQ(clean_net.link_bits(u, v), lossy_net.link_bits(u, v))
+        EXPECT_EQ(clean_trace.link_total(u, v), lossy_trace.link_total(u, v))
             << u << "->" << v;
       }
 }

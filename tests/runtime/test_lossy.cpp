@@ -35,17 +35,6 @@ TEST(LossyRegistry, LossyFamiliesExistAndCarryTheAxis) {
     EXPECT_EQ(s.loss, "none") << s.name;
 }
 
-TEST(LossyRegistry, LossRoundTripsThroughParamsAndDefaultsToNone) {
-  const scenario lossy = find_family("lossy_k7")->expand().front();
-  auto params = scenario_to_params(lossy);
-  EXPECT_EQ(params.at("loss"), "bursty");
-  EXPECT_EQ(scenario_from_params(params), lossy);
-  // Absent key (records written before the loss axis existed): "none".
-  params.erase("loss");
-  scenario back = scenario_from_params(params);
-  EXPECT_EQ(back.loss, "none");
-}
-
 TEST(LossyFleetCli, LossFlagParsesAndRejectsByName) {
   EXPECT_EQ(parse_fleet_args({"--loss", "bursty"}).loss, "bursty");
   EXPECT_EQ(parse_fleet_args({"--loss", "none"}).loss, "none");

@@ -192,18 +192,6 @@ TEST(LinkFaultAmbient, ScopesNestAndRestore) {
   EXPECT_EQ(ambient_link_faults(), nullptr);
 }
 
-TEST(LossyNetwork, SendChargesBitsButMayNotDeliver) {
-  // p_loss = 1 in both states: every send is erased after paying for the
-  // link — bits spent, nothing delivered.
-  link_fault_model m(parse_loss_spec("1,1,0,1"), 1);
-  scoped_link_faults scope(&m);
-  network net(graph::complete(3, 2));
-  net.send({0, 1, 0, {42}, 8});
-  EXPECT_DOUBLE_EQ(net.end_step(), 4.0);
-  EXPECT_TRUE(net.inbox(1).empty());
-  EXPECT_EQ(net.link_bits(0, 1), 8u);
-}
-
 TEST(LossyNetwork, NetworksAttachTheAmbientModel) {
   network clean(graph::complete(3));
   EXPECT_EQ(clean.link_faults(), nullptr);
@@ -230,6 +218,8 @@ TEST(LossyNetwork, LossyTransmitRetransmitsUntilDelivered) {
   link_fault_model m(parse_loss_spec("0.5,0.5,0,1"), 9);
   scoped_link_faults scope(&m);
   network net(graph::complete(2, 1));
+  trace t;
+  net.attach_trace(&t);
   int delivered = 0;
   for (int i = 0; i < 200; ++i)
     if (net.lossy_transmit(0, 1, 4)) ++delivered;
@@ -241,8 +231,9 @@ TEST(LossyNetwork, LossyTransmitRetransmitsUntilDelivered) {
   // Wire accounting: 200 initial charges + one 4-bit recharge and one 1-bit
   // reverse nack per retransmission.
   net.end_step();
-  EXPECT_EQ(net.link_bits(0, 1), 200u * 4 + retx * 4);
-  EXPECT_EQ(net.link_bits(1, 0), retx * 1);
+  EXPECT_EQ(t.link_total(0, 1), 200u * 4 + retx * 4);
+  EXPECT_EQ(t.link_total(1, 0), retx * 1);
+  EXPECT_EQ(net.total_bits(), t.total_bits());
   // The headroom gauge saw the worst retry chain.
   const std::int64_t headroom = col.gauge_value(obs::gauge::retry_headroom);
   EXPECT_GE(headroom, 0);
@@ -255,23 +246,28 @@ TEST(LossyNetwork, LossyTransmitExhaustsBudgetOnDeadLink) {
   link_fault_model m(parse_loss_spec("1,1,0,1"), 9);
   scoped_link_faults scope(&m);
   network net(graph::complete(2, 1));
+  trace t;
+  net.attach_trace(&t);
   EXPECT_FALSE(net.lossy_transmit(0, 1, 8));
   EXPECT_EQ(col.value(obs::counter::link_retransmits), 12u);  // full budget
   EXPECT_EQ(col.value(obs::counter::link_retry_exhaustions), 1u);
   EXPECT_EQ(col.gauge_value(obs::gauge::retry_headroom), 0);
-  net.end_step();
-  EXPECT_EQ(net.link_bits(0, 1), 8u * 13);  // initial + 12 retransmissions
-  EXPECT_EQ(net.link_bits(1, 0), 12u);      // one nack bit per retry
+  // Erased but charged: the link carried every copy although none landed.
+  EXPECT_DOUBLE_EQ(net.end_step(), 8.0 * 13);  // cap 1
+  EXPECT_EQ(t.link_total(0, 1), 8u * 13);  // initial + 12 retransmissions
+  EXPECT_EQ(t.link_total(1, 0), 12u);      // one nack bit per retry
 }
 
 TEST(LossyNetwork, LossyTransmitWithoutModelIsOneCleanCharge) {
   obs::collector col;
   obs::scoped_collector cscope(&col);
   network net(graph::complete(2, 1));
+  trace t;
+  net.attach_trace(&t);
   EXPECT_TRUE(net.lossy_transmit(0, 1, 8));
   net.end_step();
-  EXPECT_EQ(net.link_bits(0, 1), 8u);
-  EXPECT_EQ(net.link_bits(1, 0), 0u);
+  EXPECT_EQ(t.link_total(0, 1), 8u);
+  EXPECT_EQ(t.link_total(1, 0), 0u);
   EXPECT_EQ(col.value(obs::counter::link_retransmits), 0u);
   EXPECT_EQ(col.gauge_value(obs::gauge::retry_headroom), obs::gauge_unset);
 }
@@ -283,10 +279,9 @@ TEST(LossyNetwork, JitterDilatesStepDuration) {
   link_fault_model jittered(p, 0x1234);
   scoped_link_faults scope(&jittered);
   network net(graph::complete(4, 1));
-  net.send({0, 1, 0, {}, 8});
+  EXPECT_TRUE(net.lossy_transmit(0, 1, 8));  // lossless: the copy lands
   // 8 bits on cap 1 dilated by the pinned link 0->1 factor.
   EXPECT_DOUBLE_EQ(net.end_step(), 8.0 * 1.2492190456039571);
-  ASSERT_EQ(net.inbox(1).size(), 1u);  // lossless: delivery still happens
 }
 
 }  // namespace

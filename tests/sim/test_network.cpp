@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "graph/generators.hpp"
+#include "sim/link_faults.hpp"
 #include "util/error.hpp"
 
 namespace nab::sim {
@@ -19,88 +21,75 @@ network make_line() {
 
 TEST(Network, StepDurationIsMaxLoadOverCapacity) {
   network net = make_line();
-  net.send({0, 1, 0, {}, 8});   // 8 bits on cap-4 link -> 2 time units
-  net.send({1, 2, 0, {}, 2});   // 2 bits on cap-2 link -> 1 time unit
+  net.charge(0, 1, 8);   // 8 bits on cap-4 link -> 2 time units
+  net.charge(1, 2, 2);   // 2 bits on cap-2 link -> 1 time unit
   EXPECT_DOUBLE_EQ(net.end_step(), 2.0);
   EXPECT_DOUBLE_EQ(net.elapsed(), 2.0);
 }
 
 TEST(Network, LoadsAccumulateWithinStep) {
   network net = make_line();
-  net.send({0, 1, 0, {}, 4});
-  net.send({0, 1, 1, {}, 4});
+  net.charge(0, 1, 4);
+  net.charge(0, 1, 4, /*tag=*/1);
   EXPECT_DOUBLE_EQ(net.end_step(), 2.0);  // 8 bits total on cap 4
 }
 
-TEST(Network, DeliveryHappensAtStepBoundary) {
+TEST(Network, ChargeOnMissingLinkThrows) {
+  // The paper's model has no channel where the topology has no link: every
+  // per-call charging path rejects it, with or without a fault model.
   network net = make_line();
-  net.send({0, 1, 7, {42}, 8});
-  EXPECT_TRUE(net.inbox(1).empty());
-  net.end_step();
-  ASSERT_EQ(net.inbox(1).size(), 1u);
-  EXPECT_EQ(net.inbox(1)[0].tag, 7u);
-  EXPECT_EQ(net.inbox(1)[0].payload, (sim::payload{42}));
-  // Next step clears.
-  net.end_step();
-  EXPECT_TRUE(net.inbox(1).empty());
-}
-
-TEST(Network, SendOnMissingLinkThrows) {
-  network net = make_line();
-  EXPECT_THROW(net.send({2, 0, 0, {}, 1}), nab::error);
-  EXPECT_THROW(net.send({0, 2, 0, {}, 1}), nab::error);
-}
-
-TEST(Network, ChargeAccountsWithoutDelivery) {
-  network net = make_line();
-  net.charge(0, 1, 12);
-  EXPECT_DOUBLE_EQ(net.end_step(), 3.0);
-  EXPECT_TRUE(net.inbox(1).empty());
-  EXPECT_EQ(net.link_bits(0, 1), 12u);
-}
-
-TEST(Network, ZeroBitMessagesAreFreeButDelivered) {
-  network net = make_line();
-  net.send({0, 1, 0, {}, 0});
+  EXPECT_THROW(net.charge(2, 0, 1), nab::error);
+  EXPECT_THROW(net.charge(0, 2, 1), nab::error);
+  EXPECT_THROW(net.lossy_transmit(2, 0, 1), nab::error);
+  EXPECT_THROW(net.lossy_transmit(0, 2, 1), nab::error);
+  link_fault_model m(parse_loss_spec("bursty"), 1);
+  scoped_link_faults scope(&m);
+  network lossy = make_line();
+  ASSERT_EQ(lossy.link_faults(), &m);
+  EXPECT_THROW(lossy.lossy_transmit(2, 0, 1), nab::error);
+  EXPECT_THROW(lossy.lossy_transmit(0, 2, 1), nab::error);
+  // Nothing was charged by the rejected calls.
   EXPECT_DOUBLE_EQ(net.end_step(), 0.0);
-  EXPECT_EQ(net.inbox(1).size(), 1u);
+  EXPECT_DOUBLE_EQ(lossy.end_step(), 0.0);
 }
 
-TEST(Network, LifetimeAccounting) {
+TEST(Network, AttachedTraceLedgersEveryCharge) {
+  // The per-link ledger is the attached trace's: its link totals and total
+  // equal what charge, charge_links and lossy_transmit put on each link, and
+  // its total equals the network's own count over completed steps.
   network net = make_line();
-  net.send({0, 1, 0, {}, 4});
+  trace t;
+  net.attach_trace(&t);
+  net.charge(0, 1, 4);
   net.end_step();
-  net.send({0, 1, 0, {}, 4});
-  net.send({1, 2, 0, {}, 2});
+  const std::uint32_t links[] = {network::link_index(3, 0, 1),
+                                 network::link_index(3, 1, 2)};
+  net.require_links(3, links);
+  net.charge_links(links, 3, /*tag=*/5);
+  EXPECT_TRUE(net.lossy_transmit(1, 2, 2));
   net.end_step();
-  EXPECT_EQ(net.total_bits(), 10u);
-  EXPECT_EQ(net.link_bits(0, 1), 8u);
-  EXPECT_EQ(net.link_bits(1, 2), 2u);
+  EXPECT_EQ(t.link_total(0, 1), 4u + 3u);
+  EXPECT_EQ(t.link_total(1, 2), 3u + 2u);
+  EXPECT_EQ(t.link_total(1, 0), 0u);
+  EXPECT_EQ(t.total_bits(), 12u);
+  EXPECT_EQ(net.total_bits(), 12u);
   EXPECT_EQ(net.steps(), 2);
-  EXPECT_DOUBLE_EQ(net.elapsed(), 2.0);
+  // Step 1: 7 bits on cap 4 vs 5 bits on cap 2.
+  EXPECT_DOUBLE_EQ(net.elapsed(), 1.0 + 2.5);
 }
 
 TEST(Network, EmptyStepTakesNoTime) {
   network net = make_line();
   EXPECT_DOUBLE_EQ(net.end_step(), 0.0);
   EXPECT_EQ(net.steps(), 1);
-}
-
-TEST(Network, ZeroBitMessagesMustHaveEmptyPayloads) {
-  // Zero-bit sends model absent/default-value control messages; smuggling a
-  // nonempty payload for free would break the capacity accounting, so the
-  // documented precondition is enforced.
-  network net = make_line();
-  net.send({0, 1, 0, {}, 0});  // empty zero-bit control message: allowed
-  EXPECT_THROW(net.send({0, 1, 0, {0xDEAD}, 0}), nab::error);
+  net.charge(0, 1, 0);  // a zero-bit charge is free
   EXPECT_DOUBLE_EQ(net.end_step(), 0.0);
-  ASSERT_EQ(net.inbox(1).size(), 1u);
-  EXPECT_EQ(net.inbox(1)[0].bits, 0u);
+  EXPECT_EQ(net.total_bits(), 0u);
 }
 
 TEST(Network, StepDurationStaysFiniteUnderLoad) {
   network net = make_line();
-  net.send({0, 1, 0, {}, ~std::uint64_t{0} >> 12});
+  net.charge(0, 1, ~std::uint64_t{0} >> 12);
   const double tau = net.end_step();
   EXPECT_TRUE(std::isfinite(tau));
   EXPECT_GT(tau, 0.0);
@@ -108,8 +97,8 @@ TEST(Network, StepDurationStaysFiniteUnderLoad) {
 
 TEST(Network, TopologyRespectsGraphGenerators) {
   network net{graph::paper_fig2()};
-  net.send({0, 1, 0, {1, 2}, 128});
-  net.send({1, 3, 0, {3}, 64});
+  net.charge(0, 1, 128);
+  net.charge(1, 3, 64);
   // (0,1) has capacity 2 -> 64 units; (1,3) has capacity 1 -> 64 units.
   EXPECT_DOUBLE_EQ(net.end_step(), 64.0);
 }

@@ -12,14 +12,14 @@
 namespace nab::sim {
 namespace {
 
-TEST(Trace, RecordsSendsAndCharges) {
+TEST(Trace, RecordsTaggedAndBareCharges) {
   network net{graph::complete(3)};
   trace t;
   net.attach_trace(&t);
-  net.send({0, 1, 7, {1, 2}, 32});
+  net.charge(0, 1, 32, /*tag=*/7);
   net.charge(1, 2, 8);
   net.end_step();
-  net.send({2, 0, 9, {}, 4});
+  net.charge(2, 0, 4, /*tag=*/9);
   net.end_step();
 
   ASSERT_EQ(t.events().size(), 3u);
@@ -38,11 +38,11 @@ TEST(Trace, TagTotalsAccountPerProtocol) {
   network net{graph::complete(3)};
   trace t;
   net.attach_trace(&t);
-  net.send({0, 1, 7, {1}, 32});
-  net.charge(1, 2, 8, /*tag=*/7);   // tagged bare charge (channel emulation)
+  net.charge(0, 1, 32, /*tag=*/7);
+  net.charge(1, 2, 8, /*tag=*/7);
   net.charge(2, 0, 16);             // untagged charge
   net.end_step();
-  net.send({1, 0, 7, {2}, 4});
+  net.charge(1, 0, 4, /*tag=*/7);
   net.end_step();
   EXPECT_EQ(t.tag_total(7), 32u + 8u + 4u);
   EXPECT_EQ(t.tag_total(0), 16u);
@@ -55,24 +55,13 @@ TEST(Trace, DetachAndClear) {
   network net{graph::complete(3)};
   trace t;
   net.attach_trace(&t);
-  net.send({0, 1, 0, {}, 1});
+  net.charge(0, 1, 1);
   net.attach_trace(nullptr);
-  net.send({0, 2, 0, {}, 1});
+  net.charge(0, 2, 1);
   net.end_step();
   EXPECT_EQ(t.events().size(), 1u);
   t.clear();
   EXPECT_TRUE(t.events().empty());
-}
-
-TEST(Trace, DumpIsHumanReadable) {
-  network net{graph::complete(3)};
-  trace t;
-  net.attach_trace(&t);
-  net.send({0, 1, 5, {}, 16});
-  net.end_step();
-  const std::string dump = t.dump();
-  EXPECT_NE(dump.find("0->1"), std::string::npos);
-  EXPECT_NE(dump.find("bits=16"), std::string::npos);
 }
 
 TEST(Trace, AmbientTraceAttachesToNewNetworksOnThisThread) {
@@ -82,7 +71,7 @@ TEST(Trace, AmbientTraceAttachesToNewNetworksOnThisThread) {
     scoped_ambient_trace scope(&t);
     EXPECT_EQ(ambient_trace(), &t);
     network net{graph::paper_fig1a()};  // constructed inside the scope
-    net.send({0, 1, 0, {}, 8});
+    net.charge(0, 1, 8);
     net.end_step();
     EXPECT_EQ(t.events().size(), 1u);
     // Scopes nest and restore.
@@ -96,7 +85,7 @@ TEST(Trace, AmbientTraceAttachesToNewNetworksOnThisThread) {
   EXPECT_EQ(ambient_trace(), nullptr);
   // Networks constructed outside any scope stay untraced.
   network quiet{graph::paper_fig1a()};
-  quiet.send({0, 1, 0, {}, 8});
+  quiet.charge(0, 1, 8);
   quiet.end_step();
   EXPECT_EQ(t.events().size(), 1u);
 }
