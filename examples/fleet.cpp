@@ -99,13 +99,14 @@ int run_hunt_mode(const nab::runtime::fleet_options& opt) {
       "%d errors, %d invariant violations, wall %.2fs\n",
       corpus.evaluations, corpus.champions.size(), corpus.novel.size(),
       corpus.errors, corpus.violations, wall);
-  for (const corpus_entry& e : corpus.champions)
-    std::printf("  champion %-28s %-24s slack=%lld hold=%lld headroom=%lld  %s\n",
-                e.context.c_str(), e.gauge.c_str(),
-                static_cast<long long>(e.margin_quorum_slack),
-                static_cast<long long>(e.margin_hold_surplus),
-                static_cast<long long>(e.margin_dispute_headroom),
-                e.genome.to_params().c_str());
+  for (const corpus_entry& e : corpus.champions) {
+    std::string margins;
+    for (const nab::obs::gauge_row& row : nab::obs::gauge_table)
+      if (row.scored)
+        margins += std::string(row.name) + "=" + std::to_string(e.margins[row.id]) + " ";
+    std::printf("  champion %-28s %-24s %s %s\n", e.context.c_str(), e.gauge.c_str(),
+                margins.c_str(), e.genome.to_params().c_str());
+  }
   for (const corpus_entry& e : corpus.violators)
     std::printf("  VIOLATION %-28s run_index=%d  %s\n", e.context.c_str(),
                 e.run_index, e.genome.to_params().c_str());

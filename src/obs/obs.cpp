@@ -4,20 +4,7 @@
 
 namespace nab::obs {
 
-const char* gauge_name(gauge g) {
-  switch (g) {
-    case gauge::quorum_slack: return "margin_quorum_slack";
-    case gauge::hold_surplus: return "margin_hold_surplus";
-    case gauge::dispute_headroom: return "margin_dispute_headroom";
-    case gauge::retry_headroom: return "margin_retry_headroom";
-    case gauge::count_: break;
-  }
-  return "unknown_gauge";
-}
-
-collector::collector() : epoch_(std::chrono::steady_clock::now()) {
-  gauges_.fill(gauge_unset);
-}
+collector::collector() : epoch_(std::chrono::steady_clock::now()) {}
 
 double collector::now() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_)
@@ -51,7 +38,7 @@ void collector::close_span(int id, double tau_end) {
 void collector::reset() {
   NAB_ASSERT(open_stack_.empty(), "collector reset with spans still open");
   counters_ = {};
-  gauges_.fill(gauge_unset);
+  gauges_ = {};
   spans_.clear();
 }
 

@@ -108,33 +108,79 @@ inline std::uint64_t gf_ops(const counter_values& v) {
          v[counter::gf_mul_ops] + v[counter::gf_rows_eliminated];
 }
 
-/// Invariant-margin gauges: how much headroom a run kept before a paper
-/// invariant or a quorum rule would have failed. Minimum over the run —
-/// the scoring signal a coverage-guided adversary search ranks runs by
-/// (smaller = closer to the edge). Deterministic (workload-determined).
+/// The invariant-margin gauge table: one row per gauge, X(identifier,
+/// scored). A gauge is how much headroom a run kept before a paper invariant
+/// or a quorum rule would have failed, as a minimum over the run (smaller =
+/// closer to the edge); all gauges are deterministic. Each is exported as
+/// "margin_" + identifier, and `scored` rows are the ones the adversary hunt
+/// (runtime/hunt.hpp) sums into its fitness and persists per corpus entry.
+/// The enum, gauge_table and gauge_name are generated from this list, so
+/// adding a gauge means adding one row.
+#define NAB_OBS_GAUGES(X)                                                      \
+  /* min over accepted claim digests of (readys observed - 2f-1): how far */   \
+  /* the collapsed backend's accept quorum stayed above its threshold */       \
+  X(quorum_slack, true)                                                        \
+  /* min over accepted claim digests of (honest echoer-holders - (f+1)): */    \
+  /* the hold-to-echo rule's surplus over the retrieval guarantee */           \
+  X(hold_surplus, true)                                                        \
+  /* f(f+1) minus the dispute phases the bound counts: the Phase-3 dispute */  \
+  /* bound's remaining budget, set by the runner whenever a dispute phase */   \
+  /* ran (it knows the budget; the session does not) */                        \
+  X(dispute_headroom, true)                                                    \
+  /* min over loss-affected messages of (retry budget - retries needed): */    \
+  /* how close the ARQ layer came to degrading an honest message to the */     \
+  /* missing-message default */                                                \
+  X(retry_headroom, false)
+
 enum class gauge : int {
-  /// min over accepted claim digests of (readys observed - 2f-1): how far
-  /// the collapsed backend's accept quorum stayed above its threshold.
-  quorum_slack,
-  /// min over accepted claim digests of (honest echoer-holders - (f+1)):
-  /// the hold-to-echo rule's surplus over the retrieval guarantee.
-  hold_surplus,
-  /// f(f+1) minus dispute phases actually run: the Phase-3 dispute bound's
-  /// remaining budget (set by the runtime, not instrumented code).
-  dispute_headroom,
-  /// min over loss-affected messages of (retry budget - retries needed):
-  /// how close the ARQ layer came to exhausting a retry budget and
-  /// degrading an honest message to the missing-message default.
-  retry_headroom,
-  count_
+#define NAB_OBS_ENUMERATOR(name, scored) name,
+  NAB_OBS_GAUGES(NAB_OBS_ENUMERATOR)
+#undef NAB_OBS_ENUMERATOR
+  count_  // sentinel: number of gauges
 };
 
 inline constexpr int gauge_count = static_cast<int>(gauge::count_);
 
-const char* gauge_name(gauge g);
+/// One row of the gauge table.
+struct gauge_row {
+  gauge id;
+  const char* name;
+  bool scored;
+};
+
+/// Every gauge in enum order — what exporters and the hunt loop over.
+inline constexpr std::array<gauge_row, gauge_count> gauge_table{{
+#define NAB_OBS_ROW(name, scored) {gauge::name, "margin_" #name, scored},
+    NAB_OBS_GAUGES(NAB_OBS_ROW)
+#undef NAB_OBS_ROW
+}};
+
+#undef NAB_OBS_GAUGES
+
+/// A gauge's name (JSON keys, hunt champions).
+constexpr const char* gauge_name(gauge g) {
+  return gauge_table[static_cast<std::size_t>(g)].name;
+}
 
 /// Value a gauge reports when the run never exercised it.
 inline constexpr std::int64_t gauge_unset = -1;
+
+/// One value per gauge, indexed by the enum, every slot starting at
+/// gauge_unset: a collector's minima, a run record's gauges.
+class gauge_values {
+ public:
+  std::int64_t& operator[](gauge g) { return v_[static_cast<std::size_t>(g)]; }
+  std::int64_t operator[](gauge g) const { return v_[static_cast<std::size_t>(g)]; }
+  bool operator==(const gauge_values&) const = default;
+
+ private:
+  static constexpr std::array<std::int64_t, gauge_count> unset() {
+    std::array<std::int64_t, gauge_count> v{};
+    v.fill(gauge_unset);
+    return v;
+  }
+  std::array<std::int64_t, gauge_count> v_ = unset();
+};
 
 /// One recorded span: a named, nested interval of protocol work. `tau_*`
 /// carry simulated time (-1 when the span wraps pure computation with no
@@ -170,12 +216,11 @@ class collector {
 
   // --- gauges (record-minimum semantics) ---
   void gauge_min(gauge g, std::int64_t v) {
-    auto& slot = gauges_[static_cast<std::size_t>(g)];
+    std::int64_t& slot = gauges_[g];
     if (slot == gauge_unset || v < slot) slot = v;
   }
-  std::int64_t gauge_value(gauge g) const {
-    return gauges_[static_cast<std::size_t>(g)];
-  }
+  std::int64_t gauge_value(gauge g) const { return gauges_[g]; }
+  const gauge_values& gauges() const { return gauges_; }
 
   // --- spans ---
   /// Opens a span under the currently open one. Returns its id.
@@ -197,7 +242,7 @@ class collector {
 
  private:
   counter_values counters_;
-  std::array<std::int64_t, gauge_count> gauges_;
+  gauge_values gauges_;
   std::vector<span_record> spans_;
   std::vector<int> open_stack_;
   std::chrono::steady_clock::time_point epoch_;

@@ -287,11 +287,10 @@ std::optional<bb::value> genome_adversary::claim_hooks::serve_retrieval(
 // ---------------------------------------------------------------------------
 
 std::int64_t margin_score(const run_record& rec) {
-  const auto cost = [](std::int64_t margin) {
-    return margin < 0 ? std::int64_t{1000} : margin;
-  };
-  return cost(rec.margin_quorum_slack) + cost(rec.margin_hold_surplus) +
-         cost(rec.margin_dispute_headroom);
+  std::int64_t score = 0;
+  for (const obs::gauge_row& row : obs::gauge_table)
+    if (row.scored) score += rec.gauges[row.id] < 0 ? 1000 : rec.gauges[row.id];
+  return score;
 }
 
 namespace {
@@ -320,10 +319,10 @@ std::uint64_t record_signature(const run_record& rec) {
   h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.default_outcome_instances));
   h = obs::signature_mix(h, rec.counters[obs::counter::claim_fallbacks]);
   h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.ok() ? 1 : 0));
-  // Margin gauges: raw (the scoring coordinate must stay fine-grained).
-  h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.margin_quorum_slack));
-  h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.margin_hold_surplus));
-  h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.margin_dispute_headroom));
+  // Scored gauges: raw (the scoring coordinate must stay fine-grained).
+  for (const obs::gauge_row& row : obs::gauge_table)
+    if (row.scored)
+      h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.gauges[row.id]));
   // Work-volume counters: bucketed.
   h = obs::signature_mix(h, bucket(obs::gf_ops(rec.counters)));
   h = obs::signature_mix(h, bucket(rec.counters[obs::counter::cert_subgraphs]));
@@ -501,20 +500,11 @@ corpus_entry entry_of(const probe& p, const scenario& ctx, const run_record& rec
   e.genome = p.genome;
   e.run_index = p.run_index;
   e.signature = record_signature(rec);
-  e.margin_quorum_slack = rec.margin_quorum_slack;
-  e.margin_hold_surplus = rec.margin_hold_surplus;
-  e.margin_dispute_headroom = rec.margin_dispute_headroom;
+  for (const obs::gauge_row& row : obs::gauge_table)
+    if (row.scored) e.margins[row.id] = rec.gauges[row.id];
   e.score = margin_score(rec);
   e.ok = rec.ok();
   return e;
-}
-
-std::int64_t entry_margin(const corpus_entry& e, int gauge_index) {
-  switch (gauge_index) {
-    case 0: return e.margin_quorum_slack;
-    case 1: return e.margin_hold_surplus;
-    default: return e.margin_dispute_headroom;
-  }
 }
 
 }  // namespace
@@ -539,7 +529,7 @@ hunt_corpus run_hunt(const hunt_config& cfg,
   std::vector<hunt_genome> population = seed_population(population_size, evo);
 
   // (context, gauge) -> position in corpus.champions, stable across updates.
-  std::map<std::pair<int, int>, std::size_t> champ_at;
+  std::map<std::pair<int, obs::gauge>, std::size_t> champ_at;
   std::set<std::uint64_t> seen;
 
   int evals = 0;
@@ -591,19 +581,19 @@ hunt_corpus run_hunt(const hunt_config& cfg,
         corpus.violators.push_back(e);
       }
       if (seen.insert(e.signature).second) corpus.novel.push_back(e);
-      for (int gx = 0; gx < 3; ++gx) {
-        const std::int64_t margin = entry_margin(e, gx);
-        if (margin < 0) continue;  // gauge never exercised by this run
-        const std::pair<int, int> key{probes[i].context, gx};
+      for (const obs::gauge_row& row : obs::gauge_table) {
+        const std::int64_t margin = e.margins[row.id];
+        if (!row.scored || margin < 0) continue;  // < 0: never exercised
+        const std::pair<int, obs::gauge> key{probes[i].context, row.id};
         const auto it = champ_at.find(key);
         if (it == champ_at.end()) {
           corpus_entry champ = e;
-          champ.gauge = obs::gauge_name(static_cast<obs::gauge>(gx));
+          champ.gauge = row.name;
           champ_at.emplace(key, corpus.champions.size());
           corpus.champions.push_back(std::move(champ));
-        } else if (margin < entry_margin(corpus.champions[it->second], gx)) {
+        } else if (margin < corpus.champions[it->second].margins[row.id]) {
           corpus_entry champ = e;
-          champ.gauge = corpus.champions[it->second].gauge;
+          champ.gauge = row.name;
           corpus.champions[it->second] = std::move(champ);
         }
       }
@@ -689,9 +679,8 @@ json entry_json(const corpus_entry& e) {
   obj.set("genome", e.genome.to_json());
   obj.set("run_index", json::num(e.run_index));
   obj.set("signature", json::str(hex_seed(e.signature)));
-  obj.set("margin_quorum_slack", json::num(e.margin_quorum_slack));
-  obj.set("margin_hold_surplus", json::num(e.margin_hold_surplus));
-  obj.set("margin_dispute_headroom", json::num(e.margin_dispute_headroom));
+  for (const obs::gauge_row& row : obs::gauge_table)
+    if (row.scored) obj.set(row.name, json::num(e.margins[row.id]));
   obj.set("score", json::num(e.score));
   obj.set("ok", json::boolean(e.ok));
   return obj;
@@ -745,9 +734,8 @@ corpus_entry entry_from_json(const json& obj) {
   e.genome = hunt_genome::from_params(params);
   e.run_index = int_member(obj, "run_index");
   e.signature = seed_member(obj, "signature");
-  e.margin_quorum_slack = int64_member(obj, "margin_quorum_slack");
-  e.margin_hold_surplus = int64_member(obj, "margin_hold_surplus");
-  e.margin_dispute_headroom = int64_member(obj, "margin_dispute_headroom");
+  for (const obs::gauge_row& row : obs::gauge_table)
+    if (row.scored) e.margins[row.id] = int64_member(obj, row.name);
   e.score = int64_member(obj, "score");
   e.ok = member(obj, "ok", json::kind::boolean, "a boolean").bool_value();
   return e;

@@ -21,12 +21,11 @@
 /// claim backend's digest-equivocation / echo-suppression / forged-retrieval
 /// hooks, even the corrupt-set choice — is parameterized as a serializable
 /// `hunt_genome`, evaluated in cheap batches across the work-stealing
-/// executor, and scored by *minimizing* the PR-5 invariant-margin gauges
-/// (margin_quorum_slack / margin_hold_surplus / margin_dispute_headroom):
-/// smaller margin = the run was driven closer to the edge where a quorum
-/// rule or the paper's f(f+1) dispute bound would have failed. An actual
-/// invariant violation is the jackpot the search exists to find (and CI
-/// asserts it never does).
+/// executor, and scored by *minimizing* the invariant-margin gauges that
+/// obs::gauge_table marks scored: smaller margin = the run was driven closer
+/// to the edge where a quorum rule or the paper's f(f+1) dispute bound
+/// would have failed. An actual invariant violation is the jackpot the
+/// search exists to find (and CI asserts it never does).
 ///
 /// Novelty detection keeps the search exploring instead of re-finding one
 /// basin: every evaluation folds its deterministic obs counters and gauges
@@ -163,9 +162,9 @@ struct corpus_entry {
   hunt_genome genome;
   int run_index = 0;
   std::uint64_t signature = 0;
-  std::int64_t margin_quorum_slack = -1;
-  std::int64_t margin_hold_surplus = -1;
-  std::int64_t margin_dispute_headroom = -1;
+  /// The evaluation's scored gauges (obs::gauge_row::scored); unscored
+  /// slots stay obs::gauge_unset.
+  obs::gauge_values margins;
   std::int64_t score = 0;  ///< margin_score of the evaluation (lower = worse case)
   bool ok = true;          ///< paper invariants held (false = a found violation)
 
@@ -222,7 +221,7 @@ hunt_corpus run_hunt(const hunt_config& cfg,
 /// the corpus settings, installs the genome, derives the same run seed).
 run_record replay_entry(const hunt_corpus& corpus, const corpus_entry& entry);
 
-/// Scalar search score of a record: the sum of its margin gauges with
+/// Scalar search score of a record: the sum of its scored gauges with
 /// never-exercised gauges (-1) penalized as +1000 — minimizing it drives
 /// runs that both *reach* the quorum machinery and squeeze it. Lower =
 /// closer to the edge.
@@ -230,7 +229,7 @@ std::int64_t margin_score(const run_record& rec);
 
 /// Behavioral novelty signature of a record: its deterministic obs counters
 /// (log2-bucketed so near-identical runs coincide), outcome tallies, and raw
-/// margin gauges folded through obs::signature_mix. Identical across --jobs
+/// scored gauges folded through obs::signature_mix. Identical across --jobs
 /// counts because every input is.
 std::uint64_t record_signature(const run_record& rec);
 

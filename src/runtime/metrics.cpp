@@ -56,11 +56,9 @@ json run_record::to_json(bool include_timing) const {
   for (const obs::counter_row& row : obs::counter_table)
     if (row.set == obs::counter_set::deterministic)
       j.set(row.name, json::num(counters[row.id]));
-  j.set("margin_quorum_slack", json::num(margin_quorum_slack))
-      .set("margin_hold_surplus", json::num(margin_hold_surplus))
-      .set("margin_dispute_headroom", json::num(margin_dispute_headroom))
-      .set("margin_retry_headroom", json::num(margin_retry_headroom))
-      .set("pipeline_depth", json::num(pipeline_depth))
+  for (const obs::gauge_row& row : obs::gauge_table)
+    j.set(row.name, json::num(gauges[row.id]));
+  j.set("pipeline_depth", json::num(pipeline_depth))
       .set("pipeline_speedup", json::num(pipeline_speedup))
       .set("agreement", json::boolean(agreement))
       .set("validity", json::boolean(validity))

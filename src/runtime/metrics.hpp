@@ -85,17 +85,11 @@ struct run_record {
   /// here; their values live in timing.counters.
   obs::counter_values counters;
 
-  // Invariant-margin gauges (minimum over the run, -1 = never exercised):
-  // how much headroom the run kept before a quorum rule or the paper's
-  // dispute bound would have failed. The scoring signal an adversary search
-  // ranks runs by — smaller means closer to the edge.
-  std::int64_t margin_quorum_slack = -1;
-  std::int64_t margin_hold_surplus = -1;
-  std::int64_t margin_dispute_headroom = -1;
-  /// min over loss-affected messages of (retry budget - retries needed);
-  /// -1 when no message ever needed a retry. 0 means some message exhausted
-  /// its budget — the hunt's future statistical-axis scoring signal.
-  std::int64_t margin_retry_headroom = -1;
+  /// Invariant-margin gauges (src/obs), indexed by obs::gauge: minimum over
+  /// the run, obs::gauge_unset (-1) when never exercised. How much headroom
+  /// the run kept before a quorum rule, the paper's dispute bound or an ARQ
+  /// retry budget would have failed — the hunt's scoring signal.
+  obs::gauge_values gauges;
 
   /// Machine-set timing data (excluded from operator== — see run_timing).
   run_timing timing;

@@ -126,9 +126,7 @@ run_record execute_scenario(const scenario& s, int run_index,
                                                           : rec.counters;
       values[row.id] = col.value(row.id);
     }
-    rec.margin_quorum_slack = col.gauge_value(obs::gauge::quorum_slack);
-    rec.margin_hold_surplus = col.gauge_value(obs::gauge::hold_surplus);
-    rec.margin_retry_headroom = col.gauge_value(obs::gauge::retry_headroom);
+    rec.gauges = col.gauges();
     rec.timing.wall_by_phase = wall_by_phase_of(col.spans());
     if (capture_spans) rec.timing.spans = col.spans();
   };
@@ -274,12 +272,13 @@ run_record execute_scenario(const scenario& s, int run_index,
   }
   rec.dispute_bound = effective_phases <= s.f * (s.f + 1);
   // Dispute-bound headroom is runtime knowledge (the session does not know
-  // the paper's f(f+1) budget is the scoring baseline). Like the quorum
-  // gauges, it keeps the -1 "never exercised" sentinel on clean runs — an
-  // honest run is not "full headroom", it never entered the machinery.
-  if (effective_phases > 0)
-    rec.margin_dispute_headroom =
-        static_cast<std::int64_t>(s.f) * (s.f + 1) - effective_phases;
+  // the paper's f(f+1) budget is the scoring baseline). It is set whenever a
+  // dispute phase ran, barren ones included; like the quorum gauges, it
+  // keeps the -1 "never exercised" sentinel otherwise — an honest run is
+  // not "full headroom", it never entered the machinery.
+  if (rec.dispute_phases > 0)
+    col.gauge_min(obs::gauge::dispute_headroom,
+                  static_cast<std::int64_t>(s.f) * (s.f + 1) - effective_phases);
 
   reduce_trace(rec.nodes);
   harvest_obs();

@@ -735,17 +735,6 @@ Enum parse_enum(std::string_view s, const std::vector<Enum>& all,
 
 }  // namespace
 
-topology_kind topology_kind_from_string(std::string_view s) {
-  static const std::vector<topology_kind> all = {
-      topology_kind::complete,      topology_kind::fig1a,
-      topology_kind::fig1b,         topology_kind::fig2,
-      topology_kind::ring,          topology_kind::erdos_renyi,
-      topology_kind::random_regular, topology_kind::hypercube,
-      topology_kind::clustered_wan, topology_kind::dumbbell,
-      topology_kind::weak_link,     topology_kind::path_of_cliques};
-  return parse_enum(s, all, "topology kind");
-}
-
 adversary_kind adversary_kind_from_string(std::string_view s) {
   static const std::vector<adversary_kind> all = {
       adversary_kind::honest,     adversary_kind::p1_garble,
@@ -754,21 +743,6 @@ adversary_kind adversary_kind_from_string(std::string_view s) {
       adversary_kind::dispute_farm, adversary_kind::chaos,
       adversary_kind::hunted};
   return parse_enum(s, all, "adversary kind");
-}
-
-core::propagation_mode propagation_from_string(std::string_view s) {
-  static const std::vector<core::propagation_mode> all = {
-      core::propagation_mode::cut_through,
-      core::propagation_mode::store_and_forward,
-      core::propagation_mode::pipelined};
-  return parse_enum(s, all, "propagation mode");
-}
-
-bb::bb_protocol flag_protocol_from_string(std::string_view s) {
-  static const std::vector<bb::bb_protocol> all = {bb::bb_protocol::auto_select,
-                                                   bb::bb_protocol::eig,
-                                                   bb::bb_protocol::phase_king};
-  return parse_enum(s, all, "flag protocol");
 }
 
 bb::claim_backend claim_backend_from_string(std::string_view s) {

@@ -158,17 +158,14 @@ const scenario_family* find_family(std::string_view name);
 /// concrete sweep. Throws nab::error on an unknown name.
 std::vector<scenario> select_scenarios(std::string_view names);
 
-// --- string round-trip (JSON fields, CLI parsing, registry tests) ---
+// --- enum names (JSON fields; nabsim parses the two axes it takes) ---
 
 std::string to_string(topology_kind k);
 std::string to_string(adversary_kind k);
 std::string to_string(core::propagation_mode m);
 std::string to_string(bb::bb_protocol p);
 std::string to_string(bb::claim_backend b);
-topology_kind topology_kind_from_string(std::string_view s);
 adversary_kind adversary_kind_from_string(std::string_view s);
-core::propagation_mode propagation_from_string(std::string_view s);
-bb::bb_protocol flag_protocol_from_string(std::string_view s);
 bb::claim_backend claim_backend_from_string(std::string_view s);
 
 }  // namespace nab::runtime

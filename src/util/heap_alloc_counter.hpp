@@ -1,9 +1,8 @@
 #pragma once
 
-// Binary-wide operator-new interposition counter, shared by the allocation
-// benchmarks (bench_micro_session) and the arena regression harness
-// (tests/sim/test_run_arena.cpp) so their "allocs" numbers mean the same
-// thing.
+// Binary-wide operator-new interposition counter for the allocation-count
+// tests: the arena regression harness (tests/sim/test_run_arena.cpp) and
+// the obs zero-overhead test (tests/obs/test_zero_overhead.cpp).
 //
 // Include this from EXACTLY ONE translation unit per binary: it defines the
 // global replacement allocation functions, which are program-wide and (per

@@ -40,11 +40,14 @@ TEST(Collector, CounterAndGaugeNamesAreUnique) {
     for (int j = i + 1; j < counter_count; ++j)
       EXPECT_NE(a, counter_name(static_cast<counter>(j)));
   }
-  for (int i = 0; i < gauge_count; ++i) {
-    const std::string a = gauge_name(static_cast<gauge>(i));
-    EXPECT_NE(a, "unknown_gauge");
-    for (int j = i + 1; j < gauge_count; ++j)
-      EXPECT_NE(a, gauge_name(static_cast<gauge>(j)));
+  // The gauge table lists every gauge in enum order, each under a distinct
+  // "margin_" name.
+  for (std::size_t i = 0; i < gauge_table.size(); ++i) {
+    const gauge_row& row = gauge_table[i];
+    EXPECT_EQ(static_cast<std::size_t>(row.id), i) << row.name;
+    EXPECT_EQ(std::string(gauge_name(row.id)).rfind("margin_", 0), 0u) << row.name;
+    for (std::size_t j = i + 1; j < gauge_table.size(); ++j)
+      EXPECT_NE(std::string(row.name), gauge_table[j].name);
   }
 }
 

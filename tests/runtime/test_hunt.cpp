@@ -87,10 +87,9 @@ TEST(HuntCorpus, EntriesReplayBitIdentically) {
   ASSERT_GT(corpus.champions.size(), 0u);
   for (const corpus_entry& e : corpus.champions) {
     const run_record rec = replay_entry(corpus, e);
-    EXPECT_EQ(rec.margin_quorum_slack, e.margin_quorum_slack) << e.context;
-    EXPECT_EQ(rec.margin_hold_surplus, e.margin_hold_surplus) << e.context;
-    EXPECT_EQ(rec.margin_dispute_headroom, e.margin_dispute_headroom)
-        << e.context;
+    for (const obs::gauge_row& row : obs::gauge_table)
+      EXPECT_EQ(e.margins[row.id], row.scored ? rec.gauges[row.id] : obs::gauge_unset)
+          << e.context << ' ' << row.name;
     EXPECT_EQ(record_signature(rec), e.signature) << e.context;
     EXPECT_EQ(margin_score(rec), e.score) << e.context;
     EXPECT_EQ(rec.ok(), e.ok) << e.context;
@@ -156,10 +155,9 @@ TEST(HuntCorpus, GoldenCorpusParsesAndReplays) {
   for (const corpus_entry& e : corpus.champions) {
     const run_record rec = replay_entry(corpus, e);
     EXPECT_TRUE(rec.ok()) << e.context;
-    EXPECT_EQ(rec.margin_quorum_slack, e.margin_quorum_slack) << e.context;
-    EXPECT_EQ(rec.margin_hold_surplus, e.margin_hold_surplus) << e.context;
-    EXPECT_EQ(rec.margin_dispute_headroom, e.margin_dispute_headroom)
-        << e.context;
+    for (const obs::gauge_row& row : obs::gauge_table)
+      EXPECT_EQ(e.margins[row.id], row.scored ? rec.gauges[row.id] : obs::gauge_unset)
+          << e.context << ' ' << row.name;
     EXPECT_EQ(record_signature(rec), e.signature) << e.context;
   }
 

@@ -126,10 +126,10 @@ TEST(LossyDeterminism, RecordsAreIdenticalAcrossJobCounts) {
 TEST(LossyRunner, RetryHeadroomGaugeIsRecordedOnlyUnderLoss) {
   const run_record lossy =
       execute_scenario(find_family("lossy_k7")->expand().front(), 0, 1);
-  EXPECT_GE(lossy.margin_retry_headroom, 0);
-  EXPECT_LE(lossy.margin_retry_headroom, 12);  // the default retry budget
+  EXPECT_GE(lossy.gauges[obs::gauge::retry_headroom], 0);
+  EXPECT_LE(lossy.gauges[obs::gauge::retry_headroom], 12);  // the default retry budget
   const run_record clean = execute_scenario(select_scenarios("fig1").front(), 0, 1);
-  EXPECT_EQ(clean.margin_retry_headroom, -1);
+  EXPECT_EQ(clean.gauges[obs::gauge::retry_headroom], -1);
   EXPECT_EQ(clean.counters[obs::counter::link_drops], 0u);
   EXPECT_EQ(clean.counters[obs::counter::link_retransmits], 0u);
 }

@@ -1,4 +1,4 @@
-// Invariant-margin gauges (run_record::margin_*): honest runs must keep the
+// Invariant-margin gauges (run_record::gauges): honest runs must keep the
 // -1 "never exercised" sentinel, every disputed run must record real
 // headroom, a hand-computed quorum slack on a small disputed K_7 run must
 // match what the collapsed backend records, and the promoted hunted_*
@@ -15,6 +15,8 @@
 
 namespace nab::runtime {
 namespace {
+
+using obs::gauge;
 
 scenario k7_base() {
   scenario s;
@@ -36,9 +38,9 @@ TEST(Margins, HonestRunsCarrySentinels) {
   ASSERT_EQ(rec.dispute_phases, 0);
   // No dispute phase ran, so no gauge was ever exercised: all three must
   // keep the -1 sentinel, not a stale or zero value.
-  EXPECT_EQ(rec.margin_quorum_slack, -1);
-  EXPECT_EQ(rec.margin_hold_surplus, -1);
-  EXPECT_EQ(rec.margin_dispute_headroom, -1);
+  EXPECT_EQ(rec.gauges[gauge::quorum_slack], -1);
+  EXPECT_EQ(rec.gauges[gauge::hold_surplus], -1);
+  EXPECT_EQ(rec.gauges[gauge::dispute_headroom], -1);
 }
 
 TEST(Margins, HandComputedSlackOnDisputedK7) {
@@ -53,11 +55,11 @@ TEST(Margins, HandComputedSlackOnDisputedK7) {
   const run_record rec = execute_scenario(s, 0, 1);
   ASSERT_TRUE(rec.ok());
   ASSERT_GT(rec.dispute_phases, 0);
-  EXPECT_EQ(rec.margin_quorum_slack, 2);
-  EXPECT_EQ(rec.margin_hold_surplus, 2);
+  EXPECT_EQ(rec.gauges[gauge::quorum_slack], 2);
+  EXPECT_EQ(rec.gauges[gauge::hold_surplus], 2);
   // f(f+1) = 6 is the paper's dispute-phase bound; at least one phase ran.
-  EXPECT_GE(rec.margin_dispute_headroom, 0);
-  EXPECT_LT(rec.margin_dispute_headroom, 6);
+  EXPECT_GE(rec.gauges[gauge::dispute_headroom], 0);
+  EXPECT_LT(rec.gauges[gauge::dispute_headroom], 6);
 }
 
 TEST(Margins, DisputedRunsAlwaysRecordGauges) {
@@ -75,16 +77,35 @@ TEST(Margins, DisputedRunsAlwaysRecordGauges) {
     ASSERT_TRUE(rec.ok()) << rec.scenario;
     if (rec.dispute_phases == 0) continue;
     ++disputed;
-    EXPECT_GE(rec.margin_dispute_headroom, 0) << rec.scenario;
+    EXPECT_GE(rec.gauges[gauge::dispute_headroom], 0) << rec.scenario;
     if (rec.claim_backend == "collapsed") {
       ++collapsed_disputed;
-      EXPECT_GE(rec.margin_quorum_slack, 0) << rec.scenario;
-      EXPECT_GE(rec.margin_hold_surplus, 0) << rec.scenario;
+      EXPECT_GE(rec.gauges[gauge::quorum_slack], 0) << rec.scenario;
+      EXPECT_GE(rec.gauges[gauge::hold_surplus], 0) << rec.scenario;
     }
   }
   // The selection must actually exercise both properties.
   EXPECT_GE(disputed, 10);
   EXPECT_GE(collapsed_disputed, 6);
+}
+
+TEST(Margins, BarrenLossyPhaseStillRecordsHeadroom) {
+  // An honest K_7 session over heavy loss: at run 58 erasures trip the
+  // mismatch flag once, and the dispute phase that follows is barren — no
+  // new dispute, no conviction. The bound does not count barren phases on
+  // lossy runs, so the headroom is the full f(f+1) = 6, but a phase did run
+  // and the gauge must say so rather than keep the -1 sentinel.
+  scenario s = k7_base();
+  s.adversary = adversary_kind::honest;
+  s.loss = "heavy";
+  s.instances = 8;
+  s.words = 64;
+  const run_record rec = execute_scenario(s, 58, 1);
+  ASSERT_TRUE(rec.ok());
+  ASSERT_GT(rec.dispute_phases, 0);
+  ASSERT_EQ(rec.disputes, 0);
+  ASSERT_EQ(rec.convictions, 0);
+  EXPECT_EQ(rec.gauges[gauge::dispute_headroom], 6);
 }
 
 TEST(Margins, HuntedPresetsBeatEveryHandWrittenStrategy) {
@@ -100,11 +121,11 @@ TEST(Margins, HuntedPresetsBeatEveryHandWrittenStrategy) {
   ASSERT_EQ(hunted.size(), 4u);
   for (const run_record& rec : hunted) ASSERT_TRUE(rec.ok()) << rec.scenario;
 
-  EXPECT_EQ(hunted[0].margin_quorum_slack, 0);  // hunted_k7_quorum
-  EXPECT_EQ(hunted[1].margin_hold_surplus, 0);  // hunted_k7_hold
-  EXPECT_EQ(hunted[2].margin_quorum_slack, 2);  // hunted_k9_quorum
-  EXPECT_EQ(hunted[3].margin_hold_surplus, 1);  // hunted_k9_hold
-  EXPECT_EQ(hunted[3].margin_quorum_slack, 2);
+  EXPECT_EQ(hunted[0].gauges[gauge::quorum_slack], 0);  // hunted_k7_quorum
+  EXPECT_EQ(hunted[1].gauges[gauge::hold_surplus], 0);  // hunted_k7_hold
+  EXPECT_EQ(hunted[2].gauges[gauge::quorum_slack], 2);  // hunted_k9_quorum
+  EXPECT_EQ(hunted[3].gauges[gauge::hold_surplus], 1);  // hunted_k9_hold
+  EXPECT_EQ(hunted[3].gauges[gauge::quorum_slack], 2);
 
   // Hand-written baselines on the same topologies. On K_7 the hand-written
   // presets never even reach the collapsed backend's quorum gauges; the
@@ -113,15 +134,15 @@ TEST(Margins, HuntedPresetsBeatEveryHandWrittenStrategy) {
   std::int64_t k9_slack = 1'000'000;
   std::int64_t k9_hold = 1'000'000;
   for (const run_record& rec : run_sweep(select_scenarios("ablation-claims"), 1, 2)) {
-    if (rec.margin_quorum_slack >= 0)
-      k9_slack = std::min(k9_slack, rec.margin_quorum_slack);
-    if (rec.margin_hold_surplus >= 0)
-      k9_hold = std::min(k9_hold, rec.margin_hold_surplus);
+    if (rec.gauges[gauge::quorum_slack] >= 0)
+      k9_slack = std::min(k9_slack, rec.gauges[gauge::quorum_slack]);
+    if (rec.gauges[gauge::hold_surplus] >= 0)
+      k9_hold = std::min(k9_hold, rec.gauges[gauge::hold_surplus]);
   }
-  EXPECT_LT(hunted[0].margin_quorum_slack, 2);
-  EXPECT_LT(hunted[1].margin_hold_surplus, 2);
-  EXPECT_LT(hunted[2].margin_quorum_slack, k9_slack);
-  EXPECT_LT(hunted[3].margin_hold_surplus, k9_hold);
+  EXPECT_LT(hunted[0].gauges[gauge::quorum_slack], 2);
+  EXPECT_LT(hunted[1].gauges[gauge::hold_surplus], 2);
+  EXPECT_LT(hunted[2].gauges[gauge::quorum_slack], k9_slack);
+  EXPECT_LT(hunted[3].gauges[gauge::hold_surplus], k9_hold);
 }
 
 TEST(Margins, HuntedPresetsReplayBitIdentically) {

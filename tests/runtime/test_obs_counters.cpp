@@ -37,7 +37,7 @@ TEST(ObsCounters, PopulateOnACertifiedRun) {
   // gauge keeps its -1 "never exercised" sentinel like the quorum gauges
   // (tests/runtime/test_margins.cpp pins the disputed cases).
   ASSERT_EQ(r.dispute_phases, 0);
-  EXPECT_EQ(r.margin_dispute_headroom, -1);
+  EXPECT_EQ(r.gauges[obs::gauge::dispute_headroom], -1);
   // Phase wall totals are recorded even without span capture.
   EXPECT_FALSE(r.timing.wall_by_phase.empty());
   bool saw_phase1 = false;
@@ -87,9 +87,9 @@ TEST(ObsCounters, ClaimTalliesAndMarginsOnDisputedCollapsedRuns) {
     EXPECT_GT(r.counters[obs::counter::claim_echoes], 0u) << r.scenario;
     EXPECT_GT(r.counters[obs::counter::claim_readys], 0u) << r.scenario;
     // Quorums were met, so the recorded minima are true non-negative slack.
-    EXPECT_GE(r.margin_quorum_slack, 0) << r.scenario;
-    EXPECT_GE(r.margin_hold_surplus, 0) << r.scenario;
-    EXPECT_LE(r.margin_dispute_headroom,
+    EXPECT_GE(r.gauges[obs::gauge::quorum_slack], 0) << r.scenario;
+    EXPECT_GE(r.gauges[obs::gauge::hold_surplus], 0) << r.scenario;
+    EXPECT_LE(r.gauges[obs::gauge::dispute_headroom],
               static_cast<std::int64_t>(r.f) * (r.f + 1));
   }
   EXPECT_TRUE(saw_collapsed_dispute);
@@ -118,11 +118,8 @@ TEST(ObsCounters, IdenticalAcrossPooledAndUnpooledSessions) {
       continue;  // allowed (and expected) to differ
     EXPECT_EQ(pooled.value(row.id), unpooled.value(row.id)) << row.name;
   }
-  for (int i = 0; i < obs::gauge_count; ++i) {
-    const auto g = static_cast<obs::gauge>(i);
-    EXPECT_EQ(pooled.gauge_value(g), unpooled.gauge_value(g))
-        << obs::gauge_name(g);
-  }
+  for (const obs::gauge_row& row : obs::gauge_table)
+    EXPECT_EQ(pooled.gauge_value(row.id), unpooled.gauge_value(row.id)) << row.name;
   // Span structure (names and depths, in order) must match too — modulo the
   // documented omega_cache caveat: fill spans appear only on the run that
   // pays the process-wide miss, which here is the first session.
@@ -185,6 +182,53 @@ TEST(ObsCounters, EveryCounterRowIsExportedOnceUnderItsSet) {
     gf_sum += doc.find(key)->int_value();
   ASSERT_NE(doc.find("gf_ops"), nullptr);
   EXPECT_EQ(doc.find("gf_ops")->int_value(), gf_sum);
+}
+
+TEST(ObsCounters, EveryGaugeRowIsExportedOnce) {
+  // The gauge table is the only declaration: each row appears exactly once
+  // at the top level of the exported record (never under "timing"), each
+  // corpus entry carries exactly the scored rows, and margin_score sums the
+  // scored rows. Every row gets a distinct value and one scored row stays
+  // unset, so a swapped, dropped or unscored key shows.
+  run_record r;
+  for (const obs::gauge_row& row : obs::gauge_table)
+    r.gauges[row.id] = 10 + static_cast<std::int64_t>(row.id);
+  r.gauges[obs::gauge::hold_surplus] = obs::gauge_unset;
+  const auto occurrences = [](const json& obj, std::string_view key) {
+    return std::count_if(obj.members().begin(), obj.members().end(),
+                         [&](const auto& m) { return m.first == key; });
+  };
+  const json doc = r.to_json(/*include_timing=*/true);
+  const json* timing = doc.find("timing");
+  ASSERT_NE(timing, nullptr);
+  for (const obs::gauge_row& row : obs::gauge_table) {
+    EXPECT_EQ(occurrences(doc, row.name), 1) << row.name;
+    EXPECT_EQ(occurrences(*timing, row.name), 0) << row.name;
+    ASSERT_NE(doc.find(row.name), nullptr) << row.name;
+    EXPECT_EQ(doc.find(row.name)->int_value(), r.gauges[row.id]) << row.name;
+  }
+
+  hunt_corpus corpus;
+  corpus_entry e;
+  e.context = "ctx";
+  for (const obs::gauge_row& row : obs::gauge_table)
+    if (row.scored) e.margins[row.id] = r.gauges[row.id];
+  corpus.champions.push_back(e);
+  const json corpus_doc = corpus_document(corpus);
+  const json& entry = corpus_doc.find("champions")->elements().front();
+  std::int64_t want_score = 0;
+  int scored = 0;
+  for (const obs::gauge_row& row : obs::gauge_table) {
+    EXPECT_EQ(occurrences(entry, row.name), row.scored ? 1 : 0) << row.name;
+    if (!row.scored) continue;
+    ++scored;
+    EXPECT_EQ(entry.find(row.name)->int_value(), r.gauges[row.id]) << row.name;
+    want_score += r.gauges[row.id] == obs::gauge_unset ? 1000 : r.gauges[row.id];
+  }
+  EXPECT_GT(scored, 0);
+  EXPECT_LT(scored, obs::gauge_count);
+  EXPECT_EQ(corpus_from_text(corpus_doc.dump()).champions.front(), e);
+  EXPECT_EQ(margin_score(r), want_score);
 }
 
 TEST(ObsCounters, ClaimFallbacksCounterMatchesSessionStats) {

@@ -44,19 +44,22 @@ TEST(Registry, SelectByNameMatchesExpandAndRejectsUnknown) {
 }
 
 TEST(Registry, EnumStringsRoundTrip) {
+  // Topology kinds are only ever printed (the record's "topology" key), so
+  // what must hold is that no two kinds print the same name.
+  std::set<std::string> topology_names;
   for (auto k : {topology_kind::complete, topology_kind::fig1a, topology_kind::fig1b,
                  topology_kind::fig2, topology_kind::ring, topology_kind::erdos_renyi,
                  topology_kind::random_regular, topology_kind::hypercube,
                  topology_kind::clustered_wan, topology_kind::dumbbell,
                  topology_kind::weak_link, topology_kind::path_of_cliques})
-    EXPECT_EQ(topology_kind_from_string(to_string(k)), k);
+    EXPECT_TRUE(topology_names.insert(to_string(k)).second) << to_string(k);
+  EXPECT_EQ(topology_names.count("?"), 0u);
   for (auto k : {adversary_kind::honest, adversary_kind::p1_garble,
                  adversary_kind::equivocate, adversary_kind::p2_lie,
                  adversary_kind::false_flag, adversary_kind::stealth,
                  adversary_kind::dispute_farm, adversary_kind::chaos})
     EXPECT_EQ(adversary_kind_from_string(to_string(k)), k);
   // Unknown names fail loudly rather than map onto a default.
-  EXPECT_THROW(topology_kind_from_string("torus"), nab::error);
   EXPECT_THROW(adversary_kind_from_string("quantum"), nab::error);
 }
 
@@ -234,7 +237,6 @@ TEST(Registry, PipelinedPropagationIsARunnableAxis) {
   for (const scenario& s : sweep)
     if (s.propagation == core::propagation_mode::pipelined) pipelined = &s;
   ASSERT_NE(pipelined, nullptr);
-  EXPECT_EQ(propagation_from_string("pipelined"), core::propagation_mode::pipelined);
 
   const run_record rec = execute_scenario(*pipelined, 2, 11);
   EXPECT_TRUE(rec.ok()) << rec.scenario;

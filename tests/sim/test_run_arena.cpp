@@ -15,8 +15,7 @@
 #include "sim/faults.hpp"
 // Binary-wide operator-new interposition (counts every heap allocation this
 // test binary makes; measurements take deltas around the measured region
-// with no gtest assertions in between). Shared with bench_micro_session so
-// both harnesses count identically.
+// with no gtest assertions in between).
 #include "util/heap_alloc_counter.hpp"
 #include "util/rng.hpp"
 
