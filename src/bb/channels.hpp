@@ -165,7 +165,8 @@ class relay_adversary {
 /// the full payload size in the step where the round ends.
 ///
 /// Accounting model: multi-hop forwarding within one synchronous step
-/// (cut-through); see DESIGN.md §2.
+/// (cut-through, the paper's zero-propagation-delay model; see
+/// core::propagation_mode::cut_through).
 ///
 /// Charging: on clean networks (no link-fault model attached) every copy
 /// arrives, so each message is one bulk charge of its pair's precomputed

@@ -55,6 +55,16 @@ void session::refresh_graph_state() {
   uk_ = analysis_->uk;
   rho_ = analysis_->rho;
 
+  // G_{k+1} drops only convicted nodes and edges between disputed pairs, so
+  // Omega_{k+1} is a subset of Omega_k and each of its H induces the same
+  // subgraph, hence the same check matrix C_H, as before: a coding certified
+  // for Omega_k stays certified while rho_k holds.
+  if (certified_rho_ == rho_) {
+    dirty_ = false;
+    return;
+  }
+  certified_rho_ = 0;
+
   // Generate (and, if affordable, certify) the shared coding matrices. Theorem 1
   // makes failure vanishingly unlikely; regeneration with a fresh seed is
   // the correct response when it does happen. When the rank checks would be
@@ -76,10 +86,14 @@ void session::refresh_graph_state() {
       obs::scoped_span cert_span("certify");
       certified = certify_coding_batched(gk_, cfg_.f, record_, coding_).ok;
     }
-    if (certified) break;
+    if (certified) {
+      certified_rho_ = rho_;
+      break;
+    }
     if (attempt >= 8)
-      throw error("session: failed to certify coding matrices after 8 seeds — "
-                  "U_k is likely too small for rho_k (see DESIGN.md §8)");
+      throw error("session: failed to certify coding matrices after 9 seeds — "
+                  "U_k is likely too small for rho_k (Theorem 1 needs "
+                  "rho_k <= U_k/2)");
   }
   dirty_ = false;
 }
@@ -116,7 +130,12 @@ bb::channel_plan& session::ensure_channels() {
   return *channels_;
 }
 
-graph::capacity_t session::next_gamma() { return source_state_for(cfg_.source).gamma; }
+graph::capacity_t session::next_gamma() {
+  // A convicted source's instances take the default outcome, which reports
+  // gamma = 0; G_k no longer holds the source, so there is no min cut to ask.
+  if (!gk_.is_active(cfg_.source)) return 0;
+  return source_state_for(cfg_.source).gamma;
+}
 
 graph::capacity_t session::next_rho() {
   refresh_graph_state();
@@ -328,10 +347,14 @@ instance_report session::run_instance(const std::vector<word>& input,
       for (graph::node_id v : gk_.active_nodes())
         report.outputs[static_cast<std::size_t>(v)] = dc.agreed_value;
 
-      // Compute G_{k+1}: drop convicted nodes and disputed edges.
-      for (graph::node_id v : record_.convicted()) gk_.remove_node(v);
-      for (const auto& [a, b] : record_.pairs()) gk_.remove_edge_pair(a, b);
-      dirty_ = true;
+      // Compute G_{k+1}: drop convicted nodes and disputed edges. A barren
+      // phase (no new dispute, no conviction) leaves G_k, and everything
+      // derived from it, as it was.
+      if (!dc.new_disputes.empty() || !dc.newly_convicted.empty()) {
+        for (graph::node_id v : record_.convicted()) gk_.remove_node(v);
+        for (const auto& [a, b] : record_.pairs()) gk_.remove_edge_pair(a, b);
+        dirty_ = true;
+      }
     }
   }
 

@@ -150,12 +150,18 @@ class session {
   int instance_index() const { return stats_.instances; }
 
   /// gamma_k / rho_k that the *next* instance will use (for the configured
-  /// source; gamma is source-dependent).
+  /// source; gamma is source-dependent). gamma is 0 once the source is
+  /// convicted, as in the default-outcome report its instances produce.
   graph::capacity_t next_gamma();
   graph::capacity_t next_rho();
 
  private:
-  void refresh_graph_state();  // uk/rho/coding after G_k changed
+  /// Re-analyses G_k after a dispute phase that found evidence (or at
+  /// set-up): Omega_k, U_k, rho_k and the per-source plans. The coding is
+  /// generated and certified only when rho_k differs from the rho it was
+  /// certified for; otherwise the certified coding is kept, since it stays
+  /// certified for every later Omega_k at the same rho.
+  void refresh_graph_state();
   /// Per-source Phase-1 state (gamma_k and the arborescence packing depend
   /// on who broadcasts; U_k / rho_k / coding do not) — served from the
   /// process-wide omega_cache, shared read-only across sessions.
@@ -181,6 +187,7 @@ class session {
   graph::capacity_t uk_ = 0;
   graph::capacity_t rho_ = 0;
   coding_scheme coding_;
+  graph::capacity_t certified_rho_ = 0;  ///< rho coding_ was certified for; 0 = none
   std::map<graph::node_id, std::shared_ptr<const phase1_plan>> per_source_;
   std::optional<bb::channel_plan> channels_;
   std::uint64_t coding_generation_ = 0;

@@ -17,8 +17,10 @@ using word = gf::gf2_16::value_type;
 ///
 /// The paper represents the value as rho symbols from GF(2^{L/rho}); we
 /// realize each symbol as a vector of GF(2^16) slices and apply coding
-/// coefficients slice-wise (DESIGN.md §2). Symbol s consists of words
-/// [s*slices, (s+1)*slices).
+/// coefficients slice-wise. Each slice position is then its own equality
+/// check over GF(2^16), and values differ iff some slice does, so Theorem 1
+/// holds with field size 2^16 (theorem1_failure_bound). Symbol s consists of
+/// words [s*slices, (s+1)*slices).
 class value_vector {
  public:
   value_vector() = default;

@@ -71,8 +71,9 @@ std::vector<spanning_tree> pack_arborescences_reference(const digraph& g, node_i
 ///
 /// Nash-Williams/Tutte guarantee floor(U/2) trees exist when the global min
 /// cut is U; this packer is a randomized heuristic (exact packing is matroid
-/// union, which the protocol never needs — see DESIGN.md §8). Returns the
-/// packed trees, or an empty vector if all attempts fail.
+/// union, which the protocol never needs: Phase 1 packs directed
+/// arborescences with pack_arborescences). Returns the packed trees, or an
+/// empty vector if all attempts fail.
 std::vector<spanning_tree> pack_undirected_trees(const ugraph& g, int k, rng& rand,
                                                  int attempts = 64);
 

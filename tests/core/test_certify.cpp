@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "gf/linalg.hpp"
@@ -263,6 +265,84 @@ TEST(CertifyEstimate, TracksMeasuredWordsWithinBoundedFactorOnEveryDispatchPath)
     const double ratio = static_cast<double>(est) / static_cast<double>(measured);
     EXPECT_GE(ratio, 1.0 / 6.0) << c.name << " est=" << est << " meas=" << measured;
     EXPECT_LE(ratio, 6.0) << c.name << " est=" << est << " meas=" << measured;
+  }
+}
+
+TEST(Certify, CodingCertifiedForOmegaKStaysCertifiedWhileRhoHolds) {
+  // The subset lemma core::session relies on to keep its coding across
+  // dispute phases. G_{k+1} drops only convicted nodes and the edges between
+  // disputed pairs, so Omega_{k+1} is a subset of Omega_k, each of its H
+  // induces the same subgraph (hence the same C_H) as before, and
+  // U_{k+1} >= U_k: whenever rho holds, the coding certified for Omega_k
+  // certifies Omega_{k+1} under both certifiers. G_k evolves by random sound
+  // sequences — every dispute touches a hidden corrupt node, and only
+  // corrupt nodes are convicted.
+  struct lemma_case {
+    const char* name;
+    graph::digraph g;
+    int f;
+  };
+  const std::vector<lemma_case> cases = {
+      {"K7/f2", graph::complete(7), 2},
+      {"K13/f3", graph::complete(13), 3},
+      {"Q4/f1", graph::hypercube(4, 1), 1},
+      {"wan3x3/f1", graph::clustered_wan(3, 3, 4, 1), 1},  // registry clustered-wan
+  };
+  rng rand(2012);
+  for (const lemma_case& c : cases) {
+    int kept = 0;
+    for (int trial = 0; trial < 4; ++trial) {
+      graph::digraph g = c.g;
+      dispute_record record;
+      std::vector<graph::node_id> corrupt;
+      while (static_cast<int>(corrupt.size()) < c.f) {
+        const auto v = static_cast<graph::node_id>(rand.below(g.universe()));
+        if (std::find(corrupt.begin(), corrupt.end(), v) == corrupt.end())
+          corrupt.push_back(v);
+      }
+      auto omega = omega_subgraphs(g, c.f, record);
+      graph::capacity_t uk = compute_uk(g, c.f, record);
+      graph::capacity_t rho = compute_rho(uk);
+      coding_scheme coding =
+          coding_scheme::generate(g, static_cast<int>(rho), rand.next_u64());
+      ASSERT_TRUE(certify_coding_batched(g, c.f, record, coding).ok) << c.name;
+      for (int step = 0; step < 8; ++step) {
+        const graph::node_id bad = corrupt[rand.below(corrupt.size())];
+        if (!g.is_active(bad)) continue;
+        if (rand.below(4) == 0) {
+          record.convict(bad);
+        } else {
+          const auto active = g.active_nodes();
+          const graph::node_id other = active[rand.below(active.size())];
+          if (other == bad || record.in_dispute(bad, other)) continue;
+          record.add_dispute(bad, other);
+        }
+        for (graph::node_id v : record.convicted()) g.remove_node(v);
+        for (const auto& [a, b] : record.pairs()) g.remove_edge_pair(a, b);
+
+        const auto next_omega = omega_subgraphs(g, c.f, record);
+        if (next_omega.empty()) break;
+        const std::set<std::vector<graph::node_id>> before(omega.begin(), omega.end());
+        for (const auto& h : next_omega)
+          EXPECT_TRUE(before.count(h) > 0) << c.name << ": Omega_{k+1} grew";
+        const graph::capacity_t next_uk = compute_uk(g, c.f, record);
+        EXPECT_GE(next_uk, uk) << c.name;
+        const graph::capacity_t next_rho = compute_rho(next_uk);
+        if (next_rho == rho) {
+          ++kept;
+          EXPECT_TRUE(certify_coding(g, c.f, record, coding).ok) << c.name;
+          EXPECT_TRUE(certify_coding_batched(g, c.f, record, coding).ok) << c.name;
+        } else {
+          coding =
+              coding_scheme::generate(g, static_cast<int>(next_rho), rand.next_u64());
+          ASSERT_TRUE(certify_coding_batched(g, c.f, record, coding).ok) << c.name;
+        }
+        omega = next_omega;
+        uk = next_uk;
+        rho = next_rho;
+      }
+    }
+    EXPECT_GT(kept, 0) << c.name << ": no step kept rho";
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "obs/obs.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -298,6 +299,57 @@ TEST(Session, ConvictedRotatingSourceGetsDefaultOutcome) {
   const auto r = s.run_instance(random_words(4, rand), 2);  // convicted broadcasts
   EXPECT_TRUE(r.default_outcome);
   EXPECT_TRUE(r.agreement);
+}
+
+TEST(Session, NextGammaIsZeroOnceSourceConvicted) {
+  // The configured source is convicted while another node broadcasts. Its
+  // next instance takes the default outcome, so next_gamma() must report
+  // that outcome's gamma = 0, not ask G_k for a min cut from a node it no
+  // longer holds.
+  sim::fault_set faults(5, {2});
+  false_flagger adv;
+  session s({.g = graph::complete(5, 2), .f = 1, .source = 2}, faults, &adv);
+  rng rand(33);
+  s.run_instance(random_words(4, rand), 0);  // conviction happens here
+  ASSERT_TRUE(s.disputes().is_convicted(2));
+  EXPECT_EQ(s.next_rho(), 6);
+  EXPECT_EQ(s.next_gamma(), 0);
+  const auto r = s.run_instance(random_words(4, rand));
+  EXPECT_TRUE(r.default_outcome);
+  EXPECT_EQ(r.gamma, s.next_gamma());
+}
+
+TEST(Session, KeepsCertifiedCodingWhileRhoHolds) {
+  // Unit-capacity K_7 with f = 2: every H in Omega_k is a K_5 (U_k = 8), so
+  // rho stays 4 whatever disputes are found. The coding certified at set-up
+  // must serve every later G_k: dispute phases that find evidence refresh
+  // Omega_k but generate and certify nothing.
+  sim::fault_set faults(7, {2, 5});
+  stealth_disputer adv;
+  session_config cfg{.g = graph::complete(7), .f = 2};
+  cfg.claim_backend = bb::claim_backend::collapsed;
+  session s(cfg, faults, &adv);
+  obs::collector col;
+  obs::scoped_collector scope(&col);
+  ASSERT_EQ(s.next_rho(), 4);  // set-up certification
+  const std::uint64_t setup_subgraphs = col.value(obs::counter::cert_subgraphs);
+  const std::size_t setup_spans = col.spans().size();
+  ASSERT_GT(setup_subgraphs, 0u);
+
+  rng rand(10);
+  const auto reports = s.run_many(8, 8, rand);
+  check_session_invariants(s, faults, 2, reports);
+  ASSERT_FALSE(s.disputes().empty());
+  for (const auto& r : reports) EXPECT_EQ(r.rho, 4) << "instance " << r.index;
+  int refreshes = 0;
+  for (std::size_t i = setup_spans; i < col.spans().size(); ++i) {
+    const std::string& name = col.spans()[i].name;
+    refreshes += name == "refresh_graph";
+    EXPECT_NE(name, "coding_generate") << "span " << i;
+    EXPECT_NE(name, "certify") << "span " << i;
+  }
+  EXPECT_GT(refreshes, 0);  // G_k did change after set-up
+  EXPECT_EQ(col.value(obs::counter::cert_subgraphs), setup_subgraphs);
 }
 
 TEST(Session, CertifyCostCeilingSkipsButStillWorks) {
