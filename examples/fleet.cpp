@@ -1,13 +1,13 @@
-// fleet: registry-driven parallel scenario sweeps — the successor to the
-// ad-hoc per-topology loops that used to live in nabsim/capacity_planner.
-// Expands named scenario families from the runtime registry into a concrete
-// sweep, fans it out over a work-stealing shard pool, asserts the paper's
-// invariants (agreement, validity, dispute soundness) on every run, and
-// writes the machine-readable metrics to BENCH_runtime.json.
+// fleet: the one session driver. Expands named scenario families from the
+// runtime registry into a concrete sweep (or builds one ad-hoc scenario from
+// a topology file), fans it out over a work-stealing shard pool, asserts the
+// paper's invariants (agreement, validity, dispute soundness) on every run,
+// and writes the machine-readable metrics to BENCH_runtime.json.
 //
 // Usage:
 //   fleet --list                         show the preset catalog and exit
 //   fleet [options]                      run a sweep
+//   fleet --topology FILE [options]      run one session on FILE's network
 //   fleet --hunt [options]               coverage-guided adversary search
 //
 // Options (sweep):
@@ -25,6 +25,15 @@
 //                     run, spans nested phase1/equality_check/flags/phase3
 //                     down to the claim sub-rounds
 //   --quiet           suppress the per-run progress lines
+//
+// Options (--topology; one run of 4 instances x 64 words from node 0 on the
+// sweep path, so the sweep options but --scenario apply):
+//   --topology FILE   nodes/edge/biedge lines (graph/topology_io.hpp)
+//   --f F             fault budget (default 1)
+//   --adversary KIND  a registry adversary name (default honest)
+//   --corrupt A,B     corrupt node ids, at most F (default: F nodes drawn
+//                     from the run seed, as in a registry sweep)
+//   `capacity_planner FILE F` prints the paper's bounds for the same file.
 //
 // Options (hunt — see docs/HUNT.md and runtime/hunt.hpp):
 //   --hunt-families NAMES  families whose (topology, f) pairs become hunt
@@ -47,13 +56,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/omega_cache.hpp"
 #include "runtime/runtime.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -125,16 +137,34 @@ int run_hunt_mode(const nab::runtime::fleet_options& opt) {
   return 0;
 }
 
-int run_sweep_mode(const nab::runtime::fleet_options& opt) {
+/// The runs a sweep asks for: the named registry families, or the one
+/// scenario --topology builds from its file.
+std::vector<nab::runtime::scenario> select_sweep(
+    const nab::runtime::fleet_options& opt) {
   using namespace nab::runtime;
-  std::vector<scenario> sweep = select_scenarios(opt.scenarios);
+  if (opt.topology_path.empty()) return select_scenarios(opt.scenarios);
+  std::ifstream in(opt.topology_path);
+  if (!in)
+    throw nab::error("fleet: cannot open --topology file '" + opt.topology_path +
+                     "'");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return {topology_file_scenario(opt.topology_path, text.str(), opt.f,
+                                 opt.adversary, opt.corrupt)};
+}
+
+int run_sweep_mode(const nab::runtime::fleet_options& opt,
+                   std::vector<nab::runtime::scenario> sweep) {
+  using namespace nab::runtime;
+  const std::string& sweep_name =
+      opt.topology_path.empty() ? opt.scenarios : opt.topology_path;
   // --loss overrides the link-fault axis of every selected scenario but
   // never their names: the zero-loss byte-identity guard diffs a --loss
   // zero sweep against a clean one record-for-record.
   if (!opt.loss.empty())
     for (scenario& s : sweep) s.loss = opt.loss;
   std::printf("fleet: %zu runs (%s%s%s), %d job%s, seed %llu\n", sweep.size(),
-              opt.scenarios.c_str(), opt.loss.empty() ? "" : ", loss ",
+              sweep_name.c_str(), opt.loss.empty() ? "" : ", loss ",
               opt.loss.c_str(), opt.jobs, opt.jobs == 1 ? "" : "s",
               static_cast<unsigned long long>(opt.seed));
 
@@ -199,19 +229,19 @@ int run_sweep_mode(const nab::runtime::fleet_options& opt) {
   }
 
   if (opt.json_path != "-") {
-    write_json_file(opt.json_path, sweep_document(opt.scenarios, opt.seed,
+    write_json_file(opt.json_path, sweep_document(sweep_name, opt.seed,
                                                   opt.jobs, records, wall,
                                                   &family_walls));
     std::printf("fleet: wrote %s\n", opt.json_path.c_str());
   }
   if (!opt.trace_path.empty()) {
     write_json_file(opt.trace_path,
-                    trace_document(opt.scenarios, opt.seed, records));
+                    trace_document(sweep_name, opt.seed, records));
     std::printf("fleet: wrote %s\n", opt.trace_path.c_str());
   }
   if (!opt.timeline_path.empty()) {
     write_json_file(opt.timeline_path,
-                    timeline_document(opt.scenarios, opt.seed, records));
+                    timeline_document(sweep_name, opt.seed, records));
     std::printf("fleet: wrote %s\n", opt.timeline_path.c_str());
   }
 
@@ -227,9 +257,13 @@ int run_sweep_mode(const nab::runtime::fleet_options& opt) {
 
 int main(int argc, char** argv) {
   nab::runtime::fleet_options opt;
+  std::vector<nab::runtime::scenario> sweep;
+  // Bad input, the sweep selection and the --topology file included, exits
+  // 2 before any run starts.
   try {
     opt = nab::runtime::parse_fleet_args(
         std::vector<std::string>(argv + 1, argv + argc));
+    if (!opt.list && !opt.hunt) sweep = select_sweep(opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n%s", e.what(), nab::runtime::fleet_usage().c_str());
     return 2;
@@ -240,7 +274,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
-    return opt.hunt ? run_hunt_mode(opt) : run_sweep_mode(opt);
+    return opt.hunt ? run_hunt_mode(opt) : run_sweep_mode(opt, std::move(sweep));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "fleet: %s\n", e.what());
     return 1;

@@ -22,7 +22,6 @@
 #include "core/omega.hpp"
 #include "core/phase1.hpp"
 #include "core/pipeline.hpp"
-#include "core/report.hpp"
 #include "core/session.hpp"
 #include "core/strategies.hpp"
 #include "core/value.hpp"

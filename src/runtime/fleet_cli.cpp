@@ -10,6 +10,11 @@ std::string fleet_usage() {
       "usage: fleet [--list] [--scenario NAMES|all] [--jobs N] [--seed S]\n"
       "             [--json FILE] [--trace FILE] [--timeline FILE] [--quiet]\n"
       "             [--loss none|zero|light|bursty|heavy|pG,pB,pG2B,pB2G]\n"
+      "       fleet --topology FILE [--f F] [--adversary KIND] [--corrupt A,B]\n"
+      "             [--loss SPEC] [--seed S] [--json FILE] [--trace FILE]\n"
+      "             [--timeline FILE] [--quiet]\n"
+      "             KIND: honest|p1_garble|equivocate|p2_lie|false_flag|stealth|\n"
+      "                   dispute_farm|chaos\n"
       "       fleet --hunt [--hunt-families NAMES] [--budget N] [--population N]\n"
       "             [--hunt-words N] [--hunt-instances N] [--hunt-corpus FILE]\n"
       "             [--jobs N] [--seed S] [--quiet]\n";
@@ -37,8 +42,30 @@ int parse_int_flag(const std::string& flag, const std::string& text) {
   return static_cast<int>(v);
 }
 
+namespace {
+
+/// "A,B,..." -> node ids; every item, empty ones included, must parse.
+std::vector<graph::node_id> parse_node_list(const std::string& flag,
+                                            const std::string& csv) {
+  std::vector<graph::node_id> ids;
+  std::string item;
+  for (char c : csv + ",") {
+    if (c != ',') {
+      item.push_back(c);
+      continue;
+    }
+    ids.push_back(parse_int_flag(flag, item));
+    item.clear();
+  }
+  return ids;
+}
+
+}  // namespace
+
 fleet_options parse_fleet_args(const std::vector<std::string>& args) {
   fleet_options opt;
+  bool scenario_given = false;
+  std::string adhoc_flag;  // the last --f/--adversary/--corrupt seen
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     const auto next = [&]() -> const std::string& {
@@ -50,6 +77,7 @@ fleet_options parse_fleet_args(const std::vector<std::string>& args) {
       opt.list = true;
     } else if (a == "--scenario") {
       opt.scenarios = next();
+      scenario_given = true;
     } else if (a == "--jobs") {
       opt.jobs = parse_int_flag(a, next());
       if (opt.jobs < 1) opt.jobs = 1;
@@ -68,6 +96,17 @@ fleet_options parse_fleet_args(const std::vector<std::string>& args) {
       if (opt.loss != "none") sim::parse_loss_spec(opt.loss);
     } else if (a == "--quiet") {
       opt.quiet = true;
+    } else if (a == "--topology") {
+      opt.topology_path = next();
+    } else if (a == "--f") {
+      opt.f = parse_int_flag(a, next());
+      adhoc_flag = a;
+    } else if (a == "--adversary") {
+      opt.adversary = adversary_kind_from_string(next());
+      adhoc_flag = a;
+    } else if (a == "--corrupt") {
+      opt.corrupt = parse_node_list(a, next());
+      adhoc_flag = a;
     } else if (a == "--hunt") {
       opt.hunt = true;
     } else if (a == "--hunt-families") {
@@ -91,6 +130,13 @@ fleet_options parse_fleet_args(const std::vector<std::string>& args) {
     } else {
       throw error("fleet: unknown flag '" + a + "'");
     }
+  }
+  if (opt.topology_path.empty()) {
+    if (!adhoc_flag.empty())
+      throw error("fleet: " + adhoc_flag + " needs --topology FILE");
+  } else if (scenario_given || opt.hunt) {
+    throw error(std::string("fleet: --topology cannot be combined with ") +
+                (opt.hunt ? "--hunt" : "--scenario"));
   }
   return opt;
 }

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "runtime/scenario.hpp"
+
 /// Argument parsing for the `fleet` driver (examples/fleet.cpp), extracted
 /// into the library so the parse paths are unit-testable: unknown flags are
 /// rejected with an error naming the flag (a typo like `--sced` must never
@@ -14,7 +16,7 @@
 
 namespace nab::runtime {
 
-/// Everything the fleet CLI can configure. One struct for both modes; the
+/// Everything the fleet CLI can configure. One struct for every mode; the
 /// hunt fields are ignored unless `hunt` is set.
 struct fleet_options {
   bool list = false;           ///< --list: print the preset catalog and exit
@@ -30,6 +32,14 @@ struct fleet_options {
   /// Validated at parse time — unknown/malformed specs are rejected by name.
   std::string loss;
   bool quiet = false;
+
+  // --- fleet --topology: one run (runtime::topology_file_scenario) in place
+  // of the sweep; the other three flags need it, --scenario/--hunt refuse it.
+  std::string topology_path;   ///< --topology FILE (empty = registry sweep)
+  int f = 1;                   ///< --f: fault budget
+  adversary_kind adversary = adversary_kind::honest;  ///< --adversary KIND
+  /// --corrupt A,B: explicit corrupt ids (empty = the runner's seeded draw).
+  std::vector<graph::node_id> corrupt;
 
   // --- fleet --hunt: coverage-guided adversary search (runtime/hunt.hpp) ---
   bool hunt = false;
@@ -50,11 +60,13 @@ struct fleet_options {
 std::string fleet_usage();
 
 /// Parses fleet arguments (argv[1..], shell-split). Throws nab::error on an
-/// unknown flag (naming it), a flag missing its value, or a malformed
-/// number; never exits and never silently ignores input.
+/// unknown flag (naming it), a flag missing its value, a malformed number or
+/// name, or an ad-hoc flag outside its --topology mode; never exits and never
+/// silently ignores input.
 fleet_options parse_fleet_args(const std::vector<std::string>& args);
 
-/// Strict non-negative integer parse for flag values (fleet and nabsim).
+/// Strict non-negative integer parse for flag values (fleet, capacity_planner
+/// and replicated_log).
 /// Throws nab::error (naming `flag`) on empty input, sign, trailing junk, or
 /// overflow.
 std::uint64_t parse_u64_flag(const std::string& flag, const std::string& text);

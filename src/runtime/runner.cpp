@@ -196,7 +196,8 @@ run_record execute_scenario(const scenario& s, int run_index,
   const bool pin_source = s.adversary == adversary_kind::equivocate ||
                           (genome && genome->corrupt_source != 0);
   const std::vector<graph::node_id> corrupt =
-      pick_corrupt(s, g.universe(), pick_rand, pin_source);
+      s.corrupt.empty() ? pick_corrupt(s, g.universe(), pick_rand, pin_source)
+                        : s.corrupt;
   rec.corrupt.assign(corrupt.begin(), corrupt.end());
   sim::fault_set faults(g.universe(), corrupt);
 

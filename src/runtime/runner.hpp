@@ -11,8 +11,9 @@ namespace nab::runtime {
 /// Executes one concrete scenario end to end on the calling thread: derives
 /// the run seed from (sweep_seed, run_index), materializes the topology
 /// (reseeding random generators until NAB's preconditions hold), picks the
-/// corrupt set, instantiates the adversary, runs the session via
-/// core::run_session, and evaluates every paper invariant into the record.
+/// corrupt set (unless scenario::corrupt names it), instantiates the
+/// adversary, runs the session via core::run_session, and evaluates every
+/// paper invariant into the record.
 /// A pure function of its arguments — the determinism contract rests on it.
 /// `capture_trace` attaches a per-run ambient traffic trace
 /// (sim::scoped_ambient_trace, thread-confined) and reduces it into

@@ -1,9 +1,11 @@
 #include "runtime/scenario.hpp"
 
 #include <algorithm>
+#include <set>
 
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "graph/topology_io.hpp"
 #include "runtime/hunt.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
@@ -38,6 +40,8 @@ graph::digraph build_topology(const topology_spec& spec, rng& rand) {
       return graph::complete_with_weak_link(spec.n, spec.cap_lo);
     case topology_kind::path_of_cliques:
       return graph::path_of_cliques(spec.param_a, spec.param_b, spec.cap_lo);
+    case topology_kind::file:
+      return graph::parse_topology_text(spec.text);
   }
   throw error("build_topology: unhandled topology kind");
 }
@@ -53,6 +57,8 @@ int topology_nodes(const topology_spec& spec) {
     case topology_kind::clustered_wan:
     case topology_kind::path_of_cliques:
       return spec.param_a * spec.param_b;
+    case topology_kind::file:
+      return graph::parse_topology_text(spec.text).universe();
     default:
       return spec.n;
   }
@@ -636,7 +642,7 @@ const scenario_family* find_family(std::string_view name) {
 
 std::vector<scenario> select_scenarios(std::string_view names) {
   std::vector<scenario> out;
-  if (names == "all" || names.empty()) {
+  if (names == "all") {
     for (const scenario_family& fam : registry()) {
       auto expanded = fam.expand();
       out.insert(out.end(), expanded.begin(), expanded.end());
@@ -646,6 +652,7 @@ std::vector<scenario> select_scenarios(std::string_view names) {
   std::string csv(names);
   csv.push_back(',');
   std::string cur;
+  std::set<std::string> seen;
   for (char c : csv) {
     if (c != ',') {
       cur.push_back(c);
@@ -654,11 +661,58 @@ std::vector<scenario> select_scenarios(std::string_view names) {
     if (cur.empty()) continue;
     const scenario_family* fam = find_family(cur);
     if (fam == nullptr) throw error("unknown scenario family '" + cur + "'");
+    if (!seen.insert(cur).second)
+      throw error("scenario family '" + cur + "' is named twice in '" +
+                  std::string(names) + "'");
     auto expanded = fam->expand();
     out.insert(out.end(), expanded.begin(), expanded.end());
     cur.clear();
   }
+  // Only "all" asks for everything: an empty list must not widen the sweep.
+  if (seen.empty())
+    throw error("scenario list '" + std::string(names) + "' names no family");
   return out;
+}
+
+scenario topology_file_scenario(const std::string& path, const std::string& text,
+                                int f, adversary_kind adversary,
+                                std::vector<graph::node_id> corrupt) {
+  if (adversary == adversary_kind::hunted)
+    throw error("--adversary hunted replays a genome, which --topology runs "
+                "cannot carry");
+  int n = 0;
+  try {
+    n = graph::parse_topology_text(text).universe();
+  } catch (const error& e) {
+    throw error(path + ": " + e.what());
+  }
+  // The checks fault_set would otherwise assert on, reported by value.
+  std::sort(corrupt.begin(), corrupt.end());
+  for (std::size_t i = 0; i < corrupt.size(); ++i) {
+    if (corrupt[i] < 0 || corrupt[i] >= n)
+      throw error("--corrupt node " + std::to_string(corrupt[i]) + " is not one of " +
+                  path + "'s " + std::to_string(n) + " nodes");
+    if (i > 0 && corrupt[i] == corrupt[i - 1])
+      throw error("--corrupt names node " + std::to_string(corrupt[i]) + " twice");
+  }
+  if (corrupt.size() > static_cast<std::size_t>(f))
+    throw error("--corrupt names " + std::to_string(corrupt.size()) +
+                " nodes, more than the fault budget --f " + std::to_string(f));
+  // The runner pins the source into a drawn set for this strategy; an
+  // explicit set without it would run an equivocator that never acts.
+  if (adversary == adversary_kind::equivocate && !corrupt.empty() &&
+      !std::binary_search(corrupt.begin(), corrupt.end(), 0))
+    throw error("--adversary equivocate needs the source, node 0, in --corrupt");
+  scenario s;
+  s.name = path;
+  s.family = "topology";
+  s.topology = {.kind = topology_kind::file, .text = text};
+  s.f = f;
+  s.adversary = adversary;
+  s.flag_protocol = bb::bb_protocol::auto_select;
+  s.claim_backend = bb::claim_backend::auto_select;
+  s.corrupt = std::move(corrupt);
+  return s;
 }
 
 // --- string round-trip ---
@@ -677,6 +731,7 @@ std::string to_string(topology_kind k) {
     case topology_kind::dumbbell: return "dumbbell";
     case topology_kind::weak_link: return "weak_link";
     case topology_kind::path_of_cliques: return "path_of_cliques";
+    case topology_kind::file: return "file";
   }
   return "?";
 }
@@ -723,33 +778,13 @@ std::string to_string(bb::claim_backend b) {
   return "?";
 }
 
-namespace {
-
-template <typename Enum>
-Enum parse_enum(std::string_view s, const std::vector<Enum>& all,
-                const char* what) {
-  for (Enum e : all)
-    if (to_string(e) == s) return e;
-  throw error(std::string("unknown ") + what + " '" + std::string(s) + "'");
-}
-
-}  // namespace
-
 adversary_kind adversary_kind_from_string(std::string_view s) {
-  static const std::vector<adversary_kind> all = {
-      adversary_kind::honest,     adversary_kind::p1_garble,
-      adversary_kind::equivocate, adversary_kind::p2_lie,
-      adversary_kind::false_flag, adversary_kind::stealth,
-      adversary_kind::dispute_farm, adversary_kind::chaos,
-      adversary_kind::hunted};
-  return parse_enum(s, all, "adversary kind");
-}
-
-bb::claim_backend claim_backend_from_string(std::string_view s) {
-  static const std::vector<bb::claim_backend> all = {
-      bb::claim_backend::auto_select, bb::claim_backend::eig,
-      bb::claim_backend::collapsed};
-  return parse_enum(s, all, "claim backend");
+  for (adversary_kind k :
+       {adversary_kind::honest, adversary_kind::p1_garble, adversary_kind::equivocate,
+        adversary_kind::p2_lie, adversary_kind::false_flag, adversary_kind::stealth,
+        adversary_kind::dispute_farm, adversary_kind::chaos, adversary_kind::hunted})
+    if (to_string(k) == s) return k;
+  throw error("unknown adversary kind '" + std::string(s) + "'");
 }
 
 }  // namespace nab::runtime

@@ -28,6 +28,7 @@ enum class topology_kind {
   dumbbell,         ///< two fat clusters, thin bridges (capacity skew)
   weak_link,        ///< complete graph with one capacity-1 link (skew)
   path_of_cliques,  ///< param_a hops of param_b-cliques (pipelining regime)
+  file,             ///< topology_spec::text in graph/topology_io's format
 };
 
 /// Declarative topology description, expanded to a digraph per run. The
@@ -42,6 +43,7 @@ struct topology_spec {
   graph::capacity_t cap_lo = 1;   ///< uniform capacity, or fat side of a skew
   graph::capacity_t cap_hi = 1;   ///< upper capacity for random draws
   double p = 0.5;                 ///< Erdos-Renyi link probability
+  std::string text = {};          ///< `file` kind: the topology file's text
 
   bool operator==(const topology_spec&) const = default;
 };
@@ -52,7 +54,8 @@ struct topology_spec {
 /// a reseeded generator.
 graph::digraph build_topology(const topology_spec& spec, rng& rand);
 
-/// How many nodes the spec expands to (without building it).
+/// How many nodes the spec expands to (without building it; a `file` spec
+/// parses its text).
 int topology_nodes(const topology_spec& spec);
 
 /// Adversary strategies the registry can name (factories over
@@ -112,6 +115,9 @@ struct scenario {
   /// "p_good,p_bad,p_g2b,p_b2g" tuple. Stored as the verbatim spec string,
   /// which run records echo.
   std::string loss = "none";
+  /// Explicit corrupt set (`fleet --topology ... --corrupt A,B`). Empty =
+  /// the runner's seeded draw; the registry presets leave it empty.
+  std::vector<graph::node_id> corrupt;
 
   bool operator==(const scenario&) const = default;
 };
@@ -155,10 +161,22 @@ const std::vector<scenario_family>& registry();
 const scenario_family* find_family(std::string_view name);
 
 /// Expands a comma-separated family list ("all" = whole registry) into the
-/// concrete sweep. Throws nab::error on an unknown name.
+/// concrete sweep. Throws nab::error naming the input on an unknown family,
+/// a family named twice, or a list that names no family.
 std::vector<scenario> select_scenarios(std::string_view names);
 
-// --- enum names (JSON fields; nabsim parses the two axes it takes) ---
+/// The one-run sweep of `fleet --topology FILE`: the topology `text` read
+/// from `path` (which names the run and its errors), fault budget `f`,
+/// strategy `adversary`, and an explicit corrupt set (empty = the runner's
+/// seeded draw). The flag protocol and claim backend are auto_select; the
+/// rest keeps scenario's defaults. Throws nab::error naming the input when
+/// the text does not parse, `adversary` is hunted (it needs a genome), or
+/// a corrupt id repeats, lies outside the graph or exceeds the budget f.
+scenario topology_file_scenario(const std::string& path, const std::string& text,
+                                int f, adversary_kind adversary,
+                                std::vector<graph::node_id> corrupt);
+
+// --- enum names (JSON fields; fleet --adversary parses the adversary's) ---
 
 std::string to_string(topology_kind k);
 std::string to_string(adversary_kind k);
@@ -166,6 +184,5 @@ std::string to_string(core::propagation_mode m);
 std::string to_string(bb::bb_protocol p);
 std::string to_string(bb::claim_backend b);
 adversary_kind adversary_kind_from_string(std::string_view s);
-bb::claim_backend claim_backend_from_string(std::string_view s);
 
 }  // namespace nab::runtime

@@ -47,7 +47,7 @@ struct link_fault_params {
 };
 
 /// Named presets accepted everywhere a loss spec string is (registry axis,
-/// fleet/nabsim --loss). "zero" is the inert model — attached but unable to
+/// fleet --loss). "zero" is the inert model — attached but unable to
 /// perturb anything; it exists to prove exactly that.
 std::vector<std::string> loss_preset_names();
 

@@ -1,7 +1,7 @@
 # Runs `DRIVER ARGS` and passes only when the driver rejects the input: exit
 # code 2 (the drivers' usage-error code; a crash or a silent run fails) and
 # an error naming every "|"-separated string in EXPECT.
-#   cmake -DDRIVER=path -DARGS="run --f one" -DEXPECT="--f|'one'" -P cli_rejects.cmake
+#   cmake -DDRIVER=path -DARGS="--f one" -DEXPECT="--f|'one'" -P cli_rejects.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${DRIVER}" ${args}
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)

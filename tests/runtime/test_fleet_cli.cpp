@@ -1,7 +1,7 @@
 // fleet's CLI parser (runtime/fleet_cli.hpp): strict flag handling. A typo
 // like `--sced 7` must be a hard error naming the flag, not a silently
 // ignored token that runs the default sweep and stamps misleading metadata
-// into BENCH_runtime.json.
+// into BENCH_runtime.json; an ad-hoc flag without --topology is one too.
 
 #include <gtest/gtest.h>
 
@@ -58,6 +58,55 @@ TEST(FleetCli, ParsesEveryHuntFlag) {
   EXPECT_EQ(opt.corpus_path, "c.json");
 }
 
+TEST(FleetCli, ParsesEveryTopologyFlag) {
+  const fleet_options opt =
+      parse({"--topology", "k5.txt", "--f", "2", "--adversary", "stealth",
+             "--corrupt", "3,1", "--loss", "bursty", "--seed", "7"});
+  EXPECT_EQ(opt.topology_path, "k5.txt");
+  EXPECT_EQ(opt.f, 2);
+  EXPECT_EQ(opt.adversary, adversary_kind::stealth);
+  EXPECT_EQ(opt.corrupt, (std::vector<graph::node_id>{3, 1}));
+  EXPECT_EQ(opt.loss, "bursty");
+  EXPECT_EQ(opt.seed, 7u);
+  // Without the ad-hoc flags: fault budget 1, honest, seeded corrupt draw.
+  const fleet_options bare = parse({"--topology", "k5.txt"});
+  EXPECT_EQ(bare.f, 1);
+  EXPECT_EQ(bare.adversary, adversary_kind::honest);
+  EXPECT_TRUE(bare.corrupt.empty());
+}
+
+/// Parses `args` expecting nab::error whose message contains `needle`.
+void expect_error_naming(std::initializer_list<const char*> args,
+                         const std::string& needle) {
+  try {
+    parse(args);
+    ADD_FAILURE() << "expected nab::error naming " << needle;
+  } catch (const nab::error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "error must name " << needle << ": " << e.what();
+  }
+}
+
+TEST(FleetCli, AdHocFlagsNeedTopologyAndExcludeOtherModes) {
+  expect_error_naming({"--f", "1"}, "--f");
+  expect_error_naming({"--adversary", "stealth"}, "--adversary");
+  expect_error_naming({"--scenario", "fig1", "--corrupt", "2"}, "--corrupt");
+  expect_error_naming({"--topology", "k5.txt", "--scenario", "fig1"}, "--scenario");
+  expect_error_naming({"--scenario", "all", "--topology", "k5.txt"}, "--scenario");
+  expect_error_naming({"--topology", "k5.txt", "--hunt"}, "--hunt");
+}
+
+TEST(FleetCli, MalformedAdHocValuesAreErrors) {
+  expect_error_naming({"--topology", "k5.txt", "--f", "one"}, "'one'");
+  expect_error_naming({"--topology", "k5.txt", "--corrupt", "x"}, "'x'");
+  expect_error_naming({"--topology", "k5.txt", "--corrupt", "1,,2"}, "--corrupt");
+  expect_error_naming({"--topology", "k5.txt", "--corrupt", ""}, "--corrupt");
+  expect_error_naming({"--topology", "k5.txt", "--corrupt", "-1"}, "'-1'");
+  expect_error_naming({"--topology", "k5.txt", "--adversary", "p1garble"},
+                      "'p1garble'");
+  EXPECT_THROW(parse({"--topology"}), nab::error);
+}
+
 TEST(FleetCli, UnknownFlagIsAnErrorNamingTheFlag) {
   try {
     parse({"--sced", "7"});
@@ -102,8 +151,9 @@ TEST(FleetCli, UsageNamesEveryFlag) {
   const std::string usage = fleet_usage();
   for (const char* flag :
        {"--list", "--scenario", "--jobs", "--seed", "--json", "--trace",
-        "--timeline", "--quiet", "--hunt", "--hunt-families", "--budget",
-        "--population", "--hunt-words", "--hunt-instances", "--hunt-corpus"})
+        "--timeline", "--quiet", "--loss", "--topology", "--f", "--adversary",
+        "--corrupt", "--hunt", "--hunt-families", "--budget", "--population",
+        "--hunt-words", "--hunt-instances", "--hunt-corpus"})
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
 }
 

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "core/certify.hpp"
 #include "core/omega.hpp"
 #include "graph/connectivity.hpp"
+#include "graph/topology_io.hpp"
 #include "runtime/runner.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -43,6 +46,24 @@ TEST(Registry, SelectByNameMatchesExpandAndRejectsUnknown) {
   EXPECT_EQ(find_family("no-such-family"), nullptr);
 }
 
+TEST(Registry, SelectRejectsEmptyAndRepeatedFamilies) {
+  // Only "all" selects the whole registry: a list naming no family must not
+  // widen the sweep to everything (or run nothing and pass), and a family
+  // named twice would repeat scenario names that must be unique in a sweep.
+  for (const char* names : {"", ",", ",,", "fig1,fig1", "fig1,fig2,fig1"}) {
+    try {
+      select_scenarios(names);
+      ADD_FAILURE() << "'" << names << "' selected a sweep";
+    } catch (const nab::error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + names + "'"),
+                std::string::npos)
+          << "error must name the input: " << e.what();
+    }
+  }
+  // Empty items around real names are still tolerated.
+  EXPECT_EQ(select_scenarios("fig1,"), select_scenarios("fig1"));
+}
+
 TEST(Registry, EnumStringsRoundTrip) {
   // Topology kinds are only ever printed (the record's "topology" key), so
   // what must hold is that no two kinds print the same name.
@@ -51,13 +72,15 @@ TEST(Registry, EnumStringsRoundTrip) {
                  topology_kind::fig2, topology_kind::ring, topology_kind::erdos_renyi,
                  topology_kind::random_regular, topology_kind::hypercube,
                  topology_kind::clustered_wan, topology_kind::dumbbell,
-                 topology_kind::weak_link, topology_kind::path_of_cliques})
+                 topology_kind::weak_link, topology_kind::path_of_cliques,
+                 topology_kind::file})
     EXPECT_TRUE(topology_names.insert(to_string(k)).second) << to_string(k);
   EXPECT_EQ(topology_names.count("?"), 0u);
   for (auto k : {adversary_kind::honest, adversary_kind::p1_garble,
                  adversary_kind::equivocate, adversary_kind::p2_lie,
                  adversary_kind::false_flag, adversary_kind::stealth,
-                 adversary_kind::dispute_farm, adversary_kind::chaos})
+                 adversary_kind::dispute_farm, adversary_kind::chaos,
+                 adversary_kind::hunted})
     EXPECT_EQ(adversary_kind_from_string(to_string(k)), k);
   // Unknown names fail loudly rather than map onto a default.
   EXPECT_THROW(adversary_kind_from_string("quantum"), nab::error);
@@ -196,14 +219,102 @@ TEST(Registry, PhaseKingEnginesAreOnlyConfiguredAboveFourF) {
   }
 }
 
-TEST(Registry, ClaimBackendStringsRoundTrip) {
+TEST(Registry, ClaimBackendNamesAreDistinct) {
+  // Claim backends are only ever printed (the record's "claim_backend" key).
+  std::set<std::string> names;
   for (auto b : {bb::claim_backend::auto_select, bb::claim_backend::eig,
                  bb::claim_backend::collapsed})
-    EXPECT_EQ(claim_backend_from_string(to_string(b)), b);
-  EXPECT_THROW(claim_backend_from_string("telepathy"), nab::error);
-  // The batched phase-king claim backend was removed; its name must fail
-  // loudly rather than map onto another engine.
-  EXPECT_THROW(claim_backend_from_string("phase_king"), nab::error);
+    EXPECT_TRUE(names.insert(to_string(b)).second) << to_string(b);
+  EXPECT_EQ(names.count("?"), 0u);
+}
+
+TEST(Registry, TopologyFileScenarioMatchesGenerator) {
+  // A generator's graph written out and read back as a `file` topology, with
+  // the corrupt set the seeded draw picked passed explicitly, must replay
+  // the registry run exactly: only the topology echo differs.
+  const std::vector<scenario> sweep = all_scenarios();
+  int checked = 0;
+  for (int i = 0; i < static_cast<int>(sweep.size()); ++i) {
+    const scenario& s = sweep[static_cast<std::size_t>(i)];
+    if (s.name != "complete-f2/stealth" && s.name != "hypercube/p1_garble" &&
+        s.name != "lossy_k7/p1_garble")
+      continue;
+    ++checked;
+    const run_record rec = execute_scenario(s, i, 1);
+    ASSERT_TRUE(rec.ok()) << s.name;
+    ASSERT_GT(rec.disputes, 0) << s.name;
+
+    rng unused(0);
+    const graph::digraph g = build_topology(s.topology, unused);
+    scenario from_file = s;
+    from_file.topology = {.kind = topology_kind::file,
+                          .text = graph::format_topology(g)};
+    from_file.corrupt.assign(rec.corrupt.begin(), rec.corrupt.end());
+    EXPECT_EQ(topology_nodes(from_file.topology), g.universe()) << s.name;
+    run_record replay = execute_scenario(from_file, i, 1);
+    EXPECT_EQ(replay.topology, "file");
+    replay.topology = rec.topology;
+    EXPECT_EQ(replay, rec) << s.name;
+  }
+  EXPECT_EQ(checked, 3);
+}
+
+TEST(Registry, TopologyFileScenarioValidatesItsInput) {
+  std::ifstream in(NAB_TEST_DATA_DIR "/k5.txt");
+  ASSERT_TRUE(in);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string k5 = buf.str();
+
+  const scenario s = topology_file_scenario("k5.txt", k5, 1,
+                                            adversary_kind::p1_garble, {2});
+  EXPECT_EQ(s.name, "k5.txt");
+  EXPECT_EQ(s.topology.kind, topology_kind::file);
+  EXPECT_EQ(topology_nodes(s.topology), 5);
+  EXPECT_EQ(s.f, 1);
+  EXPECT_EQ(s.source, 0);
+  EXPECT_EQ(s.adversary, adversary_kind::p1_garble);
+  EXPECT_EQ(s.corrupt, std::vector<graph::node_id>{2});
+  EXPECT_EQ(s.flag_protocol, bb::bb_protocol::auto_select);
+  EXPECT_EQ(s.claim_backend, bb::claim_backend::auto_select);
+  EXPECT_EQ(s.instances, scenario{}.instances);
+  EXPECT_EQ(s.words, scenario{}.words);
+  // The explicit set is what runs (no seeded draw matches all four), and
+  // the garbler is caught.
+  for (graph::node_id v = 1; v < 5; ++v) {
+    scenario with_v = s;
+    with_v.corrupt = {v};
+    const run_record rec = execute_scenario(with_v, 0, 1);
+    EXPECT_TRUE(rec.ok()) << v;
+    EXPECT_EQ(rec.corrupt, std::vector<int>{v});
+    EXPECT_GT(rec.disputes, 0) << v;
+    EXPECT_EQ(rec.convictions, 1) << v;
+  }
+
+  // Each rejection names the offending value instead of tripping the
+  // fault_set assertion (or running a vacuous session).
+  const auto rejects = [&](const std::string& text, int f, adversary_kind adv,
+                           std::vector<graph::node_id> corrupt,
+                           const std::string& needle) {
+    try {
+      topology_file_scenario("k5.txt", text, f, adv, std::move(corrupt));
+      ADD_FAILURE() << "accepted; expected an error naming " << needle;
+    } catch (const nab::error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << "error must name " << needle << ": " << e.what();
+    }
+  };
+  rejects(k5, 1, adversary_kind::honest, {9}, "node 9");
+  rejects(k5, 1, adversary_kind::honest, {5}, "node 5");
+  rejects(k5, 2, adversary_kind::honest, {1, 1}, "node 1 twice");
+  rejects(k5, 1, adversary_kind::honest, {1, 2}, "names 2 nodes");
+  rejects(k5, 0, adversary_kind::p1_garble, {3}, "--f 0");
+  rejects(k5, 1, adversary_kind::hunted, {}, "hunted");
+  rejects(k5, 1, adversary_kind::equivocate, {2}, "node 0");
+  EXPECT_NO_THROW(
+      topology_file_scenario("k5.txt", k5, 1, adversary_kind::equivocate, {0}));
+  rejects("nodes 5\nedge 0 7 1\n", 1, adversary_kind::honest, {}, "line 2");
+  rejects("", 1, adversary_kind::honest, {}, "k5.txt");
 }
 
 TEST(Registry, TraceCaptureFillsDeterministicTrafficMatrices) {
