@@ -1,9 +1,9 @@
 #include "bb/claim_bcast.hpp"
 
 #include <algorithm>
-#include <map>
+#include <bit>
 #include <memory>
-#include <set>
+#include <utility>
 
 #include "bb/round_batch.hpp"
 #include "gf/gf2_16.hpp"
@@ -19,8 +19,10 @@ namespace {
 // ---------------------------------------------------------------------------
 
 /// Per-point multiplication tables: digesting is one table hit + one xor per
-/// limb per point, so verifying an n=64 transcript batch stays cheap enough
-/// to run once per (claimant, receiver) pair. ~512 KiB per point set.
+/// limb per point. The collapsed backend digests each distinct transcript of
+/// a round once, not once per (claimant, receiver) pair: a received copy
+/// equal to its claimant's input shares the input's digest. ~512 KiB per
+/// point set.
 struct digest_tables {
   std::array<std::uint16_t, 4> points;
   std::array<std::array<std::uint16_t, 65536>, 4> mul;
@@ -276,17 +278,13 @@ claim_outcome broadcast_claims_eig(channel_plan& channels, sim::network& net,
 
 namespace {
 
-/// Per-(node, instance) protocol state of the collapsed backend.
+/// Per-(node, instance) protocol state of the collapsed backend; its echo
+/// and ready votes live in the round's vote_tally pair.
 struct collapsed_slot {
   value direct;                      ///< transcript copy from the claimant
   bool has_direct = false;
   std::uint64_t direct_digest = 0;   ///< digest of `direct` (valid iff has_direct)
   std::optional<std::uint64_t> announced;  ///< digest the claimant announced
-  /// Echo senders per digest (sorted): the vote counts for the quorum, and —
-  /// because honest nodes echo only while holding a matching transcript —
-  /// the requester's address book for the retrieval round.
-  std::map<std::uint64_t, std::set<graph::node_id>> echo_from;
-  std::map<std::uint64_t, std::set<graph::node_id>> ready_from;
   std::optional<std::uint64_t> ready_sent;
   std::optional<std::uint64_t> pending_ready;
   std::optional<std::uint64_t> accepted;
@@ -296,6 +294,135 @@ struct collapsed_slot {
   /// True iff the direct copy matches digest d (the "holder" predicate).
   bool holds(std::uint64_t d) const { return has_direct && direct_digest == d; }
 };
+
+/// One vote kind's tallies (echo or ready) over every (node, instance) slot:
+/// per slot, the distinct digests it heard, each with a dense sender bitset
+/// and its vote count. The echo senders of a digest are also the requester's
+/// address book for the retrieval round, because honest nodes echo only
+/// while holding a matching transcript. An honest slot hears one digest, so
+/// a vote is a one-entry chain walk and a bit set. Chains and bitsets live
+/// in two flat pools: no tally costs a heap allocation of its own.
+class vote_tally {
+ public:
+  vote_tally(std::size_t slots, int universe)
+      : words_((static_cast<std::size_t>(universe) + 63) / 64), head_(slots, none) {
+    entries_.reserve(slots);
+    senders_.reserve(slots * words_);
+  }
+
+  /// Counts `sender`'s vote for `digest` in `slot`; a repeated vote is a no-op.
+  void add(std::size_t slot, std::uint64_t digest, graph::node_id sender) {
+    std::uint32_t e = find(slot, digest);
+    if (e == none) {
+      e = static_cast<std::uint32_t>(entries_.size());
+      entries_.push_back({digest, 0, head_[slot]});
+      head_[slot] = e;
+      senders_.resize(senders_.size() + words_, 0);
+    }
+    const auto s = static_cast<std::size_t>(sender);
+    std::uint64_t& word = senders_[e * words_ + s / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+    if ((word & bit) != 0) return;
+    word |= bit;
+    ++entries_[e].votes;
+  }
+
+  /// The smallest digest in `slot` with at least `quorum` votes, and its votes.
+  std::optional<std::pair<std::uint64_t, int>> smallest_with(std::size_t slot,
+                                                             int quorum) const {
+    std::optional<std::pair<std::uint64_t, int>> best;
+    for (std::uint32_t e = head_[slot]; e != none; e = entries_[e].next)
+      if (entries_[e].votes >= quorum && (!best || entries_[e].digest < best->first))
+        best.emplace(entries_[e].digest, entries_[e].votes);
+    return best;
+  }
+
+  /// Calls fn(sender) for each sender of `digest` in `slot`, in ascending id,
+  /// until fn returns false.
+  template <class Fn>
+  void for_each_sender(std::size_t slot, std::uint64_t digest, Fn fn) const {
+    const std::uint32_t e = find(slot, digest);
+    if (e == none) return;
+    for (std::size_t w = 0; w < words_; ++w)
+      for (std::uint64_t bits = senders_[e * words_ + w]; bits != 0; bits &= bits - 1)
+        if (!fn(static_cast<graph::node_id>(64 * w + std::countr_zero(bits)))) return;
+  }
+
+ private:
+  static constexpr std::uint32_t none = ~std::uint32_t{0};
+  struct entry {
+    std::uint64_t digest;
+    int votes;
+    std::uint32_t next;  ///< next digest of the same slot, or none
+  };
+
+  std::uint32_t find(std::size_t slot, std::uint64_t digest) const {
+    for (std::uint32_t e = head_[slot]; e != none; e = entries_[e].next)
+      if (entries_[e].digest == digest) return e;
+    return none;
+  }
+
+  std::size_t words_;                 ///< bitset words per digest
+  std::vector<std::uint32_t> head_;   ///< per slot: its latest digest, or none
+  std::vector<entry> entries_;
+  std::vector<std::uint64_t> senders_;  ///< words_ per entry
+};
+
+/// Charges the GF work of digesting one batch of payloads with these
+/// lengths, as claim_digests_of would: 16·(len+1) per payload (4 limbs x 4
+/// points per absorbed word, the length word included), to gf_mul_ops for a
+/// length no other payload of the batch has (its scalar table walk) and to
+/// gf_scale_words for a same-length group (its row passes). Sorts `lengths`.
+void charge_digests(std::vector<std::size_t>& lengths) {
+  std::sort(lengths.begin(), lengths.end());
+  std::uint64_t lone = 0, grouped = 0;
+  for (std::size_t lo = 0, hi = 0; lo < lengths.size(); lo = hi) {
+    for (hi = lo + 1; hi < lengths.size() && lengths[hi] == lengths[lo];) ++hi;
+    (hi - lo == 1 ? lone : grouped) += 16 * (lengths[lo] + 1) * (hi - lo);
+  }
+  obs::count(obs::counter::gf_mul_ops, lone);
+  obs::count(obs::counter::gf_scale_words, grouped);
+}
+
+/// Digests one batch of received transcript copies, where copies[i] claims
+/// to be instance qs[i]'s transcript. Every receiver digests its own copy
+/// in the protocol, and the counters charge exactly that, for the whole
+/// batch; the simulation computes each distinct transcript once. A copy
+/// whose length and words equal its claimant's input takes the input's
+/// digest: one whole-transcript compare per copy and never one between
+/// copies, so a forging claimant cannot make it quadratic. Only the rest
+/// (forged proposals, retrieval responses that are not the claimant's input)
+/// go through claim_digests_of.
+std::vector<std::uint64_t> digest_copies(const std::vector<const value*>& copies,
+                                         const std::vector<std::size_t>& qs,
+                                         const std::vector<claim_instance>& instances,
+                                         const std::vector<std::uint64_t>& input_digests,
+                                         std::uint64_t seed) {
+  std::vector<std::uint64_t> out(copies.size());
+  std::vector<std::size_t> lengths;
+  std::vector<const value*> differing;
+  std::vector<std::size_t> differing_at;
+  lengths.reserve(copies.size());
+  for (std::size_t i = 0; i < copies.size(); ++i) {
+    lengths.push_back(copies[i]->size());
+    if (*copies[i] == instances[qs[i]].input) {
+      out[i] = input_digests[qs[i]];
+    } else {
+      differing.push_back(copies[i]);
+      differing_at.push_back(i);
+    }
+  }
+  charge_digests(lengths);
+  if (differing.empty()) return out;
+  std::vector<claim_digest> fresh;
+  {
+    obs::scoped_collector charged_above(nullptr);
+    fresh = claim_digests_of(differing, seed);
+  }
+  for (std::size_t k = 0; k < fresh.size(); ++k)
+    out[differing_at[k]] = fresh[k].packed();
+  return out;
+}
 
 }  // namespace
 
@@ -324,20 +451,27 @@ claim_outcome broadcast_claims_collapsed(
 
   const double t0 = net.elapsed();
   round_batches batches(universe, participants);
-  std::vector<std::vector<collapsed_slot>> st(
-      static_cast<std::size_t>(universe), std::vector<collapsed_slot>(q_count));
-  const auto slot = [&](graph::node_id v, std::size_t q) -> collapsed_slot& {
-    return st[static_cast<std::size_t>(v)][q];
+  const std::size_t slots = static_cast<std::size_t>(universe) * q_count;
+  std::vector<collapsed_slot> st(slots);
+  const auto at = [&](graph::node_id v, std::size_t q) {
+    return static_cast<std::size_t>(v) * q_count + q;
   };
+  const auto slot = [&](graph::node_id v, std::size_t q) -> collapsed_slot& {
+    return st[at(v, q)];
+  };
+  vote_tally echoes(slots, universe);
+  vote_tally readys(slots, universe);
 
   // ---- Round 1 (PROPOSE): digest + the single direct transcript copy. ----
   obs::scoped_span propose_span("claim_propose", net.elapsed());
+  std::vector<std::uint64_t> input_digests(q_count);
   for (std::size_t q = 0; q < q_count; ++q) {
     const claim_instance& inst = instances[q];
     NAB_ASSERT(channels.topology().is_active(inst.source),
                "claimant must participate");
     NAB_ASSERT(inst.value_bits > 0, "claim instance needs a wire size");
     const claim_digest honest_digest = claim_digest_of(inst.input, digest_seed);
+    input_digests[q] = honest_digest.packed();
     {
       collapsed_slot& self = slot(inst.source, q);
       self.direct = inst.input;
@@ -367,10 +501,11 @@ claim_outcome broadcast_claims_collapsed(
   batches.flush(channels, claim_traffic_tag);
   channels.end_round(net, faults, relay_adv);
   {
-    // Absorb every accepted proposal first, then digest the whole round in
-    // one batch: each accepted slot is digested exactly once either way, so
-    // the batch only widens the rows the gf2_16 kernels see.
+    // Absorb every accepted proposal first, then digest the whole round as
+    // one batch (one digest per distinct transcript, charged per copy).
     std::vector<collapsed_slot*> filled;
+    std::vector<const value*> transcripts;
+    std::vector<std::size_t> qs;
     for (graph::node_id r : participants) {
       for (const sim::message& m : channels.inbox(r)) {
         std::size_t pos = 0, q = 0;
@@ -384,16 +519,15 @@ claim_outcome broadcast_claims_collapsed(
           s.direct = std::move(v);
           s.has_direct = true;
           filled.push_back(&s);
+          transcripts.push_back(&s.direct);
+          qs.push_back(q);
         }
       }
     }
-    std::vector<const value*> transcripts;
-    transcripts.reserve(filled.size());
-    for (const collapsed_slot* s : filled) transcripts.push_back(&s->direct);
-    const std::vector<claim_digest> digests =
-        claim_digests_of(transcripts, digest_seed);
+    const std::vector<std::uint64_t> digests =
+        digest_copies(transcripts, qs, instances, input_digests, digest_seed);
     for (std::size_t i = 0; i < filled.size(); ++i)
-      filled[i]->direct_digest = digests[i].packed();
+      filled[i]->direct_digest = digests[i];
   }
   propose_span.close(net.elapsed());
 
@@ -424,21 +558,18 @@ claim_outcome broadcast_claims_collapsed(
   }
   batches.flush(channels, claim_traffic_tag);
   channels.end_round(net, faults, relay_adv);
-  {
-    for (graph::node_id j : participants) {
-      // A node's own echo counts toward its quorum (no wire cost).
-      for (std::size_t q = 0; q < q_count; ++q) {
-        const collapsed_slot& s = slot(j, q);
-        if (s.announced && s.holds(*s.announced))
-          slot(j, q).echo_from[*s.announced].insert(j);
-      }
-      for (const sim::message& m : channels.inbox(j)) {
-        std::size_t pos = 0, q = 0;
-        std::uint64_t dg = 0;
-        while (next_digest_item(m.payload, pos, q, dg)) {
-          if (q >= q_count) continue;
-          slot(j, q).echo_from[dg].insert(m.from);
-        }
+  for (graph::node_id j : participants) {
+    // A node's own echo counts toward its quorum (no wire cost).
+    for (std::size_t q = 0; q < q_count; ++q) {
+      const collapsed_slot& s = slot(j, q);
+      if (s.announced && s.holds(*s.announced)) echoes.add(at(j, q), *s.announced, j);
+    }
+    for (const sim::message& m : channels.inbox(j)) {
+      std::size_t pos = 0, q = 0;
+      std::uint64_t dg = 0;
+      while (next_digest_item(m.payload, pos, q, dg)) {
+        if (q >= q_count) continue;
+        echoes.add(at(j, q), dg, m.from);
       }
     }
   }
@@ -447,14 +578,9 @@ claim_outcome broadcast_claims_collapsed(
   obs::scoped_span ready_span("claim_ready", net.elapsed());
   // Initial readys: digest with an echo quorum (unique per claimant).
   for (graph::node_id v : participants)
-    for (std::size_t q = 0; q < q_count; ++q) {
-      collapsed_slot& s = slot(v, q);
-      for (const auto& [dg, senders] : s.echo_from)
-        if (static_cast<int>(senders.size()) >= echo_quorum) {
-          s.pending_ready = dg;
-          break;
-        }
-    }
+    for (std::size_t q = 0; q < q_count; ++q)
+      if (const auto quorum = echoes.smallest_with(at(v, q), echo_quorum))
+        slot(v, q).pending_ready = quorum->first;
 
   // ---- READY rounds to quiescence: each round flushes the pending      ----
   // ---- readys, then f+1 observed readys amplify into new pending ones. ----
@@ -473,7 +599,7 @@ claim_outcome broadcast_claims_collapsed(
         const std::uint64_t dg = *s.pending_ready;
         s.ready_sent = dg;
         s.pending_ready.reset();
-        s.ready_from[dg].insert(v);  // own ready counts
+        readys.add(at(v, q), dg, v);  // own ready counts
         for (graph::node_id j : participants) {
           if (j == v) continue;
           if (may_lie) {
@@ -500,18 +626,15 @@ claim_outcome broadcast_claims_collapsed(
         std::uint64_t dg = 0;
         while (next_digest_item(m.payload, pos, q, dg)) {
           if (q >= q_count) continue;
-          slot(j, q).ready_from[dg].insert(m.from);
+          readys.add(at(j, q), dg, m.from);
         }
       }
       // Amplification: f+1 readys for a digest pull a not-yet-ready node in.
       for (std::size_t q = 0; q < q_count; ++q) {
         collapsed_slot& s = slot(j, q);
         if (s.ready_sent || s.pending_ready) continue;
-        for (const auto& [dg, senders] : s.ready_from)
-          if (static_cast<int>(senders.size()) >= ready_amplify) {
-            s.pending_ready = dg;
-            break;
-          }
+        if (const auto amplified = readys.smallest_with(at(j, q), ready_amplify))
+          s.pending_ready = amplified->first;
       }
     }
   }
@@ -521,25 +644,22 @@ claim_outcome broadcast_claims_collapsed(
   for (graph::node_id v : participants)
     for (std::size_t q = 0; q < q_count; ++q) {
       collapsed_slot& s = slot(v, q);
-      for (const auto& [dg, senders] : s.ready_from)
-        if (static_cast<int>(senders.size()) >= ready_accept) {
-          s.accepted = dg;
-          // Margin gauges, honest observers only: how far this accept sat
-          // above the quorum rules. Record-minimum over the whole run — the
-          // closest the adversary pushed a quorum to its edge.
-          if (faults.is_honest(v)) {
-            obs::gauge_min(obs::gauge::quorum_slack,
-                           static_cast<std::int64_t>(senders.size()) -
-                               ready_accept);
-            const auto holders = s.echo_from.find(dg);
-            std::int64_t honest_holders = 0;
-            if (holders != s.echo_from.end())
-              for (graph::node_id h : holders->second)
-                if (faults.is_honest(h)) ++honest_holders;
-            obs::gauge_min(obs::gauge::hold_surplus, honest_holders - (f + 1));
-          }
-          break;
+      if (const auto accept = readys.smallest_with(at(v, q), ready_accept)) {
+        const auto [dg, votes] = *accept;
+        s.accepted = dg;
+        // Margin gauges, honest observers only: how far this accept sat
+        // above the quorum rules. Record-minimum over the whole run — the
+        // closest the adversary pushed a quorum to its edge.
+        if (faults.is_honest(v)) {
+          obs::gauge_min(obs::gauge::quorum_slack, votes - ready_accept);
+          std::int64_t honest_holders = 0;
+          echoes.for_each_sender(at(v, q), dg, [&](graph::node_id h) {
+            if (faults.is_honest(h)) ++honest_holders;
+            return true;
+          });
+          obs::gauge_min(obs::gauge::hold_surplus, honest_holders - (f + 1));
         }
+      }
       s.need_fallback = s.accepted && !s.holds(*s.accepted);
       if (s.need_fallback) {
         obs::count(obs::counter::claim_fallbacks);
@@ -564,17 +684,16 @@ claim_outcome broadcast_claims_collapsed(
     for (std::size_t q = 0; q < q_count; ++q) {
       const collapsed_slot& s = slot(v, q);
       if (!s.need_fallback) continue;
-      const auto holders = s.echo_from.find(*s.accepted);
-      if (holders == s.echo_from.end()) continue;  // nobody to ask
       int asked = 0;
-      for (graph::node_id j : holders->second) {  // set: ascending ids
-        if (j == v) continue;
-        if (asked >= 2 * f + 1) break;
+      echoes.for_each_sender(at(v, q), *s.accepted, [&](graph::node_id j) {
+        if (j == v) return true;
+        if (asked >= 2 * f + 1) return false;
         ++asked;
         round_batch& b = batches.at(v, j);
         b.payload.push_back(q);
         b.bits += 16;
-      }
+        return true;
+      });
     }
   batches.flush(channels, claim_traffic_tag);
   channels.end_round(net, faults, relay_adv);
@@ -622,11 +741,13 @@ claim_outcome broadcast_claims_collapsed(
     std::vector<collapsed_slot*> candidates;
     std::vector<value> responses;
     std::vector<const value*> views;
+    std::vector<std::size_t> qs;
     std::vector<bool> msg_seen(q_count, false);
     for (graph::node_id r : participants) {
       for (const sim::message& m : channels.inbox(r)) {
         candidates.clear();
         responses.clear();
+        qs.clear();
         std::fill(msg_seen.begin(), msg_seen.end(), false);
         std::size_t pos = 0, q = 0;
         value v;
@@ -637,16 +758,17 @@ claim_outcome broadcast_claims_collapsed(
           if (!s.need_fallback || s.resolved_by_fallback || !s.accepted) continue;
           candidates.push_back(&s);
           responses.push_back(std::move(v));
+          qs.push_back(q);
         }
         views.clear();
         views.reserve(responses.size());
         for (const value& resp : responses) views.push_back(&resp);
-        const std::vector<claim_digest> digests =
-            claim_digests_of(views, digest_seed);
+        const std::vector<std::uint64_t> digests =
+            digest_copies(views, qs, instances, input_digests, digest_seed);
         for (std::size_t i = 0; i < candidates.size(); ++i) {
           collapsed_slot& s = *candidates[i];
           if (s.resolved_by_fallback) continue;
-          if (digests[i].packed() != *s.accepted) continue;  // forged
+          if (digests[i] != *s.accepted) continue;  // forged
           s.direct = std::move(responses[i]);
           s.has_direct = true;
           s.direct_digest = *s.accepted;

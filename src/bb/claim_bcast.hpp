@@ -90,13 +90,13 @@ inline constexpr std::uint64_t claim_digest_bits = 64;
 claim_digest claim_digest_of(const value& payload, std::uint64_t seed = 0);
 
 /// Batched form: digests every payload (non-null pointers, one shared seed)
-/// and returns the digests in input order. Payloads of equal length advance
-/// in lockstep — one gf2_16::scale row pass per absorbed limb across the
-/// whole group — so a round's worth of transcripts runs through the
-/// dispatched SIMD row kernels instead of per-payload table walks. Field-op
-/// totals match size() scalar claim_digest_of calls exactly (the work moves
-/// from gf_mul_ops to gf_scale_words limb for limb), so gf_ops-keyed run
-/// signatures are unchanged.
+/// and returns the digests in input order, each equal to claim_digest_of's.
+/// Payloads of equal length advance in lockstep — one gf2_16::scale row
+/// pass per absorbed limb across the whole group — so they run through the
+/// dispatched SIMD row kernels instead of per-payload table walks. Each
+/// payload charges 16·(len+1) field ops, as claim_digest_of does: to
+/// gf_mul_ops when no other payload of the batch has its length, to
+/// gf_scale_words when it is part of a same-length group.
 std::vector<claim_digest> claim_digests_of(const std::vector<const value*>& payloads,
                                            std::uint64_t seed = 0);
 
@@ -201,7 +201,9 @@ claim_outcome broadcast_claims_eig(channel_plan& channels, sim::network& net,
 /// echo/ready agreement + single direct transcript copies + retrieval
 /// fallback for the digest-mismatched minority, served by at most 2f+1 of
 /// the holders the echo round exposed. `digest_seed` picks the digest
-/// evaluation points (see claim_digest).
+/// evaluation points (see claim_digest). The GF counters charge one digest
+/// per received copy (claim_digests_of's rule, one batch per round), though
+/// copies equal to their claimant's input share its digest.
 claim_outcome broadcast_claims_collapsed(
     channel_plan& channels, sim::network& net, const sim::fault_set& faults,
     const std::vector<claim_instance>& instances, int f,

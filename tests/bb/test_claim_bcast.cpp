@@ -1,7 +1,8 @@
 // Unit tests for the pluggable claim-broadcast layer (bb/claim_bcast.hpp):
-// digest algebra, the collapsed Bracha-style backend's agreement/validity
-// under digest equivocation, echo/ready suppression and forged retrievals,
-// and the auto_select resolution rule.
+// digest algebra and the batch digester's charge, the collapsed Bracha-style
+// backend's agreement/validity under digest equivocation, echo/ready
+// suppression and forged retrievals, its per-copy digest charge, and the
+// auto_select resolution rule.
 
 #include "bb/claim_bcast.hpp"
 
@@ -9,6 +10,7 @@
 
 #include "core/omega_cache.hpp"
 #include "graph/generators.hpp"
+#include "obs/obs.hpp"
 
 namespace nab::bb {
 namespace {
@@ -96,6 +98,37 @@ TEST(ClaimDigest, PackedRoundTrips) {
   const claim_digest d = claim_digest_of({0xdeadbeef, 42});
   EXPECT_EQ(claim_digest::from_packed(d.packed()), d);
   EXPECT_EQ(claim_digest::from_packed(0), claim_digest{});
+}
+
+TEST(ClaimDigest, BatchMatchesScalarAndChargesPerPayload) {
+  // Two empty payloads and three of length 3 (one a duplicate) form
+  // same-length groups; lengths 1 and 5 are lone.
+  const std::vector<value> payloads = {
+      {}, {1, 2, 3}, {7}, {}, {1, 2, 4}, {9, 9, 9, 9, 9}, {1, 2, 3}};
+  std::vector<const value*> views;
+  for (const value& p : payloads) views.push_back(&p);
+  obs::collector col;
+  std::vector<claim_digest> digests;
+  {
+    obs::scoped_collector on(&col);
+    digests = claim_digests_of(views, 0x5eed);
+  }
+  ASSERT_EQ(digests.size(), payloads.size());
+  for (std::size_t i = 0; i < payloads.size(); ++i)
+    EXPECT_EQ(digests[i], claim_digest_of(payloads[i], 0x5eed)) << "payload " << i;
+  // 16·(len+1) per payload: lone lengths walk the scalar tables, groups run
+  // gf2_16::scale row passes.
+  EXPECT_EQ(col.value(obs::counter::gf_mul_ops), 16u * (1 + 1) + 16u * (5 + 1));
+  EXPECT_EQ(col.value(obs::counter::gf_scale_words),
+            16u * (0 + 1) * 2 + 16u * (3 + 1) * 3);
+
+  obs::collector empty_col;
+  {
+    obs::scoped_collector on(&empty_col);
+    EXPECT_TRUE(claim_digests_of({}, 0x5eed).empty());
+  }
+  EXPECT_EQ(empty_col.value(obs::counter::gf_mul_ops), 0u);
+  EXPECT_EQ(empty_col.value(obs::counter::gf_scale_words), 0u);
 }
 
 // --- auto_select boundary --------------------------------------------------
@@ -216,41 +249,85 @@ TEST(ClaimBroadcast, CollapsedEquivocatingClaimantCannotSplitHonestNodes) {
   }
 }
 
-TEST(ClaimBroadcast, CollapsedDigestMismatchedPairsFallBackToRetrieval) {
-  harness h(graph::complete(7), 2, {5});
-  auto instances = distinct_claims(h.g);
-  // Make the corrupt claimant's honest input recognizable.
-  for (auto& inst : instances)
-    if (inst.source == 5) inst.input = {0x5555, 0x5555};
-
-  class mismatcher : public claim_adversary {
-   public:
-    value propose_payload(graph::node_id, graph::node_id receiver,
-                          const value& honest) override {
-      // Receivers 0..1 get garbage (any more and the honest holders would
-      // drop below the echo quorum of (n+f)/2 + 1 = 5, making the claimant
-      // simply unaccepted); the announced digest stays the honest one, so
-      // the garbage mismatches and exactly those pairs retrieve.
-      return receiver <= 1 ? value{0xf0f0} : honest;
+TEST(ClaimBroadcast, CollapsedChargesOneDigestPerCopy) {
+  // Every receiver digests its own copy in the protocol, so the GF counters
+  // must charge 16·(len+1) per copy however few digests the simulation
+  // computes: one per claimant input, one per proposal a corrupt claimant
+  // digests to announce, one per received copy, and one per retrieval
+  // response a receiver verifies (the first, honest, one per fallback).
+  harness h(graph::complete(7), 2, {0, 3});
+  const auto instances = distinct_claims(h.g);
+  equivocating_claimant adv;
+  obs::collector col;
+  claim_outcome out;
+  {
+    obs::scoped_collector on(&col);
+    out = broadcast_claims_collapsed(h.plan, h.net, h.faults, instances, 2, &adv);
+  }
+  const auto charge = [](const value& v) { return 16 * (v.size() + 1); };
+  std::uint64_t expected = 0;
+  for (const claim_instance& inst : instances) {
+    expected += charge(inst.input);
+    const bool corrupt = h.faults.is_corrupt(inst.source);
+    for (graph::node_id r : h.g.active_nodes()) {
+      if (r == inst.source) continue;
+      const value copy =
+          corrupt ? adv.propose_payload(inst.source, r, inst.input) : inst.input;
+      expected += charge(copy) * (corrupt ? 2 : 1);
     }
-    claim_digest announce_digest(graph::node_id, graph::node_id,
-                                 const claim_digest&) override {
-      return claim_digest_of({0x5555, 0x5555});  // the honest input's digest
-    }
-  } adv;
-
-  const claim_outcome out = broadcast_claims_collapsed(h.plan, h.net, h.faults,
-                                                       instances, 2, &adv);
-  expect_honest_agree(out, h, "digest-mismatch");
+  }
   EXPECT_GT(out.fallback_retrievals, 0);
-  // Every honest node ends with the payload backing the accepted digest —
-  // enough honest holders exist to serve the mismatched minority.
-  for (std::size_t q = 0; q < instances.size(); ++q) {
-    if (instances[q].source != 5) continue;
-    for (graph::node_id v : h.g.active_nodes()) {
-      if (h.faults.is_corrupt(v)) continue;
-      EXPECT_EQ(out.agreed[q][static_cast<std::size_t>(v)],
-                (value{0x5555, 0x5555}));
+  expected += static_cast<std::uint64_t>(out.fallback_retrievals) *
+              charge(instances.front().input);
+  EXPECT_EQ(col.value(obs::counter::gf_mul_ops) +
+                col.value(obs::counter::gf_scale_words),
+            expected);
+}
+
+TEST(ClaimBroadcast, CollapsedDigestMismatchedPairsFallBackToRetrieval) {
+  // A short forgery, and one of the honest length that differs only in its
+  // last word: a receiver may share the claimant's digest only when its whole
+  // copy equals the input, so both must retrieve.
+  for (const value& forgery : {value{0xf0f0}, value{0x5555, 0x5554}}) {
+    harness h(graph::complete(7), 2, {5});
+    auto instances = distinct_claims(h.g);
+    // Make the corrupt claimant's honest input recognizable.
+    for (auto& inst : instances)
+      if (inst.source == 5) inst.input = {0x5555, 0x5555};
+
+    class mismatcher : public claim_adversary {
+     public:
+      explicit mismatcher(value forged) : forged_(std::move(forged)) {}
+      value propose_payload(graph::node_id, graph::node_id receiver,
+                            const value& honest) override {
+        // Receivers 0..1 get the forgery (any more and the honest holders
+        // would drop below the echo quorum of (n+f)/2 + 1 = 5, making the
+        // claimant simply unaccepted); the announced digest stays the honest
+        // one, so the forgery mismatches and exactly those pairs retrieve.
+        return receiver <= 1 ? forged_ : honest;
+      }
+      claim_digest announce_digest(graph::node_id, graph::node_id,
+                                   const claim_digest&) override {
+        return claim_digest_of({0x5555, 0x5555});  // the honest input's digest
+      }
+
+     private:
+      value forged_;
+    } adv(forgery);
+
+    const claim_outcome out = broadcast_claims_collapsed(h.plan, h.net, h.faults,
+                                                         instances, 2, &adv);
+    expect_honest_agree(out, h, "digest-mismatch");
+    EXPECT_EQ(out.fallback_retrievals, 2) << "forgery of " << forgery.size() << " words";
+    // Every honest node ends with the payload backing the accepted digest —
+    // enough honest holders exist to serve the mismatched minority.
+    for (std::size_t q = 0; q < instances.size(); ++q) {
+      if (instances[q].source != 5) continue;
+      for (graph::node_id v : h.g.active_nodes()) {
+        if (h.faults.is_corrupt(v)) continue;
+        EXPECT_EQ(out.agreed[q][static_cast<std::size_t>(v)],
+                  (value{0x5555, 0x5555}));
+      }
     }
   }
 }
