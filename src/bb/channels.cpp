@@ -131,7 +131,8 @@ channel_plan::channel_plan(const graph::digraph& g, int f,
     : topo_(g),
       f_(f),
       routes_(std::move(routes)),
-      inboxes_(static_cast<std::size_t>(g.universe())) {
+      inboxes_(static_cast<std::size_t>(g.universe())),
+      words_(g.universe()) {
   NAB_ASSERT(routes_ != nullptr && routes_->universe() == g.universe(),
              "channel_plan route table does not match the topology");
 }
@@ -159,88 +160,134 @@ bool has_corrupt_relay(const route_table::path_view path, const sim::fault_set& 
 
 }  // namespace
 
+bool channel_plan::begin_transport(sim::network& net, std::size_t entries) {
+  // Clean links deliver every copy, so a unicast is one bulk charge of its
+  // pair's link list — the hops of every route, in the order the per-hop
+  // walk of a lossy network charges them. The network is checked once per
+  // round to carry every link the routes cross, instead of once per hop.
+  const bool lossy_net = net.link_faults() != nullptr;
+  if (!lossy_net && entries != 0)
+    net.require_links(routes_->universe(), routes_->all_links());
+  return lossy_net;
+}
+
+template <class MessageFn>
+channel_plan::arrival channel_plan::transport(sim::network& net,
+                                              const sim::fault_set& faults,
+                                              relay_adversary* adv, bool lossy_net,
+                                              graph::node_id from, graph::node_id to,
+                                              std::uint64_t tag, std::uint64_t bits,
+                                              const MessageFn& message,
+                                              sim::payload& majority) {
+  const route_table::route_view route_set = routes_->at(from, to);
+  std::size_t live = route_set.size();
+  if (!lossy_net) {
+    net.charge_links(routes_->links(from, to), bits, tag);
+  } else {
+    // Each hop runs its own ARQ loop; a copy survives iff every hop of its
+    // path got through, and a dropped copy never charges the hops past
+    // the failure. Paths are contiguous node spans in the flat pool.
+    live = 0;
+    arrived_.clear();
+    for (const route_table::path_view path : route_set) {
+      bool ok = true;
+      for (std::size_t i = 0; i + 1 < path.size(); ++i)
+        if (!net.lossy_transmit(path[i], path[i + 1], bits, tag)) {
+          ok = false;
+          break;
+        }
+      arrived_.push_back(ok ? 1 : 0);
+      if (ok) ++live;
+    }
+    // Every copy erased in transit: the receiver sees nothing and falls
+    // back to its missing-message default (vanishingly rare within budget).
+    if (live == 0) return arrival::lost;
+  }
+  // With no tampering adversary, or no corrupt interior relay on a
+  // surviving path (a direct link has none), every delivered copy is the
+  // sent content verbatim, so the majority is that content and no copy is
+  // materialized. Relays are scanned only when an adversary is attached.
+  bool compromised = false;
+  if (adv != nullptr)
+    for (std::size_t p = 0; p < route_set.size(); ++p)
+      if ((!lossy_net || arrived_[p] != 0) && has_corrupt_relay(route_set[p], faults))
+        compromised = true;
+  if (!compromised) return arrival::verbatim;
+  // Compromised: collect one copy per surviving route and majority-
+  // resolve. Ties resolve to the lexicographically smallest payload so
+  // every honest receiver applies the same deterministic rule.
+  const sim::message& m = message();
+  std::vector<sim::payload> copies;
+  copies.reserve(live);
+  for (std::size_t p = 0; p < route_set.size(); ++p) {
+    if (lossy_net && arrived_[p] == 0) continue;
+    const route_table::path_view path = route_set[p];
+    sim::payload copy = m.payload;
+    if (has_corrupt_relay(path, faults)) {
+      sim::scoped_run_arena suspend_pooling(nullptr);  // stateful strategies
+      const std::vector<graph::node_id> path_nodes(path.begin(), path.end());
+      if (auto forged = adv->tamper(path_nodes, m)) copy = std::move(*forged);
+    }
+    copies.push_back(std::move(copy));
+  }
+  std::map<sim::payload, int> votes;
+  for (const auto& c : copies) ++votes[c];
+  const auto winner =
+      std::max_element(votes.begin(), votes.end(), [](const auto& a, const auto& b) {
+        return a.second < b.second || (a.second == b.second && b.first < a.first);
+      });
+  majority = winner->first;
+  return arrival::resolved;
+}
+
 double channel_plan::end_round(sim::network& net, const sim::fault_set& faults,
                                relay_adversary* adv) {
   for (auto& box : inboxes_) box.clear();
-
-  // Clean links deliver every copy, so a message is one bulk charge of its
-  // pair's link list — the hops of every route, in the order the per-hop
-  // walk below charges them. The network is checked once per round to
-  // carry every link the routes cross, instead of once per hop.
-  const bool lossy_net = net.link_faults() != nullptr;
-  if (!lossy_net && !queued_.empty())
-    net.require_links(routes_->universe(), routes_->all_links());
-  // Per-path delivery flags, tracked only under an attached fault model so
-  // the clean path stays allocation-free. Hoisted across messages.
-  std::vector<char> arrived;
-
+  const bool lossy_net = begin_transport(net, queued_.size());
+  sim::payload majority;
   for (sim::message& m : queued_) {
-    const route_table::route_view route_set = routes_->at(m.from, m.to);
-    std::size_t live = route_set.size();
-    if (!lossy_net) {
-      net.charge_links(routes_->links(m.from, m.to), m.bits, m.tag);
-    } else {
-      // Each hop runs its own ARQ loop; a copy survives iff every hop of its
-      // path got through, and a dropped copy never charges the hops past
-      // the failure. Paths are contiguous node spans in the flat pool.
-      live = 0;
-      arrived.clear();
-      for (const route_table::path_view path : route_set) {
-        bool ok = true;
-        for (std::size_t i = 0; i + 1 < path.size(); ++i)
-          if (!net.lossy_transmit(path[i], path[i + 1], m.bits, m.tag)) {
-            ok = false;
-            break;
-          }
-        arrived.push_back(ok ? 1 : 0);
-        if (ok) ++live;
-      }
-      // Every copy erased in transit: the receiver sees nothing and falls
-      // back to its missing-message default (vanishingly rare within budget).
-      if (live == 0) continue;
-    }
-    // With no tampering adversary, or no corrupt interior relay on a
-    // surviving path (a direct link has none), every delivered copy is the
-    // queued payload verbatim: the majority is the payload itself, so
-    // deliver it by move without materializing per-route copies. Relays
-    // are scanned only when an adversary is attached.
-    bool compromised = false;
-    if (adv != nullptr)
-      for (std::size_t p = 0; p < route_set.size(); ++p)
-        if ((!lossy_net || arrived[p] != 0) && has_corrupt_relay(route_set[p], faults))
-          compromised = true;
-    if (!compromised) {
-      inboxes_[static_cast<std::size_t>(m.to)].push_back(std::move(m));
-      continue;
-    }
-    // Compromised: collect one copy per surviving route and majority-
-    // resolve. Ties resolve to the lexicographically smallest payload so
-    // every honest receiver applies the same deterministic rule.
-    std::vector<sim::payload> copies;
-    copies.reserve(live);
-    for (std::size_t p = 0; p < route_set.size(); ++p) {
-      if (lossy_net && arrived[p] == 0) continue;
-      const route_table::path_view path = route_set[p];
-      sim::payload copy = m.payload;
-      if (has_corrupt_relay(path, faults)) {
-        sim::scoped_run_arena suspend_pooling(nullptr);  // stateful strategies
-        const std::vector<graph::node_id> path_nodes(path.begin(), path.end());
-        if (auto forged = adv->tamper(path_nodes, m)) copy = std::move(*forged);
-      }
-      copies.push_back(std::move(copy));
-    }
-    std::map<sim::payload, int> votes;
-    for (const auto& c : copies) ++votes[c];
-    const auto winner =
-        std::max_element(votes.begin(), votes.end(), [](const auto& a, const auto& b) {
-          return a.second < b.second ||
-                 (a.second == b.second && b.first < a.first);
-        });
-    sim::message delivered = m;
-    delivered.payload = winner->first;
-    inboxes_[static_cast<std::size_t>(m.to)].push_back(std::move(delivered));
+    const auto self = [&m]() -> const sim::message& { return m; };
+    const arrival a =
+        transport(net, faults, adv, lossy_net, m.from, m.to, m.tag, m.bits, self, majority);
+    if (a == arrival::lost) continue;
+    if (a == arrival::resolved) m.payload = std::move(majority);
+    inboxes_[static_cast<std::size_t>(m.to)].push_back(std::move(m));
   }
   queued_.clear();
+  return net.end_step();
+}
+
+void channel_plan::send_word(graph::node_id from, graph::node_id to, std::uint64_t tag,
+                             std::uint64_t word, std::uint64_t bits) {
+  NAB_ASSERT(!routes_->at(from, to).empty(),
+             "send_word between nodes with no planned route");
+  if (bits == 0)
+    throw error("channel_plan::send_word with bits == 0 on " + std::to_string(from) +
+                "->" + std::to_string(to) +
+                " (a word is content and must be charged)");
+  sent_words_.push_back({from, to, tag, word, bits});
+}
+
+double channel_plan::end_word_round(sim::network& net, const sim::fault_set& faults,
+                                    relay_adversary* adv) {
+  NAB_ASSERT(queued_.empty(), "message-lane traffic queued when a word round ends");
+  words_.clear();
+  const bool lossy_net = begin_transport(net, sent_words_.size());
+  sim::payload majority;
+  for (const sent_word& w : sent_words_) {
+    // The tamper hook sees the word as the one-word message it stands for;
+    // it is built only on that slow path.
+    const auto as_message = [&w] {
+      return sim::message{w.from, w.to, w.tag, {w.word}, w.bits};
+    };
+    const arrival a = transport(net, faults, adv, lossy_net, w.from, w.to, w.tag, w.bits,
+                                as_message, majority);
+    if (a == arrival::verbatim)
+      words_.deliver(w.to, w.from, w.word);
+    else if (a == arrival::resolved && !majority.empty())
+      words_.deliver(w.to, w.from, majority[0]);
+  }
+  sent_words_.clear();
   return net.end_step();
 }
 
@@ -253,6 +300,7 @@ const sim::message_list& channel_plan::inbox(graph::node_id v) const {
 void channel_plan::reclaim_round_storage() {
   sim::message_list().swap(queued_);
   for (auto& box : inboxes_) sim::message_list().swap(box);
+  sent_words_.clear();
 }
 
 }  // namespace nab::bb

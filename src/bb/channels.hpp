@@ -154,6 +154,35 @@ class relay_adversary {
   }
 };
 
+/// What every receiver heard in one word round (channel_plan's word lane):
+/// dense over the node universe and reused from round to round, so a round
+/// costs no per-message allocation. value(r, s) is sender s's word at
+/// receiver r, meaningful only where heard(r, s).
+class word_inbox {
+ public:
+  explicit word_inbox(int universe)
+      : n_(static_cast<std::size_t>(universe)), value_(n_ * n_, 0), heard_(n_ * n_, 0) {}
+
+  void clear() { std::fill(heard_.begin(), heard_.end(), 0); }
+
+  void deliver(graph::node_id r, graph::node_id s, std::uint64_t v) {
+    value_[at(r, s)] = v;
+    heard_[at(r, s)] = 1;
+  }
+
+  bool heard(graph::node_id r, graph::node_id s) const { return heard_[at(r, s)] != 0; }
+  std::uint64_t value(graph::node_id r, graph::node_id s) const { return value_[at(r, s)]; }
+
+ private:
+  std::size_t at(graph::node_id r, graph::node_id s) const {
+    return static_cast<std::size_t>(r) * n_ + static_cast<std::size_t>(s);
+  }
+
+  std::size_t n_;
+  std::vector<std::uint64_t> value_;
+  std::vector<char> heard_;
+};
+
 /// Reliable pairwise channels over an arbitrary (>= 2f+1)-connected network.
 ///
 /// The paper's step 2.2 and Phase 3 run classical BB protocols that assume a
@@ -164,12 +193,22 @@ class relay_adversary {
 /// with exact link-level bit accounting: every link of every path is charged
 /// the full payload size in the step where the round ends.
 ///
+/// Two lanes, one transport rule. The message lane (unicast / end_round /
+/// inbox) carries arbitrary payloads as sim::message inbox entries; EIG and
+/// the claim backends batch their items through it. The word lane
+/// (send_word / end_word_round / words) carries one word per unicast, as
+/// phase-king's rounds do, and writes what arrives straight into a dense
+/// word_inbox: no payload, message or inbox entry per unicast. Both lanes
+/// end a round by transporting their entries in send order through one
+/// private rule, so charges, trace events, ARQ draws, relay tampering and
+/// majority votes cannot differ between them.
+///
 /// Accounting model: multi-hop forwarding within one synchronous step
 /// (cut-through, the paper's zero-propagation-delay model; see
 /// core::propagation_mode::cut_through).
 ///
 /// Charging: on clean networks (no link-fault model attached) every copy
-/// arrives, so each message is one bulk charge of its pair's precomputed
+/// arrives, so each unicast is one bulk charge of its pair's precomputed
 /// link list, and the network is checked once per round to carry every
 /// link the routes cross. Lossy networks walk each route hop by hop, every
 /// hop running its own ARQ loop.
@@ -231,9 +270,28 @@ class channel_plan {
   /// Logical messages delivered to v in the last completed round.
   const sim::message_list& inbox(graph::node_id v) const;
 
+  /// Queues a one-word logical unicast on the word lane for the current
+  /// word round. A word is content, so it must be charged: throws nab::error
+  /// when bits == 0, as unicast does for a nonempty payload.
+  void send_word(graph::node_id from, graph::node_id to, std::uint64_t tag,
+                 std::uint64_t word, std::uint64_t bits);
+
+  /// Ends a word round: transports every queued word in send order under
+  /// end_round's rule and writes each arrival into words(). A word whose
+  /// copies were all erased, or whose majority resolved to an empty
+  /// payload, is not heard; a forged multi-word winner delivers its first
+  /// word. Returns the step duration. Asserts that no message-lane traffic
+  /// is queued, and throws nab::error in the cases end_round does.
+  double end_word_round(sim::network& net, const sim::fault_set& faults,
+                        relay_adversary* adv = nullptr);
+
+  /// What every receiver heard in the last completed word round.
+  const word_inbox& words() const { return words_; }
+
   /// Releases all per-round storage (queued messages and inbox capacity).
   /// The plan itself persists across NAB instances while payloads live in a
   /// per-run arena, so the session calls this before every arena reset.
+  /// The word lane holds no arena memory; its queue is only emptied.
   void reclaim_round_storage();
 
   /// The routes used for the ordered pair (from, to): one single-link route
@@ -248,11 +306,46 @@ class channel_plan {
   const graph::digraph& topology() const { return topo_; }
 
  private:
+  /// One queued word-lane unicast.
+  struct sent_word {
+    graph::node_id from, to;
+    std::uint64_t tag, word, bits;
+  };
+
+  /// What the receiver of one transported unicast gets.
+  enum class arrival {
+    lost,      ///< every copy was erased in transit
+    verbatim,  ///< every surviving copy is the sent content
+    resolved,  ///< a corrupt relay sat on a surviving copy; majority voted
+  };
+
+  /// Starts transporting a round of `entries` unicasts: on a clean network
+  /// a non-empty round checks once that `net` carries every route link.
+  /// Returns whether `net` is lossy.
+  bool begin_transport(sim::network& net, std::size_t entries);
+
+  /// The one transport rule of both lanes: charges one unicast's routes on
+  /// `net` (clean: one bulk charge; lossy: per-hop ARQ, a copy surviving
+  /// iff every hop of its path got through) and, only under a relay
+  /// adversary, scans the surviving paths for a corrupt relay. If one is
+  /// found, every surviving copy goes through the tamper hook where a
+  /// corrupt relay sits and `majority` receives the vote's winner, ties
+  /// going to the lexicographically smallest payload. `message()` yields
+  /// the unicast as a sim::message for the hook; it is called only then.
+  template <class MessageFn>
+  arrival transport(sim::network& net, const sim::fault_set& faults,
+                    relay_adversary* adv, bool lossy_net, graph::node_id from,
+                    graph::node_id to, std::uint64_t tag, std::uint64_t bits,
+                    const MessageFn& message, sim::payload& majority);
+
   graph::digraph topo_;
   int f_;
   std::shared_ptr<const route_table> routes_;  // immutable, possibly shared
   sim::message_list queued_;
   std::vector<sim::message_list> inboxes_;
+  std::vector<sent_word> sent_words_;  // the word lane's reused send list
+  word_inbox words_;
+  std::vector<char> arrived_;  // per-path delivery flags of a lossy unicast
 };
 
 }  // namespace nab::bb

@@ -1,49 +1,20 @@
 #include "bb/phase_king.hpp"
 
-#include <algorithm>
 #include <map>
+#include <utility>
 
 #include "util/assert.hpp"
 
 namespace nab::bb {
 namespace {
 
-/// What every receiver heard in one exchange round: dense over the node
-/// universe and reused from round to round, so a round costs no per-message
-/// allocation. value(r, s) is sender s's word at receiver r, meaningful only
-/// where heard(r, s).
-class round_inbox {
- public:
-  explicit round_inbox(int universe)
-      : n_(static_cast<std::size_t>(universe)), value_(n_ * n_, 0), heard_(n_ * n_, 0) {}
-
-  void clear() { std::fill(heard_.begin(), heard_.end(), 0); }
-
-  void deliver(graph::node_id r, graph::node_id s, std::uint64_t v) {
-    value_[at(r, s)] = v;
-    heard_[at(r, s)] = 1;
-  }
-
-  bool heard(graph::node_id r, graph::node_id s) const { return heard_[at(r, s)] != 0; }
-  std::uint64_t value(graph::node_id r, graph::node_id s) const { return value_[at(r, s)]; }
-
- private:
-  std::size_t at(graph::node_id r, graph::node_id s) const {
-    return static_cast<std::size_t>(r) * n_ + static_cast<std::size_t>(s);
-  }
-
-  std::size_t n_;
-  std::vector<std::uint64_t> value_;
-  std::vector<char> heard_;
-};
-
-/// One all-to-all (or king-to-all) exchange; fills `received` with what
-/// each participant heard from each sender.
+/// One all-to-all (or king-to-all) exchange on the word lane; afterwards
+/// channels.words() holds what each participant heard from each sender.
 void exchange(channel_plan& channels, sim::network& net, const sim::fault_set& faults,
               const std::vector<graph::node_id>& participants,
               const std::vector<std::uint64_t>& current, int phase, bool king_round,
               graph::node_id king, std::uint64_t value_bits, pk_adversary* adv,
-              relay_adversary* relay_adv, round_inbox& received) {
+              relay_adversary* relay_adv) {
   for (graph::node_id i : participants) {
     if (king_round && i != king) continue;
     for (graph::node_id j : participants) {
@@ -53,14 +24,10 @@ void exchange(channel_plan& channels, sim::network& net, const sim::fault_set& f
         sim::scoped_run_arena suspend_pooling(nullptr);  // stateful strategies
         v = adv->exchange_value(i, j, phase, king_round, v);
       }
-      channels.unicast(i, j, static_cast<std::uint64_t>(phase), {v}, value_bits);
+      channels.send_word(i, j, static_cast<std::uint64_t>(phase), v, value_bits);
     }
   }
-  channels.end_round(net, faults, relay_adv);
-  received.clear();
-  for (graph::node_id j : participants)
-    for (const sim::message& m : channels.inbox(j))
-      if (!m.payload.empty()) received.deliver(j, m.from, m.payload[0]);
+  channels.end_word_round(net, faults, relay_adv);
 }
 
 }  // namespace
@@ -77,13 +44,13 @@ pk_result phase_king_consensus(channel_plan& channels, sim::network& net,
              "initial values must cover the node universe");
 
   std::vector<std::uint64_t> current = initial;
-  round_inbox received(channels.topology().universe());
+  const word_inbox& received = channels.words();
   const double t0 = net.elapsed();
 
   for (int phase = 0; phase <= f; ++phase) {
     // Round A: all-to-all exchange; take the most frequent value.
     exchange(channels, net, faults, participants, current, phase,
-             /*king_round=*/false, -1, value_bits, adv, relay_adv, received);
+             /*king_round=*/false, -1, value_bits, adv, relay_adv);
     std::vector<std::uint64_t> maj(current.size(), 0);
     std::vector<int> mult(current.size(), 0);
     for (graph::node_id v : participants) {
@@ -106,7 +73,7 @@ pk_result phase_king_consensus(channel_plan& channels, sim::network& net,
     const graph::node_id king = participants[static_cast<std::size_t>(phase) %
                                              participants.size()];
     exchange(channels, net, faults, participants, maj, phase, /*king_round=*/true, king,
-             value_bits, adv, relay_adv, received);
+             value_bits, adv, relay_adv);
     for (graph::node_id v : participants) {
       const bool confident =
           2 * mult[static_cast<std::size_t>(v)] > n + 2 * f;  // mult > n/2 + f
@@ -141,18 +108,16 @@ pk_result phase_king_broadcast(channel_plan& channels, sim::network& net,
       sim::scoped_run_arena suspend_pooling(nullptr);  // stateful strategies
       v = adv->exchange_value(source, j, /*phase=*/-1, /*is_king_round=*/false, v);
     }
-    channels.unicast(source, j, 0, {v}, value_bits);
+    channels.send_word(source, j, 0, v, value_bits);
   }
-  channels.end_round(net, faults, relay_adv);
+  channels.end_word_round(net, faults, relay_adv);
 
   std::vector<std::uint64_t> initial(static_cast<std::size_t>(universe), 0);
   initial[static_cast<std::size_t>(source)] = input;
-  for (graph::node_id j : participants) {
-    if (j == source) continue;
-    for (const sim::message& m : channels.inbox(j))
-      if (m.from == source && !m.payload.empty())
-        initial[static_cast<std::size_t>(j)] = m.payload[0];
-  }
+  const word_inbox& received = channels.words();
+  for (graph::node_id j : participants)
+    if (j != source && received.heard(j, source))
+      initial[static_cast<std::size_t>(j)] = received.value(j, source);
   return phase_king_consensus(channels, net, faults, initial, f, value_bits, adv,
                               relay_adv);
 }

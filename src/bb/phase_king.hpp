@@ -53,6 +53,9 @@ struct pk_result {
 /// EIG for optimal n > 3f resilience). The library's broadcast_default picks
 /// automatically.
 ///
+/// Every round runs on the channel plan's word lane (channel_plan::send_word
+/// / end_word_round): one word per unicast, read back off channels.words().
+///
 /// `initial[v]` is node v's input (indexed by node id over the topology
 /// universe; only active-node entries are read).
 pk_result phase_king_consensus(channel_plan& channels, sim::network& net,

@@ -98,8 +98,11 @@ constexpr std::size_t simd_min_words = 128;
 
 #if NAB_GF_KERNELS_X86
 
-__attribute__((target("ssse3"))) void axpy_ssse3(word* dst, const word* src,
-                                                 word coeff, std::size_t n) {
+// aligned(64): each hot kernel starts a cache line wherever unrelated edits
+// move the code around it, so their speed does not vary with link layout.
+__attribute__((target("ssse3"), aligned(64))) void axpy_ssse3(word* dst,
+                                                              const word* src,
+                                                              word coeff, std::size_t n) {
   if (n < simd_min_words) { axpy_scalar(dst, src, coeff, n); return; }
   nibble_tables t;
   build_tables(coeff, t);
@@ -131,8 +134,8 @@ __attribute__((target("ssse3"))) void axpy_ssse3(word* dst, const word* src,
   if (i < n) axpy_scalar(dst + i, src + i, coeff, n - i);
 }
 
-__attribute__((target("ssse3"))) void scale_ssse3(word* v, word coeff,
-                                                  std::size_t n) {
+__attribute__((target("ssse3"), aligned(64))) void scale_ssse3(word* v, word coeff,
+                                                               std::size_t n) {
   if (n < simd_min_words) { scale_scalar(v, coeff, n); return; }
   nibble_tables t;
   build_tables(coeff, t);
@@ -163,8 +166,8 @@ __attribute__((target("ssse3"))) void scale_ssse3(word* v, word coeff,
   if (i < n) scale_scalar(v + i, coeff, n - i);
 }
 
-__attribute__((target("avx2"))) void axpy_avx2(word* dst, const word* src,
-                                               word coeff, std::size_t n) {
+__attribute__((target("avx2"), aligned(64))) void axpy_avx2(word* dst, const word* src,
+                                                            word coeff, std::size_t n) {
   if (n < simd_min_words) { axpy_scalar(dst, src, coeff, n); return; }
   nibble_tables t;
   build_tables(coeff, t);
@@ -201,8 +204,8 @@ __attribute__((target("avx2"))) void axpy_avx2(word* dst, const word* src,
   if (i < n) axpy_ssse3(dst + i, src + i, coeff, n - i);
 }
 
-__attribute__((target("avx2"))) void scale_avx2(word* v, word coeff,
-                                                std::size_t n) {
+__attribute__((target("avx2"), aligned(64))) void scale_avx2(word* v, word coeff,
+                                                             std::size_t n) {
   if (n < simd_min_words) { scale_scalar(v, coeff, n); return; }
   nibble_tables t;
   build_tables(coeff, t);
