@@ -49,6 +49,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "parse error: %s\n", e.what());
       return 2;
     }
+    // Connectivity and every paper quantity need a source and a receiver.
+    if (g.universe() < 2) {
+      std::fprintf(stderr, "capacity_planner: %s has %d node(s); a broadcast needs "
+                   "at least 2\n", argv[1], g.universe());
+      return 2;
+    }
   } else {
     std::printf("(no topology given; using a demo 6-node datacenter-ish fabric)\n");
     g = graph::parse_topology_text(

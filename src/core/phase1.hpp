@@ -17,7 +17,8 @@ enum class propagation_mode {
   cut_through,
   /// Store-and-forward: a node forwards a share only after fully receiving
   /// it, so Phase 1 spans depth * L/gamma_k. This is the regime Appendix D's
-  /// pipelining (Figure 3) fixes; bench E7 contrasts the two.
+  /// pipelining (Figure 3) fixes; tests/core/test_pipeline.cpp contrasts
+  /// the two.
   store_and_forward,
   /// Appendix D's pipelined schedule: store-and-forward hops, but instance i
   /// enters the pipe in round i so a new instance completes every round at

@@ -40,9 +40,10 @@ struct session_config {
   propagation_mode propagation = propagation_mode::cut_through;
   /// Classical-BB engine for the step-2.2 flag broadcast. auto_select uses
   /// phase-king when the participant count allows (> 4f), else EIG; the
-  /// choice cannot affect asymptotic throughput (ablation A3). Explicitly
-  /// requesting phase_king on <= 4f participants is rejected at session
-  /// construction (the auto_select boundary), not deep inside a run.
+  /// choice cannot affect asymptotic throughput (tests/paper pins the gap
+  /// shrinking with L). Explicitly requesting phase_king on <= 4f
+  /// participants is rejected at session construction (the auto_select
+  /// boundary), not deep inside a run.
   bb::bb_protocol flag_protocol = bb::bb_protocol::eig;
   /// Claim-dissemination backend for Phase-3 DC1 (bb/claim_bcast.hpp): eig
   /// is the seed path and correctness oracle at Theta(n^f) * L claim

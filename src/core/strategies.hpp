@@ -70,10 +70,11 @@ class claim_forger : public nab_adversary {
   graph::node_id victim_;
 };
 
-/// The dispute-farming workload of bench E5: in every instance, each corrupt
-/// node corrupts Phase-1 forwards to one victim it still shares an edge
-/// with, maximizing the number of dispute-control rounds before the
-/// adversary runs out of edges (at most f(f+1) rounds, per the paper).
+/// The dispute-farming workload (`dispute_farm`, run by the registry's
+/// complete-f2 family): in every instance, each corrupt node corrupts
+/// Phase-1 forwards to one victim it still shares an edge with, maximizing
+/// the number of dispute-control rounds before the adversary runs out of
+/// edges (at most f(f+1) rounds, per the paper).
 class dispute_farmer : public nab_adversary {
  public:
   chunk phase1_forward_chunk(int tree, graph::node_id from, graph::node_id to,

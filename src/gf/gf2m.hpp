@@ -19,8 +19,8 @@ inline constexpr std::uint64_t default_poly[33] = {
 /// Multiplication is shift-and-add with per-step reduction by a primitive
 /// polynomial; inversion uses Fermat's little theorem (a^(2^M - 2)).
 /// Slower than the table-driven gf2_16, but supports every width the
-/// Theorem-1 soundness sweep (bench E3) needs — the miss probability of the
-/// equality check scales as 2^-M, so small M makes misses observable.
+/// Theorem-1 miss-rate test (tests/paper) needs — the miss probability of
+/// the equality check scales as 2^-M, so small M makes misses observable.
 template <unsigned M>
 class gf2m {
   static_assert(M >= 2 && M <= 32, "gf2m supports 2 <= M <= 32");

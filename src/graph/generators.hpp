@@ -40,15 +40,15 @@ digraph erdos_renyi(int n, double p, capacity_t cap_lo, capacity_t cap_hi, rng& 
 /// [cap_lo, cap_hi] (same both ways per pair).
 digraph random_regular(int n, int d, capacity_t cap_lo, capacity_t cap_hi, rng& rand);
 
-/// "Dumbbell" used by the intro-claim bench (E6): two complete clusters of
-/// size n/2 with fat internal links (capacity `fat`) joined by thin
+/// "Dumbbell" of the registry's capacity-skew family: two complete clusters
+/// of size n/2 with fat internal links (capacity `fat`) joined by thin
 /// bidirectional bridges of capacity `thin`. Capacity-oblivious BB pays for
 /// the thin links on every bit; NAB routes around them.
 digraph dumbbell(int n, capacity_t fat, capacity_t thin);
 
 /// Path of `hops` complete clusters of size `cluster` (consecutive clusters
-/// fully interconnected), uniform capacity. Used by the pipelining bench
-/// (E7, Figure 3): broadcast must travel `hops` hops.
+/// fully interconnected), uniform capacity. Used by the pipelining tests
+/// (Figure 3): broadcast must travel `hops` hops.
 digraph path_of_cliques(int hops, int cluster, capacity_t cap = 1);
 
 /// Binary hypercube on 2^dim nodes: nodes u, v are linked (bidirectionally,
@@ -67,10 +67,10 @@ digraph clustered_wan(int clusters, int cluster_size, capacity_t intra,
                       capacity_t inter, int trunks = 2);
 
 /// Complete graph with uniform capacity `fat` except one bidirectional weak
-/// link of capacity 1 between the last two nodes. The intro-claim bench
-/// (E6): capacity-oblivious protocols exchange full-length values over every
-/// link and are throttled by the weak link, so their throughput stays O(1)
-/// while NAB's grows with `fat` — an unbounded gap.
+/// link of capacity 1 between the last two nodes. The intro claim's network
+/// (tests/paper): capacity-oblivious protocols exchange full-length values
+/// over every link and are throttled by the weak link, so their throughput
+/// stays O(1) while NAB's grows with `fat` — an unbounded gap.
 digraph complete_with_weak_link(int n, capacity_t fat);
 
 }  // namespace nab::graph

@@ -5,6 +5,7 @@
 
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
+#include "graph/maxflow.hpp"
 #include "graph/topology_io.hpp"
 #include "runtime/hunt.hpp"
 #include "util/assert.hpp"
@@ -457,8 +458,8 @@ std::vector<scenario_family> build_registry() {
     scenario_family fam;
     fam.name = "ablation-flags";
     fam.description =
-        "EIG vs phase-king for the step-2.2 flag broadcast (A3: the choice "
-        "must not affect correctness, only constant-factor overhead).";
+        "EIG vs phase-king for the step-2.2 flag broadcast (the choice must "
+        "not affect correctness, only constant-factor overhead).";
     fam.topologies = {{.kind = tk::complete, .n = 6, .cap_lo = 1, .cap_hi = 1}};
     fam.adversaries = {ak::p1_garble, ak::false_flag};
     fam.flag_protocols = {bb::bb_protocol::eig, bb::bb_protocol::phase_king};
@@ -680,12 +681,20 @@ scenario topology_file_scenario(const std::string& path, const std::string& text
   if (adversary == adversary_kind::hunted)
     throw error("--adversary hunted replays a genome, which --topology runs "
                 "cannot carry");
-  int n = 0;
+  graph::digraph g;
   try {
-    n = graph::parse_topology_text(text).universe();
+    g = graph::parse_topology_text(text);
   } catch (const error& e) {
     throw error(path + ": " + e.what());
   }
+  // A broadcast needs a receiver, and Phase 1 needs a tree from node 0 to
+  // every node; otherwise the session aborts, or certifies seed after seed.
+  const int n = g.universe();
+  if (n < 2)
+    throw error(path + " has " + std::to_string(n) +
+                " node(s); a broadcast needs at least 2");
+  if (graph::broadcast_mincut(g, 0) == 0)
+    throw error(path + ": node 0, the source, cannot reach every node");
   // The checks fault_set would otherwise assert on, reported by value.
   std::sort(corrupt.begin(), corrupt.end());
   for (std::size_t i = 0; i < corrupt.size(); ++i) {

@@ -90,6 +90,12 @@ void run_arena::deallocate(void* p, std::size_t bytes) noexcept {
   free_lists_[cls] = p;
 }
 
+run_arena::~run_arena() {
+  NAB_ASSERT(live_ == 0,
+             "run_arena destroyed with live allocations — a container outlived "
+             "its arena");
+}
+
 void run_arena::reset() {
   NAB_ASSERT(live_ == 0,
              "run_arena::reset with live allocations — a container outlived "

@@ -25,13 +25,17 @@ namespace nab::sim {
 ///   allocations. Resetting while allocations are still live is a caller
 ///   bug (use-after-reset); `reset()` aborts on it via NAB_ASSERT, which is
 ///   exactly how the regression tests prove the session reclaims everything
-///   (including on early-abort paths) before rewinding.
+///   (including on early-abort paths) before rewinding. Destroying an arena
+///   with live allocations aborts the same way, instead of leaving a
+///   container to free into dead pages later.
 /// - Anything that must outlive the run (instance reports, dispute records,
 ///   traces) must be copied into plainly-allocated storage before the reset
 ///   point.
 class run_arena {
  public:
   run_arena() = default;
+  /// Precondition (aborts otherwise): no allocation is still live.
+  ~run_arena();
   run_arena(const run_arena&) = delete;
   run_arena& operator=(const run_arena&) = delete;
 

@@ -45,6 +45,7 @@ TEST(Omega, PaperFig1bUk) {
   dispute_record r;
   r.add_dispute(1, 2);
   EXPECT_EQ(compute_uk(g, 1, r), 2);  // the paper's U_k = 2
+  EXPECT_EQ(compute_rho(compute_uk(g, 1, r)), 1);  // rho_k = U_k/2
 }
 
 TEST(Omega, U1OfFig1a) {

@@ -5,6 +5,7 @@
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
 #include "graph/maxflow.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace nab::core {
@@ -51,6 +52,21 @@ TEST(Phase1, TimeIsLOverGamma) {
   const auto input = random_words(8, rand);
   const auto r = run_phase1(net, g, faults, 0, input, trees);
   EXPECT_DOUBLE_EQ(r.time, 64.0);  // L/gamma = 128/2
+
+  // Appendix A's knee on K_6 with unit links (gamma = 5): t <= gamma trees
+  // take L/t up to chunk rounding, and a sixth tree does not pack.
+  const graph::digraph k6 = graph::complete(6, 1);
+  ASSERT_EQ(graph::broadcast_mincut(k6, 0), 5);
+  constexpr std::size_t words = 2048;  // L = 32 Kbit
+  const auto value = random_words(words, rand);
+  for (int t = 1; t <= 5; ++t) {
+    sim::network net6(k6);
+    const auto r6 = run_phase1(net6, k6, sim::fault_set(6), 0, value,
+                               graph::pack_arborescences(k6, 0, t));
+    EXPECT_DOUBLE_EQ(r6.time, 16.0 * static_cast<double>((words + t - 1) / t))
+        << t << " trees";
+  }
+  EXPECT_THROW(graph::pack_arborescences(k6, 0, 6), nab::error);
 }
 
 TEST(Phase1, StoreAndForwardCostsDepthTimesChunk) {

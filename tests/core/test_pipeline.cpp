@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -32,6 +34,23 @@ TEST(Pipeline, BeatsSequentialOnDeepNetworks) {
   const auto stats = run_pipelined(cfg, 16, 256, rand);
   EXPECT_GT(stats.speedup(), 1.5);
   EXPECT_GT(stats.throughput(), stats.sequential_throughput());
+}
+
+TEST(Pipeline, SpeedupGrowsWithDepth) {
+  // Figure 3 at L = 64 Kbit: back-to-back instances pay every hop, so their
+  // throughput decays with depth, while the pipeline overlaps the hops.
+  double sequential = std::numeric_limits<double>::infinity();
+  double speedup = 1.0;
+  for (int hops : {2, 4, 6}) {
+    pipeline_config cfg{.g = graph::path_of_cliques(hops, 3, 1), .f = 1, .source = 0};
+    rng rand(6);
+    const auto stats = run_pipelined(cfg, 8, 4096, rand);
+    EXPECT_TRUE(stats.all_valid);
+    EXPECT_LT(stats.sequential_throughput(), sequential) << hops << " hops";
+    EXPECT_GT(stats.speedup(), speedup) << hops << " hops";
+    sequential = stats.sequential_throughput();
+    speedup = stats.speedup();
+  }
 }
 
 TEST(Pipeline, ShallowNetworksGainLittle) {

@@ -367,7 +367,8 @@ TEST(Session, CertifyCostCeilingSkipsButStillWorks) {
 }
 
 TEST(Session, HighCapacityThroughputScalesWithC) {
-  // The E6 mechanism at unit-test scale: throughput grows with the uniform
+  // The intro claim's mechanism at unit-test scale (tests/paper runs the
+  // weak-link network itself): throughput grows with the uniform
   // capacity c (gamma and rho scale linearly in c).
   double prev = 0;
   for (graph::capacity_t c : {1, 4, 16}) {

@@ -41,6 +41,11 @@ TEST(Generators, PaperFig2Capacities) {
   EXPECT_EQ(g.cap(1, 3), 1);
   EXPECT_EQ(g.cap(2, 3), 1);
   EXPECT_EQ(g.edges().size(), 5u);
+  // Figure 2(b): the undirected version keeps every weight (no link is
+  // bidirectional), so {1,2} weighs 2 and the other four pairs 1.
+  const ugraph u = to_undirected(g);
+  EXPECT_EQ(u.edges().size(), 5u);
+  for (const edge& e : u.edges()) EXPECT_EQ(e.cap, g.cap(e.from, e.to));
 }
 
 TEST(Generators, RingDegrees) {

@@ -112,7 +112,10 @@ TEST(TreePacking, IncrementalMatchesReferenceOnRegistryShapes) {
       paper_fig1a(),       paper_fig2(),          complete(7, 2),
       ring(5, 2),          ring(8, 1),            hypercube(3, 2),
       hypercube(5, 2),     clustered_wan(3, 3, 2, 1),
-      random_regular(10, 6, 1, 2, rand)};
+      random_regular(10, 6, 1, 2, rand),
+      // Fat and skewed capacities: thin bridges, one weak link.
+      complete(6, 2),      ring(6, 3),            dumbbell(8, 4, 1),
+      complete_with_weak_link(5, 8)};
   for (const digraph& g : graphs) {
     const auto gamma = static_cast<int>(broadcast_mincut(g, 0));
     ASSERT_GE(gamma, 1);

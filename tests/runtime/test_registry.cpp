@@ -314,6 +314,8 @@ TEST(Registry, TopologyFileScenarioValidatesItsInput) {
   EXPECT_NO_THROW(
       topology_file_scenario("k5.txt", k5, 1, adversary_kind::equivocate, {0}));
   rejects("nodes 5\nedge 0 7 1\n", 1, adversary_kind::honest, {}, "line 2");
+  rejects("nodes 1\n", 0, adversary_kind::honest, {}, "at least 2");
+  rejects("nodes 3\nbiedge 0 1 1\n", 0, adversary_kind::honest, {}, "cannot reach");
   rejects("", 1, adversary_kind::honest, {}, "k5.txt");
 }
 

@@ -39,7 +39,9 @@ TEST(RunArena, MonotonicBumpAndResetReusesPages) {
   EXPECT_EQ(a.bytes_reserved(), reserved);
   EXPECT_EQ(a.bytes_in_use(), 0u);
   // ... and the same allocation sequence lands on the same addresses.
-  EXPECT_EQ(a.allocate(100, 8), first);
+  void* again = a.allocate(100, 8);
+  EXPECT_EQ(again, first);
+  a.deallocate(again, 100);
 }
 
 TEST(RunArena, SizeClassPoolingRecyclesFreedBlocks) {
@@ -144,6 +146,21 @@ TEST(RunArenaDeathTest, ResetWithLiveAllocationAborts) {
         a.reset();
       },
       "live allocations");
+}
+
+TEST(RunArenaDeathTest, DestroyWithLiveAllocationAborts) {
+  // A container that outlives its arena would free into dead pages later;
+  // the destructor turns that into the same deterministic abort.
+  EXPECT_DEATH(
+      {
+        pooled_vector<int> outlives;
+        {
+          run_arena a;
+          scoped_run_arena scope(&a);
+          outlives.assign(8, 1);
+        }
+      },
+      "destroyed with live allocations");
 }
 #endif
 
