@@ -5,10 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <vector>
-
 #include "bb/channels.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/gomory_hu.hpp"
 #include "graph/maxflow.hpp"
@@ -81,51 +78,12 @@ BENCHMARK(bm_pack_frontier)
     ->Arg(7)
     ->Arg(64);
 
-void bm_pack_frontier_reference(benchmark::State& state) {
-  const auto g = frontier_graph(static_cast<int>(state.range(0)));
-  const auto gamma = nab::graph::broadcast_mincut(g, 0);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        nab::graph::pack_arborescences_reference(g, 0, static_cast<int>(gamma)));
-}
-// The d7 reference row re-runs the from-scratch Lovász construction
-// (minutes-scale); one iteration documents the before number without
-// dominating the suite.
-BENCHMARK(bm_pack_frontier_reference)
-    ->Name("pack_arborescences_frontier_reference")
-    ->Arg(6)
-    ->Arg(64)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 void bm_build_routes(benchmark::State& state) {
   const auto g = frontier_graph(static_cast<int>(state.range(0)));
   for (auto _ : state)
     benchmark::DoNotOptimize(nab::bb::channel_plan::build_routes(g, 1));
 }
 BENCHMARK(bm_build_routes)->Name("build_routes_frontier")->Arg(6)->Arg(7)->Arg(64);
-
-void bm_build_routes_reference(benchmark::State& state) {
-  const auto g = frontier_graph(static_cast<int>(state.range(0)));
-  const int n = g.universe();
-  for (auto _ : state) {
-    // The seed's shape: one cold node_disjoint_paths run per emulated pair.
-    std::vector<std::vector<std::vector<nab::graph::node_id>>> routes(
-        static_cast<std::size_t>(n));
-    for (nab::graph::node_id u = 0; u < n; ++u)
-      for (nab::graph::node_id v = 0; v < n; ++v) {
-        if (u == v || g.has_edge(u, v)) continue;
-        benchmark::DoNotOptimize(nab::graph::node_disjoint_paths(g, u, v, 3));
-      }
-    benchmark::DoNotOptimize(routes);
-  }
-}
-BENCHMARK(bm_build_routes_reference)
-    ->Name("build_routes_frontier_reference")
-    ->Arg(6)
-    ->Arg(7)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -63,7 +63,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/omega_cache.hpp"
 #include "runtime/runtime.hpp"
 #include "util/error.hpp"
 
@@ -194,13 +193,12 @@ int run_sweep_mode(const nab::runtime::fleet_options& opt,
       "min/mean/max = %.3f/%.3f/%.3f, wall %.2fs\n",
       s.runs, s.total_instances, s.total_dispute_phases, s.min_throughput,
       s.mean_throughput, s.max_throughput, wall);
-  const auto cache = nab::core::omega_cache::instance().stats();
-  std::printf(
-      "fleet: omega_cache %llu/%llu analysis hits, %llu/%llu phase-1 plan hits\n",
-      static_cast<unsigned long long>(cache.analysis_hits),
-      static_cast<unsigned long long>(cache.analysis_hits + cache.analysis_misses),
-      static_cast<unsigned long long>(cache.plan_hits),
-      static_cast<unsigned long long>(cache.plan_hits + cache.plan_misses));
+  unsigned long long cache_hits = 0, cache_lookups = 0;
+  for (const run_record& r : records) {
+    cache_hits += r.timing.counters[nab::obs::counter::cache_hits];
+    cache_lookups += r.counters[nab::obs::counter::cache_lookups];
+  }
+  std::printf("fleet: omega_cache %llu/%llu lookups hit\n", cache_hits, cache_lookups);
 
   // Per-family phase rollup: the top-3 phases by summed wall time across
   // the family's runs, from the per-run obs spans. Answers "where did the

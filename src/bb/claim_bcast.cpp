@@ -661,10 +661,7 @@ claim_outcome broadcast_claims_collapsed(
         }
       }
       s.need_fallback = s.accepted && !s.holds(*s.accepted);
-      if (s.need_fallback) {
-        obs::count(obs::counter::claim_fallbacks);
-        ++out.fallback_retrievals;
-      }
+      if (s.need_fallback) obs::count(obs::counter::claim_fallbacks);
     }
   ready_span.close(net.elapsed());
 

@@ -116,11 +116,6 @@ struct claim_outcome {
   /// validate).
   std::vector<std::vector<value>> agreed;
   double time = 0.0;
-  /// Collapsed backend only: number of (claimant, receiver) pairs whose
-  /// direct transcript copy mismatched the accepted digest and was served by
-  /// the retrieval round instead. Zero whenever every claimant proposed
-  /// consistently — the honest steady state.
-  int fallback_retrievals = 0;
 };
 
 /// Adversary hooks for corrupt participants of the collapsed backend. Every
@@ -200,10 +195,13 @@ claim_outcome broadcast_claims_eig(channel_plan& channels, sim::network& net,
 /// Collapsed-claim Bracha-style backend (participants > 3f): digest
 /// echo/ready agreement + single direct transcript copies + retrieval
 /// fallback for the digest-mismatched minority, served by at most 2f+1 of
-/// the holders the echo round exposed. `digest_seed` picks the digest
-/// evaluation points (see claim_digest). The GF counters charge one digest
-/// per received copy (claim_digests_of's rule, one batch per round), though
-/// copies equal to their claimant's input share its digest.
+/// the holders the echo round exposed. Each (claimant, receiver) pair the
+/// retrieval round serves counts once in the obs counter claim_fallbacks
+/// (zero when every claimant proposed consistently, the honest steady
+/// state). `digest_seed` picks the digest evaluation points (see
+/// claim_digest). The GF counters charge one digest per received copy
+/// (claim_digests_of's rule, one batch per round), though copies equal to
+/// their claimant's input share its digest.
 claim_outcome broadcast_claims_collapsed(
     channel_plan& channels, sim::network& net, const sim::fault_set& faults,
     const std::vector<claim_instance>& instances, int f,

@@ -31,6 +31,9 @@ gf::matrix<gf::gf2_16> build_check_matrix(const graph::digraph& g,
 /// probability >= 1 - 2^{-L/rho} C(n, n-f) (n-f-1) rho; this routine turns
 /// the probabilistic statement into a checked certificate, so a deployment
 /// can regenerate with a fresh seed on the (astronomically rare) failure.
+/// One independent elimination per H: certify_coding_batched runs it as its
+/// dense path, and tests pin the batched certifier's other two paths
+/// against it.
 certification certify_coding(const graph::digraph& g, int f,
                              const dispute_record& disputes,
                              const coding_scheme& coding);

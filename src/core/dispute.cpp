@@ -123,7 +123,6 @@ dispute_outcome run_dispute_control(sim::network& net, bb::channel_plan& channel
     span.end_tau(net.elapsed());
   }
   outcome.claim_bits = net.total_bits() - wire_before;
-  outcome.claim_fallbacks = bb_out.fallback_retrievals;
 
   // Read agreed values off the first honest node (all honest nodes agree;
   // session-level tests assert that independently).

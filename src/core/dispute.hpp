@@ -48,9 +48,6 @@ struct dispute_outcome {
   /// the collapsed backend collapses — recorded so the drop is asserted per
   /// run, not eyeballed).
   std::uint64_t claim_bits = 0;
-  /// Collapsed backend only: (claimant, receiver) pairs that needed the
-  /// full-transcript retrieval round (digest-mismatched minority).
-  int claim_fallbacks = 0;
   double time = 0.0;
 };
 

@@ -65,8 +65,7 @@ omega_cache& omega_cache::instance() {
 
 template <class V, class Compute>
 std::shared_ptr<const V> omega_cache::get_or_compute(
-    table<V>& tbl, canonical_key key, std::atomic<std::uint64_t>& hits,
-    std::atomic<std::uint64_t>& misses, const char* fill_span,
+    table<V>& tbl, canonical_key key, const char* fill_span,
     const Compute& compute) {
   obs::count(obs::counter::cache_lookups);
   const std::uint64_t fp = fingerprint_words(key);
@@ -75,7 +74,6 @@ std::shared_ptr<const V> omega_cache::get_or_compute(
     return find_entry<V>(tbl, fp, key);
   };
   const auto count_hit = [&](std::shared_ptr<const V> hit) {
-    hits.fetch_add(1, std::memory_order_relaxed);
     obs::count(obs::counter::cache_hits);
     return hit;
   };
@@ -140,7 +138,6 @@ std::shared_ptr<const V> omega_cache::get_or_compute(
 
     {
       std::unique_lock<std::shared_mutex> lock(mu_);
-      misses.fetch_add(1, std::memory_order_relaxed);
       obs::count(obs::counter::cache_misses);
       if (auto hit = find_entry<V>(tbl, fp, key))
         value = hit;  // fingerprint-collision twin; adopt it
@@ -170,7 +167,7 @@ std::shared_ptr<const omega_analysis> omega_cache::analyze(
     key.push_back(a);
     key.push_back(b);
   }
-  return get_or_compute(analyses_, std::move(key), analysis_hits_, analysis_misses_,
+  return get_or_compute(analyses_, std::move(key),
                         "omega_cache/fill_analysis", [&] {
                           auto value = std::make_shared<omega_analysis>();
                           value->omega = omega_subgraphs(g, f, disputes);
@@ -187,7 +184,7 @@ std::shared_ptr<const phase1_plan> omega_cache::plan_for(const graph::digraph& g
   canonical_key key;
   serialize_graph(g, key);
   key.push_back(source);
-  auto plan = get_or_compute(plans_, std::move(key), plan_hits_, plan_misses_,
+  auto plan = get_or_compute(plans_, std::move(key),
                              "omega_cache/fill_plan", [&] {
     auto value = std::make_shared<phase1_plan>();
     // gamma = min over sinks of MINCUT(source, w): independent per-sink
@@ -225,8 +222,8 @@ bool omega_cache::connectivity_at_least(const graph::digraph& g, int k) {
   canonical_key key;
   serialize_graph(g, key);
   key.push_back(k);
-  return *get_or_compute(connectivity_, std::move(key), connectivity_hits_,
-                         connectivity_misses_, "omega_cache/fill_connectivity", [&] {
+  return *get_or_compute(connectivity_, std::move(key),
+                         "omega_cache/fill_connectivity", [&] {
                            return std::make_shared<int>(
                                graph::global_vertex_connectivity_at_least(g, k) ? 1
                                                                                 : 0);
@@ -238,7 +235,7 @@ std::shared_ptr<const bb::channel_plan::route_table> omega_cache::channel_routes
   canonical_key key;
   serialize_graph(g, key);
   key.push_back(f);
-  auto routes = get_or_compute(routes_, std::move(key), route_hits_, route_misses_,
+  auto routes = get_or_compute(routes_, std::move(key),
                                "omega_cache/fill_routes", [&] {
     // Per-source blocks into preallocated slots: each source's row is built
     // on its own warm-started residual network, so the filling thread may
@@ -260,33 +257,12 @@ std::shared_ptr<const bb::channel_plan::route_table> omega_cache::channel_routes
   return routes;
 }
 
-omega_cache_stats omega_cache::stats() const {
-  omega_cache_stats out;
-  out.analysis_hits = analysis_hits_.load(std::memory_order_relaxed);
-  out.analysis_misses = analysis_misses_.load(std::memory_order_relaxed);
-  out.plan_hits = plan_hits_.load(std::memory_order_relaxed);
-  out.plan_misses = plan_misses_.load(std::memory_order_relaxed);
-  out.connectivity_hits = connectivity_hits_.load(std::memory_order_relaxed);
-  out.connectivity_misses = connectivity_misses_.load(std::memory_order_relaxed);
-  out.route_hits = route_hits_.load(std::memory_order_relaxed);
-  out.route_misses = route_misses_.load(std::memory_order_relaxed);
-  return out;
-}
-
 void omega_cache::clear() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   analyses_.clear();
   plans_.clear();
   connectivity_.clear();
   routes_.clear();
-  analysis_hits_ = 0;
-  analysis_misses_ = 0;
-  plan_hits_ = 0;
-  plan_misses_ = 0;
-  connectivity_hits_ = 0;
-  connectivity_misses_ = 0;
-  route_hits_ = 0;
-  route_misses_ = 0;
 }
 
 }  // namespace nab::core

@@ -39,17 +39,6 @@ struct phase1_plan {
   graph::pack_stats stats;
 };
 
-struct omega_cache_stats {
-  std::uint64_t analysis_hits = 0;
-  std::uint64_t analysis_misses = 0;
-  std::uint64_t plan_hits = 0;
-  std::uint64_t plan_misses = 0;
-  std::uint64_t connectivity_hits = 0;
-  std::uint64_t connectivity_misses = 0;
-  std::uint64_t route_hits = 0;
-  std::uint64_t route_misses = 0;
-};
-
 /// Process-wide memo for topology analysis: Omega_k / U_k / rho_k keyed on
 /// (graph fingerprint, f, dispute pairs) and Phase-1 plans keyed on
 /// (graph fingerprint, source).
@@ -98,8 +87,6 @@ class omega_cache {
   std::shared_ptr<const bb::channel_plan::route_table> channel_routes_for(
       const graph::digraph& g, int f);
 
-  omega_cache_stats stats() const;
-
   /// Worker count a filling thread may use for the per-pair/per-tree inner
   /// loops of plan/route fills (<= 1 disables). Results are order-independent
   /// writes into preallocated slots, so fills are byte-identical for every
@@ -108,7 +95,7 @@ class omega_cache {
   /// K_7 allocation budget stays untouched).
   void set_fill_parallelism(int jobs);
 
-  /// Drops every entry and zeroes the counters (tests, sweep boundaries).
+  /// Drops every entry (tests, sweep boundaries).
   void clear();
 
  private:
@@ -136,16 +123,14 @@ class omega_cache {
   /// The shared lookup/compute/insert sequence behind every public method:
   /// shared-lock probe, single-flight leader election on miss, unlocked
   /// compute by the leader only (misses on distinct keys still proceed in
-  /// parallel), unique-lock insert. Counters are atomics because hits tick
-  /// under the shared lock. `fill_span` names the obs span wrapped around
-  /// the compute (misses only — which run pays one is
+  /// parallel), unique-lock insert. Every call counts one obs cache_lookups
+  /// and one cache_hits or cache_misses. `fill_span` names the obs span
+  /// wrapped around the compute (misses only — which run pays one is
   /// scheduling-dependent, so fill spans and the per-run hit/miss counters
   /// belong to the machine set; the lookup count is the deterministic
   /// companion).
   template <class V, class Compute>
   std::shared_ptr<const V> get_or_compute(table<V>& tbl, canonical_key key,
-                                          std::atomic<std::uint64_t>& hits,
-                                          std::atomic<std::uint64_t>& misses,
                                           const char* fill_span,
                                           const Compute& compute);
 
@@ -160,14 +145,6 @@ class omega_cache {
   table<phase1_plan> plans_;
   table<int> connectivity_;
   table<bb::channel_plan::route_table> routes_;
-  std::atomic<std::uint64_t> analysis_hits_{0};
-  std::atomic<std::uint64_t> analysis_misses_{0};
-  std::atomic<std::uint64_t> plan_hits_{0};
-  std::atomic<std::uint64_t> plan_misses_{0};
-  std::atomic<std::uint64_t> connectivity_hits_{0};
-  std::atomic<std::uint64_t> connectivity_misses_{0};
-  std::atomic<std::uint64_t> route_hits_{0};
-  std::atomic<std::uint64_t> route_misses_{0};
 };
 
 /// 64-bit fingerprint of a digraph's exact state (universe, active set,

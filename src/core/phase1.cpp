@@ -147,10 +147,9 @@ phase1_result run_phase1(sim::network& net, const graph::digraph& g,
     std::size_t pos = 0;
     for (std::size_t t = 0; t < trees.size() && pos < out.size(); ++t) {
       const chunk& c = v == source ? shares[t] : holding[t][static_cast<std::size_t>(v)];
-      for (word w : c) {
-        if (pos >= out.size()) break;
-        out[pos++] = w;
-      }
+      const std::size_t take = std::min(c.size(), out.size() - pos);
+      std::copy_n(c.begin(), take, out.begin() + static_cast<std::ptrdiff_t>(pos));
+      pos += take;
     }
     result.received[static_cast<std::size_t>(v)] = std::move(out);
   }

@@ -338,9 +338,7 @@ instance_report session::run_instance(const std::vector<word>& input,
       }
       report.time_phase3 = dc.time;
       report.claim_bits = dc.claim_bits;
-      report.claim_fallbacks = dc.claim_fallbacks;
       stats_.claim_bits += dc.claim_bits;
-      stats_.claim_fallbacks += dc.claim_fallbacks;
       report.new_disputes = dc.new_disputes;
       report.newly_convicted = dc.newly_convicted;
 

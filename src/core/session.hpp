@@ -74,10 +74,8 @@ struct instance_report {
   double time_flags = 0.0;
   double time_phase3 = 0.0;
   /// Wire bits DC1's claim dissemination consumed (0 when Phase 3 did not
-  /// run) and, for the collapsed backend, how many (claimant, receiver)
-  /// pairs needed the full-transcript retrieval fallback.
+  /// run).
   std::uint64_t claim_bits = 0;
-  int claim_fallbacks = 0;
   /// outputs[v] = words decided by node v (honest nodes meaningful).
   std::vector<std::vector<word>> outputs;
   bool agreement = true;  ///< all honest outputs identical
@@ -96,10 +94,9 @@ struct session_stats {
   int dispute_phases = 0;
   double elapsed = 0.0;
   std::uint64_t bits_broadcast = 0;
-  /// Cumulative DC1 claim traffic (wire bits) and collapsed-backend
-  /// retrieval fallbacks across all dispute phases of the session.
+  /// Cumulative DC1 claim traffic (wire bits) across all dispute phases of
+  /// the session.
   std::uint64_t claim_bits = 0;
-  int claim_fallbacks = 0;
   double throughput() const { return elapsed > 0 ? bits_broadcast / elapsed : 0.0; }
 };
 

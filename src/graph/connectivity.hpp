@@ -29,8 +29,9 @@ bool global_vertex_connectivity_at_least(const digraph& g, int k);
 
 /// A set of `k` internally node-disjoint directed s->t paths, each a node
 /// sequence s, ..., t. Throws nab::error if fewer than k disjoint paths
-/// exist. Used by the complete-graph emulation (send along 2f+1 disjoint
-/// paths, take majority).
+/// exist. The cold per-pair reference: the complete-graph emulation builds
+/// its routes with disjoint_path_finder below, which tests pin path for path
+/// against this function.
 std::vector<std::vector<node_id>> node_disjoint_paths(const digraph& g, node_id s,
                                                       node_id t, int k);
 

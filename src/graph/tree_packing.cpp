@@ -1,11 +1,11 @@
 #include "graph/tree_packing.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <string>
 
-#include "graph/maxflow.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace nab::graph {
 
@@ -17,41 +17,6 @@ std::vector<node_id> spanning_tree::parents(int n) const {
 
 namespace {
 
-/// Rebuilds a digraph from a residual capacity matrix over `nodes`.
-/// (Reference path only.)
-digraph from_matrix(int universe, const std::vector<node_id>& nodes,
-                    const std::vector<capacity_t>& rem) {
-  digraph g(universe);
-  std::vector<bool> keep(static_cast<std::size_t>(universe), false);
-  for (node_id v : nodes) keep[static_cast<std::size_t>(v)] = true;
-  for (node_id v = 0; v < universe; ++v)
-    if (!keep[static_cast<std::size_t>(v)]) g.remove_node(v);
-  for (node_id u : nodes)
-    for (node_id v : nodes) {
-      const capacity_t c = rem[static_cast<std::size_t>(u) * universe + v];
-      if (c > 0) g.add_edge(u, v, c);
-    }
-  return g;
-}
-
-/// True iff MINCUT(root, w) >= need for every active w in the graph defined
-/// by the residual matrix `rem` (the Lovász safety invariant), evaluated
-/// with from-scratch max-flows. (Reference path only.)
-bool connectivity_at_least(int universe, const std::vector<node_id>& nodes,
-                           const std::vector<capacity_t>& rem, node_id root, int need) {
-  if (need <= 0) return true;
-  const digraph g = from_matrix(universe, nodes, rem);
-  for (node_id w : nodes) {
-    if (w == root) continue;
-    if (min_cut_value(g, root, w) < need) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-namespace {
-
 /// Per-sink flow certificates over a shared residual capacity matrix: for
 /// every sink w the packer maintains a feasible root->w flow whose value
 /// never drops below the current safety requirement. The Lovász safe-edge
@@ -60,7 +25,8 @@ namespace {
 /// canceled along its path and at most one BFS augmentation repairs the
 /// certificate. When the repair fails the flow is maximum (no augmenting
 /// path), so MINCUT(root, w) < need exactly — the predicate is exact and the
-/// construction emits the same trees as the from-scratch reference.
+/// construction emits the same trees as a from-scratch one that re-runs a
+/// max-flow per sink for every candidate edge.
 class flow_certifier {
  public:
   flow_certifier(const digraph& g, node_id root, pack_stats* stats)
@@ -262,8 +228,10 @@ class flow_certifier {
   pack_stats* stats_;
 };
 
-/// The Lovász construction driven by retained certificates. Same edge
-/// iteration order as the reference, exact predicate => identical trees.
+/// The Lovász construction driven by retained certificates: tails u in the
+/// tree, then heads v outside it, both in ascending id order; the first safe
+/// (u, v) joins the tree. Same scan order as the from-scratch construction,
+/// exact predicate => identical trees.
 std::vector<spanning_tree> lovasz_incremental(node_id root, int k, flow_certifier& certs) {
   const std::vector<node_id>& nodes = certs.nodes();
   std::vector<spanning_tree> trees;
@@ -303,10 +271,6 @@ std::vector<spanning_tree> lovasz_incremental(node_id root, int k, flow_certifie
   }
   return trees;
 }
-
-}  // namespace
-
-namespace {
 
 /// Cheap randomized packing: grows each tree Prim-style over residual
 /// capacities without safety checks. Fails (returns empty) when a greedy
@@ -383,54 +347,6 @@ std::vector<spanning_tree> greedy_pack(const digraph& g, node_id root, int k,
   return trees;
 }
 
-/// The pre-incremental greedy (max-residual bias over all crossing arcs).
-/// Reference path only.
-std::vector<spanning_tree> greedy_pack_reference(const digraph& g, node_id root, int k,
-                                                 rng& rand) {
-  const std::vector<node_id> nodes = g.active_nodes();
-  const int n = g.universe();
-  std::vector<capacity_t> rem(static_cast<std::size_t>(n) * n, 0);
-  for (const edge& e : g.edges()) rem[static_cast<std::size_t>(e.from) * n + e.to] = e.cap;
-  auto rem_at = [&](node_id u, node_id v) -> capacity_t& {
-    return rem[static_cast<std::size_t>(u) * n + v];
-  };
-
-  std::vector<spanning_tree> trees;
-  for (int t = 0; t < k; ++t) {
-    spanning_tree tree;
-    std::vector<bool> in_tree(static_cast<std::size_t>(n), false);
-    in_tree[static_cast<std::size_t>(root)] = true;
-    for (std::size_t grown = 1; grown < nodes.size(); ++grown) {
-      std::vector<edge> crossing;
-      capacity_t best_rem = 0;
-      for (node_id u : nodes) {
-        if (!in_tree[static_cast<std::size_t>(u)]) continue;
-        for (node_id v : nodes) {
-          if (in_tree[static_cast<std::size_t>(v)]) continue;
-          const capacity_t r = rem_at(u, v);
-          if (r <= 0 || r < best_rem) continue;
-          if (r > best_rem) {
-            best_rem = r;
-            crossing.clear();
-          }
-          crossing.push_back({u, v, 1});
-        }
-      }
-      if (crossing.empty()) return {};
-      const edge pick = crossing[rand.below(crossing.size())];
-      rem_at(pick.from, pick.to) -= 1;
-      tree.edges.push_back(pick);
-      in_tree[static_cast<std::size_t>(pick.to)] = true;
-    }
-    trees.push_back(std::move(tree));
-  }
-  return trees;
-}
-
-}  // namespace
-
-namespace {
-
 /// Exact packing for complete graphs with uniform capacity c: the classic
 /// construction uses arborescences T_j = {root -> j} + {j -> w : w != root, j}
 /// (depth 2). Distinct T_j are edge-disjoint, and c copies of each respect
@@ -505,113 +421,6 @@ std::vector<spanning_tree> pack_arborescences_lovasz(const digraph& g, node_id r
   flow_certifier certs(g, root, stats);
   if (!certs.certify_all(k)) throw_infeasible(k);
   return lovasz_incremental(root, k, certs);
-}
-
-std::vector<spanning_tree> pack_arborescences_reference(const digraph& g, node_id root,
-                                                        int k) {
-  NAB_ASSERT(g.is_active(root), "pack_arborescences root must be active");
-  NAB_ASSERT(k > 0, "pack_arborescences requires k > 0");
-  const std::vector<node_id> nodes = g.active_nodes();
-  const int n = g.universe();
-  if (broadcast_mincut(g, root) < k) throw_infeasible(k);
-
-  if (auto trees = complete_uniform_pack(g, root, k); !trees.empty()) return trees;
-
-  rng rand(0x9ACC + static_cast<std::uint64_t>(k) * 131 + static_cast<std::uint64_t>(root));
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    auto trees = greedy_pack_reference(g, root, k, rand);
-    if (!trees.empty()) return trees;
-  }
-
-  // From-scratch Lovász: per candidate edge, full per-sink max-flow re-runs.
-  std::vector<capacity_t> rem(static_cast<std::size_t>(n) * n, 0);
-  for (const edge& e : g.edges()) rem[static_cast<std::size_t>(e.from) * n + e.to] = e.cap;
-  auto rem_at = [&](node_id u, node_id v) -> capacity_t& {
-    return rem[static_cast<std::size_t>(u) * n + v];
-  };
-
-  std::vector<spanning_tree> trees;
-  for (int t = 0; t < k; ++t) {
-    const int remaining_after = k - t - 1;
-    spanning_tree tree;
-    std::vector<bool> in_tree(static_cast<std::size_t>(n), false);
-    in_tree[static_cast<std::size_t>(root)] = true;
-    std::size_t tree_size = 1;
-    while (tree_size < nodes.size()) {
-      bool extended = false;
-      for (node_id u : nodes) {
-        if (!in_tree[static_cast<std::size_t>(u)]) continue;
-        for (node_id v : nodes) {
-          if (in_tree[static_cast<std::size_t>(v)] || rem_at(u, v) <= 0) continue;
-          rem_at(u, v) -= 1;
-          if (connectivity_at_least(n, nodes, rem, root, remaining_after)) {
-            tree.edges.push_back({u, v, 1});
-            in_tree[static_cast<std::size_t>(v)] = true;
-            ++tree_size;
-            extended = true;
-            break;
-          }
-          rem_at(u, v) += 1;
-        }
-        if (extended) break;
-      }
-      NAB_ASSERT(extended, "pack_arborescences: no safe edge found");
-    }
-    trees.push_back(std::move(tree));
-  }
-  return trees;
-}
-
-std::vector<spanning_tree> pack_undirected_trees(const ugraph& g, int k, rng& rand,
-                                                 int attempts) {
-  NAB_ASSERT(k > 0, "pack_undirected_trees requires k > 0");
-  const std::vector<node_id> nodes = g.active_nodes();
-  const int n = g.universe();
-
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    std::vector<capacity_t> rem(static_cast<std::size_t>(n) * n, 0);
-    for (const edge& e : g.edges()) {
-      rem[static_cast<std::size_t>(e.from) * n + e.to] = e.cap;
-      rem[static_cast<std::size_t>(e.to) * n + e.from] = e.cap;
-    }
-    auto rem_at = [&](node_id u, node_id v) -> capacity_t& {
-      return rem[static_cast<std::size_t>(u) * n + v];
-    };
-
-    std::vector<spanning_tree> trees;
-    bool ok = true;
-    for (int t = 0; t < k && ok; ++t) {
-      // Randomized Prim-style growth over remaining multiplicities.
-      spanning_tree tree;
-      std::vector<bool> in_tree(static_cast<std::size_t>(n), false);
-      std::vector<node_id> frontier{nodes[rand.below(nodes.size())]};
-      in_tree[static_cast<std::size_t>(frontier[0])] = true;
-      std::size_t tree_size = 1;
-      while (tree_size < nodes.size()) {
-        // Collect all crossing edges with remaining multiplicity.
-        std::vector<edge> crossing;
-        for (node_id u : nodes) {
-          if (!in_tree[static_cast<std::size_t>(u)]) continue;
-          for (node_id v : nodes)
-            if (!in_tree[static_cast<std::size_t>(v)] && rem_at(u, v) > 0)
-              crossing.push_back({u, v, 1});
-        }
-        if (crossing.empty()) {
-          ok = false;
-          break;
-        }
-        const edge pick = crossing[rand.below(crossing.size())];
-        rem_at(pick.from, pick.to) -= 1;
-        rem_at(pick.to, pick.from) -= 1;
-        tree.edges.push_back(pick);
-        in_tree[static_cast<std::size_t>(pick.to)] = true;
-        ++tree_size;
-      }
-      if (ok) trees.push_back(std::move(tree));
-    }
-    if (ok) return trees;
-  }
-  return {};
 }
 
 }  // namespace nab::graph

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "util/rng.hpp"
 
 namespace nab::graph {
 
@@ -15,8 +14,8 @@ struct pack_stats {
   std::uint64_t flow_augmentations = 0;  ///< unit augmenting paths pushed
 };
 
-/// One unit-capacity spanning tree. For arborescences the edges are directed
-/// away from the root; for undirected trees the orientation is meaningless.
+/// One unit-capacity spanning arborescence: the edges are directed away from
+/// the root.
 struct spanning_tree {
   std::vector<edge> edges;  // each with cap == 1 (one capacity unit used)
 
@@ -55,26 +54,11 @@ std::vector<spanning_tree> pack_arborescences(const digraph& g, node_id root, in
 /// evaluated incrementally against retained per-sink flow certificates
 /// (cancel one unit, re-augment at most one path), which is exact by
 /// max-flow/min-cut, so the trees are identical to the from-scratch
-/// construction's.
+/// construction's (one fresh max-flow per sink and candidate edge). The
+/// TreePacking.IncrementalMatchesReference* tests pin that identity edge for
+/// edge, for every k up to gamma, against a from-scratch oracle in
+/// tests/graph/test_tree_packing.cpp.
 std::vector<spanning_tree> pack_arborescences_lovasz(const digraph& g, node_id root,
                                                      int k, pack_stats* stats = nullptr);
-
-/// The pre-incremental construction (greedy with max-residual bias, Lovász
-/// safety via from-scratch per-sink max-flows). Retained as the reference
-/// implementation for equivalence tests and old-vs-new bench rows; not used
-/// by the protocol.
-std::vector<spanning_tree> pack_arborescences_reference(const digraph& g, node_id root,
-                                                        int k);
-
-/// Greedily packs `k` edge-disjoint undirected spanning trees (weights act
-/// as parallel unit edges), retrying with `attempts` random edge orders.
-///
-/// Nash-Williams/Tutte guarantee floor(U/2) trees exist when the global min
-/// cut is U; this packer is a randomized heuristic (exact packing is matroid
-/// union, which the protocol never needs: Phase 1 packs directed
-/// arborescences with pack_arborescences). Returns the packed trees, or an
-/// empty vector if all attempts fail.
-std::vector<spanning_tree> pack_undirected_trees(const ugraph& g, int k, rng& rand,
-                                                 int attempts = 64);
 
 }  // namespace nab::graph

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "core/strategies.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/topology_io.hpp"
@@ -707,6 +708,14 @@ scenario topology_file_scenario(const std::string& path, const std::string& text
   if (corrupt.size() > static_cast<std::size_t>(f))
     throw error("--corrupt names " + std::to_string(corrupt.size()) +
                 " nodes, more than the fault budget --f " + std::to_string(f));
+  // The runner would reject the budget too, but only once the run started.
+  const std::string budget = "--f " + std::to_string(f);
+  if (n < 3 * f + 1)
+    throw error(path + " has " + std::to_string(n) + " nodes; " + budget +
+                " needs at least 3f+1 = " + std::to_string(3 * f + 1));
+  if (f > 0 && !graph::global_vertex_connectivity_at_least(g, 2 * f + 1))
+    throw error(path + ": vertex connectivity is below 2f+1 = " +
+                std::to_string(2 * f + 1) + ", which " + budget + " needs");
   // The runner pins the source into a drawn set for this strategy; an
   // explicit set without it would run an equivocator that never acts.
   if (adversary == adversary_kind::equivocate && !corrupt.empty() &&

@@ -171,8 +171,9 @@ std::vector<scenario> select_scenarios(std::string_view names);
 /// seeded draw). The flag protocol and claim backend are auto_select; the
 /// rest keeps scenario's defaults. Throws nab::error naming the input when
 /// the text does not parse or has fewer than 2 nodes, node 0 cannot reach
-/// every node, `adversary` is hunted (it needs a genome), or a corrupt id
-/// repeats, lies outside the graph or exceeds the budget f.
+/// every node, `adversary` is hunted (it needs a genome), a corrupt id
+/// repeats, lies outside the graph or exceeds the budget f, or the graph
+/// cannot carry f (n < 3f+1, or vertex connectivity < 2f+1 when f > 0).
 scenario topology_file_scenario(const std::string& path, const std::string& text,
                                 int f, adversary_kind adversary,
                                 std::vector<graph::node_id> corrupt);

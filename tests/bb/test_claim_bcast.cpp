@@ -165,11 +165,13 @@ TEST(ClaimBroadcast, AllBackendsDecideSubmittedInputsOnK9F2) {
   for (claim_backend b : {claim_backend::eig, claim_backend::collapsed}) {
     harness h(graph::complete(9), 2, {2, 5});  // corrupt but in-BB honest
     const auto instances = instances_of(h);
+    obs::collector col;
+    obs::scoped_collector on(&col);
     const claim_outcome out =
         broadcast_claims(b, h.plan, h.net, h.faults, instances, 2);
     expect_all_decide_inputs(out, instances, h,
                              b == claim_backend::eig ? "eig" : "collapsed");
-    EXPECT_EQ(out.fallback_retrievals, 0);
+    EXPECT_EQ(col.value(obs::counter::claim_fallbacks), 0u);
     EXPECT_GT(h.net.total_bits(), 0u);
   }
 }
@@ -178,10 +180,12 @@ TEST(ClaimBroadcast, CollapsedAgreesUnderAnyDigestSeed) {
   for (std::uint64_t seed : {0ull, 0x5eedull, ~0ull}) {
     harness h(graph::complete(7), 2, {1, 6});
     const auto instances = distinct_claims(h.g);
+    obs::collector col;
+    obs::scoped_collector on(&col);
     const claim_outcome out = broadcast_claims_collapsed(
         h.plan, h.net, h.faults, instances, 2, nullptr, nullptr, seed);
     expect_all_decide_inputs(out, instances, h, "seeded");
-    EXPECT_EQ(out.fallback_retrievals, 0);
+    EXPECT_EQ(col.value(obs::counter::claim_fallbacks), 0u);
   }
 }
 
@@ -191,10 +195,12 @@ TEST(ClaimBroadcast, CollapsedRunsOnEmulatedSparseChannels) {
   g.remove_edge_pair(0, 3);
   harness h(g, 1, {4});
   const auto instances = distinct_claims(h.g);
+  obs::collector col;
+  obs::scoped_collector on(&col);
   const claim_outcome out = broadcast_claims_collapsed(h.plan, h.net, h.faults,
                                                        instances, 1);
   expect_all_decide_inputs(out, instances, h, "sparse-collapsed");
-  EXPECT_EQ(out.fallback_retrievals, 0);
+  EXPECT_EQ(col.value(obs::counter::claim_fallbacks), 0u);
 }
 
 TEST(ClaimBroadcast, CollapsedChargesPolynomiallyFewerClaimBitsThanEig) {
@@ -276,9 +282,9 @@ TEST(ClaimBroadcast, CollapsedChargesOneDigestPerCopy) {
       expected += charge(copy) * (corrupt ? 2 : 1);
     }
   }
-  EXPECT_GT(out.fallback_retrievals, 0);
-  expected += static_cast<std::uint64_t>(out.fallback_retrievals) *
-              charge(instances.front().input);
+  const std::uint64_t fallbacks = col.value(obs::counter::claim_fallbacks);
+  EXPECT_GT(fallbacks, 0u);
+  expected += fallbacks * charge(instances.front().input);
   EXPECT_EQ(col.value(obs::counter::gf_mul_ops) +
                 col.value(obs::counter::gf_scale_words),
             expected);
@@ -315,10 +321,13 @@ TEST(ClaimBroadcast, CollapsedDigestMismatchedPairsFallBackToRetrieval) {
       value forged_;
     } adv(forgery);
 
+    obs::collector col;
+    obs::scoped_collector on(&col);
     const claim_outcome out = broadcast_claims_collapsed(h.plan, h.net, h.faults,
                                                          instances, 2, &adv);
     expect_honest_agree(out, h, "digest-mismatch");
-    EXPECT_EQ(out.fallback_retrievals, 2) << "forgery of " << forgery.size() << " words";
+    EXPECT_EQ(col.value(obs::counter::claim_fallbacks), 2u)
+        << "forgery of " << forgery.size() << " words";
     // Every honest node ends with the payload backing the accepted digest —
     // enough honest holders exist to serve the mismatched minority.
     for (std::size_t q = 0; q < instances.size(); ++q) {

@@ -170,15 +170,23 @@ TEST(OmegaCache, ConcurrentLookupsAgree) {
   const dispute_record none;
   const auto expected_uk = compute_uk(g, 1, none);
   std::vector<graph::capacity_t> uks(32, -1);
+  std::vector<obs::collector> collectors(uks.size());
   runtime::parallel_for_each_index(8, uks.size(), [&](std::size_t i) {
+    obs::scoped_collector ambient(&collectors[i]);
     uks[i] = cache.analyze(g, 1, none)->uk;
   });
   for (graph::capacity_t uk : uks) EXPECT_EQ(uk, expected_uk);
   // Every lookup counts exactly once; single-flight elects one filling
   // thread per key, so exactly one lookup is a miss.
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.analysis_hits + stats.analysis_misses, 32u);
-  EXPECT_EQ(stats.analysis_misses, 1u);
+  std::uint64_t lookups = 0, hits = 0, misses = 0;
+  for (const obs::collector& c : collectors) {
+    lookups += c.value(obs::counter::cache_lookups);
+    hits += c.value(obs::counter::cache_hits);
+    misses += c.value(obs::counter::cache_misses);
+  }
+  EXPECT_EQ(lookups, 32u);
+  EXPECT_EQ(hits + misses, 32u);
+  EXPECT_EQ(misses, 1u);
 }
 
 TEST(OmegaCache, ConcurrentMissesAreSingleFlight) {
@@ -205,13 +213,16 @@ TEST(OmegaCache, ConcurrentMissesAreSingleFlight) {
     EXPECT_EQ(plans[static_cast<std::size_t>(t)].get(), plans[0].get())
         << "thread " << t << " must adopt the leader's value";
   std::size_t fill_spans = 0;
-  for (const obs::collector& c : collectors)
+  std::uint64_t hits = 0, misses = 0;
+  for (const obs::collector& c : collectors) {
     for (const obs::span_record& s : c.spans())
       if (s.name == "omega_cache/fill_plan") ++fill_spans;
+    hits += c.value(obs::counter::cache_hits);
+    misses += c.value(obs::counter::cache_misses);
+  }
   EXPECT_EQ(fill_spans, 1u) << "exactly one thread may pay the fill";
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.plan_misses, 1u);
-  EXPECT_EQ(stats.plan_hits, static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(misses, 1u);
+  EXPECT_EQ(hits, static_cast<std::uint64_t>(kThreads - 1));
   // The planning counters are charged per lookup (hit or miss), so every
   // thread observed the same deterministic work numbers.
   for (const obs::collector& c : collectors) {

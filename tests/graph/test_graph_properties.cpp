@@ -152,17 +152,6 @@ TEST_P(GraphProperty, EdmondsPackingAlwaysFeasibleAtGamma) {
     EXPECT_LE(use[static_cast<std::size_t>(e.from) * 6 + e.to], e.cap);
 }
 
-TEST_P(GraphProperty, UndirectedPackingReachesNashWilliamsBound) {
-  rng rand(GetParam() ^ 0x55);
-  const ugraph u = to_undirected(erdos_renyi(6, 0.6, 1, 3, rand));
-  const capacity_t cut = pairwise_min_cut(u);
-  if (cut < 2) GTEST_SKIP() << "no tree guaranteed";
-  rng pack_rand(GetParam());
-  const auto trees =
-      pack_undirected_trees(u, static_cast<int>(cut / 2), pack_rand, 256);
-  EXPECT_FALSE(trees.empty()) << "Nash-Williams guarantees floor(U/2) trees";
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 

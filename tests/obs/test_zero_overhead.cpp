@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/obs.hpp"
-#include "util/heap_alloc_counter.hpp"
+#include "support/heap_alloc_counter.hpp"
 
 namespace nab::obs {
 namespace {

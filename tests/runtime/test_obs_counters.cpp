@@ -231,12 +231,12 @@ TEST(ObsCounters, EveryGaugeRowIsExportedOnce) {
   EXPECT_EQ(margin_score(r), want_score);
 }
 
-TEST(ObsCounters, ClaimFallbacksCounterMatchesSessionStats) {
-  // The claim_fallbacks counter replaced the record's copy of
-  // core::session_stats::claim_fallbacks. hunted_k9_hold (run 78 of the
-  // seed-1 sweep) needs three retrieval fallbacks; drive the same session
-  // the runner drives — same seeds, topology, corrupt set and adversary —
-  // and check the counter against the session's own tally.
+TEST(ObsCounters, ClaimFallbacksCounterMatchesReplayedSession) {
+  // claim_fallbacks is the one count of retrieval fallbacks: the record
+  // carries what the run's collector saw. hunted_k9_hold (run 78 of the
+  // seed-1 sweep) needs three; drive the same session the runner drives —
+  // same seeds, topology, corrupt set and adversary — under a collector of
+  // its own, and check the recorded counter against it.
   const std::vector<scenario> sweep = select_scenarios("hunted_k9_hold");
   ASSERT_EQ(sweep.size(), 1u);
   const scenario& s = sweep.front();
@@ -261,6 +261,8 @@ TEST(ObsCounters, ClaimFallbacksCounterMatchesSessionStats) {
   sim::fault_set faults(cfg.g.universe(), rec.corrupt);
   const auto adv = make_adversary(s.adversary, splitmix64(run_seed ^ 0xadbeefULL),
                                   s.source == 0 ? 1 : 0, s.genome);
+  obs::collector replay;
+  obs::scoped_collector on(&replay);
   const core::session_run run = core::run_session(
       std::move(cfg), faults, adv.get(), s.instances, s.words,
       splitmix64(run_seed ^ 0x1235813ULL), s.rotate_sources);
@@ -269,10 +271,10 @@ TEST(ObsCounters, ClaimFallbacksCounterMatchesSessionStats) {
   ASSERT_EQ(run.stats.bits_broadcast, rec.bits_broadcast);
   ASSERT_EQ(run.stats.dispute_phases, rec.dispute_phases);
   ASSERT_EQ(run.stats.claim_bits, rec.dc1_claim_bits);
-  // ... and its session tally is what the counter recorded.
-  EXPECT_EQ(run.stats.claim_fallbacks, 3);
+  // ... and its count is what the record carries.
+  EXPECT_EQ(replay.value(obs::counter::claim_fallbacks), 3u);
   EXPECT_EQ(rec.counters[obs::counter::claim_fallbacks],
-            static_cast<std::uint64_t>(run.stats.claim_fallbacks));
+            replay.value(obs::counter::claim_fallbacks));
 }
 
 }  // namespace

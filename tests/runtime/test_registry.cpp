@@ -316,6 +316,15 @@ TEST(Registry, TopologyFileScenarioValidatesItsInput) {
   rejects("nodes 5\nedge 0 7 1\n", 1, adversary_kind::honest, {}, "line 2");
   rejects("nodes 1\n", 0, adversary_kind::honest, {}, "at least 2");
   rejects("nodes 3\nbiedge 0 1 1\n", 0, adversary_kind::honest, {}, "cannot reach");
+  // A budget the graph cannot carry fails here, before the run starts.
+  rejects(k5, 2, adversary_kind::honest, {}, "--f 2");
+  rejects(k5, 2, adversary_kind::honest, {}, "3f+1 = 7");
+  const std::string ring4 =
+      "nodes 4\nbiedge 0 1 1\nbiedge 1 2 1\nbiedge 2 3 1\nbiedge 3 0 1\n";
+  rejects(ring4, 1, adversary_kind::honest, {}, "--f 1");
+  rejects(ring4, 1, adversary_kind::honest, {}, "2f+1 = 3");
+  EXPECT_NO_THROW(
+      topology_file_scenario("ring4.txt", ring4, 0, adversary_kind::honest, {}));
   rejects("", 1, adversary_kind::honest, {}, "k5.txt");
 }
 

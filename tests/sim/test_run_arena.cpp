@@ -16,7 +16,7 @@
 // Binary-wide operator-new interposition (counts every heap allocation this
 // test binary makes; measurements take deltas around the measured region
 // with no gtest assertions in between).
-#include "util/heap_alloc_counter.hpp"
+#include "support/heap_alloc_counter.hpp"
 #include "util/rng.hpp"
 
 namespace nab::sim {
