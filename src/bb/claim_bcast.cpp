@@ -8,6 +8,7 @@
 #include "bb/round_batch.hpp"
 #include "gf/gf2_16.hpp"
 #include "obs/obs.hpp"
+#include "sim/wire.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -156,98 +157,6 @@ claim_backend resolve_claim_backend(claim_backend requested,
                                       : claim_backend::eig;
 }
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Wire plumbing: shared round batches (bb/round_batch.hpp), defensive
-// parsing. Every claim-backend unicast is tagged claim_traffic_tag.
-// ---------------------------------------------------------------------------
-
-// Item encodings (64-bit transport words):
-//   payload item: [q, len, words...]          (retrieval responses)
-//   tagged item:  [q, digest, len, words...]  (collapsed propose)
-//   digest item:  [q, digest]                 (echo, ready)
-//   index item:   [q]                         (retrieval requests)
-// Parsers are defensive: a tampered batch yields as many well-formed prefix
-// items as survive, mirroring bb/eig.cpp's next_item.
-
-void append_payload_item(sim::payload& out, std::size_t q, const value& v) {
-  out.push_back(q);
-  out.push_back(v.size());
-  out.insert(out.end(), v.begin(), v.end());
-}
-
-bool next_payload_item(const sim::payload& w, std::size_t& pos, std::size_t& q,
-                       value& v) {
-  if (pos >= w.size() || w.size() - pos < 2) {
-    pos = w.size();
-    return false;
-  }
-  q = static_cast<std::size_t>(w[pos]);
-  const std::uint64_t len = w[pos + 1];
-  if (len > w.size() - pos - 2) {
-    pos = w.size();
-    return false;
-  }
-  v.assign(w.begin() + static_cast<std::ptrdiff_t>(pos + 2),
-           w.begin() + static_cast<std::ptrdiff_t>(pos + 2 + len));
-  pos += 2 + static_cast<std::size_t>(len);
-  return true;
-}
-
-void append_propose_item(sim::payload& out, std::size_t q, std::uint64_t digest,
-                         const value& v) {
-  out.push_back(q);
-  out.push_back(digest);
-  out.push_back(v.size());
-  out.insert(out.end(), v.begin(), v.end());
-}
-
-bool next_propose_item(const sim::payload& w, std::size_t& pos, std::size_t& q,
-                       std::uint64_t& digest, value& v) {
-  if (pos >= w.size() || w.size() - pos < 3) {
-    pos = w.size();
-    return false;
-  }
-  q = static_cast<std::size_t>(w[pos]);
-  digest = w[pos + 1];
-  const std::uint64_t len = w[pos + 2];
-  if (len > w.size() - pos - 3) {
-    pos = w.size();
-    return false;
-  }
-  v.assign(w.begin() + static_cast<std::ptrdiff_t>(pos + 3),
-           w.begin() + static_cast<std::ptrdiff_t>(pos + 3 + len));
-  pos += 3 + static_cast<std::size_t>(len);
-  return true;
-}
-
-void append_digest_item(sim::payload& out, std::size_t q, std::uint64_t digest) {
-  out.push_back(q);
-  out.push_back(digest);
-}
-
-bool next_digest_item(const sim::payload& w, std::size_t& pos, std::size_t& q,
-                      std::uint64_t& digest) {
-  if (pos >= w.size() || w.size() - pos < 2) {
-    pos = w.size();
-    return false;
-  }
-  q = static_cast<std::size_t>(w[pos]);
-  digest = w[pos + 1];
-  pos += 2;
-  return true;
-}
-
-bool next_index_item(const sim::payload& w, std::size_t& pos, std::size_t& q) {
-  if (pos >= w.size()) return false;
-  q = static_cast<std::size_t>(w[pos]);
-  ++pos;
-  return true;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // EIG oracle backend.
 // ---------------------------------------------------------------------------
@@ -273,7 +182,9 @@ claim_outcome broadcast_claims_eig(channel_plan& channels, sim::network& net,
 }
 
 // ---------------------------------------------------------------------------
-// Collapsed-claim Bracha-style backend.
+// Collapsed-claim Bracha-style backend. Every unicast is tagged
+// claim_traffic_tag; its items (propose, echo, ready, retrieval request and
+// response) are laid out in sim/wire.hpp's codec.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -494,7 +405,8 @@ claim_outcome broadcast_claims_collapsed(
         pl = &forged;
       }
       round_batch& b = batches.at(inst.source, r);
-      append_propose_item(b.payload, q, dg, *pl);
+      sim::wire::put(b.payload, q, dg);
+      sim::wire::put_run(b.payload, *pl);
       b.bits += inst.value_bits + claim_digest_bits + 16;
     }
   }
@@ -508,10 +420,11 @@ claim_outcome broadcast_claims_collapsed(
     std::vector<std::size_t> qs;
     for (graph::node_id r : participants) {
       for (const sim::message& m : channels.inbox(r)) {
-        std::size_t pos = 0, q = 0;
+        std::size_t q = 0;
         std::uint64_t dg = 0;
         value v;
-        while (next_propose_item(m.payload, pos, q, dg, v)) {
+        sim::wire::reader in(m.payload);
+        while (in.get(q, dg) && in.get_run(v)) {
           if (q >= q_count || m.from != instances[q].source) continue;
           collapsed_slot& s = slot(r, q);
           if (s.announced) continue;  // first proposal wins
@@ -551,7 +464,7 @@ claim_outcome broadcast_claims_collapsed(
         }
         if (!echo) continue;
         obs::count(obs::counter::claim_echoes);
-        append_digest_item(b.payload, q, echo->packed());
+        sim::wire::put(b.payload, q, echo->packed());
         b.bits += claim_digest_bits + 16;
       }
     }
@@ -565,9 +478,10 @@ claim_outcome broadcast_claims_collapsed(
       if (s.announced && s.holds(*s.announced)) echoes.add(at(j, q), *s.announced, j);
     }
     for (const sim::message& m : channels.inbox(j)) {
-      std::size_t pos = 0, q = 0;
+      std::size_t q = 0;
       std::uint64_t dg = 0;
-      while (next_digest_item(m.payload, pos, q, dg)) {
+      sim::wire::reader in(m.payload);
+      while (in.get(q, dg)) {
         if (q >= q_count) continue;
         echoes.add(at(j, q), dg, m.from);
       }
@@ -612,7 +526,7 @@ claim_outcome broadcast_claims_collapsed(
           }
           obs::count(obs::counter::claim_readys);
           round_batch& b = batches.at(v, j);
-          append_digest_item(b.payload, q, dg);
+          sim::wire::put(b.payload, q, dg);
           b.bits += claim_digest_bits + 16;
         }
       }
@@ -622,9 +536,10 @@ claim_outcome broadcast_claims_collapsed(
     channels.end_round(net, faults, relay_adv);
     for (graph::node_id j : participants) {
       for (const sim::message& m : channels.inbox(j)) {
-        std::size_t pos = 0, q = 0;
+        std::size_t q = 0;
         std::uint64_t dg = 0;
-        while (next_digest_item(m.payload, pos, q, dg)) {
+        sim::wire::reader in(m.payload);
+        while (in.get(q, dg)) {
           if (q >= q_count) continue;
           readys.add(at(j, q), dg, m.from);
         }
@@ -687,7 +602,7 @@ claim_outcome broadcast_claims_collapsed(
         if (asked >= 2 * f + 1) return false;
         ++asked;
         round_batch& b = batches.at(v, j);
-        b.payload.push_back(q);
+        sim::wire::put(b.payload, q);
         b.bits += 16;
         return true;
       });
@@ -699,8 +614,9 @@ claim_outcome broadcast_claims_collapsed(
     for (graph::node_id j : participants)
       for (const sim::message& m : channels.inbox(j)) {
         std::fill(seen.begin(), seen.end(), false);
-        std::size_t pos = 0, q = 0;
-        while (next_index_item(m.payload, pos, q)) {
+        std::size_t q = 0;
+        sim::wire::reader in(m.payload);
+        while (in.get(q)) {
           if (q >= q_count || seen[q]) continue;
           seen[q] = true;
           requests[static_cast<std::size_t>(j)].emplace_back(q, m.from);
@@ -719,7 +635,8 @@ claim_outcome broadcast_claims_collapsed(
       }
       if (!response) continue;
       round_batch& b = batches.at(j, requester);
-      append_payload_item(b.payload, q, *response);
+      sim::wire::put(b.payload, q);
+      sim::wire::put_run(b.payload, *response);
       b.bits += instances[q].value_bits + 16;
     }
   }
@@ -746,9 +663,10 @@ claim_outcome broadcast_claims_collapsed(
         responses.clear();
         qs.clear();
         std::fill(msg_seen.begin(), msg_seen.end(), false);
-        std::size_t pos = 0, q = 0;
+        std::size_t q = 0;
         value v;
-        while (next_payload_item(m.payload, pos, q, v)) {
+        sim::wire::reader in(m.payload);
+        while (in.get(q) && in.get_run(v)) {
           if (q >= q_count || msg_seen[q]) continue;
           msg_seen[q] = true;
           collapsed_slot& s = slot(r, q);

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "bb/round_batch.hpp"
+#include "sim/wire.hpp"
 #include "util/assert.hpp"
 
 namespace nab::bb {
@@ -18,49 +19,9 @@ using label = sim::pooled_vector<graph::node_id>;
 // All (instance, label, value) items a node sends to one receiver in one
 // round travel as a single logical unicast (the paper's rounds are
 // synchronous, so per-item messages and one batch are indistinguishable on
-// the wire). Item encoding: [q, len, id..., vwords, value words...]; bits
-// are accounted per item exactly as the historical one-message-per-label
-// scheme did.
-
-void append_item(sim::payload& out, std::size_t q, const label& sigma,
-                 const value& v) {
-  out.push_back(q);
-  out.push_back(sigma.size());
-  for (graph::node_id id : sigma) out.push_back(static_cast<std::uint64_t>(id));
-  out.push_back(v.size());
-  out.insert(out.end(), v.begin(), v.end());
-}
-
-/// Parses the item at `pos`, advancing it. Returns false (leaving `pos` at
-/// the payload end) when the remainder is malformed — a tampered batch
-/// yields as many well-formed prefix items as survive.
-bool next_item(const sim::payload& words, std::size_t& pos,
-               std::size_t& q, label& sigma, value& v) {
-  if (pos >= words.size()) return false;
-  if (words.size() - pos < 2) {
-    pos = words.size();
-    return false;
-  }
-  q = static_cast<std::size_t>(words[pos]);
-  const std::uint64_t len = words[pos + 1];
-  if (len > words.size() - pos - 2) {
-    pos = words.size();
-    return false;
-  }
-  sigma.assign(words.begin() + static_cast<std::ptrdiff_t>(pos + 2),
-               words.begin() + static_cast<std::ptrdiff_t>(pos + 2 + len));
-  pos += 2 + static_cast<std::size_t>(len);
-  if (pos >= words.size()) return false;
-  const std::uint64_t vwords = words[pos];
-  if (vwords > words.size() - pos - 1) {
-    pos = words.size();
-    return false;
-  }
-  v.assign(words.begin() + static_cast<std::ptrdiff_t>(pos + 1),
-           words.begin() + static_cast<std::ptrdiff_t>(pos + 1 + vwords));
-  pos += 1 + static_cast<std::size_t>(vwords);
-  return true;
-}
+// the wire), each item [q, run(label ids), run(value)] in sim/wire.hpp's
+// codec; bits are accounted per item exactly as the historical
+// one-message-per-label scheme did.
 
 bool contains(const label& sigma, graph::node_id v) {
   return std::find(sigma.begin(), sigma.end(), v) != sigma.end();
@@ -245,7 +206,9 @@ eig_result eig_broadcast_all(channel_plan& channels, sim::network& net,
       }
       const std::uint64_t vb = inst.value_bits != 0 ? inst.value_bits : value_bits;
       round_batch& b = batches.at(inst.source, r);
-      append_item(b.payload, q, root, *v);
+      sim::wire::put(b.payload, q);
+      sim::wire::put_run(b.payload, root);
+      sim::wire::put_run(b.payload, *v);
       b.bits += vb + 8 * (root.size() + 1);
     }
   }
@@ -257,8 +220,8 @@ eig_result eig_broadcast_all(channel_plan& channels, sim::network& net,
     std::size_t q = 0;
     for (graph::node_id r : participants) {
       for (const sim::message& m : channels.inbox(r)) {
-        std::size_t pos = 0;
-        while (next_item(m.payload, pos, q, sigma, v)) {
+        sim::wire::reader in(m.payload);
+        while (in.get(q) && in.get_run(sigma) && in.get_run(v)) {
           if (q >= instances.size()) continue;
           if (sigma.size() != 1 || sigma[0] != instances[q].source)
             continue;  // unexpected label
@@ -298,7 +261,9 @@ eig_result eig_broadcast_all(channel_plan& channels, sim::network& net,
               v = &forged;
             }
             round_batch& b = batches.at(i, j);
-            append_item(b.payload, q, sigma, *v);
+            sim::wire::put(b.payload, q);
+            sim::wire::put_run(b.payload, sigma);
+            sim::wire::put_run(b.payload, *v);
             b.bits += vb + 8 * (sigma.size() + 1);
           }
           label extended = sigma;
@@ -315,8 +280,8 @@ eig_result eig_broadcast_all(channel_plan& channels, sim::network& net,
     std::size_t q = 0;
     for (graph::node_id j : participants) {
       for (const sim::message& m : channels.inbox(j)) {
-        std::size_t pos = 0;
-        while (next_item(m.payload, pos, q, sigma, v)) {
+        sim::wire::reader in(m.payload);
+        while (in.get(q) && in.get_run(sigma) && in.get_run(v)) {
           if (q >= instances.size()) continue;
           // Accept only well-formed labels of the expected round, extended
           // by the actual sender; ignore duplicates (first write wins).

@@ -1,35 +1,13 @@
 #include "core/adversary.hpp"
 
+#include "sim/wire.hpp"
+
 namespace nab::core {
 namespace {
 
-template <typename WordVec>
-void push_words16(sim::payload& out, const WordVec& ws) {
-  out.push_back(ws.size());
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < ws.size(); ++i) {
-    acc |= static_cast<std::uint64_t>(ws[i]) << (16 * (i % 4));
-    if (i % 4 == 3) {
-      out.push_back(acc);
-      acc = 0;
-    }
-  }
-  if (ws.size() % 4 != 0) out.push_back(acc);
-}
-
-template <typename WordVec>
-bool read_words16(const sim::payload& in, std::size_t& pos, WordVec& out) {
-  if (pos >= in.size()) return false;
-  const std::uint64_t len = in[pos++];
-  if (len > (1u << 24)) return false;  // sanity bound on claim size
-  const std::size_t packed = (static_cast<std::size_t>(len) + 3) / 4;
-  if (pos + packed > in.size()) return false;
-  out.resize(static_cast<std::size_t>(len));
-  for (std::size_t i = 0; i < len; ++i)
-    out[i] = static_cast<word>(in[pos + i / 4] >> (16 * (i % 4)));
-  pos += packed;
-  return true;
-}
+// Sanity bounds on a claim blob: entries per section, 16-bit words per entry.
+constexpr std::uint64_t max_claim_entries = 1u << 20;
+constexpr std::uint64_t max_claim_words = 1u << 24;
 
 }  // namespace
 
@@ -45,22 +23,17 @@ std::uint64_t node_claims::bits() const {
 sim::payload node_claims::pack() const {
   sim::payload out;
   auto pack_p1 = [&](const auto& section) {
-    out.push_back(section.size());
+    sim::wire::put(out, section.size());
     for (const auto& [key, c] : section) {
-      out.push_back(static_cast<std::uint64_t>(std::get<0>(key)));
-      out.push_back(static_cast<std::uint64_t>(std::get<1>(key)));
-      out.push_back(static_cast<std::uint64_t>(std::get<2>(key)));
-      push_words16(out, c);
+      sim::wire::put(out, std::get<0>(key), std::get<1>(key), std::get<2>(key));
+      sim::wire::put_run16(out, c);
     }
   };
   auto pack_p2 = [&](const auto& section) {
-    out.push_back(section.size());
+    sim::wire::put(out, section.size());
     for (const auto& [key, c] : section) {
-      out.push_back(static_cast<std::uint64_t>(key.first));
-      out.push_back(static_cast<std::uint64_t>(key.second));
-      out.push_back(static_cast<std::uint64_t>(c.count));
-      out.push_back(static_cast<std::uint64_t>(c.slices));
-      push_words16(out, c.words);
+      sim::wire::put(out, key.first, key.second, c.count, c.slices);
+      sim::wire::put_run16(out, c.words);
     }
   };
   pack_p1(p1_sent);
@@ -72,22 +45,18 @@ sim::payload node_claims::pack() const {
 
 bool node_claims::unpack(const sim::payload& words, node_claims& out) {
   out = node_claims{};
-  std::size_t pos = 0;
+  sim::wire::reader in(words);
   auto read_count = [&](std::uint64_t& n) {
-    if (pos >= words.size()) return false;
-    n = words[pos++];
-    return n <= (1u << 20);
+    return in.get(n) && n <= max_claim_entries;
   };
   auto unpack_p1 = [&](auto& section) {
     std::uint64_t n = 0;
     if (!read_count(n)) return false;
     for (std::uint64_t i = 0; i < n; ++i) {
-      if (pos + 3 > words.size()) return false;
-      const int tree = static_cast<int>(words[pos++]);
-      const auto from = static_cast<graph::node_id>(words[pos++]);
-      const auto to = static_cast<graph::node_id>(words[pos++]);
+      int tree = 0;
+      graph::node_id from = 0, to = 0;
       chunk c;
-      if (!read_words16(words, pos, c)) return false;
+      if (!in.get(tree, from, to) || !in.get_run16(c, max_claim_words)) return false;
       section[{tree, from, to}] = std::move(c);
     }
     return true;
@@ -96,21 +65,18 @@ bool node_claims::unpack(const sim::payload& words, node_claims& out) {
     std::uint64_t n = 0;
     if (!read_count(n)) return false;
     for (std::uint64_t i = 0; i < n; ++i) {
-      if (pos + 4 > words.size()) return false;
-      const auto from = static_cast<graph::node_id>(words[pos++]);
-      const auto to = static_cast<graph::node_id>(words[pos++]);
+      graph::node_id from = 0, to = 0;
       coded_symbols c;
-      c.count = static_cast<int>(words[pos++]);
-      c.slices = static_cast<int>(words[pos++]);
+      if (!in.get(from, to, c.count, c.slices)) return false;
       if (c.count < 0 || c.slices < 0) return false;
-      if (!read_words16(words, pos, c.words)) return false;
+      if (!in.get_run16(c.words, max_claim_words)) return false;
       if (c.words.size() != static_cast<std::size_t>(c.count) * c.slices) return false;
       section[{from, to}] = std::move(c);
     }
     return true;
   };
   return unpack_p1(out.p1_sent) && unpack_p1(out.p1_received) &&
-         unpack_p2(out.p2_sent) && unpack_p2(out.p2_received) && pos == words.size();
+         unpack_p2(out.p2_sent) && unpack_p2(out.p2_received) && in.at_end();
 }
 
 }  // namespace nab::core

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
+#include <optional>
 
 #include "core/dispute.hpp"
 #include "core/omega.hpp"
@@ -24,52 +24,20 @@ pair_list adjacent_pairs(const graph::digraph& g) {
   return out;
 }
 
-/// Does a cover of `pairs` with at most `budget` nodes (excluding `banned`)
-/// exist? Mirrors dispute.cpp's DC4 search over an explicit pair list.
-bool cover_exists(const pair_list& pairs, std::set<graph::node_id>& chosen, int budget,
-                  graph::node_id banned) {
-  const auto uncovered = std::find_if(pairs.begin(), pairs.end(), [&](const auto& p) {
-    return chosen.count(p.first) == 0 && chosen.count(p.second) == 0;
-  });
-  if (uncovered == pairs.end()) return true;
-  if (budget == 0) return false;
-  for (graph::node_id pick : {uncovered->first, uncovered->second}) {
-    if (pick == banned) continue;
-    chosen.insert(pick);
-    if (cover_exists(pairs, chosen, budget - 1, banned)) {
-      chosen.erase(pick);
-      return true;
-    }
-    chosen.erase(pick);
-  }
-  return false;
-}
-
 /// gamma of Psi_W for an explainable pair set W: remove W's edges and the
 /// nodes forced into every explaining set; skip (return nullopt-like -1)
 /// when the source is removed or becomes isolated from every other node.
 graph::capacity_t gamma_of_psi(const graph::digraph& g, graph::node_id source, int f,
                                const pair_list& w) {
-  std::set<graph::node_id> chosen;
-  if (!cover_exists(w, chosen, f, -1)) return -1;  // not explainable
-
   // Forced removals: nodes contained in every explaining set.
-  std::vector<graph::node_id> removed;
-  std::set<graph::node_id> involved;
-  for (const auto& [a, b] : w) {
-    involved.insert(a);
-    involved.insert(b);
-  }
-  for (graph::node_id x : involved) {
-    std::set<graph::node_id> probe;
-    if (!cover_exists(w, probe, f, x)) removed.push_back(x);
-  }
-  for (graph::node_id x : removed)
+  const std::optional<std::vector<graph::node_id>> removed = necessarily_faulty(w, f);
+  if (!removed) return -1;  // not explainable
+  for (graph::node_id x : *removed)
     if (x == source) return -1;  // Psi_W without the source is not in Gamma
 
   graph::digraph psi = g;
   for (const auto& [a, b] : w) psi.remove_edge_pair(a, b);
-  for (graph::node_id x : removed) psi.remove_node(x);
+  for (graph::node_id x : *removed) psi.remove_node(x);
   if (psi.active_count() < 2) return -1;
   return graph::broadcast_mincut(psi, source);
 }

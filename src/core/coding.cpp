@@ -4,26 +4,6 @@
 
 namespace nab::core {
 
-sim::payload coded_symbols::pack() const {
-  sim::payload out((words.size() + 3) / 4, 0);
-  for (std::size_t i = 0; i < words.size(); ++i)
-    out[i / 4] |= static_cast<std::uint64_t>(words[i]) << (16 * (i % 4));
-  return out;
-}
-
-coded_symbols coded_symbols::unpack(int count, int slices,
-                                    const sim::payload& packed) {
-  coded_symbols out;
-  out.count = count;
-  out.slices = slices;
-  out.words.assign(static_cast<std::size_t>(count) * slices, 0);
-  for (std::size_t i = 0; i < out.words.size(); ++i) {
-    const std::size_t w = i / 4;
-    out.words[i] = w < packed.size() ? static_cast<word>(packed[w] >> (16 * (i % 4))) : 0;
-  }
-  return out;
-}
-
 coding_scheme coding_scheme::generate(const graph::digraph& g, int rho,
                                       std::uint64_t seed) {
   NAB_ASSERT(rho > 0, "coding_scheme requires rho > 0");

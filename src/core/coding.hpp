@@ -21,8 +21,6 @@ struct coded_symbols {
 
   bool operator==(const coded_symbols&) const = default;
 
-  sim::payload pack() const;
-  static coded_symbols unpack(int count, int slices, const sim::payload& packed);
   std::uint64_t bits() const { return static_cast<std::uint64_t>(count) * slices * 16; }
 };
 

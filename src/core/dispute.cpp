@@ -6,6 +6,7 @@
 #include "bb/claim_bcast.hpp"
 #include "core/phase1.hpp"
 #include "obs/obs.hpp"
+#include "sim/wire.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
 
@@ -44,13 +45,10 @@ chunk claimed_chunk(const node_claims& c, int tree, graph::node_id from,
 
 }  // namespace
 
-std::vector<graph::node_id> explaining_intersection(
-    const std::set<std::pair<graph::node_id, graph::node_id>>& pair_set, int f) {
-  const std::vector<std::pair<graph::node_id, graph::node_id>> pairs(pair_set.begin(),
-                                                                     pair_set.end());
+std::optional<std::vector<graph::node_id>> necessarily_faulty(
+    const std::vector<std::pair<graph::node_id, graph::node_id>>& pairs, int f) {
   std::set<graph::node_id> chosen;
-  if (!cover_exists(pairs, chosen, f, /*banned=*/-1))
-    throw error("explaining_intersection: disputes cannot be covered by f nodes");
+  if (!cover_exists(pairs, chosen, f, /*banned=*/-1)) return std::nullopt;
 
   std::set<graph::node_id> involved;
   for (const auto& [a, b] : pairs) {
@@ -63,6 +61,14 @@ std::vector<graph::node_id> explaining_intersection(
     if (!cover_exists(pairs, probe, f, /*banned=*/x)) out.push_back(x);
   }
   return out;
+}
+
+std::vector<graph::node_id> explaining_intersection(
+    const std::set<std::pair<graph::node_id, graph::node_id>>& pairs, int f) {
+  std::optional<std::vector<graph::node_id>> forced =
+      necessarily_faulty({pairs.begin(), pairs.end()}, f);
+  if (!forced) throw error("explaining_intersection: disputes cannot be covered by f nodes");
+  return std::move(*forced);
 }
 
 dispute_outcome run_dispute_control(sim::network& net, bb::channel_plan& channels,
@@ -104,9 +110,8 @@ dispute_outcome run_dispute_control(sim::network& net, bb::channel_plan& channel
     }
     bb::claim_instance inst;
     inst.source = ctx.source;
-    value_vector packer = value_vector::reshape(
-        source_input.empty() ? std::vector<word>{0} : source_input, 1);
-    inst.input = packer.pack();
+    sim::wire::put16(inst.input, source_input);
+    if (inst.input.empty()) sim::wire::put(inst.input, 0);  // one zero word for an empty input
     inst.value_bits = 16 * std::max<std::uint64_t>(source_input.size(), 1);
     instances.push_back(std::move(inst));
   }
@@ -137,10 +142,8 @@ dispute_outcome run_dispute_control(sim::network& net, bb::channel_plan& channel
   // The agreed instance outcome (last instance).
   {
     const bb::value& agreed = bb_out.agreed.back()[static_cast<std::size_t>(reader)];
-    const std::size_t want = std::max<std::size_t>(ctx.input.size(), 1);
-    outcome.agreed_value =
-        value_vector::unpack(1, static_cast<int>(want), agreed).words();
-    outcome.agreed_value.resize(ctx.input.size(), 0);
+    outcome.agreed_value.assign(ctx.input.size(), 0);
+    sim::wire::get16(agreed, 0, outcome.agreed_value);
   }
 
   // Agreed claims; parse failures convict the claimant immediately (a
@@ -162,7 +165,7 @@ dispute_outcome run_dispute_control(sim::network& net, bb::channel_plan& channel
     }
   };
   const std::size_t chunk_size =
-      split_into_chunks(ctx.input, static_cast<int>(ctx.trees.size()))[0].size();
+      chunk_words(ctx.input.size(), static_cast<int>(ctx.trees.size()));
   {
     obs::scoped_span span("dc2_crosscheck", net.elapsed());
     for (std::size_t t = 0; t < ctx.trees.size(); ++t) {

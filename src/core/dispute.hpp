@@ -1,5 +1,7 @@
 #pragma once
 
+#include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -85,9 +87,16 @@ dispute_outcome run_dispute_control(sim::network& net, bb::channel_plan& channel
                                     bb::claim_backend backend = bb::claim_backend::eig,
                                     std::uint64_t digest_seed = 0);
 
-/// DC4 in isolation: the set of nodes contained in *every* fault set of size
-/// <= f that covers `pairs`. Throws nab::error if no such set exists (which
-/// would contradict dispute soundness). Exposed for tests and analysis.
+/// DC4's search: the nodes contained in *every* fault set of size <= f that
+/// covers `pairs` (holds an endpoint of each), in ascending order, or
+/// nullopt when no such set exists. Also enumerated per candidate pair set
+/// by gamma_star_exhaustive (core/capacity.cpp).
+std::optional<std::vector<graph::node_id>> necessarily_faulty(
+    const std::vector<std::pair<graph::node_id, graph::node_id>>& pairs, int f);
+
+/// DC4 in isolation: necessarily_faulty over the cumulative dispute pairs.
+/// Throws nab::error if no explaining set exists (which would contradict
+/// dispute soundness). Exposed for tests and analysis.
 std::vector<graph::node_id> explaining_intersection(
     const std::set<std::pair<graph::node_id, graph::node_id>>& pairs, int f);
 

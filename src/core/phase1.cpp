@@ -6,22 +6,29 @@
 
 namespace nab::core {
 
+std::size_t chunk_words(std::size_t total, int shares) {
+  NAB_ASSERT(shares > 0, "Phase 1 needs a positive share count");
+  const auto n = static_cast<std::size_t>(shares);
+  return (total + n - 1) / n;
+}
+
 std::vector<chunk> split_into_chunks(const std::vector<word>& input, int shares) {
-  NAB_ASSERT(shares > 0, "split_into_chunks requires positive share count");
-  const std::size_t per = (input.size() + shares - 1) / shares;
+  const std::size_t per = chunk_words(input.size(), shares);
   std::vector<chunk> out(static_cast<std::size_t>(shares), chunk(per, 0));
-  for (std::size_t i = 0; i < input.size(); ++i) out[i / per][i % per] = input[i];
+  for (std::size_t t = 0, first = 0; first < input.size(); ++t, first += per)
+    std::copy_n(input.begin() + static_cast<std::ptrdiff_t>(first),
+                std::min(per, input.size() - first), out[t].begin());
   return out;
 }
 
 std::vector<word> assemble_chunks(const std::vector<chunk>& chunks, std::size_t total) {
   std::vector<word> out(total, 0);
   std::size_t pos = 0;
-  for (const chunk& c : chunks)
-    for (word w : c) {
-      if (pos >= total) return out;
-      out[pos++] = w;
-    }
+  for (const chunk& c : chunks) {
+    const std::size_t take = std::min(c.size(), total - pos);
+    std::copy_n(c.begin(), take, out.begin() + static_cast<std::ptrdiff_t>(pos));
+    pos += take;
+  }
   return out;
 }
 
@@ -36,18 +43,19 @@ phase1_result run_phase1(sim::network& net, const graph::digraph& g,
              "phase-1 mode");
   const int universe = g.universe();
   const auto gamma = static_cast<int>(trees.size());
-  const std::vector<chunk> shares = split_into_chunks(input, gamma);
-  const std::uint64_t chunk_bits = 16 * shares[0].size();
+  const std::size_t per = chunk_words(input.size(), gamma);
+  const std::uint64_t chunk_bits = 16 * per;
 
   phase1_result result;
   result.received.assign(static_cast<std::size_t>(universe), {});
   result.truth.assign(static_cast<std::size_t>(universe), node_claims{});
-  result.trees = trees;
   const double t0 = net.elapsed();
 
-  // holding[t][v] = chunk node v currently holds for tree t.
-  std::vector<std::vector<chunk>> holding(
-      trees.size(), std::vector<chunk>(static_cast<std::size_t>(universe)));
+  // holding[v][t] = chunk node v currently holds for tree t; the source
+  // holds its shares.
+  std::vector<std::vector<chunk>> holding(static_cast<std::size_t>(universe),
+                                          std::vector<chunk>(trees.size()));
+  holding[static_cast<std::size_t>(source)] = split_into_chunks(input, gamma);
 
   // Order tree edges by depth so parents transmit before children; compute
   // the per-edge depth for the store-and-forward schedule.
@@ -84,7 +92,6 @@ phase1_result run_phase1(sim::network& net, const graph::digraph& g,
       schedule.push_back({static_cast<int>(t), e.from, e.to, lvl});
       max_depth = std::max(max_depth, lvl);
     }
-    holding[t][static_cast<std::size_t>(source)] = shares[t];
   }
   result.depth = max_depth;
 
@@ -94,8 +101,8 @@ phase1_result run_phase1(sim::network& net, const graph::digraph& g,
   for (int level = 1; level <= max_depth; ++level) {
     for (const scheduled_edge& se : schedule) {
       if (se.level != level) continue;
-      const chunk& have = holding[static_cast<std::size_t>(se.tree)]
-                                 [static_cast<std::size_t>(se.from)];
+      const chunk& have = holding[static_cast<std::size_t>(se.from)]
+                                 [static_cast<std::size_t>(se.tree)];
       // Honest forwards only *inspect* the held chunk — transmit a view and
       // copy just into the destinations; only a corrupt rewrite materializes
       // a fresh chunk.
@@ -124,14 +131,14 @@ phase1_result run_phase1(sim::network& net, const graph::digraph& g,
       if (!delivered) {
         // Zero-fill (not empty): assembly is positional, and descendants
         // forward this default onward as a correctly-sized chunk.
-        holding[static_cast<std::size_t>(se.tree)][static_cast<std::size_t>(se.to)]
-            .assign(shares[static_cast<std::size_t>(se.tree)].size(), 0);
+        holding[static_cast<std::size_t>(se.to)][static_cast<std::size_t>(se.tree)]
+            .assign(per, 0);
         continue;
       }
       auto& receiver_truth = result.truth[static_cast<std::size_t>(se.to)];
       receiver_truth.p1_received[{se.tree, se.from, se.to}] = *send;
       chunk& dest =
-          holding[static_cast<std::size_t>(se.tree)][static_cast<std::size_t>(se.to)];
+          holding[static_cast<std::size_t>(se.to)][static_cast<std::size_t>(se.tree)];
       if (send == &forged)
         dest = std::move(forged);
       else
@@ -141,18 +148,9 @@ phase1_result run_phase1(sim::network& net, const graph::digraph& g,
   }
   if (mode == propagation_mode::cut_through) net.end_step();
 
-  // Assemble per-node values in place (no per-tree chunk copies).
-  for (graph::node_id v : g.active_nodes()) {
-    std::vector<word> out(input.size(), 0);
-    std::size_t pos = 0;
-    for (std::size_t t = 0; t < trees.size() && pos < out.size(); ++t) {
-      const chunk& c = v == source ? shares[t] : holding[t][static_cast<std::size_t>(v)];
-      const std::size_t take = std::min(c.size(), out.size() - pos);
-      std::copy_n(c.begin(), take, out.begin() + static_cast<std::ptrdiff_t>(pos));
-      pos += take;
-    }
-    result.received[static_cast<std::size_t>(v)] = std::move(out);
-  }
+  for (graph::node_id v : g.active_nodes())
+    result.received[static_cast<std::size_t>(v)] =
+        assemble_chunks(holding[static_cast<std::size_t>(v)], input.size());
   result.time = net.elapsed() - t0;
   return result;
 }

@@ -37,8 +37,6 @@ struct phase1_result {
   std::vector<std::vector<word>> received;
   /// Per-node ground-truth transcripts (the p1_* sections filled in).
   std::vector<node_claims> truth;
-  /// The arborescence packing used.
-  std::vector<graph::spanning_tree> trees;
   double time = 0.0;
   /// Maximum tree depth (hops the value travels).
   int depth = 0;
@@ -59,11 +57,16 @@ phase1_result run_phase1(sim::network& net, const graph::digraph& g,
                          nab_adversary* adv = nullptr,
                          propagation_mode mode = propagation_mode::cut_through);
 
-/// Splits `input` into `shares` chunks of ceil(|input|/shares) words each
-/// (zero-padded). Exposed for dispute-control re-execution and tests.
+/// Words in each Phase-1 share of a `total`-word value: ceil(total/shares).
+std::size_t chunk_words(std::size_t total, int shares);
+
+/// Splits `input` into `shares` chunks of chunk_words(|input|, shares) words
+/// each, in order, the tail zero-padded. Exposed for dispute-control
+/// re-execution and tests.
 std::vector<chunk> split_into_chunks(const std::vector<word>& input, int shares);
 
-/// Inverse of split_into_chunks, truncated/padded to `total` words.
+/// Inverse of split_into_chunks: the chunks' words in order, truncated or
+/// zero-padded to `total` words.
 std::vector<word> assemble_chunks(const std::vector<chunk>& chunks, std::size_t total);
 
 }  // namespace nab::core

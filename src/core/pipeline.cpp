@@ -84,7 +84,8 @@ pipeline_stats run_pipelined(const pipeline_config& cfg, int q, std::size_t word
   const coding_scheme coding =
       coding_scheme::generate(g, static_cast<int>(rho), cfg.coding_seed);
 
-  // Inputs and per-instance, per-tree chunk state: holding[i][t][v].
+  // Inputs and per-instance chunk state: holding[i][v][t] = the chunk node v
+  // holds for tree t in instance i.
   std::vector<std::vector<word>> inputs(static_cast<std::size_t>(q));
   for (auto& in : inputs) {
     in.resize(words);
@@ -92,10 +93,9 @@ pipeline_stats run_pipelined(const pipeline_config& cfg, int q, std::size_t word
   }
   std::vector<std::vector<std::vector<chunk>>> holding(
       static_cast<std::size_t>(q),
-      std::vector<std::vector<chunk>>(trees.size(),
-                                      std::vector<chunk>(static_cast<std::size_t>(universe))));
-  const std::uint64_t chunk_bits =
-      16 * split_into_chunks(inputs[0], static_cast<int>(gamma))[0].size();
+      std::vector<std::vector<chunk>>(static_cast<std::size_t>(universe),
+                                      std::vector<chunk>(trees.size())));
+  const std::uint64_t chunk_bits = 16 * chunk_words(words, static_cast<int>(gamma));
 
   sim::network net(g);
   bb::channel_plan channels(g, cfg.f,
@@ -121,18 +121,14 @@ pipeline_stats run_pipelined(const pipeline_config& cfg, int q, std::size_t word
     for (int i = std::max(0, r - sched.depth + 1); i <= std::min(r, q - 1); ++i) {
       const int level = r - i + 1;
       if (level > sched.depth) continue;
-      if (level == 1) {
-        const auto shares = split_into_chunks(inputs[static_cast<std::size_t>(i)],
-                                              static_cast<int>(gamma));
-        for (std::size_t t = 0; t < trees.size(); ++t)
-          holding[static_cast<std::size_t>(i)][t][static_cast<std::size_t>(cfg.source)] =
-              shares[t];
-      }
+      auto& inst = holding[static_cast<std::size_t>(i)];
+      if (level == 1)
+        inst[static_cast<std::size_t>(cfg.source)] =
+            split_into_chunks(inputs[static_cast<std::size_t>(i)], static_cast<int>(gamma));
       for (const auto& h : sched.levels[static_cast<std::size_t>(level)]) {
-        auto& inst = holding[static_cast<std::size_t>(i)];
         net.charge(h.from, h.to, chunk_bits);
-        inst[static_cast<std::size_t>(h.tree)][static_cast<std::size_t>(h.to)] =
-            inst[static_cast<std::size_t>(h.tree)][static_cast<std::size_t>(h.from)];
+        inst[static_cast<std::size_t>(h.to)][static_cast<std::size_t>(h.tree)] =
+            inst[static_cast<std::size_t>(h.from)][static_cast<std::size_t>(h.tree)];
       }
     }
     net.end_step();
@@ -142,10 +138,8 @@ pipeline_stats run_pipelined(const pipeline_config& cfg, int q, std::size_t word
     if (done >= 0 && done < q) {
       std::vector<value_vector> values(static_cast<std::size_t>(universe));
       for (graph::node_id v : g.active_nodes()) {
-        std::vector<chunk> got(trees.size());
-        for (std::size_t t = 0; t < trees.size(); ++t)
-          got[t] = holding[static_cast<std::size_t>(done)][t][static_cast<std::size_t>(v)];
-        const auto assembled = assemble_chunks(got, words);
+        const auto assembled = assemble_chunks(
+            holding[static_cast<std::size_t>(done)][static_cast<std::size_t>(v)], words);
         values[static_cast<std::size_t>(v)] =
             value_vector::reshape(assembled, static_cast<int>(rho));
         stats.all_valid =

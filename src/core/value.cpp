@@ -42,21 +42,4 @@ std::vector<word> value_vector::symbol_words(int s) const {
           words_.begin() + static_cast<std::ptrdiff_t>(s + 1) * slices_};
 }
 
-sim::payload value_vector::pack() const {
-  sim::payload out((words_.size() + 3) / 4, 0);
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    out[i / 4] |= static_cast<std::uint64_t>(words_[i]) << (16 * (i % 4));
-  return out;
-}
-
-value_vector value_vector::unpack(int rho, int slices, const sim::payload& packed) {
-  value_vector out(rho, slices);
-  for (std::size_t i = 0; i < out.words_.size(); ++i) {
-    const std::size_t w = i / 4;
-    out.words_[i] =
-        w < packed.size() ? static_cast<word>(packed[w] >> (16 * (i % 4))) : 0;
-  }
-  return out;
-}
-
 }  // namespace nab::core

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "gf/gf2_16.hpp"
-#include "sim/run_arena.hpp"
 #include "util/rng.hpp"
 
 namespace nab::core {
@@ -48,12 +47,6 @@ class value_vector {
   std::vector<word> symbol_words(int s) const;
 
   const std::vector<word>& words() const { return words_; }
-
-  /// Pack into 64-bit transport words (4 symbols-words per transport word).
-  sim::payload pack() const;
-
-  /// Inverse of pack for a value of known shape.
-  static value_vector unpack(int rho, int slices, const sim::payload& packed);
 
   bool operator==(const value_vector&) const = default;
 

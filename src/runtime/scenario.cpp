@@ -564,7 +564,8 @@ std::vector<scenario_family> build_registry() {
   // The loss axis composes with topology and adversary: honest runs must
   // survive bursts with zero disputes (erasure is never Byzantine evidence),
   // and tampering adversaries must still be convicted under the same loss
-  // process. CI's lossy-smoke job and tests/runtime/test_lossy.cpp pin both.
+  // process. CI's lossy asserts on tier1's determinism sweep and
+  // tests/runtime/test_lossy.cpp pin both.
   {
     scenario_family fam;
     fam.name = "lossy_k7";

@@ -15,6 +15,72 @@
 namespace nab::core {
 namespace {
 
+/// Rank over GF(2^16) by plain Gaussian elimination, one scalar field op at
+/// a time (no row kernels).
+std::size_t scalar_rank(std::vector<std::vector<gf::gf2_16::value_type>> m) {
+  using F = gf::gf2_16;
+  const std::size_t cols = m.empty() ? 0 : m[0].size();
+  std::size_t rank = 0;
+  for (std::size_t c = 0; c < cols && rank < m.size(); ++c) {
+    std::size_t p = rank;
+    while (p < m.size() && m[p][c] == 0) ++p;
+    if (p == m.size()) continue;
+    std::swap(m[p], m[rank]);
+    const F::value_type inv = F::inv(m[rank][c]);
+    for (std::size_t r = rank + 1; r < m.size(); ++r) {
+      const F::value_type factor = F::mul(m[r][c], inv);
+      for (std::size_t k = c; k < cols; ++k)
+        m[r][k] = F::add(m[r][k], F::mul(factor, m[rank][k]));
+    }
+    ++rank;
+  }
+  return rank;
+}
+
+/// Test-local certifier: for every H in Omega_k, C_H assembled straight from
+/// coding.matrix_for (rho rows per node of H but its last, one column per
+/// capacity unit of each directed edge inside H, C_e in both endpoint
+/// blocks) and ranked by scalar_rank — independent of build_check_matrix
+/// and of every elimination libnab runs.
+certification oracle_certify(const graph::digraph& g, int f,
+                             const dispute_record& disputes,
+                             const coding_scheme& coding) {
+  const auto rho = static_cast<std::size_t>(coding.rho());
+  certification out;
+  out.ok = true;
+  for (const auto& h : omega_subgraphs(g, f, disputes)) {
+    if (h.size() <= 1) continue;
+    // Node h[i] owns rows [i * rho, (i + 1) * rho), except the reference
+    // h.back(), which owns none (-1).
+    std::vector<bool> in_h(static_cast<std::size_t>(g.universe()), false);
+    std::vector<std::ptrdiff_t> block(static_cast<std::size_t>(g.universe()), -1);
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      in_h[static_cast<std::size_t>(h[i])] = true;
+      if (i + 1 < h.size()) block[static_cast<std::size_t>(h[i])] = static_cast<std::ptrdiff_t>(i);
+    }
+    std::vector<std::vector<gf::gf2_16::value_type>> ch((h.size() - 1) * rho);
+    for (const graph::edge& e : g.edges()) {
+      if (!in_h[static_cast<std::size_t>(e.from)] || !in_h[static_cast<std::size_t>(e.to)])
+        continue;
+      const std::ptrdiff_t bu = block[static_cast<std::size_t>(e.from)];
+      const std::ptrdiff_t bv = block[static_cast<std::size_t>(e.to)];
+      const auto& ce = coding.matrix_for(e.from, e.to);
+      for (std::size_t k = 0; k < ce.cols(); ++k) {
+        for (auto& row : ch) row.push_back(0);
+        for (std::size_t s = 0; s < rho; ++s) {
+          if (bu >= 0) ch[static_cast<std::size_t>(bu) * rho + s].back() = ce.at(s, k);
+          if (bv >= 0) ch[static_cast<std::size_t>(bv) * rho + s].back() = ce.at(s, k);
+        }
+      }
+    }
+    if (scalar_rank(ch) != ch.size()) {
+      out.ok = false;
+      out.failing.push_back(h);
+    }
+  }
+  return out;
+}
+
 TEST(Certify, RandomMatricesCertifyOnPaperGraphs) {
   // Theorem 1: random coding matrices are correct with overwhelming
   // probability over GF(2^16).
@@ -115,6 +181,11 @@ TEST(CertifyBatched, AgreesWithNaiveOnRegistryClassTopologies) {
       EXPECT_EQ(naive.ok, batched.ok) << "n=" << g.universe() << " rho=" << rho;
       EXPECT_EQ(naive.failing, batched.failing)
           << "n=" << g.universe() << " rho=" << rho;
+      // Dense graphs (complete(7, 1) at f = 2) send the batched certifier to
+      // certify_coding itself, so both face an independent elimination.
+      const certification oracle = oracle_certify(g, f, dispute_record{}, cs);
+      EXPECT_EQ(oracle.ok, naive.ok) << "n=" << g.universe() << " rho=" << rho;
+      EXPECT_EQ(oracle.failing, naive.failing) << "n=" << g.universe() << " rho=" << rho;
     }
   }
 }
@@ -141,6 +212,10 @@ TEST(CertifyBatched, AgreesWithNaiveUnderDisputes) {
     const certification batched = certify_coding_batched(g, f, disputes, cs);
     EXPECT_EQ(naive.ok, batched.ok) << "trial " << trial;
     EXPECT_EQ(naive.failing, batched.failing) << "trial " << trial;
+    // The dense draws run certify_coding on both sides above.
+    const certification oracle = oracle_certify(g, f, disputes, cs);
+    EXPECT_EQ(oracle.ok, naive.ok) << "trial " << trial;
+    EXPECT_EQ(oracle.failing, naive.failing) << "trial " << trial;
   }
 }
 

@@ -75,16 +75,6 @@ TEST(Coding, CheckRejectsDifferentValueWithHighProbability) {
   }
 }
 
-TEST(Coding, CodedSymbolsPackRoundTrip) {
-  rng rand(6);
-  coded_symbols c;
-  c.count = 3;
-  c.slices = 5;
-  for (int i = 0; i < 15; ++i) c.words.push_back(static_cast<word>(rand.below(65536)));
-  EXPECT_EQ(coded_symbols::unpack(3, 5, c.pack()), c);
-  EXPECT_EQ(c.bits(), 240u);
-}
-
 TEST(Coding, WireSizeMatchesPaperFormula) {
   // Edge of capacity z_e carries z_e symbols of L/rho bits: bits() must be
   // z_e * slices * 16 = z_e * (L / rho).

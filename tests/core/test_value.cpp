@@ -36,24 +36,6 @@ TEST(ValueVector, ReshapePadsWithZeros) {
   EXPECT_EQ(v.symbol(1, 1), 0);
 }
 
-TEST(ValueVector, PackUnpackRoundTrip) {
-  rng rand(5);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int rho = static_cast<int>(1 + rand.below(5));
-    const int slices = static_cast<int>(1 + rand.below(7));
-    const value_vector v = value_vector::random(rho, slices, rand);
-    EXPECT_EQ(value_vector::unpack(rho, slices, v.pack()), v);
-  }
-}
-
-TEST(ValueVector, UnpackToleratesShortInput) {
-  const value_vector v = value_vector::unpack(2, 2, {0x0004000300020001ull});
-  EXPECT_EQ(v.symbol(0, 0), 1);
-  EXPECT_EQ(v.symbol(1, 1), 4);
-  const value_vector w = value_vector::unpack(2, 2, {});
-  EXPECT_EQ(w, value_vector(2, 2));
-}
-
 TEST(ValueVector, SymbolWordsSlice) {
   const std::vector<word> ws{1, 2, 3, 4};
   const value_vector v = value_vector::reshape(ws, 2);
