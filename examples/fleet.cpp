@@ -158,8 +158,8 @@ int run_sweep_mode(const nab::runtime::fleet_options& opt,
   const std::string& sweep_name =
       opt.topology_path.empty() ? opt.scenarios : opt.topology_path;
   // --loss overrides the link-fault axis of every selected scenario but
-  // never their names: the zero-loss byte-identity guard diffs a --loss
-  // zero sweep against a clean one record-for-record.
+  // never their names, so a --loss sweep lines up with a clean one
+  // record-for-record.
   if (!opt.loss.empty())
     for (scenario& s : sweep) s.loss = opt.loss;
   std::printf("fleet: %zu runs (%s%s%s), %d job%s, seed %llu\n", sweep.size(),

@@ -77,8 +77,8 @@ claim_digest claim_digest_of(const value& payload, std::uint64_t seed) {
   // accumulators start at 1 so leading zero limbs still shift the state.
   std::array<std::uint16_t, 4> acc = {1, 1, 1, 1};
   const auto absorb = [&](std::uint64_t word) {
-    for (int limb = 0; limb < 4; ++limb) {
-      const auto w = static_cast<std::uint16_t>(word >> (16 * limb));
+    for (std::size_t limb = 0; limb < sim::wire::lanes; ++limb) {
+      const std::uint16_t w = sim::wire::lane(word, limb);
       for (std::size_t k = 0; k < 4; ++k)
         acc[k] = static_cast<std::uint16_t>(t.mul[k][acc[k]] ^ w);
     }
@@ -119,12 +119,12 @@ std::vector<claim_digest> claim_digests_of(const std::vector<const value*>& payl
     for (auto& row : acc) row.assign(rows, 1);
     limbs.resize(rows);
     for (std::size_t j = 0; j <= m; ++j) {
-      for (int limb = 0; limb < 4; ++limb) {
+      for (std::size_t limb = 0; limb < sim::wire::lanes; ++limb) {
         for (std::size_t i = 0; i < rows; ++i) {
           const value& p = *payloads[order[lo + i]];
           const std::uint64_t word =
               j == 0 ? static_cast<std::uint64_t>(m) : p[j - 1];
-          limbs[i] = static_cast<std::uint16_t>(word >> (16 * limb));
+          limbs[i] = sim::wire::lane(word, limb);
         }
         for (std::size_t k = 0; k < 4; ++k) {
           gf::gf2_16::scale(acc[k].data(), t.points[k], rows);

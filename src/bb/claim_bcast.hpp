@@ -10,6 +10,7 @@
 #include "graph/digraph.hpp"
 #include "sim/faults.hpp"
 #include "sim/network.hpp"
+#include "sim/wire.hpp"
 
 namespace nab::bb {
 
@@ -66,19 +67,20 @@ struct claim_digest {
 
   bool operator==(const claim_digest&) const = default;
 
-  /// The digest as one 64-bit transport word (wire form).
+  /// The digest as one 64-bit transport word (wire form: the four words
+  /// in sim::wire's lanes).
   std::uint64_t packed() const {
     std::uint64_t out = 0;
-    for (std::size_t i = 0; i < words.size(); ++i)
-      out |= static_cast<std::uint64_t>(words[i]) << (16 * i);
+    for (std::size_t i = 0; i < words.size(); ++i) out |= sim::wire::to_lane(words[i], i);
     return out;
   }
   static claim_digest from_packed(std::uint64_t p) {
     claim_digest d;
-    for (std::size_t i = 0; i < d.words.size(); ++i)
-      d.words[i] = static_cast<std::uint16_t>(p >> (16 * i));
+    for (std::size_t i = 0; i < d.words.size(); ++i) d.words[i] = sim::wire::lane(p, i);
     return d;
   }
+  static_assert(std::tuple_size_v<decltype(words)> == sim::wire::lanes,
+                "a digest is one transport word");
 };
 
 /// Wire size of a claim digest in bits.

@@ -7,67 +7,92 @@
 #include "util/assert.hpp"
 
 namespace nab::core {
+namespace {
 
-gf::matrix<gf::gf2_16> build_check_matrix(const graph::digraph& g,
-                                          const std::vector<graph::node_id>& h,
-                                          const coding_scheme& coding) {
-  NAB_ASSERT(!h.empty(), "check matrix needs a nonempty subgraph");
-  const int rho = coding.rho();
-  const std::size_t blocks = h.size() - 1;  // last node of h is the reference
+using gfw = gf::gf2_16::value_type;
 
-  // Position of each node among the non-reference blocks; -1 for reference
-  // and for nodes outside H.
-  std::vector<int> pos(static_cast<std::size_t>(g.universe()), -1);
-  for (std::size_t i = 0; i + 1 < h.size(); ++i)
-    pos[static_cast<std::size_t>(h[i])] = static_cast<int>(i);
-  const graph::node_id ref = h.back();
+/// An all-blocks check matrix and the column layout it was built with.
+struct block_layout {
+  gf::matrix<gf::gf2_16> m;
+  std::vector<graph::edge> edges;      ///< edges owning columns, in column order
+  std::vector<std::size_t> first_col;  ///< edges[i] owns [first_col[i], + cap)
+};
 
-  // Count columns: total capacity of directed edges inside H.
+/// C_H's block layout (Appendix C.1), the one place coding matrices enter a
+/// check matrix: rho rows for each of the first `blocks` nodes of `nodes`
+/// (node-major), one column per capacity unit of every edge of g with both
+/// endpoints in `nodes`, in g.edges() order. C_e lands in both endpoint
+/// blocks — the tail's +C_e and the head's -C_e coincide over GF(2^16).
+/// Nodes past the first `blocks` (a reference) own columns but no rows.
+block_layout all_blocks(const graph::digraph& g, const std::vector<graph::node_id>& nodes,
+                        std::size_t blocks, const coding_scheme& coding) {
+  const auto rho = static_cast<std::size_t>(coding.rho());
+  constexpr std::ptrdiff_t outside = -2, no_block = -1;
+  std::vector<std::ptrdiff_t> block(static_cast<std::size_t>(g.universe()), outside);
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    block[static_cast<std::size_t>(nodes[i])] =
+        i < blocks ? static_cast<std::ptrdiff_t>(i) : no_block;
+  block_layout out;
   std::size_t cols = 0;
-  for (const graph::edge& e : g.edges()) {
-    const bool from_in = pos[static_cast<std::size_t>(e.from)] >= 0 || e.from == ref;
-    const bool to_in = pos[static_cast<std::size_t>(e.to)] >= 0 || e.to == ref;
-    if (from_in && to_in) cols += static_cast<std::size_t>(e.cap);
-  }
+  for (const graph::edge& e : g.edges())
+    if (block[static_cast<std::size_t>(e.from)] != outside &&
+        block[static_cast<std::size_t>(e.to)] != outside) {
+      out.edges.push_back(e);
+      out.first_col.push_back(cols);
+      cols += static_cast<std::size_t>(e.cap);
+    }
 
-  gf::matrix<gf::gf2_16> ch(blocks * static_cast<std::size_t>(rho), cols);
-  std::size_t col = 0;
-  for (const graph::edge& e : g.edges()) {
-    const bool from_in = pos[static_cast<std::size_t>(e.from)] >= 0 || e.from == ref;
-    const bool to_in = pos[static_cast<std::size_t>(e.to)] >= 0 || e.to == ref;
-    if (!from_in || !to_in) continue;
+  out.m = gf::matrix<gf::gf2_16>(blocks * rho, cols);
+  for (std::size_t i = 0; i < out.edges.size(); ++i) {
+    const graph::edge& e = out.edges[i];
     const auto& ce = coding.matrix_for(e.from, e.to);
     NAB_ASSERT(static_cast<graph::capacity_t>(ce.cols()) == e.cap,
                "coding matrix width must equal edge capacity");
-    for (std::size_t k = 0; k < ce.cols(); ++k, ++col) {
-      // Block of the tail node gets C_e, block of the head gets -C_e; the
-      // two coincide over GF(2^16). The reference node has no block.
-      const int pi = pos[static_cast<std::size_t>(e.from)];
-      const int pj = pos[static_cast<std::size_t>(e.to)];
-      for (int s = 0; s < rho; ++s) {
-        const word c = ce.at(static_cast<std::size_t>(s), k);
-        if (pi >= 0)
-          ch.at(static_cast<std::size_t>(pi) * rho + s, col) = c;
-        if (pj >= 0)
-          ch.at(static_cast<std::size_t>(pj) * rho + s, col) = c;
+    const std::ptrdiff_t bu = block[static_cast<std::size_t>(e.from)];
+    const std::ptrdiff_t bv = block[static_cast<std::size_t>(e.to)];
+    for (std::size_t k = 0; k < ce.cols(); ++k) {
+      const std::size_t col = out.first_col[i] + k;
+      for (std::size_t s = 0; s < rho; ++s) {
+        if (bu >= 0) out.m.at(static_cast<std::size_t>(bu) * rho + s, col) = ce.at(s, k);
+        if (bv >= 0) out.m.at(static_cast<std::size_t>(bv) * rho + s, col) = ce.at(s, k);
       }
     }
   }
-  NAB_ASSERT(col == cols, "column count mismatch while building C_H");
-  return ch;
+  return out;
 }
 
-certification certify_coding(const graph::digraph& g, int f,
-                             const dispute_record& disputes,
-                             const coding_scheme& coding) {
+/// How certify_coding walks Omega_k (see certify.hpp).
+enum class cert_path { leave_one_out, dense, prefix_walk };
+
+/// The one dispatch, shared by certify_coding and certify_cost_estimate so
+/// the cost gate prices the path that runs. `target` is Omega_k's member
+/// size. The leave-one-out shape has exactly one more active node than
+/// that. Otherwise the prefix walk's shared factorization pays off while
+/// subgraph matrices stay column-limited for most of the walk (sparse
+/// graphs: the hypercube and WAN families run ~2x faster than independent
+/// eliminations); on dense graphs the mid-depth ghost population churns
+/// more than per-H elimination costs. The measured crossover sits around
+/// directed-edge density 0.4 for every registry topology.
+cert_path pick_path(const graph::digraph& g, std::size_t target) {
+  const auto n = static_cast<std::size_t>(g.active_count());
+  if (target >= 2 && n == target + 1) return cert_path::leave_one_out;
+  if (n < 2) return cert_path::dense;
+  const double density = static_cast<double>(g.edges().size()) /
+                         (static_cast<double>(n) * static_cast<double>(n - 1));
+  return density > 0.4 ? cert_path::dense : cert_path::prefix_walk;
+}
+
+/// Dense path: one independent elimination of C_H per member.
+certification certify_dense(const graph::digraph& g, int f,
+                            const dispute_record& disputes,
+                            const coding_scheme& coding) {
   certification out;
   out.ok = true;
   for (const auto& h : omega_subgraphs(g, f, disputes)) {
     if (h.size() <= 1) continue;  // nothing to distinguish
     obs::count(obs::counter::cert_subgraphs);
-    auto ch = build_check_matrix(g, h, coding);
     const std::size_t need = (h.size() - 1) * static_cast<std::size_t>(coding.rho());
-    if (gf::rank(std::move(ch)) != need) {
+    if (gf::rank(build_check_matrix(g, h, coding)) != need) {
       out.ok = false;
       out.failing.push_back(h);
     }
@@ -75,12 +100,8 @@ certification certify_coding(const graph::digraph& g, int f,
   return out;
 }
 
-namespace {
-
-using gfw = gf::gf2_16::value_type;
-
-/// The incremental Omega_k walker behind certify_coding_batched (see the
-/// header comment for the linear-algebra argument).
+/// Prefix-walk path: the incremental Omega_k walker (see the header
+/// comment for the linear-algebra argument).
 ///
 /// State invariants across the DFS:
 ///  - `active_cols_` lists the columns of edges whose BOTH endpoints are in
@@ -102,48 +123,22 @@ using gfw = gf::gf2_16::value_type;
 /// Cost: one node-extension is ~(2 rho rows) x (window pivots) x row-width
 /// field ops, and the lexicographic DFS shares every prefix extension
 /// across the C(n, f) subgraphs — versus a from-scratch rank elimination
-/// per H for the naive certifier.
-class batched_certifier {
+/// per H on the dense path.
+class prefix_walk {
  public:
-  batched_certifier(const graph::digraph& g, int f, const dispute_record& disputes,
-                    const coding_scheme& coding)
+  prefix_walk(const graph::digraph& g, std::size_t target,
+              const dispute_record& disputes, const coding_scheme& coding)
       : disputes_(disputes), rho_(static_cast<std::size_t>(coding.rho())),
-        nodes_(g.active_nodes()),
-        target_(static_cast<std::size_t>(g.universe() - f)) {
-    // Column universe: one block of z_e = cap(e) columns per directed edge.
-    edges_ = g.edges();
-    edge_col_.reserve(edges_.size());
-    std::size_t cols = 0;
-    for (const graph::edge& e : edges_) {
-      edge_col_.push_back(cols);
-      cols += static_cast<std::size_t>(e.cap);
-    }
-    total_cols_ = cols;
+        nodes_(g.active_nodes()), target_(target),
+        layout_(all_blocks(g, nodes_, nodes_.size(), coding)),
+        total_cols_(layout_.m.cols()) {
     edges_with_.assign(static_cast<std::size_t>(g.universe()), {});
-    for (std::size_t i = 0; i < edges_.size(); ++i) {
-      edges_with_[static_cast<std::size_t>(edges_[i].from)].push_back(i);
-      edges_with_[static_cast<std::size_t>(edges_[i].to)].push_back(i);
+    for (std::size_t i = 0; i < layout_.edges.size(); ++i) {
+      edges_with_[static_cast<std::size_t>(layout_.edges[i].from)].push_back(i);
+      edges_with_[static_cast<std::size_t>(layout_.edges[i].to)].push_back(i);
     }
     pivot_of_col_.assign(total_cols_, -1);
     in_prefix_.assign(static_cast<std::size_t>(g.universe()), false);
-
-    // Raw rows: node v's block row s carries C_e(s, k) for every incident
-    // edge — both endpoint blocks get C_e (the +/- blocks coincide in
-    // characteristic 2), exactly as build_check_matrix lays them out.
-    raw_rows_.assign(static_cast<std::size_t>(g.universe()) * rho_, {});
-    for (graph::node_id v : nodes_) {
-      for (std::size_t s = 0; s < rho_; ++s) {
-        auto& row = raw_rows_[static_cast<std::size_t>(v) * rho_ + s];
-        row.assign(total_cols_, 0);
-        for (std::size_t i : edges_with_[static_cast<std::size_t>(v)]) {
-          const auto& ce = coding.matrix_for(edges_[i].from, edges_[i].to);
-          NAB_ASSERT(static_cast<graph::capacity_t>(ce.cols()) == edges_[i].cap,
-                     "coding matrix width must equal edge capacity");
-          for (std::size_t k = 0; k < ce.cols(); ++k)
-            row[edge_col_[i] + k] = ce.at(s, k);
-        }
-      }
-    }
   }
 
   certification run() {
@@ -195,8 +190,10 @@ class batched_certifier {
     basis_.push_back(std::move(row));
   }
 
-  frame push_node(graph::node_id x) {
+  /// Pushes nodes_[i], whose raw rows are layout_.m's block i.
+  frame push_node(std::size_t i) {
     obs::count(obs::counter::cert_prefix_pushes);
+    const graph::node_id x = nodes_[i];
     frame fr;
     fr.cols_before = active_cols_.size();
     fr.basis_before = basis_.size();
@@ -206,12 +203,12 @@ class batched_certifier {
     for (std::size_t idx : ghosts_) fr.ghost_rows_before.push_back(ghost_arena_[idx]);
 
     // 1. Activate the columns of every edge between x and the prefix.
-    for (std::size_t i : edges_with_[static_cast<std::size_t>(x)]) {
-      const graph::node_id other =
-          edges_[i].from == x ? edges_[i].to : edges_[i].from;
+    for (std::size_t e : edges_with_[static_cast<std::size_t>(x)]) {
+      const graph::edge& ed = layout_.edges[e];
+      const graph::node_id other = ed.from == x ? ed.to : ed.from;
       if (!in_prefix_[static_cast<std::size_t>(other)]) continue;
-      for (std::size_t k = 0; k < static_cast<std::size_t>(edges_[i].cap); ++k)
-        active_cols_.push_back(edge_col_[i] + k);
+      for (std::size_t k = 0; k < static_cast<std::size_t>(ed.cap); ++k)
+        active_cols_.push_back(layout_.first_col[e] + k);
     }
     in_prefix_[static_cast<std::size_t>(x)] = true;
 
@@ -231,7 +228,8 @@ class batched_certifier {
     // 3. Insert x's rho raw rows; the ones with no pivot in the window join
     //    the ghost arena at this depth.
     for (std::size_t s = 0; s < rho_; ++s) {
-      std::vector<gfw> row = raw_rows_[static_cast<std::size_t>(x) * rho_ + s];
+      const gfw* raw = layout_.m.row_ptr(i * rho_ + s);
+      std::vector<gfw> row(raw, raw + total_cols_);
       const std::size_t pos = reduce_row(row, fr.cols_before);
       if (pos != npos) {
         insert_basis(std::move(row), pos);
@@ -277,7 +275,7 @@ class batched_certifier {
           break;
         }
       if (!clean) continue;
-      frame fr = push_node(x);
+      frame fr = push_node(i);
       current_.push_back(x);
       dfs(i + 1, out);
       current_.pop_back();
@@ -292,11 +290,9 @@ class batched_certifier {
   const std::vector<graph::node_id> nodes_;
   const std::size_t target_;
 
-  std::vector<graph::edge> edges_;
-  std::vector<std::size_t> edge_col_;
-  std::size_t total_cols_ = 0;
+  const block_layout layout_;  // every active node's block, over every edge
+  const std::size_t total_cols_;
   std::vector<std::vector<std::size_t>> edges_with_;
-  std::vector<std::vector<gfw>> raw_rows_;
 
   std::vector<std::size_t> active_cols_;   // activation order
   std::vector<int> pivot_of_col_;
@@ -308,31 +304,11 @@ class batched_certifier {
   std::vector<graph::node_id> current_;
 };
 
-}  // namespace
-
-namespace {
-
-/// The shared factorization pays off when the subgraph matrices are
-/// column-limited for most of the DFS (sparse graphs: the hypercube and
-/// WAN families run ~2x faster than independent eliminations). On dense
-/// graphs the mid-depth ghost population churns more than per-H
-/// elimination costs, so the naive path (itself running on the batched
-/// axpy kernels) wins there. The measured crossover sits around
-/// directed-edge density 0.4 for every registry topology.
-bool dense_graph(const graph::digraph& g) {
-  const std::size_t n = g.active_nodes().size();
-  if (n < 2) return true;
-  const double density = static_cast<double>(g.edges().size()) /
-                         (static_cast<double>(n) * static_cast<double>(n - 1));
-  return density > 0.4;
-}
-
-/// The f = 1 leave-one-out shape: when exactly one more node is active than
-/// Omega_k's target size, every member of Omega_k is H_x = active \ {x}.
-/// One full Gauss-Jordan reduction of the all-blocks matrix M — one rho-row
-/// block per ACTIVE node over every active-edge column, the same layout as
-/// build_check_matrix but with no reference block dropped — then answers all
-/// |Omega_k| rank queries by a rank downdate each:
+/// Leave-one-out path: when exactly one more node is active than Omega_k's
+/// target size, every member of Omega_k is H_x = active \ {x}. One full
+/// Gauss-Jordan reduction of the all-blocks matrix M — all_blocks over the
+/// active nodes with no reference dropped — then answers all |Omega_k| rank
+/// queries by a rank downdate each:
 ///
 ///  - x's block rows are supported entirely on X_x (the columns of
 ///    x-incident edges), so on A_x = columns \ X_x the nonzero rows of
@@ -349,19 +325,19 @@ bool dense_graph(const graph::digraph& g) {
 ///    corner of the reduced matrix.
 ///
 /// Cost: ONE big elimination plus one nullity-sized rank per member —
-/// versus a from-scratch elimination per member (the dense/naive path) or
+/// versus a from-scratch elimination per member (the dense path) or
 /// a DFS whose prefix sharing degenerates at this shape (every leaf differs
 /// from the next in its deepest nodes, so nearly the whole basis is torn
 /// down and rebuilt between leaves).
-certification certify_loo(const graph::digraph& g, std::size_t target,
-                          const dispute_record& disputes,
-                          const coding_scheme& coding) {
+certification certify_leave_one_out(const graph::digraph& g, std::size_t target,
+                                    const dispute_record& disputes,
+                                    const coding_scheme& coding) {
   certification out;
   out.ok = true;
   const std::vector<graph::node_id> active = g.active_nodes();
   const std::size_t rho = static_cast<std::size_t>(coding.rho());
   NAB_ASSERT(target >= 2 && active.size() == target + 1,
-             "certify_loo requires the leave-one-out shape");
+             "the leave-one-out path requires its shape");
 
   // Membership first: H_x is dispute-free iff x covers every disputed pair
   // of active nodes, so the members are the intersection of those pairs
@@ -387,33 +363,17 @@ certification certify_loo(const graph::digraph& g, std::size_t target,
   if (member_count == 0) return out;
 
   // The all-blocks matrix, plus each node's incident column list (= X_x).
-  const std::vector<graph::edge> edges = g.edges();
-  std::vector<int> pos(static_cast<std::size_t>(g.universe()), -1);
-  for (std::size_t i = 0; i < active.size(); ++i)
-    pos[static_cast<std::size_t>(active[i])] = static_cast<int>(i);
-  std::size_t total_cols = 0;
-  for (const graph::edge& e : edges) total_cols += static_cast<std::size_t>(e.cap);
-  gf::matrix<gf::gf2_16> m(active.size() * rho, total_cols);
+  block_layout all = all_blocks(g, active, active.size(), coding);
+  gf::matrix<gf::gf2_16>& m = all.m;
+  const std::size_t total_cols = m.cols();
   std::vector<std::vector<std::size_t>> node_cols(
       static_cast<std::size_t>(g.universe()));
-  std::size_t col = 0;
-  for (const graph::edge& e : edges) {
-    const auto& ce = coding.matrix_for(e.from, e.to);
-    NAB_ASSERT(static_cast<graph::capacity_t>(ce.cols()) == e.cap,
-               "coding matrix width must equal edge capacity");
-    const int pi = pos[static_cast<std::size_t>(e.from)];
-    const int pj = pos[static_cast<std::size_t>(e.to)];
-    NAB_ASSERT(pi >= 0 && pj >= 0, "active edge with an inactive endpoint");
-    for (std::size_t k = 0; k < ce.cols(); ++k, ++col) {
-      node_cols[static_cast<std::size_t>(e.from)].push_back(col);
-      node_cols[static_cast<std::size_t>(e.to)].push_back(col);
-      for (std::size_t s = 0; s < rho; ++s) {
-        const gfw c = ce.at(s, k);
-        m.at(static_cast<std::size_t>(pi) * rho + s, col) = c;
-        m.at(static_cast<std::size_t>(pj) * rho + s, col) = c;
-      }
+  for (std::size_t i = 0; i < all.edges.size(); ++i)
+    for (graph::capacity_t k = 0; k < all.edges[i].cap; ++k) {
+      const std::size_t col = all.first_col[i] + static_cast<std::size_t>(k);
+      node_cols[static_cast<std::size_t>(all.edges[i].from)].push_back(col);
+      node_cols[static_cast<std::size_t>(all.edges[i].to)].push_back(col);
     }
-  }
 
   std::vector<std::size_t> pivot_cols;
   const std::size_t r = gf::row_reduce(m, &pivot_cols);
@@ -426,7 +386,7 @@ certification certify_loo(const graph::digraph& g, std::size_t target,
     if (pivot_row_of[c] < 0) free_cols.push_back(c);
 
   // Leave-out index DESCENDING over the sorted active list, so failing
-  // subgraphs appear in the naive certifier's lexicographic subset order
+  // subgraphs appear in omega_subgraphs' lexicographic subset order
   // (omitting a larger node yields a lex-smaller subset).
   const std::size_t need = (target - 1) * rho;
   std::vector<bool> in_x(total_cols, false);
@@ -465,15 +425,23 @@ certification certify_loo(const graph::digraph& g, std::size_t target,
 
 }  // namespace
 
-certification certify_coding_batched(const graph::digraph& g, int f,
-                                     const dispute_record& disputes,
-                                     const coding_scheme& coding) {
-  const int target = g.universe() - f;
-  if (target >= 2 && g.active_count() == target + 1)
-    return certify_loo(g, static_cast<std::size_t>(target), disputes, coding);
-  if (dense_graph(g)) return certify_coding(g, f, disputes, coding);
-  batched_certifier certifier(g, f, disputes, coding);
-  return certifier.run();
+gf::matrix<gf::gf2_16> build_check_matrix(const graph::digraph& g,
+                                          const std::vector<graph::node_id>& h,
+                                          const coding_scheme& coding) {
+  NAB_ASSERT(!h.empty(), "check matrix needs a nonempty subgraph");
+  return all_blocks(g, h, h.size() - 1, coding).m;
+}
+
+certification certify_coding(const graph::digraph& g, int f,
+                             const dispute_record& disputes,
+                             const coding_scheme& coding) {
+  NAB_ASSERT(f >= 0 && g.universe() - f >= 1, "invalid fault budget for certification");
+  const auto target = static_cast<std::size_t>(g.universe() - f);
+  const cert_path path = pick_path(g, target);
+  if (path == cert_path::leave_one_out)
+    return certify_leave_one_out(g, target, disputes, coding);
+  if (path == cert_path::dense) return certify_dense(g, f, disputes, coding);
+  return prefix_walk(g, target, disputes, coding).run();
 }
 
 std::uint64_t certify_cost_estimate(
@@ -486,12 +454,13 @@ std::uint64_t certify_cost_estimate(
   for (const graph::edge& e : g.edges())
     total_cols += static_cast<std::uint64_t>(e.cap);
 
-  // Leave-one-out shape: ONE Gauss-Jordan of the all-blocks matrix plus a
+  const cert_path path = pick_path(g, omega.front().size());
+
+  // Leave-one-out path: ONE Gauss-Jordan of the all-blocks matrix plus a
   // nullity-sized corner elimination per member — not |omega| independent
   // eliminations. Pricing it as per-H work overstates the cost ~|omega|-fold
   // and wrongly gates exactly the presets the downdate path makes cheap.
-  const std::size_t target = omega.front().size();
-  if (target >= 2 && active.size() == target + 1) {
+  if (path == cert_path::leave_one_out) {
     const std::uint64_t rows = active.size() * rho_u;
     // Rank tops out rho short of full: the per-symbol all-blocks row sums
     // vanish (each column's two endpoint blocks coincide over GF(2^16)).
@@ -528,8 +497,8 @@ std::uint64_t certify_cost_estimate(
     return cost;
   }
 
-  if (dense_graph(g)) {
-    // Naive path: a from-scratch Gauss-Jordan of each member's check matrix.
+  if (path == cert_path::dense) {
+    // A from-scratch Gauss-Jordan of each member's check matrix.
     std::uint64_t cost = 0;
     for (const auto& h : omega) {
       if (h.size() <= 1) continue;
@@ -543,7 +512,7 @@ std::uint64_t certify_cost_estimate(
     return cost;
   }
 
-  // Sparse DFS path: the certifier pays per prefix PUSH, not per leaf, and
+  // Prefix-walk path: the certifier pays per prefix PUSH, not per leaf, and
   // the lexicographic walk shares every common prefix — which the LCP of
   // consecutive omega members reproduces exactly. A push reduces ~2 rho
   // rows (rho raw + rho ghosts) against the pivots of its fresh column

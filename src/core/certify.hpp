@@ -20,7 +20,9 @@ struct certification {
 /// Builds the paper's C_H matrix (Appendix C.1) for one candidate fault-free
 /// subgraph H: rows indexed by (node-position, symbol) with the last node of
 /// `h` as the reference, one column per capacity unit of every directed edge
-/// of g inside H. In characteristic 2 the +C_e / -C_e blocks coincide.
+/// of g inside H. In characteristic 2 the +C_e / -C_e blocks coincide. The
+/// certifier's three paths take their rows from the same private layout
+/// builder.
 gf::matrix<gf::gf2_16> build_check_matrix(const graph::digraph& g,
                                           const std::vector<graph::node_id>& h,
                                           const coding_scheme& coding);
@@ -31,46 +33,39 @@ gf::matrix<gf::gf2_16> build_check_matrix(const graph::digraph& g,
 /// probability >= 1 - 2^{-L/rho} C(n, n-f) (n-f-1) rho; this routine turns
 /// the probabilistic statement into a checked certificate, so a deployment
 /// can regenerate with a fresh seed on the (astronomically rare) failure.
-/// One independent elimination per H: certify_coding_batched runs it as its
-/// dense path, and tests pin the batched certifier's other two paths
-/// against it.
-certification certify_coding(const graph::digraph& g, int f,
-                             const dispute_record& disputes,
-                             const coding_scheme& coding);
-
-/// The same certificate, computed with one incremental factorization shared
-/// across all of Omega_k instead of an independent rank elimination per H.
 ///
 /// Key fact (Appendix C.1): a left null vector D_H = (d_v)_{v in H} of C_H
 /// is exactly an assignment of rho-vectors to H's nodes with
 /// (d_u + d_v) C_e = 0 on every intra-H edge, so rank(C_H) = (|H|-1) rho
-/// iff the only null vectors are the constant assignments. That condition
-/// depends on rows "per node" and columns "per edge", both shared between
-/// overlapping subgraphs — so Omega_k is walked as a DFS over lexicographic
-/// prefixes, maintaining an append-only reduced row basis: pushing a node
-/// activates its intra-prefix edge columns and inserts its rho rows,
-/// backtracking truncates. Each H then costs one node-extension
-/// (~rho * rows * cols field ops) instead of a from-scratch elimination
-/// (~rows^2 * cols), an (n-f)-fold saving that makes K_16-class
-/// certification affordable.
+/// iff the only null vectors are the constant assignments. One dispatch on
+/// (g, |H|) picks one of three paths, each with the same per-H verdicts in
+/// the same (lexicographic) order:
 ///
-/// Two shapes dispatch away from the DFS. The f = 1 leave-one-out shape
-/// (exactly one more active node than the target size) runs ONE reduction
-/// of the all-active-blocks matrix and answers each member H_x by a rank
-/// downdate over x's columns — the shape where DFS prefix sharing is worth
-/// the least and where the per-H work is the largest (K_64-complete,
-/// n = 128). Dense graphs otherwise fall back to per-H eliminations (the
-/// naive path on the batched kernels). Results are bit-identical across
-/// all paths (the per-H verdicts and their order); tests cross-check them.
-certification certify_coding_batched(const graph::digraph& g, int f,
-                                     const dispute_record& disputes,
-                                     const coding_scheme& coding);
+///  - leave-one-out, when exactly one more node is active than |H| (every
+///    H is active \ {x}): ONE reduction of the all-active-blocks matrix,
+///    then a rank downdate over x's columns per member — the shape where
+///    prefix sharing is worth the least and per-H work the largest
+///    (K_64-complete, n = 128);
+///  - dense, when directed-edge density exceeds 0.4: an independent
+///    elimination of C_H per member, on the batched row kernels;
+///  - prefix walk, otherwise: Omega_k walked as a DFS over lexicographic
+///    prefixes with an append-only reduced row basis — pushing a node
+///    activates its intra-prefix edge columns and inserts its rho rows,
+///    backtracking truncates — so each H costs one node-extension
+///    (~rho * rows * cols field ops) instead of a from-scratch elimination
+///    (~rows^2 * cols).
+///
+/// tests/core/test_certify.cpp pins every path against a test-local
+/// scalar-arithmetic oracle.
+certification certify_coding(const graph::digraph& g, int f,
+                             const dispute_record& disputes,
+                             const coding_scheme& coding);
 
-/// Estimated GF *word* count of certify_coding_batched over this Omega_k —
-/// mirrors its full three-way dispatch so cost gates price the path that
-/// will actually run: leave-one-out (one all-blocks Gauss-Jordan plus a
-/// nullity-sized corner rank per member), dense/naive (a from-scratch
-/// elimination per member), or the sparse DFS (per prefix-push work,
+/// Estimated GF *word* count of certify_coding over this Omega_k. It calls
+/// the certifier's own dispatch, so cost gates price the path that will
+/// actually run: leave-one-out (one all-blocks Gauss-Jordan plus a
+/// nullity-sized corner rank per member), dense (a from-scratch
+/// elimination per member), or the prefix walk (per prefix-push work,
 /// reconstructed from the LCP structure of omega's lexicographic order).
 /// Comparable to the measured gf_axpy_words + gf_scale_words of a
 /// certification run within a small constant factor (pinned by tests).

@@ -32,6 +32,35 @@ std::vector<word> assemble_chunks(const std::vector<chunk>& chunks, std::size_t 
   return out;
 }
 
+std::vector<std::vector<phase1_hop>> phase1_levels(
+    const std::vector<graph::spanning_tree>& trees, graph::node_id source, int universe) {
+  std::vector<std::vector<phase1_hop>> levels;
+  std::vector<int> depth(static_cast<std::size_t>(universe));
+  for (std::size_t t = 0; t < trees.size(); ++t) {
+    std::fill(depth.begin(), depth.end(), -1);
+    depth[static_cast<std::size_t>(source)] = 0;
+    // Settle nodes whose parent's depth is known until none moves (trees
+    // are shallow; quadratic settling keeps the code simple).
+    for (bool progress = true; progress;) {
+      progress = false;
+      for (const graph::edge& e : trees[t].edges) {
+        const int dp = depth[static_cast<std::size_t>(e.from)];
+        if (depth[static_cast<std::size_t>(e.to)] >= 0 || dp < 0) continue;
+        depth[static_cast<std::size_t>(e.to)] = dp + 1;
+        progress = true;
+      }
+    }
+    for (const graph::edge& e : trees[t].edges) {
+      const int lvl = depth[static_cast<std::size_t>(e.to)];
+      NAB_ASSERT(lvl > 0, "tree edge unreachable from the source");
+      if (static_cast<std::size_t>(lvl) > levels.size())
+        levels.resize(static_cast<std::size_t>(lvl));
+      levels[static_cast<std::size_t>(lvl) - 1].push_back({static_cast<int>(t), e.from, e.to});
+    }
+  }
+  return levels;
+}
+
 phase1_result run_phase1(sim::network& net, const graph::digraph& g,
                          const sim::fault_set& faults, graph::node_id source,
                          const std::vector<word>& input,
@@ -57,50 +86,11 @@ phase1_result run_phase1(sim::network& net, const graph::digraph& g,
                                           std::vector<chunk>(trees.size()));
   holding[static_cast<std::size_t>(source)] = split_into_chunks(input, gamma);
 
-  // Order tree edges by depth so parents transmit before children; compute
-  // the per-edge depth for the store-and-forward schedule.
-  struct scheduled_edge {
-    int tree;
-    graph::node_id from;
-    graph::node_id to;
-    int level;  // 1 = edge out of the source
-  };
-  std::vector<scheduled_edge> schedule;
-  int max_depth = 0;
-  for (std::size_t t = 0; t < trees.size(); ++t) {
-    const auto parents = trees[t].parents(universe);
-    // Depth of each node in this tree.
-    std::vector<int> depth(static_cast<std::size_t>(universe), -1);
-    depth[static_cast<std::size_t>(source)] = 0;
-    // Repeatedly settle nodes whose parent's depth is known (trees are
-    // shallow; quadratic settling keeps the code simple).
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (const graph::edge& e : trees[t].edges) {
-        if (depth[static_cast<std::size_t>(e.to)] >= 0) continue;
-        const int dp = depth[static_cast<std::size_t>(e.from)];
-        if (dp >= 0) {
-          depth[static_cast<std::size_t>(e.to)] = dp + 1;
-          progress = true;
-        }
-      }
-    }
-    for (const graph::edge& e : trees[t].edges) {
-      const int lvl = depth[static_cast<std::size_t>(e.to)];
-      NAB_ASSERT(lvl > 0, "tree edge disconnected from the source");
-      schedule.push_back({static_cast<int>(t), e.from, e.to, lvl});
-      max_depth = std::max(max_depth, lvl);
-    }
-  }
-  result.depth = max_depth;
-
   // Transmit level by level. In cut_through mode everything lands in one
   // network step (zero propagation delay: every tree edge is busy for the
   // same L/gamma interval); in store_and_forward each level is its own step.
-  for (int level = 1; level <= max_depth; ++level) {
-    for (const scheduled_edge& se : schedule) {
-      if (se.level != level) continue;
+  for (const std::vector<phase1_hop>& level : phase1_levels(trees, source, universe)) {
+    for (const phase1_hop& se : level) {
       const chunk& have = holding[static_cast<std::size_t>(se.from)]
                                  [static_cast<std::size_t>(se.tree)];
       // Honest forwards only *inspect* the held chunk — transmit a view and

@@ -38,9 +38,21 @@ struct phase1_result {
   /// Per-node ground-truth transcripts (the p1_* sections filled in).
   std::vector<node_claims> truth;
   double time = 0.0;
-  /// Maximum tree depth (hops the value travels).
-  int depth = 0;
 };
+
+/// One Phase-1 transmission: tree `tree`'s share crosses from -> to.
+struct phase1_hop {
+  int tree = 0;
+  graph::node_id from = 0;
+  graph::node_id to = 0;
+};
+
+/// The hops of an arborescence packing rooted at `source`, bucketed by
+/// level: levels[i] holds every tree edge i + 1 hops from the source,
+/// tree-major with each tree's edges in order, so every hop's sender got
+/// its share one level earlier. levels.size() is the deepest tree's depth.
+std::vector<std::vector<phase1_hop>> phase1_levels(
+    const std::vector<graph::spanning_tree>& trees, graph::node_id source, int universe);
 
 /// Phase 1 of NAB (Appendix A): split the input into gamma shares of
 /// L/gamma bits and flood share t along arborescence t of an Edmonds packing

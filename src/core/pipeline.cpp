@@ -19,52 +19,6 @@
 #include "util/error.hpp"
 
 namespace nab::core {
-namespace {
-
-/// Tree edges grouped by hop level (level 1 = out of the source).
-struct level_schedule {
-  struct hop {
-    int tree;
-    graph::node_id from;
-    graph::node_id to;
-  };
-  std::vector<std::vector<hop>> levels;  // index 0 unused
-  int depth = 0;
-};
-
-level_schedule schedule_trees(const std::vector<graph::spanning_tree>& trees,
-                              graph::node_id source, int universe) {
-  level_schedule out;
-  out.levels.resize(1);
-  for (std::size_t t = 0; t < trees.size(); ++t) {
-    std::vector<int> depth(static_cast<std::size_t>(universe), -1);
-    depth[static_cast<std::size_t>(source)] = 0;
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (const graph::edge& e : trees[t].edges) {
-        if (depth[static_cast<std::size_t>(e.to)] >= 0) continue;
-        const int dp = depth[static_cast<std::size_t>(e.from)];
-        if (dp >= 0) {
-          depth[static_cast<std::size_t>(e.to)] = dp + 1;
-          progress = true;
-        }
-      }
-    }
-    for (const graph::edge& e : trees[t].edges) {
-      const int lvl = depth[static_cast<std::size_t>(e.to)];
-      NAB_ASSERT(lvl > 0, "tree edge unreachable from the source");
-      if (static_cast<std::size_t>(lvl) >= out.levels.size())
-        out.levels.resize(static_cast<std::size_t>(lvl) + 1);
-      out.levels[static_cast<std::size_t>(lvl)].push_back(
-          {static_cast<int>(t), e.from, e.to});
-      out.depth = std::max(out.depth, lvl);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 pipeline_stats run_pipelined(const pipeline_config& cfg, int q, std::size_t words,
                              rng& rand) {
@@ -77,7 +31,8 @@ pipeline_stats run_pipelined(const pipeline_config& cfg, int q, std::size_t word
   const auto gamma = plan->gamma;
   if (gamma < 1) throw error("pipeline: source cannot reach every node");
   const std::vector<graph::spanning_tree>& trees = plan->trees;
-  const level_schedule sched = schedule_trees(trees, cfg.source, universe);
+  const auto levels = phase1_levels(trees, cfg.source, universe);
+  const auto depth = static_cast<int>(levels.size());
 
   const auto analysis = omega_cache::instance().analyze(g, cfg.f, dispute_record{});
   const auto rho = analysis->rho;
@@ -105,27 +60,27 @@ pipeline_stats run_pipelined(const pipeline_config& cfg, int q, std::size_t word
   stats.instances = q;
   stats.gamma = gamma;
   stats.rho = rho;
-  stats.depth = sched.depth;
+  stats.depth = depth;
   stats.bits = static_cast<std::uint64_t>(q) * 16 * words;
 
   // Rounds: in round r, instance i (entered at round i) executes hop level
   // r - i + 1; the instance whose last hop lands this round then runs its
   // Equality Check and flag broadcast in the remainder of the round.
-  const int total_rounds = q + sched.depth - 1;
+  const int total_rounds = q + depth - 1;
   double flags_time_total = 0.0;
   double ec_time_total = 0.0;
   obs::scoped_span schedule_span("pipelined_schedule", net.elapsed());
   for (int r = 0; r < total_rounds; ++r) {
     // Hop transmissions of every in-flight instance — disjoint levels, so
     // no two instances load the same tree edge in the same round.
-    for (int i = std::max(0, r - sched.depth + 1); i <= std::min(r, q - 1); ++i) {
+    for (int i = std::max(0, r - depth + 1); i <= std::min(r, q - 1); ++i) {
       const int level = r - i + 1;
-      if (level > sched.depth) continue;
+      if (level > depth) continue;
       auto& inst = holding[static_cast<std::size_t>(i)];
       if (level == 1)
         inst[static_cast<std::size_t>(cfg.source)] =
             split_into_chunks(inputs[static_cast<std::size_t>(i)], static_cast<int>(gamma));
-      for (const auto& h : sched.levels[static_cast<std::size_t>(level)]) {
+      for (const phase1_hop& h : levels[static_cast<std::size_t>(level) - 1]) {
         net.charge(h.from, h.to, chunk_bits);
         inst[static_cast<std::size_t>(h.to)][static_cast<std::size_t>(h.tree)] =
             inst[static_cast<std::size_t>(h.from)][static_cast<std::size_t>(h.tree)];
@@ -134,7 +89,7 @@ pipeline_stats run_pipelined(const pipeline_config& cfg, int q, std::size_t word
     net.end_step();
 
     // Completing instance (if any) verifies within the same round.
-    const int done = r - sched.depth + 1;
+    const int done = r - depth + 1;
     if (done >= 0 && done < q) {
       std::vector<value_vector> values(static_cast<std::size_t>(universe));
       for (graph::node_id v : g.active_nodes()) {
@@ -164,7 +119,7 @@ pipeline_stats run_pipelined(const pipeline_config& cfg, int q, std::size_t word
   // full depth on every instance (store-and-forward Phase 1): depth hops of
   // L/gamma each (chunk_bits is the padded L/gamma on unit-capacity trees),
   // plus the same per-instance verification costs.
-  stats.sequential = q * (sched.depth * static_cast<double>(chunk_bits) +
+  stats.sequential = q * (depth * static_cast<double>(chunk_bits) +
                           ec_time_total / std::max(1, q) +
                           flags_time_total / std::max(1, q));
   return stats;

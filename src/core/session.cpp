@@ -69,9 +69,9 @@ void session::refresh_graph_state() {
   // makes failure vanishingly unlikely; regeneration with a fresh seed is
   // the correct response when it does happen. When the rank checks would be
   // prohibitively large (rho_k scales with link capacities) we trust the
-  // theorem instead of certifying. The estimate mirrors the batched
-  // certifier's leave-one-out / dense / DFS dispatch, so the gate prices
-  // the path that will actually run; it is cached with the analysis.
+  // theorem instead of certifying. The estimate calls the certifier's own
+  // path dispatch, so the gate prices the path that will actually run; it
+  // is cached with the analysis.
   const bool certify = analysis_->certify_cost <= cfg_.certify_cost_limit;
   for (int attempt = 0;; ++attempt) {
     {
@@ -84,7 +84,7 @@ void session::refresh_graph_state() {
     bool certified = false;
     {
       obs::scoped_span cert_span("certify");
-      certified = certify_coding_batched(gk_, cfg_.f, record_, coding_).ok;
+      certified = certify_coding(gk_, cfg_.f, record_, coding_).ok;
     }
     if (certified) {
       certified_rho_ = rho_;

@@ -57,7 +57,7 @@ extern const gf2_16_tables gf2_16_t;
 ///
 /// Scalar ops are header-inline over compile-time tables; the row kernels
 /// (axpy/scale) additionally hoist the scalar's log lookup out of the loop —
-/// Gaussian elimination in gf/linalg.hpp, the batched certifier in
+/// Gaussian elimination in gf/linalg.hpp, the certifier in
 /// core/certify.cpp, and core::coding_scheme::encode all run on them.
 class gf2_16 {
  public:

@@ -30,7 +30,7 @@ enum class counter_set : std::uint8_t { deterministic, machine };
   X(gf_scale_words, deterministic)     /* words processed by gf2_16::scale */           \
   X(gf_mul_ops, deterministic)         /* bulk-counted scalar mul/Horner (digests) */   \
   X(gf_rows_eliminated, deterministic) /* pivot rows set by row_reduce / certifier */   \
-  /* batched certifier prefix tree (core/certify) */                                    \
+  /* certifier prefix walk (core/certify) */                                           \
   X(cert_prefix_pushes, deterministic)  /* extensions pushed onto the shared basis */   \
   X(cert_prefix_pops, deterministic)    /* node extensions rewound */                   \
   X(cert_ghost_repushes, deterministic) /* ghost rows re-reduced over a new window */   \

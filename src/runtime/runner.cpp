@@ -19,6 +19,9 @@ namespace nab::runtime {
 
 namespace {
 
+/// Every scenario broadcasts from node 0 (the session's default source).
+constexpr graph::node_id source = 0;
+
 /// Picks the run's corrupt set: f distinct nodes, drawn deterministically
 /// from the run rng. Equivocation only bites when the source is corrupt, so
 /// that strategy pins the source into the set (as may a hunted genome via
@@ -28,10 +31,10 @@ std::vector<graph::node_id> pick_corrupt(const scenario& s, int n, rng& rand,
                                          bool pin_source) {
   std::vector<graph::node_id> corrupt;
   if (s.f == 0) return corrupt;
-  if (pin_source) corrupt.push_back(s.source);
+  if (pin_source) corrupt.push_back(source);
   std::vector<graph::node_id> pool;
   for (graph::node_id v = 0; v < n; ++v)
-    if (v != s.source) pool.push_back(v);
+    if (v != source) pool.push_back(v);
   while (corrupt.size() < static_cast<std::size_t>(s.f) && !pool.empty()) {
     const std::size_t i = rand.below(pool.size());
     corrupt.push_back(pool[i]);
@@ -55,9 +58,7 @@ graph::digraph build_valid_topology(const scenario& s, std::uint64_t run_seed) {
         (s.f == 0 ||
          core::omega_cache::instance().connectivity_at_least(g, 2 * s.f + 1)))
       return g;
-    const bool randomized = s.topology.kind == topology_kind::erdos_renyi ||
-                            s.topology.kind == topology_kind::random_regular;
-    if (!randomized)
+    if (s.topology.kind != topology_kind::random_regular)
       throw error("scenario '" + s.name + "': topology cannot support f=" +
                   std::to_string(s.f) + " (needs n >= 3f+1, connectivity >= 2f+1)");
   }
@@ -156,7 +157,7 @@ run_record execute_scenario(const scenario& s, int run_index,
     core::pipeline_config cfg;
     cfg.g = std::move(g);
     cfg.f = s.f;
-    cfg.source = s.source;
+    cfg.source = source;
     cfg.coding_seed = splitmix64(run_seed ^ 0x5eedULL);
     rng inputs(splitmix64(run_seed ^ 0x1235813ULL));
     const core::pipeline_stats stats =
@@ -202,14 +203,14 @@ run_record execute_scenario(const scenario& s, int run_index,
   sim::fault_set faults(g.universe(), corrupt);
 
   // Minority victim for the equivocating source: the lowest non-source node.
-  graph::node_id minority = s.source == 0 ? 1 : 0;
+  const graph::node_id minority = source + 1;
   const auto adv = make_adversary(s.adversary, splitmix64(run_seed ^ 0xadbeefULL),
                                   minority, s.genome);
 
   core::session_config cfg;
   cfg.g = g;
   cfg.f = s.f;
-  cfg.source = s.source;
+  cfg.source = source;
   cfg.coding_seed = splitmix64(run_seed ^ 0x5eedULL);
   cfg.propagation = s.propagation;
   cfg.flag_protocol = s.flag_protocol;

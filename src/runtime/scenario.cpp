@@ -26,8 +26,6 @@ graph::digraph build_topology(const topology_spec& spec, rng& rand) {
       return graph::paper_fig2();
     case topology_kind::ring:
       return graph::ring(spec.n, spec.cap_lo);
-    case topology_kind::erdos_renyi:
-      return graph::erdos_renyi(spec.n, spec.p, spec.cap_lo, spec.cap_hi, rand);
     case topology_kind::random_regular:
       return graph::random_regular(spec.n, spec.param_a, spec.cap_lo, spec.cap_hi,
                                    rand);
@@ -265,7 +263,7 @@ std::vector<scenario_family> build_registry() {
   }
 
   // --- K_16-class scaling presets (unlocked by the omega_cache layer and
-  // --- the batched certifier; see docs/RUNTIME.md). ---
+  // --- the certifier's batched GF kernels; see docs/RUNTIME.md). ---
   {
     scenario_family fam;
     fam.name = "k16_dense";
@@ -273,7 +271,7 @@ std::vector<scenario_family> build_registry() {
         "K_16 at f in {1,2}: the dense scaling point. Omega_k holds up to "
         "C(16,2) = 120 subgraphs and certification is a 169x182 GF(2^16) "
         "rank question per subgraph — the workload the analysis cache and "
-        "the batched certifier exist for.";
+        "the batched GF kernels exist for.";
     fam.topologies = {{.kind = tk::complete, .n = 16, .cap_lo = 1, .cap_hi = 1}};
     fam.fault_budgets = {1, 2};
     fam.adversaries = {ak::honest, ak::stealth};
@@ -743,7 +741,6 @@ std::string to_string(topology_kind k) {
     case topology_kind::fig1b: return "fig1b";
     case topology_kind::fig2: return "fig2";
     case topology_kind::ring: return "ring";
-    case topology_kind::erdos_renyi: return "erdos_renyi";
     case topology_kind::random_regular: return "random_regular";
     case topology_kind::hypercube: return "hypercube";
     case topology_kind::clustered_wan: return "clustered_wan";

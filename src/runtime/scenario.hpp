@@ -21,7 +21,6 @@ enum class topology_kind {
   fig1b,            ///< Figure 1(b) (post-dispute)
   fig2,             ///< Figure 2(a)
   ring,
-  erdos_renyi,
   random_regular,
   hypercube,        ///< 2^dim nodes, dim = param_a
   clustered_wan,    ///< param_a clusters of param_b nodes
@@ -42,7 +41,6 @@ struct topology_spec {
   int param_b = 0;                ///< cluster size
   graph::capacity_t cap_lo = 1;   ///< uniform capacity, or fat side of a skew
   graph::capacity_t cap_hi = 1;   ///< upper capacity for random draws
-  double p = 0.5;                 ///< Erdos-Renyi link probability
   std::string text = {};          ///< `file` kind: the topology file's text
 
   bool operator==(const topology_spec&) const = default;
@@ -87,7 +85,6 @@ struct scenario {
   std::string family;   ///< registry preset it expanded from
   topology_spec topology;
   int f = 1;
-  graph::node_id source = 0;
   adversary_kind adversary = adversary_kind::honest;
   core::propagation_mode propagation = core::propagation_mode::cut_through;
   bb::bb_protocol flag_protocol = bb::bb_protocol::eig;

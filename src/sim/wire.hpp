@@ -34,8 +34,22 @@ namespace nab::sim::wire {
 // Claim digests, the hunt's payload perturbation and EIG value interning all
 // read these words, so a layout change moves every record.
 
+/// 16-bit words per transport word.
+inline constexpr std::size_t lanes = 4;
+
 /// Transport words holding n 16-bit words.
-constexpr std::size_t words16(std::size_t n) { return (n + 3) / 4; }
+constexpr std::size_t words16(std::size_t n) { return (n + lanes - 1) / lanes; }
+
+/// The i-th 16-bit word of a packed run, placed in its lane of a transport
+/// word (lane i % 4, low lane first); the rest of the word is zero.
+constexpr std::uint64_t to_lane(std::uint16_t w, std::size_t i) {
+  return static_cast<std::uint64_t>(w) << (16 * (i % lanes));
+}
+
+/// The i-th 16-bit word of a packed run, read from its transport word.
+constexpr std::uint16_t lane(std::uint64_t word, std::size_t i) {
+  return static_cast<std::uint16_t>(word >> (16 * (i % lanes)));
+}
 
 /// Appends each argument as one transport word.
 template <typename... Ts>
@@ -55,8 +69,7 @@ template <typename Words16>
 void put16(payload& out, const Words16& ws) {
   const std::size_t base = out.size();
   out.resize(base + words16(ws.size()), 0);
-  for (std::size_t i = 0; i < ws.size(); ++i)
-    out[base + i / 4] |= static_cast<std::uint64_t>(ws[i]) << (16 * (i % 4));
+  for (std::size_t i = 0; i < ws.size(); ++i) out[base + i / lanes] |= to_lane(ws[i], i);
 }
 
 /// Appends [len, packed 16-bit words...].
@@ -71,10 +84,8 @@ void put_run16(payload& out, const Words16& ws) {
 template <typename Words16>
 void get16(const payload& in, std::size_t first, Words16& out) {
   for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::size_t w = first + i / 4;
-    out[i] = w < in.size() ? static_cast<typename Words16::value_type>(
-                                 in[w] >> (16 * (i % 4)))
-                           : 0;
+    const std::size_t w = first + i / lanes;
+    out[i] = w < in.size() ? lane(in[w], i) : 0;
   }
 }
 

@@ -26,6 +26,4 @@ bool rng::chance(double p) {
   return static_cast<double>(engine_()) * kScale < p;
 }
 
-rng rng::fork() { return rng(engine_()); }
-
 }  // namespace nab

@@ -31,9 +31,6 @@ class rng {
   /// Bernoulli draw with probability p in [0, 1].
   bool chance(double p);
 
-  /// Derive an independent child generator (for per-component streams).
-  rng fork();
-
  private:
   std::mt19937_64 engine_;
 };

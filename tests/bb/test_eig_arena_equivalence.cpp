@@ -101,8 +101,7 @@ std::vector<std::pair<graph::digraph, int>> registry_topologies() {
       const int f = runtime::topology_nodes(t) > 16 ? std::min(sc.f, 1) : sc.f;
       std::ostringstream key;
       key << runtime::to_string(t.kind) << ':' << t.n << ':' << t.param_a << ':'
-          << t.param_b << ':' << t.cap_lo << ':' << t.cap_hi << ':' << t.p << ':'
-          << f;
+          << t.param_b << ':' << t.cap_lo << ':' << t.cap_hi << ':' << f;
       if (seen.emplace(key.str(), true).second == false) continue;
       bool added = false;
       for (int attempt = 0; attempt < 32 && !added; ++attempt) {

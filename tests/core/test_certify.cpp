@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gf/linalg.hpp"
@@ -37,48 +38,81 @@ std::size_t scalar_rank(std::vector<std::vector<gf::gf2_16::value_type>> m) {
   return rank;
 }
 
-/// Test-local certifier: for every H in Omega_k, C_H assembled straight from
-/// coding.matrix_for (rho rows per node of H but its last, one column per
-/// capacity unit of each directed edge inside H, C_e in both endpoint
-/// blocks) and ranked by scalar_rank — independent of build_check_matrix
-/// and of every elimination libnab runs.
+/// Test-local C_H, assembled straight from coding.matrix_for: rho rows per
+/// node of H but its last, one column per capacity unit of each directed
+/// edge inside H, C_e in both endpoint blocks — independent of libnab's
+/// layout builder.
+std::vector<std::vector<gf::gf2_16::value_type>> oracle_check_matrix(
+    const graph::digraph& g, const std::vector<graph::node_id>& h,
+    const coding_scheme& coding) {
+  const auto rho = static_cast<std::size_t>(coding.rho());
+  // Node h[i] owns rows [i * rho, (i + 1) * rho), except the reference
+  // h.back(), which owns none (-1).
+  std::vector<bool> in_h(static_cast<std::size_t>(g.universe()), false);
+  std::vector<std::ptrdiff_t> block(static_cast<std::size_t>(g.universe()), -1);
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    in_h[static_cast<std::size_t>(h[i])] = true;
+    if (i + 1 < h.size()) block[static_cast<std::size_t>(h[i])] = static_cast<std::ptrdiff_t>(i);
+  }
+  std::vector<std::vector<gf::gf2_16::value_type>> ch((h.size() - 1) * rho);
+  for (const graph::edge& e : g.edges()) {
+    if (!in_h[static_cast<std::size_t>(e.from)] || !in_h[static_cast<std::size_t>(e.to)])
+      continue;
+    const std::ptrdiff_t bu = block[static_cast<std::size_t>(e.from)];
+    const std::ptrdiff_t bv = block[static_cast<std::size_t>(e.to)];
+    const auto& ce = coding.matrix_for(e.from, e.to);
+    for (std::size_t k = 0; k < ce.cols(); ++k) {
+      for (auto& row : ch) row.push_back(0);
+      for (std::size_t s = 0; s < rho; ++s) {
+        if (bu >= 0) ch[static_cast<std::size_t>(bu) * rho + s].back() = ce.at(s, k);
+        if (bv >= 0) ch[static_cast<std::size_t>(bv) * rho + s].back() = ce.at(s, k);
+      }
+    }
+  }
+  return ch;
+}
+
+/// Test-local certifier: every H in Omega_k's oracle_check_matrix ranked by
+/// scalar_rank — independent of every elimination libnab runs.
 certification oracle_certify(const graph::digraph& g, int f,
                              const dispute_record& disputes,
                              const coding_scheme& coding) {
-  const auto rho = static_cast<std::size_t>(coding.rho());
   certification out;
   out.ok = true;
   for (const auto& h : omega_subgraphs(g, f, disputes)) {
     if (h.size() <= 1) continue;
-    // Node h[i] owns rows [i * rho, (i + 1) * rho), except the reference
-    // h.back(), which owns none (-1).
-    std::vector<bool> in_h(static_cast<std::size_t>(g.universe()), false);
-    std::vector<std::ptrdiff_t> block(static_cast<std::size_t>(g.universe()), -1);
-    for (std::size_t i = 0; i < h.size(); ++i) {
-      in_h[static_cast<std::size_t>(h[i])] = true;
-      if (i + 1 < h.size()) block[static_cast<std::size_t>(h[i])] = static_cast<std::ptrdiff_t>(i);
-    }
-    std::vector<std::vector<gf::gf2_16::value_type>> ch((h.size() - 1) * rho);
-    for (const graph::edge& e : g.edges()) {
-      if (!in_h[static_cast<std::size_t>(e.from)] || !in_h[static_cast<std::size_t>(e.to)])
-        continue;
-      const std::ptrdiff_t bu = block[static_cast<std::size_t>(e.from)];
-      const std::ptrdiff_t bv = block[static_cast<std::size_t>(e.to)];
-      const auto& ce = coding.matrix_for(e.from, e.to);
-      for (std::size_t k = 0; k < ce.cols(); ++k) {
-        for (auto& row : ch) row.push_back(0);
-        for (std::size_t s = 0; s < rho; ++s) {
-          if (bu >= 0) ch[static_cast<std::size_t>(bu) * rho + s].back() = ce.at(s, k);
-          if (bv >= 0) ch[static_cast<std::size_t>(bv) * rho + s].back() = ce.at(s, k);
-        }
-      }
-    }
+    const auto ch = oracle_check_matrix(g, h, coding);
     if (scalar_rank(ch) != ch.size()) {
       out.ok = false;
       out.failing.push_back(h);
     }
   }
   return out;
+}
+
+/// certify_coding's three paths (see certify.hpp).
+enum class cert_path { leave_one_out, dense, prefix_walk };
+
+/// Runs certify_coding, expects its verdict and failing list (in order) to
+/// equal oracle_certify's, and returns the path that ran, read off the
+/// path-specific counters (left in `counters` when given).
+cert_path expect_matches_oracle(const graph::digraph& g, int f,
+                                const dispute_record& disputes,
+                                const coding_scheme& coding, const std::string& label,
+                                obs::collector* counters = nullptr) {
+  obs::collector local;
+  obs::collector& col = counters != nullptr ? *counters : local;
+  certification c;
+  {
+    obs::scoped_collector scope(&col);
+    c = certify_coding(g, f, disputes, coding);
+  }
+  const certification oracle = oracle_certify(g, f, disputes, coding);
+  EXPECT_EQ(c.ok, oracle.ok) << label;
+  EXPECT_EQ(c.failing, oracle.failing) << label;
+  if (col.value(obs::counter::cert_loo_downdates) > 0) return cert_path::leave_one_out;
+  return col.value(obs::counter::cert_prefix_pushes) > 0 ? cert_path::prefix_walk
+                                                         : cert_path::dense;
 }
 
 TEST(Certify, RandomMatricesCertifyOnPaperGraphs) {
@@ -131,6 +165,24 @@ TEST(Certify, CheckMatrixKernelIsExactlyEqualValues) {
   EXPECT_EQ(gf::rank(ch), (h.size() - 1) * 2);
 }
 
+TEST(Certify, CheckMatrixEqualsTheOracleLayout) {
+  // Entry for entry, with mixed capacities and a reference node that is
+  // neither the smallest nor the largest id.
+  rng rand(8);
+  const graph::digraph g = graph::random_regular(7, 4, 1, 3, rand);
+  const coding_scheme cs = coding_scheme::generate(g, 2, 5);
+  for (const std::vector<graph::node_id>& h :
+       {std::vector<graph::node_id>{0, 1, 2, 3, 4, 5, 6}, {1, 3, 4, 6, 2}, {5, 0}}) {
+    const auto want = oracle_check_matrix(g, h, cs);
+    const auto ch = build_check_matrix(g, h, cs);
+    ASSERT_EQ(ch.rows(), want.size());
+    for (std::size_t r = 0; r < ch.rows(); ++r) {
+      ASSERT_EQ(ch.cols(), want[r].size());
+      for (std::size_t c = 0; c < ch.cols(); ++c) EXPECT_EQ(ch.at(r, c), want[r][c]);
+    }
+  }
+}
+
 TEST(Certify, DisputesShrinkOmegaAndCertificationFollows) {
   const graph::digraph g = graph::paper_fig1b();
   dispute_record r;
@@ -159,72 +211,104 @@ TEST(Certify, RepeatedRandomSchemesVirtuallyAlwaysPass) {
   EXPECT_EQ(pass, 20);
 }
 
-TEST(CertifyBatched, AgreesWithNaiveOnRegistryClassTopologies) {
-  // The batched certifier must produce the identical verdict AND the
-  // identical failing-subgraph list (same enumeration order) as the
-  // independent per-H eliminations, on both dense and sparse topologies.
+TEST(CertifyPaths, AgreeWithOracleOnRegistryClassTopologies) {
+  // Every path must produce the oracle's verdict AND its failing-subgraph
+  // list (same enumeration order), on dense and sparse topologies alike.
   rng rand(31);
   std::vector<std::pair<graph::digraph, int>> cases;
   cases.emplace_back(graph::complete(7, 2), 1);
   cases.emplace_back(graph::complete(7, 1), 2);
   cases.emplace_back(graph::hypercube(3, 2), 1);
+  cases.emplace_back(graph::hypercube(4, 1), 2);
   cases.emplace_back(graph::clustered_wan(3, 3, 4, 1), 1);
   cases.emplace_back(graph::paper_fig1a(), 1);
   cases.emplace_back(graph::random_regular(8, 4, 1, 3, rand), 1);
+  std::set<cert_path> paths;
   for (const auto& [g, f] : cases) {
     const graph::capacity_t uk = compute_uk(g, f, dispute_record{});
     for (int rho : {static_cast<int>(compute_rho(uk)),
                     static_cast<int>(compute_rho(uk)) + 4}) {
       const coding_scheme cs = coding_scheme::generate(g, rho, 0xabc);
-      const certification naive = certify_coding(g, f, dispute_record{}, cs);
-      const certification batched = certify_coding_batched(g, f, dispute_record{}, cs);
-      EXPECT_EQ(naive.ok, batched.ok) << "n=" << g.universe() << " rho=" << rho;
-      EXPECT_EQ(naive.failing, batched.failing)
-          << "n=" << g.universe() << " rho=" << rho;
-      // Dense graphs (complete(7, 1) at f = 2) send the batched certifier to
-      // certify_coding itself, so both face an independent elimination.
-      const certification oracle = oracle_certify(g, f, dispute_record{}, cs);
-      EXPECT_EQ(oracle.ok, naive.ok) << "n=" << g.universe() << " rho=" << rho;
-      EXPECT_EQ(oracle.failing, naive.failing) << "n=" << g.universe() << " rho=" << rho;
+      paths.insert(expect_matches_oracle(
+          g, f, dispute_record{}, cs,
+          "n=" + std::to_string(g.universe()) + " rho=" + std::to_string(rho)));
     }
+  }
+  EXPECT_EQ(paths.size(), 3u);
+}
+
+TEST(CertifyPaths, SquareCheckMatricesSeeALostColumnOnEveryPath) {
+  // A lost column only shows when some H has no spare rank: a square,
+  // full-rank C_H. With spare columns (rho at U_k/2) one lost column still
+  // leaves full rank, and with too few (an over-large rho) every H fails
+  // either way. One such input per path, so a layout fault on any path
+  // flips a verdict the oracle does not.
+  rng rand(30);
+  struct square_case {
+    const char* name;
+    graph::digraph g;
+    int f;
+    int rho;
+    cert_path path;
+  };
+  const std::vector<square_case> cases = {
+      // All 21 H are 20 x 20.
+      {"complete7/f2/rho5", graph::complete(7, 1), 2, 5, cert_path::dense},
+      // All 4 H are 6 x 6.
+      {"complete4/f1/rho3", graph::complete(4, 1), 1, 3, cert_path::leave_one_out},
+      // Density 0.36: 9 of the 36 H are 36 x 36 (6 of full rank), the rest
+      // short of columns.
+      {"regular9d3/f2/rho6", graph::random_regular(9, 3, 1, 3, rand), 2, 6,
+       cert_path::prefix_walk},
+  };
+  for (const square_case& c : cases) {
+    const coding_scheme cs = coding_scheme::generate(c.g, c.rho, 0xabc);
+    std::size_t square_full = 0;
+    for (const auto& h : omega_subgraphs(c.g, c.f, dispute_record{})) {
+      const auto ch = oracle_check_matrix(c.g, h, cs);
+      if (ch[0].size() == ch.size() && scalar_rank(ch) == ch.size()) ++square_full;
+    }
+    EXPECT_GT(square_full, 0u) << c.name;
+    EXPECT_EQ(expect_matches_oracle(c.g, c.f, dispute_record{}, cs, c.name), c.path)
+        << c.name;
   }
 }
 
-TEST(CertifyBatched, AgreesWithNaiveUnderDisputes) {
+TEST(CertifyPaths, AgreeWithOracleUnderDisputes) {
+  // Link probability 0.5 reaches the leave-one-out and dense paths; 0.1
+  // (the generator's ring plus a few chords) the prefix walk at f = 2.
   rng rand(57);
-  for (int trial = 0; trial < 40; ++trial) {
-    graph::digraph g = graph::erdos_renyi(6 + static_cast<int>(rand.below(3)), 0.5,
-                                          1, 3, rand);
-    dispute_record disputes;
-    const auto nodes = g.active_nodes();
-    const graph::node_id a = nodes[rand.below(nodes.size())];
-    const graph::node_id b = nodes[rand.below(nodes.size())];
-    if (a != b) {
-      disputes.add_dispute(a, b);
-      g.remove_edge_pair(a, b);
+  std::set<cert_path> paths;
+  for (double p : {0.5, 0.1}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      graph::digraph g = graph::erdos_renyi(6 + static_cast<int>(rand.below(3)), p,
+                                            1, 3, rand);
+      dispute_record disputes;
+      const auto nodes = g.active_nodes();
+      const graph::node_id a = nodes[rand.below(nodes.size())];
+      const graph::node_id b = nodes[rand.below(nodes.size())];
+      if (a != b) {
+        disputes.add_dispute(a, b);
+        g.remove_edge_pair(a, b);
+      }
+      const int f = 1 + static_cast<int>(rand.below(2));
+      if (g.universe() < 3 * f + 1) continue;
+      const auto uk = compute_uk(g, f, disputes);
+      const coding_scheme cs =
+          coding_scheme::generate(g, static_cast<int>(compute_rho(uk)) + 2, trial);
+      paths.insert(expect_matches_oracle(
+          g, f, disputes, cs, "p " + std::to_string(p) + " trial " + std::to_string(trial)));
     }
-    const int f = 1 + static_cast<int>(rand.below(2));
-    if (g.universe() < 3 * f + 1) continue;
-    const auto uk = compute_uk(g, f, disputes);
-    const coding_scheme cs =
-        coding_scheme::generate(g, static_cast<int>(compute_rho(uk)) + 2, trial);
-    const certification naive = certify_coding(g, f, disputes, cs);
-    const certification batched = certify_coding_batched(g, f, disputes, cs);
-    EXPECT_EQ(naive.ok, batched.ok) << "trial " << trial;
-    EXPECT_EQ(naive.failing, batched.failing) << "trial " << trial;
-    // The dense draws run certify_coding on both sides above.
-    const certification oracle = oracle_certify(g, f, disputes, cs);
-    EXPECT_EQ(oracle.ok, naive.ok) << "trial " << trial;
-    EXPECT_EQ(oracle.failing, naive.failing) << "trial " << trial;
   }
+  EXPECT_EQ(paths.size(), 3u);
 }
 
-TEST(CertifyBatched, LeaveOneOutAgreesWithNaiveWithInactiveNodesAndDisputes) {
+TEST(CertifyPaths, LeaveOneOutAgreesWithOracleWithInactiveNodesAndDisputes) {
   // The leave-one-out shape (active == target + 1) is reached both by f = 1
   // on a fully active graph and by larger f after convictions shrank the
   // active set. Verdicts, failing lists, AND their order must match the
-  // naive certifier in every combination of disputes / inactive nodes /
-  // over-large rho.
+  // oracle in every combination of disputes / inactive nodes / over-large
+  // rho.
   rng rand(91);
   for (int trial = 0; trial < 30; ++trial) {
     graph::digraph g =
@@ -249,25 +333,20 @@ TEST(CertifyBatched, LeaveOneOutAgreesWithNaiveWithInactiveNodesAndDisputes) {
     if (uk < 2) continue;
     const int rho = static_cast<int>(compute_rho(uk)) + (trial % 5 == 0 ? 4 : 0);
     const coding_scheme cs = coding_scheme::generate(g, rho, 1000 + trial);
-    obs::collector col;
-    certification naive, batched;
-    {
-      obs::scoped_collector scope(&col);
-      naive = certify_coding(g, f, disputes, cs);
-      batched = certify_coding_batched(g, f, disputes, cs);
-    }
     ASSERT_EQ(g.active_count(), g.universe() - f + 1);  // the LOO shape
-    EXPECT_EQ(naive.ok, batched.ok) << "trial " << trial;
-    EXPECT_EQ(naive.failing, batched.failing) << "trial " << trial;
-    // One downdate per Omega_k member, and the member count is what the
-    // naive path certified.
+    obs::collector col;
+    expect_matches_oracle(g, f, disputes, cs, "trial " + std::to_string(trial), &col);
+    // One downdate per Omega_k member.
     EXPECT_EQ(col.value(obs::counter::cert_loo_downdates),
-              col.value(obs::counter::cert_subgraphs) / 2)
+              col.value(obs::counter::cert_subgraphs))
+        << "trial " << trial;
+    EXPECT_EQ(col.value(obs::counter::cert_subgraphs),
+              omega_subgraphs(g, f, disputes).size())
         << "trial " << trial;
   }
 }
 
-TEST(CertifyBatched, LeaveOneOutDisjointDisputesEmptyOmegaShortCircuits) {
+TEST(CertifyPaths, LeaveOneOutDisjointDisputesEmptyOmegaShortCircuits) {
   // Two disjoint disputed pairs leave no leave-one-out member (no single
   // node covers both pairs): Omega_k is empty, certification is vacuously
   // ok, and the downdate path must notice BEFORE paying for an elimination.
@@ -281,7 +360,7 @@ TEST(CertifyBatched, LeaveOneOutDisjointDisputesEmptyOmegaShortCircuits) {
   certification c;
   {
     obs::scoped_collector scope(&col);
-    c = certify_coding_batched(g, 1, disputes, cs);
+    c = certify_coding(g, 1, disputes, cs);
   }
   EXPECT_TRUE(c.ok);
   EXPECT_EQ(col.value(obs::counter::cert_subgraphs), 0u);
@@ -290,9 +369,9 @@ TEST(CertifyBatched, LeaveOneOutDisjointDisputesEmptyOmegaShortCircuits) {
 }
 
 TEST(CertifyEstimate, TracksMeasuredWordsWithinBoundedFactorOnEveryDispatchPath) {
-  // certify_cost_estimate models the same three-way dispatch
-  // certify_coding_batched performs (leave-one-out / dense re-factorization /
-  // sparse prefix walk), in the same unit the kernels count (GF words
+  // certify_cost_estimate prices the path certify_coding's dispatch picks
+  // (leave-one-out / dense re-factorization / prefix walk), in the same
+  // unit the kernels count (GF words
   // presented to axpy/scale). The estimate gates certification in
   // core::session, so a model that drifts from the measured cost silently
   // mis-gates presets — this pins est/measured into [1/6, 6] across
@@ -316,9 +395,9 @@ TEST(CertifyEstimate, TracksMeasuredWordsWithinBoundedFactorOnEveryDispatchPath)
   cases.push_back({"complete6/f2", graph::complete(6, 1), 2, 0});      // dense
   cases.push_back({"hypercube3/f1", graph::hypercube(3, 2), 1, 0});    // LOO
   cases.push_back({"hypercube4/f1", graph::hypercube(4, 1), 1, 0});    // LOO
-  cases.push_back({"hypercube4/f2", graph::hypercube(4, 1), 2, 0});    // DFS
+  cases.push_back({"hypercube4/f2", graph::hypercube(4, 1), 2, 0});    // prefix walk
   cases.push_back({"wan3x3/f1", graph::clustered_wan(3, 3, 4, 1), 1, 0});
-  cases.push_back({"wan4x4/f2", graph::clustered_wan(4, 4, 4, 1), 2, 0});  // DFS
+  cases.push_back({"wan4x4/f2", graph::clustered_wan(4, 4, 4, 1), 2, 0});  // prefix walk
   cases.push_back(
       {"regular8d4/f1", graph::random_regular(8, 4, 1, 3, rand), 1, 0});
   for (const probe_case& c : cases) {
@@ -331,7 +410,7 @@ TEST(CertifyEstimate, TracksMeasuredWordsWithinBoundedFactorOnEveryDispatchPath)
     obs::collector col;
     {
       obs::scoped_collector scope(&col);
-      certify_coding_batched(c.g, c.f, none, cs);
+      certify_coding(c.g, c.f, none, cs);
     }
     const std::uint64_t measured = col.value(obs::counter::gf_axpy_words) +
                                    col.value(obs::counter::gf_scale_words);
@@ -349,7 +428,7 @@ TEST(Certify, CodingCertifiedForOmegaKStaysCertifiedWhileRhoHolds) {
   // disputed pairs, so Omega_{k+1} is a subset of Omega_k, each of its H
   // induces the same subgraph (hence the same C_H) as before, and
   // U_{k+1} >= U_k: whenever rho holds, the coding certified for Omega_k
-  // certifies Omega_{k+1} under both certifiers. G_k evolves by random sound
+  // certifies Omega_{k+1}. G_k evolves by random sound
   // sequences — every dispute touches a hidden corrupt node, and only
   // corrupt nodes are convicted.
   struct lemma_case {
@@ -380,7 +459,7 @@ TEST(Certify, CodingCertifiedForOmegaKStaysCertifiedWhileRhoHolds) {
       graph::capacity_t rho = compute_rho(uk);
       coding_scheme coding =
           coding_scheme::generate(g, static_cast<int>(rho), rand.next_u64());
-      ASSERT_TRUE(certify_coding_batched(g, c.f, record, coding).ok) << c.name;
+      ASSERT_TRUE(certify_coding(g, c.f, record, coding).ok) << c.name;
       for (int step = 0; step < 8; ++step) {
         const graph::node_id bad = corrupt[rand.below(corrupt.size())];
         if (!g.is_active(bad)) continue;
@@ -406,11 +485,10 @@ TEST(Certify, CodingCertifiedForOmegaKStaysCertifiedWhileRhoHolds) {
         if (next_rho == rho) {
           ++kept;
           EXPECT_TRUE(certify_coding(g, c.f, record, coding).ok) << c.name;
-          EXPECT_TRUE(certify_coding_batched(g, c.f, record, coding).ok) << c.name;
         } else {
           coding =
               coding_scheme::generate(g, static_cast<int>(next_rho), rand.next_u64());
-          ASSERT_TRUE(certify_coding_batched(g, c.f, record, coding).ok) << c.name;
+          ASSERT_TRUE(certify_coding(g, c.f, record, coding).ok) << c.name;
         }
         omega = next_omega;
         uk = next_uk;
@@ -421,10 +499,10 @@ TEST(Certify, CodingCertifiedForOmegaKStaysCertifiedWhileRhoHolds) {
   }
 }
 
-TEST(CertifyBatched, DetectsDisconnectedSubgraphs) {
+TEST(CertifyPaths, DetectDisconnectedSubgraphs) {
   // A cut vertex makes some H in Omega_1 disconnected; its C_H cannot have
-  // full row rank (nothing links the components), and both certifiers must
-  // name exactly the same failing subgraphs.
+  // full row rank (nothing links the components), and the certifier must
+  // name exactly the oracle's failing subgraphs.
   graph::digraph g(5);
   for (graph::node_id v : {0, 1}) {
     g.add_bidirectional(v, 2, 1);
@@ -435,11 +513,8 @@ TEST(CertifyBatched, DetectsDisconnectedSubgraphs) {
     g.add_bidirectional(v, v == 3 ? 4 : 3, 1);
   }
   const coding_scheme cs = coding_scheme::generate(g, 1, 77);
-  const certification naive = certify_coding(g, 1, dispute_record{}, cs);
-  const certification batched = certify_coding_batched(g, 1, dispute_record{}, cs);
-  EXPECT_FALSE(batched.ok);
-  EXPECT_EQ(naive.ok, batched.ok);
-  EXPECT_EQ(naive.failing, batched.failing);
+  EXPECT_FALSE(certify_coding(g, 1, dispute_record{}, cs).ok);
+  expect_matches_oracle(g, 1, dispute_record{}, cs, "cut vertex");
 }
 
 }  // namespace

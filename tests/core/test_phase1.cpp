@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "core/strategies.hpp"
 #include "graph/generators.hpp"
 #include "graph/maxflow.hpp"
@@ -110,9 +113,44 @@ TEST(Phase1, StoreAndForwardCostsDepthTimesChunk) {
       run_phase1(net_ct, g, faults, 0, input, trees, nullptr, propagation_mode::cut_through);
   const auto sf = run_phase1(net_sf, g, faults, 0, input, trees, nullptr,
                              propagation_mode::store_and_forward);
-  EXPECT_GE(sf.depth, 2);
+  EXPECT_GE(phase1_levels(trees, 0, 6).size(), 2u);
   EXPECT_GT(sf.time, ct.time);          // store-and-forward pays per hop
   EXPECT_EQ(ct.received, sf.received);  // same data either way
+}
+
+TEST(Phase1, LevelsBucketEveryHopParentFirstInTreeOrder) {
+  // Every tree edge appears once, at the level where its sender already
+  // holds the share, and within a level tree-major with each tree's edges
+  // in order — the transmission order both Phase-1 drivers use.
+  const graph::digraph g = graph::path_of_cliques(3, 2, 1);
+  const auto trees = graph::pack_arborescences(
+      g, 0, static_cast<int>(graph::broadcast_mincut(g, 0)));
+  const auto levels = phase1_levels(trees, 0, g.universe());
+  std::size_t hops = 0;
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    std::pair<int, std::size_t> last{-1, 0};
+    for (const phase1_hop& h : levels[i]) {
+      ++hops;
+      const auto& edges = trees[static_cast<std::size_t>(h.tree)].edges;
+      const auto at = static_cast<std::size_t>(
+          std::find_if(edges.begin(), edges.end(),
+                       [&](const graph::edge& e) { return e.from == h.from && e.to == h.to; }) -
+          edges.begin());
+      ASSERT_LT(at, edges.size());
+      EXPECT_LT(last, std::make_pair(h.tree, at)) << "level " << i;
+      last = {h.tree, at};
+      const bool fed = i == 0 ? h.from == 0
+                              : std::any_of(levels[i - 1].begin(), levels[i - 1].end(),
+                                            [&](const phase1_hop& p) {
+                                              return p.tree == h.tree && p.to == h.from;
+                                            });
+      EXPECT_TRUE(fed) << "level " << i << ": " << h.from << "->" << h.to;
+    }
+  }
+  std::size_t tree_edges = 0;
+  for (const auto& t : trees) tree_edges += t.edges.size();
+  EXPECT_EQ(hops, tree_edges);
+  EXPECT_GE(levels.size(), 2u);
 }
 
 TEST(Phase1, CorruptRelayPoisonsOnlyItsSubtrees) {

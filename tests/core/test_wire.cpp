@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
 #include <vector>
 
@@ -268,6 +269,26 @@ TEST(Wire, Words16PackLowWordFirst) {
   EXPECT_EQ(sim::wire::words16(0), 0u);
   EXPECT_EQ(sim::wire::words16(4), 1u);
   EXPECT_EQ(sim::wire::words16(5), 2u);
+  // One word's lanes: the i-th 16-bit word sits in lane i % 4.
+  EXPECT_EQ(sim::wire::to_lane(0xBEEF, 3), 0xBEEF000000000000ull);
+  EXPECT_EQ(sim::wire::to_lane(0xBEEF, 5), 0xBEEF0000ull);
+  EXPECT_EQ(sim::wire::lane(0x0004000300020001ull, 2), 3);
+  EXPECT_EQ(sim::wire::lane(0x0004000300020001ull, 7), 4);
+}
+
+TEST(Wire, ClaimDigestIsOnePackedTransportWord) {
+  // A digest's wire form is its four words packed exactly as put16 packs a
+  // 16-bit run, and from_packed reads them back as get16 does.
+  const bb::claim_digest d = bb::claim_digest_of({0xAB, 0xCD}, 7);
+  sim::payload run;
+  sim::wire::put16(run, d.words);
+  ASSERT_EQ(run.size(), 1u);
+  EXPECT_EQ(d.packed(), run[0]);
+  std::array<std::uint16_t, 4> back{};
+  sim::wire::get16(run, 0, back);
+  EXPECT_EQ(bb::claim_digest::from_packed(run[0]).words, back);
+  EXPECT_EQ(bb::claim_digest::from_packed(run[0]), d);
+  EXPECT_EQ((bb::claim_digest{{1, 2, 3, 4}}).packed(), 0x0004000300020001ull);
 }
 
 TEST(Wire, Get16ZeroFillsPastTheEnd) {

@@ -250,8 +250,7 @@ TEST(ObsCounters, ClaimFallbacksCounterMatchesReplayedSession) {
   rng topo_rand(0);  // K_9 at unit capacity: the generator draws nothing
   core::session_config cfg;
   cfg.g = build_topology(s.topology, topo_rand);
-  cfg.f = s.f;
-  cfg.source = s.source;
+  cfg.f = s.f;  // cfg.source stays node 0, as in the runner
   cfg.coding_seed = splitmix64(run_seed ^ 0x5eedULL);
   cfg.propagation = s.propagation;
   cfg.flag_protocol = s.flag_protocol;
@@ -260,7 +259,7 @@ TEST(ObsCounters, ClaimFallbacksCounterMatchesReplayedSession) {
   cfg.pool_memory = s.pool_memory;
   sim::fault_set faults(cfg.g.universe(), rec.corrupt);
   const auto adv = make_adversary(s.adversary, splitmix64(run_seed ^ 0xadbeefULL),
-                                  s.source == 0 ? 1 : 0, s.genome);
+                                  1, s.genome);
   obs::collector replay;
   obs::scoped_collector on(&replay);
   const core::session_run run = core::run_session(

@@ -69,7 +69,7 @@ TEST(Registry, EnumStringsRoundTrip) {
   // what must hold is that no two kinds print the same name.
   std::set<std::string> topology_names;
   for (auto k : {topology_kind::complete, topology_kind::fig1a, topology_kind::fig1b,
-                 topology_kind::fig2, topology_kind::ring, topology_kind::erdos_renyi,
+                 topology_kind::fig2, topology_kind::ring,
                  topology_kind::random_regular, topology_kind::hypercube,
                  topology_kind::clustered_wan, topology_kind::dumbbell,
                  topology_kind::weak_link, topology_kind::path_of_cliques,
@@ -105,9 +105,7 @@ TEST(Registry, PresetTopologiesSupportTheirFaultBudgets) {
   rng rand(11);
   std::set<std::string> seen;
   for (const scenario& s : all_scenarios()) {
-    if (s.topology.kind == topology_kind::erdos_renyi ||
-        s.topology.kind == topology_kind::random_regular)
-      continue;
+    if (s.topology.kind == topology_kind::random_regular) continue;
     const auto& t = s.topology;
     const std::string key = to_string(t.kind) + ":" + std::to_string(t.n) + ":" +
                             std::to_string(t.param_a) + ":" +
@@ -272,7 +270,6 @@ TEST(Registry, TopologyFileScenarioValidatesItsInput) {
   EXPECT_EQ(s.topology.kind, topology_kind::file);
   EXPECT_EQ(topology_nodes(s.topology), 5);
   EXPECT_EQ(s.f, 1);
-  EXPECT_EQ(s.source, 0);
   EXPECT_EQ(s.adversary, adversary_kind::p1_garble);
   EXPECT_EQ(s.corrupt, std::vector<graph::node_id>{2});
   EXPECT_EQ(s.flag_protocol, bb::bb_protocol::auto_select);
