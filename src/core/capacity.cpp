@@ -106,21 +106,11 @@ graph::capacity_t u1_exact(const graph::digraph& g, int f) {
   return compute_uk(g, f, dispute_record{});
 }
 
-capacity_bounds compute_bounds(const graph::digraph& g, graph::node_id source, int f,
-                               gamma_mode mode) {
+capacity_bounds compute_bounds(const graph::digraph& g, graph::node_id source, int f) {
   capacity_bounds out;
-  const std::size_t pair_count = adjacent_pairs(g).size();
-  gamma_mode chosen = mode;
-  if (chosen == gamma_mode::auto_select)
-    chosen = pair_count <= 16 ? gamma_mode::exhaustive : gamma_mode::incident_sets;
-
-  if (chosen == gamma_mode::exhaustive) {
-    out.gamma_star = gamma_star_exhaustive(g, source, f);
-    out.gamma_exact = true;
-  } else {
-    out.gamma_star = gamma_star_incident(g, source, f);
-    out.gamma_exact = false;
-  }
+  out.gamma_exact = adjacent_pairs(g).size() <= 16;
+  out.gamma_star = out.gamma_exact ? gamma_star_exhaustive(g, source, f)
+                                   : gamma_star_incident(g, source, f);
 
   out.u1 = u1_exact(g, f);
   out.rho_star = static_cast<double>(out.u1) / 2.0;

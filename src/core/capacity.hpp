@@ -24,22 +24,9 @@ struct capacity_bounds {
   /// Theorem 3 guarantee actually in force: 1/2 when gamma* <= rho*, else 1/3.
   double guaranteed_fraction = 0.0;
   /// True when gamma* came from exhaustive Gamma enumeration (exact); false
-  /// when the incident-fault-set estimate was used (gamma_mode::incident_sets:
-  /// the exhaustive search is exponential in the adjacent pair count).
+  /// when the incident-fault-set estimate was used (the exhaustive search is
+  /// exponential in the adjacent pair count).
   bool gamma_exact = false;
-};
-
-/// How to search Gamma for gamma*.
-enum class gamma_mode {
-  /// Enumerate every explainable edge set W (exact; exponential in the
-  /// number of adjacent node pairs — only viable for small graphs).
-  exhaustive,
-  /// Enumerate candidate fault sets F (|F| <= f) and remove all edges
-  /// incident to F, plus the forced node removals. An estimate that is exact
-  /// on many graphs and cheap everywhere.
-  incident_sets,
-  /// exhaustive when the pair count is small enough, else incident_sets.
-  auto_select,
 };
 
 /// gamma_k of one concrete instance graph (min broadcast min-cut).
@@ -59,8 +46,9 @@ graph::capacity_t gamma_star_incident(const graph::digraph& g, graph::node_id so
 /// U_1 over Omega_1 (exact: enumerates the C(n, f) subsets without disputes).
 graph::capacity_t u1_exact(const graph::digraph& g, int f);
 
-/// All of the above packaged, with Theorem 2/3 quantities derived.
-capacity_bounds compute_bounds(const graph::digraph& g, graph::node_id source, int f,
-                               gamma_mode mode = gamma_mode::auto_select);
+/// All of the above packaged, with Theorem 2/3 quantities derived. gamma*
+/// is exhaustive (exact) on graphs with at most 16 adjacent pairs, and the
+/// incident-fault-set estimate above that.
+capacity_bounds compute_bounds(const graph::digraph& g, graph::node_id source, int f);
 
 }  // namespace nab::core

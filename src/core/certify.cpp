@@ -61,27 +61,6 @@ block_layout all_blocks(const graph::digraph& g, const std::vector<graph::node_i
   return out;
 }
 
-/// How certify_coding walks Omega_k (see certify.hpp).
-enum class cert_path { leave_one_out, dense, prefix_walk };
-
-/// The one dispatch, shared by certify_coding and certify_cost_estimate so
-/// the cost gate prices the path that runs. `target` is Omega_k's member
-/// size. The leave-one-out shape has exactly one more active node than
-/// that. Otherwise the prefix walk's shared factorization pays off while
-/// subgraph matrices stay column-limited for most of the walk (sparse
-/// graphs: the hypercube and WAN families run ~2x faster than independent
-/// eliminations); on dense graphs the mid-depth ghost population churns
-/// more than per-H elimination costs. The measured crossover sits around
-/// directed-edge density 0.4 for every registry topology.
-cert_path pick_path(const graph::digraph& g, std::size_t target) {
-  const auto n = static_cast<std::size_t>(g.active_count());
-  if (target >= 2 && n == target + 1) return cert_path::leave_one_out;
-  if (n < 2) return cert_path::dense;
-  const double density = static_cast<double>(g.edges().size()) /
-                         (static_cast<double>(n) * static_cast<double>(n - 1));
-  return density > 0.4 ? cert_path::dense : cert_path::prefix_walk;
-}
-
 /// Dense path: one independent elimination of C_H per member.
 certification certify_dense(const graph::digraph& g, int f,
                             const dispute_record& disputes,
@@ -437,104 +416,21 @@ certification certify_coding(const graph::digraph& g, int f,
                              const coding_scheme& coding) {
   NAB_ASSERT(f >= 0 && g.universe() - f >= 1, "invalid fault budget for certification");
   const auto target = static_cast<std::size_t>(g.universe() - f);
-  const cert_path path = pick_path(g, target);
-  if (path == cert_path::leave_one_out)
+  const auto n = static_cast<std::size_t>(g.active_count());
+  if (target >= 2 && n == target + 1)
     return certify_leave_one_out(g, target, disputes, coding);
-  if (path == cert_path::dense) return certify_dense(g, f, disputes, coding);
+  // The prefix walk's shared factorization pays off while subgraph matrices
+  // stay column-limited for most of the walk (sparse graphs: the hypercube
+  // and WAN families run ~2x faster than independent eliminations); on
+  // dense graphs the mid-depth ghost population churns more than per-H
+  // elimination costs. The measured crossover sits around directed-edge
+  // density 0.4 for every registry topology.
+  const double density =
+      n < 2 ? 1.0
+            : static_cast<double>(g.edges().size()) /
+                  (static_cast<double>(n) * static_cast<double>(n - 1));
+  if (density > 0.4) return certify_dense(g, f, disputes, coding);
   return prefix_walk(g, target, disputes, coding).run();
-}
-
-std::uint64_t certify_cost_estimate(
-    const graph::digraph& g, const std::vector<std::vector<graph::node_id>>& omega,
-    int rho) {
-  if (omega.empty()) return 0;
-  const auto rho_u = static_cast<std::uint64_t>(rho);
-  const std::vector<graph::node_id> active = g.active_nodes();
-  std::uint64_t total_cols = 0;
-  for (const graph::edge& e : g.edges())
-    total_cols += static_cast<std::uint64_t>(e.cap);
-
-  const cert_path path = pick_path(g, omega.front().size());
-
-  // Leave-one-out path: ONE Gauss-Jordan of the all-blocks matrix plus a
-  // nullity-sized corner elimination per member — not |omega| independent
-  // eliminations. Pricing it as per-H work overstates the cost ~|omega|-fold
-  // and wrongly gates exactly the presets the downdate path makes cheap.
-  if (path == cert_path::leave_one_out) {
-    const std::uint64_t rows = active.size() * rho_u;
-    // Rank tops out rho short of full: the per-symbol all-blocks row sums
-    // vanish (each column's two endpoint blocks coincide over GF(2^16)).
-    const std::uint64_t r = std::min(rows - rho_u, total_cols);
-    // Gauss-Jordan words: every pivot eliminates from ~all rows over a tail
-    // that shrinks one column per pivot.
-    std::uint64_t cost = rows * (r * total_cols - r * r / 2);
-    const std::uint64_t nfree = total_cols - r;
-    std::vector<std::uint64_t> incident_cols(
-        static_cast<std::size_t>(g.universe()), 0);
-    std::uint64_t active_sum = 0;
-    for (const graph::edge& e : g.edges()) {
-      incident_cols[static_cast<std::size_t>(e.from)] +=
-          static_cast<std::uint64_t>(e.cap);
-      incident_cols[static_cast<std::size_t>(e.to)] +=
-          static_cast<std::uint64_t>(e.cap);
-    }
-    for (graph::node_id v : active) active_sum += static_cast<std::uint64_t>(v);
-    for (const auto& h : omega) {
-      // The left-out node is the one active node missing from h.
-      std::uint64_t h_sum = 0;
-      for (graph::node_id v : h) h_sum += static_cast<std::uint64_t>(v);
-      const auto x = static_cast<std::size_t>(active_sum - h_sum);
-      // Pivot columns land roughly uniformly, so ~r/total_cols of x's
-      // incident columns carry one — min(|X_x|, r) alone overstates the
-      // corner size ~|omega|-fold on sparse graphs, where r << total_cols.
-      const std::uint64_t px =
-          std::min(incident_cols[x],
-                   std::max<std::uint64_t>(
-                       1, total_cols == 0 ? 0 : r * incident_cols[x] / total_cols));
-      const std::uint64_t sub_r = std::min(px, nfree);
-      cost += px * (sub_r * nfree - sub_r * sub_r / 2);
-    }
-    return cost;
-  }
-
-  if (path == cert_path::dense) {
-    // A from-scratch Gauss-Jordan of each member's check matrix.
-    std::uint64_t cost = 0;
-    for (const auto& h : omega) {
-      if (h.size() <= 1) continue;
-      const std::uint64_t rows = (h.size() - 1) * rho_u;
-      std::uint64_t cols = 0;
-      for (const graph::edge& e : g.induced(h).edges())
-        cols += static_cast<std::uint64_t>(e.cap);
-      const std::uint64_t r = std::min(rows, cols);
-      cost += rows * (r * cols - r * r / 2);
-    }
-    return cost;
-  }
-
-  // Prefix-walk path: the certifier pays per prefix PUSH, not per leaf, and
-  // the lexicographic walk shares every common prefix — which the LCP of
-  // consecutive omega members reproduces exactly. A push reduces ~2 rho
-  // rows (rho raw + rho ghosts) against the pivots of its fresh column
-  // window, each reduction a full-width axpy.
-  std::uint64_t cost = 0;
-  const std::vector<graph::node_id>* prev = nullptr;
-  for (const auto& h : omega) {
-    std::size_t lcp = 0;
-    if (prev != nullptr)
-      while (lcp < h.size() && lcp < prev->size() && (*prev)[lcp] == h[lcp])
-        ++lcp;
-    for (std::size_t p = lcp; p < h.size(); ++p) {
-      std::uint64_t new_cols = 0;
-      for (std::size_t q = 0; q < p; ++q)
-        new_cols += static_cast<std::uint64_t>(g.cap(h[p], h[q])) +
-                    static_cast<std::uint64_t>(g.cap(h[q], h[p]));
-      const std::uint64_t window = std::min(new_cols, 2 * rho_u);
-      cost += 2 * rho_u * window * total_cols + rho_u * total_cols;
-    }
-    prev = &h;
-  }
-  return cost;
 }
 
 double theorem1_failure_bound(int n, int f, int rho, int field_bits) {

@@ -61,18 +61,6 @@ certification certify_coding(const graph::digraph& g, int f,
                              const dispute_record& disputes,
                              const coding_scheme& coding);
 
-/// Estimated GF *word* count of certify_coding over this Omega_k. It calls
-/// the certifier's own dispatch, so cost gates price the path that will
-/// actually run: leave-one-out (one all-blocks Gauss-Jordan plus a
-/// nullity-sized corner rank per member), dense (a from-scratch
-/// elimination per member), or the prefix walk (per prefix-push work,
-/// reconstructed from the LCP structure of omega's lexicographic order).
-/// Comparable to the measured gf_axpy_words + gf_scale_words of a
-/// certification run within a small constant factor (pinned by tests).
-std::uint64_t certify_cost_estimate(const graph::digraph& g,
-                                    const std::vector<std::vector<graph::node_id>>& omega,
-                                    int rho);
-
 /// The failure-probability upper bound of Theorem 1 for field size
 /// 2^field_bits: C(n, n-f) * (n-f-1) * rho / 2^field_bits (clamped to 1).
 double theorem1_failure_bound(int n, int f, int rho, int field_bits);

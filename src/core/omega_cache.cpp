@@ -5,26 +5,19 @@
 #include <limits>
 #include <mutex>
 
-#include "core/certify.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/maxflow.hpp"
 #include "obs/obs.hpp"
 #include "runtime/executor.hpp"
+#include "util/rng.hpp"
 
 namespace nab::core {
 
 namespace {
 
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t fingerprint_words(const std::vector<std::int64_t>& words) {
   std::uint64_t h = 0x6f6d6567615f6bULL;  // "omega_k"
-  for (std::int64_t w : words) h = mix64(h ^ static_cast<std::uint64_t>(w));
+  for (std::int64_t w : words) h = splitmix64(h ^ static_cast<std::uint64_t>(w));
   return h;
 }
 
@@ -51,12 +44,6 @@ std::shared_ptr<const V> find_entry(const Table& table, std::uint64_t fp,
 }
 
 }  // namespace
-
-std::uint64_t graph_fingerprint(const graph::digraph& g) {
-  std::vector<std::int64_t> words;
-  serialize_graph(g, words);
-  return fingerprint_words(words);
-}
 
 omega_cache& omega_cache::instance() {
   static omega_cache cache;
@@ -85,7 +72,7 @@ std::shared_ptr<const V> omega_cache::get_or_compute(
   // fingerprints across the four caches so unrelated fills never serialize
   // behind each other's leader.
   const std::uint64_t inflight_key =
-      mix64(fp ^ static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&tbl)));
+      splitmix64(fp ^ static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&tbl)));
   for (;;) {
     std::shared_ptr<inflight> slot;
     bool leader = false;
@@ -173,8 +160,6 @@ std::shared_ptr<const omega_analysis> omega_cache::analyze(
                           value->omega = omega_subgraphs(g, f, disputes);
                           value->uk = compute_uk(g, value->omega);
                           value->rho = compute_rho(value->uk);
-                          value->certify_cost = certify_cost_estimate(
-                              g, value->omega, static_cast<int>(value->rho));
                           return value;
                         });
 }

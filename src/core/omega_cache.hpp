@@ -23,9 +23,6 @@ struct omega_analysis {
   std::vector<std::vector<graph::node_id>> omega;  ///< Omega_k enumeration
   graph::capacity_t uk = 0;                        ///< U_k over Omega_k
   graph::capacity_t rho = 0;                       ///< rho_k = max(U_k/2, 1)
-  /// certify_cost_estimate(g, omega, rho): priced once per topology here so
-  /// a sweep's per-run certify gate is a comparison, not a re-walk of omega.
-  std::uint64_t certify_cost = 0;
 };
 
 /// The per-(G_k, source) half of Phase-1 state: gamma_k and the Edmonds
@@ -146,10 +143,5 @@ class omega_cache {
   table<int> connectivity_;
   table<bb::channel_plan::route_table> routes_;
 };
-
-/// 64-bit fingerprint of a digraph's exact state (universe, active set,
-/// capacity matrix), splitmix-mixed. Exposed for tests; cache lookups back
-/// it with a full-key compare.
-std::uint64_t graph_fingerprint(const graph::digraph& g);
 
 }  // namespace nab::core

@@ -63,16 +63,10 @@ void session::refresh_graph_state() {
     dirty_ = false;
     return;
   }
-  certified_rho_ = 0;
 
-  // Generate (and, if affordable, certify) the shared coding matrices. Theorem 1
-  // makes failure vanishingly unlikely; regeneration with a fresh seed is
-  // the correct response when it does happen. When the rank checks would be
-  // prohibitively large (rho_k scales with link capacities) we trust the
-  // theorem instead of certifying. The estimate calls the certifier's own
-  // path dispatch, so the gate prices the path that will actually run; it
-  // is cached with the analysis.
-  const bool certify = analysis_->certify_cost <= cfg_.certify_cost_limit;
+  // Generate and certify the shared coding matrices. Theorem 1 makes
+  // failure vanishingly unlikely; regeneration with a fresh seed is the
+  // correct response when it does happen.
   for (int attempt = 0;; ++attempt) {
     {
       obs::scoped_span gen_span("coding_generate");
@@ -80,7 +74,6 @@ void session::refresh_graph_state() {
                                         cfg_.coding_seed + coding_generation_);
     }
     ++coding_generation_;
-    if (!certify) break;
     bool certified = false;
     {
       obs::scoped_span cert_span("certify");

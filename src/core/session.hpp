@@ -27,16 +27,10 @@ struct session_config {
   graph::digraph g;                  ///< the original network G = G_1
   int f = 1;                         ///< fault budget (f < n/3)
   graph::node_id source = 0;         ///< broadcasting node (the paper's node 1)
-  std::uint64_t coding_seed = 0x5eed;///< seed for the shared coding matrices
-  /// The session certifies the Theorem-1 condition, regenerating on
-  /// failure, unless certify_cost_estimate exceeds this limit; then it
-  /// trusts Theorem 1's probabilistic guarantee — on high-capacity networks
-  /// rho_k grows with link capacities and exact certification becomes a
-  /// one-off multi-second computation. The default admits K_16-class
-  /// topologies (~0.6G ops at f = 2, ~0.3 s with the batched GF kernels);
-  /// the seed's 200M limit was calibrated to the 3x-slower pre-axpy
-  /// elimination and silently skipped them.
-  std::uint64_t certify_cost_limit = 1'000'000'000;
+  /// Seed for the shared coding matrices. Every coding the session uses is
+  /// certified against Theorem 1's condition; a failing draw is regenerated
+  /// from the next seed.
+  std::uint64_t coding_seed = 0x5eed;
   propagation_mode propagation = propagation_mode::cut_through;
   /// Classical-BB engine for the step-2.2 flag broadcast. auto_select uses
   /// phase-king when the participant count allows (> 4f), else EIG; the

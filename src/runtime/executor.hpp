@@ -3,18 +3,14 @@
 #include <cstdint>
 #include <functional>
 
+#include "util/rng.hpp"
+
 namespace nab::runtime {
 
-/// splitmix64 (Steele, Lea & Flood) — the standard 64-bit seed-derivation
-/// mixer. Used to derive every per-shard seed from (sweep seed, run index),
-/// NEVER from wall clock or thread identity, so a sweep's randomness is a
-/// pure function of its inputs regardless of how it is scheduled.
-constexpr std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+/// Every per-shard seed derives from (sweep seed, run index) by splitmix64,
+/// so a sweep's randomness is a pure function of its inputs regardless of
+/// how it is scheduled.
+using nab::splitmix64;
 
 /// The seed shard `index` of a sweep runs with. Two mixer rounds decorrelate
 /// adjacent indices and distinct base seeds completely.

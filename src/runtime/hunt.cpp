@@ -169,7 +169,7 @@ void perturb_payload(bb::value& payload, rng& rand) {
 genome_adversary::genome_adversary(const hunt_genome& g, std::uint64_t seed)
     : g_(g),
       rand_(splitmix64(seed ^ (static_cast<std::uint64_t>(g.noise_salt) *
-                               0x9e3779b97f4a7c15ULL))),
+                               splitmix64_gamma))),
       claim_(g_, splitmix64(seed ^ 0xC1A1A0B5ULL ^
                             (static_cast<std::uint64_t>(g.noise_salt) << 8))) {}
 

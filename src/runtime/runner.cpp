@@ -215,7 +215,6 @@ run_record execute_scenario(const scenario& s, int run_index,
   cfg.propagation = s.propagation;
   cfg.flag_protocol = s.flag_protocol;
   cfg.claim_backend = s.claim_backend;
-  cfg.certify_cost_limit = s.certify_cost_limit;
   cfg.pool_memory = s.pool_memory;
 
   // One run arena per executor shard (thread-confined, reused across every

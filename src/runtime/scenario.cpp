@@ -144,7 +144,6 @@ std::vector<scenario> scenario_family::expand() const {
                   s.loss = loss;
                   s.instances = instances;
                   s.rotate_sources = rotate_sources;
-                  s.certify_cost_limit = certify_cost_limit;
                   if (adv == adversary_kind::hunted) s.genome = genome;
                   s.name = name + axis_suffix(*this, s);
                   out.push_back(std::move(s));
@@ -323,8 +322,7 @@ std::vector<scenario_family> build_registry() {
         "labels to 64 receivers for each of 65 claimants; the collapsed "
         "backend pays n^2 digests + one transcript copy per pair. f = 1 "
         "certification runs the leave-one-out downdate path: one all-blocks "
-        "Gauss-Jordan answers all 64 rank questions (~1e8 GF words, well "
-        "under the raised gate that the old per-prefix walk needed).";
+        "Gauss-Jordan answers all 64 rank questions (~1e8 GF words).";
     fam.topologies = {{.kind = tk::random_regular, .n = 64, .param_a = 10,
                        .cap_lo = 1, .cap_hi = 1}};
     fam.fault_budgets = {1};
@@ -332,7 +330,6 @@ std::vector<scenario_family> build_registry() {
     fam.flag_protocols = {bb::bb_protocol::auto_select};
     fam.claim_backends = {bb::claim_backend::collapsed};
     fam.instances = 2;
-    fam.certify_cost_limit = 4'000'000'000;
     reg.push_back(std::move(fam));
   }
   {
@@ -341,16 +338,15 @@ std::vector<scenario_family> build_registry() {
     fam.description =
         "Binary hypercube dim 6 (64 nodes, connectivity 6, f <= 2): the "
         "structured-sparse n = 64 point. Omega_2 holds C(64,2) = 2016 "
-        "subgraphs; the raised certification gate keeps the rank checks "
-        "running, and the collapsed claim backend keeps dispute phases "
-        "polynomial where EIG's n^f label tree could not run at all.";
+        "subgraphs, each rank-checked by the prefix walk, and the collapsed "
+        "claim backend keeps dispute phases polynomial where EIG's n^f "
+        "label tree could not run at all.";
     fam.topologies = {{.kind = tk::hypercube, .param_a = 6, .cap_lo = 1}};
     fam.fault_budgets = {1, 2};
     fam.adversaries = {ak::honest, ak::p1_garble};
     fam.flag_protocols = {bb::bb_protocol::auto_select};
     fam.claim_backends = {bb::claim_backend::collapsed};
     fam.instances = 2;
-    fam.certify_cost_limit = 4'000'000'000;
     reg.push_back(std::move(fam));
   }
 
@@ -374,7 +370,6 @@ std::vector<scenario_family> build_registry() {
     fam.flag_protocols = {bb::bb_protocol::auto_select};
     fam.claim_backends = {bb::claim_backend::collapsed};
     fam.instances = 2;
-    fam.certify_cost_limit = 64'000'000'000;
     reg.push_back(std::move(fam));
   }
   {
@@ -383,10 +378,10 @@ std::vector<scenario_family> build_registry() {
     fam.description =
         "Binary hypercube dim 7 (128 nodes, connectivity 7, f = 1): the "
         "n = 128 frontier. Omega_1 holds 128 subgraphs of 127 nodes; the "
-        "leave-one-out certifier prices them at ~3e8 GF words (well under "
-        "the default gate, ~0.1 s on AVX2) where the per-prefix DFS walk "
-        "took minutes, and the collapsed claim backend keeps dispute "
-        "phases polynomial at this scale.";
+        "leave-one-out certifier answers them in ~3e8 GF words (~0.1 s on "
+        "AVX2) where the per-prefix DFS walk took minutes, and the "
+        "collapsed claim backend keeps dispute phases polynomial at this "
+        "scale.";
     fam.topologies = {{.kind = tk::hypercube, .param_a = 7, .cap_lo = 1}};
     fam.fault_budgets = {1};
     fam.adversaries = {ak::honest, ak::p1_garble};

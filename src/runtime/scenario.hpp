@@ -93,10 +93,6 @@ struct scenario {
   int instances = 4;              ///< NAB instances per run (amortization)
   std::uint64_t words = 64;       ///< 16-bit words per input (L = 16*words)
   bool rotate_sources = false;
-  /// Certification cost gate handed to session_config (GF-op estimate above
-  /// which the session trusts Theorem 1 instead of certifying). The n = 64
-  /// presets raise it so certification actually runs at their Omega_k sizes.
-  std::uint64_t certify_cost_limit = 1'000'000'000;
   /// Serialized hunt_genome (hunt_genome::to_params form) when `adversary`
   /// is `hunted`; empty otherwise. The registry's hunted_* presets pin the
   /// worst-case genomes `fleet --hunt` found, so tier-1 replays them as
@@ -139,7 +135,6 @@ struct scenario_family {
   std::vector<std::string> losses = {"none"};
   int instances = 4;
   bool rotate_sources = false;
-  std::uint64_t certify_cost_limit = 1'000'000'000;
   /// Serialized hunt_genome for families whose adversary axis includes
   /// `hunted` (the promoted hunted_* presets); copied into every expanded
   /// scenario.

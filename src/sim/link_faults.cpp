@@ -5,27 +5,16 @@
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace nab::sim {
 
 namespace {
 
-/// splitmix64 (Steele/Lea/Flood). Redefined here rather than pulled from the
-/// runtime layer: sim/ sits below runtime/ and must not include upward. The
-/// mix is the standard finalizer, so golden values pinned elsewhere
-/// (splitmix64(0) = 0xe220a8397b1dcdaf) hold here too.
-constexpr std::uint64_t golden_gamma = 0x9e3779b97f4a7c15ULL;
-
-constexpr std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// One splitmix64 step: advance the stream state, return the mixed output.
 std::uint64_t next_u64(std::uint64_t& state) {
-  state += golden_gamma;
-  return mix64(state);
+  state += splitmix64_gamma;
+  return splitmix64_finalize(state);
 }
 
 /// Uniform double in [0, 1) from the top 53 bits.
@@ -38,7 +27,7 @@ double u01(std::uint64_t r) {
 /// decorrelated (without the mix, stream i would be stream j shifted by
 /// i - j steps).
 std::uint64_t link_stream_seed(std::uint64_t seed, std::uint64_t index) {
-  return mix64(seed ^ (golden_gamma * (index + 1)));
+  return splitmix64_finalize(seed ^ (splitmix64_gamma * (index + 1)));
 }
 
 bool parse_probability(std::string_view field, double& out) {
@@ -144,7 +133,8 @@ double link_fault_model::time_dilation(graph::node_id u, graph::node_id v,
       static_cast<std::uint64_t>(u) * static_cast<std::uint64_t>(universe) + v;
   // Independent of the erasure stream: re-mix the link seed under a distinct
   // salt so reading the dilation never perturbs drop sequences.
-  const std::uint64_t draw = mix64(link_stream_seed(seed_, index) ^ 0xd11a7ed0ULL);
+  const std::uint64_t draw =
+      splitmix64_finalize(link_stream_seed(seed_, index) ^ 0xd11a7ed0ULL);
   return 1.0 + params_.jitter * u01(draw);
 }
 

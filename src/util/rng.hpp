@@ -5,6 +5,25 @@
 
 namespace nab {
 
+/// splitmix64's increment: the 64-bit golden ratio (Steele, Lea & Flood).
+inline constexpr std::uint64_t splitmix64_gamma = 0x9e3779b97f4a7c15ULL;
+
+/// splitmix64's output finalizer. A stream steps its state by
+/// splitmix64_gamma and emits finalize(state).
+constexpr std::uint64_t splitmix64_finalize(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// splitmix64 — the standard 64-bit seed-derivation mixer: one stream step
+/// from state x. Sweep-run and hunt seeds, link-fault chains and the
+/// analysis-cache fingerprints all derive from it, never from wall clock or
+/// thread identity.
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  return splitmix64_finalize(x + splitmix64_gamma);
+}
+
 /// Deterministic pseudo-random source used throughout the library.
 ///
 /// Everything in nabcast that needs randomness (coding-matrix generation,

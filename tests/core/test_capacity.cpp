@@ -56,7 +56,7 @@ TEST(Capacity, BoundsRelationshipsHold) {
   rng rand(3);
   for (int trial = 0; trial < 10; ++trial) {
     const graph::digraph g = graph::erdos_renyi(5, 0.6, 1, 5, rand);
-    const capacity_bounds b = compute_bounds(g, 0, 1, gamma_mode::exhaustive);
+    const capacity_bounds b = compute_bounds(g, 0, 1);
     // Theorem 3 algebra: T_NAB >= bound/3, and >= bound/2 when gamma* <= rho*.
     EXPECT_GE(b.nab_throughput_bound + 1e-9, b.capacity_upper_bound / 3.0);
     if (static_cast<double>(b.gamma_star) <= b.rho_star) {

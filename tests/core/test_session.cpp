@@ -352,18 +352,20 @@ TEST(Session, KeepsCertifiedCodingWhileRhoHolds) {
   EXPECT_EQ(col.value(obs::counter::cert_subgraphs), setup_subgraphs);
 }
 
-TEST(Session, CertifyCostCeilingSkipsButStillWorks) {
-  // Fat capacities push rho into the hundreds; the exact Theorem-1 rank
-  // check would take seconds, so the session must skip it (trusting the
-  // theorem) and still deliver correct instances.
-  session_config cfg{.g = graph::complete_with_weak_link(5, 64), .f = 1};
-  cfg.certify_cost_limit = 1;  // force the skip
-  session s(cfg, sim::fault_set(5));
+TEST(Session, FatLinkNetworkIsCertifiedAtSetUp) {
+  // Fat capacities push rho into the hundreds (rho = 193 here, ~8.4e8 GF
+  // words of rank checks), yet set-up still certifies every H in Omega_1:
+  // no workload may run on a coding that Theorem 1 only probably admits.
+  session s({.g = graph::complete_with_weak_link(5, 96), .f = 1}, sim::fault_set(5));
+  obs::collector col;
+  obs::scoped_collector scope(&col);
+  ASSERT_EQ(s.next_rho(), 193);
+  EXPECT_EQ(col.value(obs::counter::cert_subgraphs), 5u);
+  EXPECT_EQ(col.value(obs::counter::cert_loo_downdates), 5u);
   rng rand(41);
   const auto r = s.run_instance(random_words(64, rand));
   EXPECT_TRUE(r.agreement);
   EXPECT_TRUE(r.validity);
-  EXPECT_GT(r.rho, 10);  // sanity: this really is the high-rho regime
 }
 
 TEST(Session, HighCapacityThroughputScalesWithC) {

@@ -164,7 +164,7 @@ TEST(PaperClaims, DisputeControlAmortizesInQ) {
   // runs at most f(f+1) times, so over enough instances the attacked
   // throughput passes the fault-free guarantee. K_4, f = 1, L = 1 Kbit.
   const graph::digraph g = graph::complete(4);
-  const capacity_bounds b = compute_bounds(g, 0, 1, gamma_mode::exhaustive);
+  const capacity_bounds b = compute_bounds(g, 0, 1);
   ASSERT_DOUBLE_EQ(b.nab_throughput_bound, 1.0);
   stealth_disputer adv;
   session s({.g = g, .f = 1}, sim::fault_set(4, {1}), &adv);

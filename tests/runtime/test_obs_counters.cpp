@@ -255,7 +255,6 @@ TEST(ObsCounters, ClaimFallbacksCounterMatchesReplayedSession) {
   cfg.propagation = s.propagation;
   cfg.flag_protocol = s.flag_protocol;
   cfg.claim_backend = s.claim_backend;
-  cfg.certify_cost_limit = s.certify_cost_limit;
   cfg.pool_memory = s.pool_memory;
   sim::fault_set faults(cfg.g.universe(), rec.corrupt);
   const auto adv = make_adversary(s.adversary, splitmix64(run_seed ^ 0xadbeefULL),

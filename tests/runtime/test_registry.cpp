@@ -6,8 +6,6 @@
 #include <set>
 #include <sstream>
 
-#include "core/certify.hpp"
-#include "core/omega.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/topology_io.hpp"
 #include "runtime/runner.hpp"
@@ -133,15 +131,13 @@ TEST(Registry, ScalingPresetsExist) {
 
 TEST(Registry, N64PresetsPinTheCollapsedClaimBackend) {
   // The n = 64 families exist because the collapsed backend makes their
-  // dispute phases polynomial; they must stay pinned to it and keep the
-  // raised certification gate that lets the rank checks run at that size.
+  // dispute phases polynomial; they must stay pinned to it.
   for (const char* name : {"k64_dense", "hypercube_d6"}) {
     const scenario_family* fam = find_family(name);
     ASSERT_NE(fam, nullptr) << name;
     for (const scenario& s : fam->expand()) {
       EXPECT_EQ(topology_nodes(s.topology), 64) << s.name;
       EXPECT_EQ(s.claim_backend, bb::claim_backend::collapsed) << s.name;
-      EXPECT_GT(s.certify_cost_limit, 1'000'000'000u) << s.name;
     }
   }
   // The claim ablation sweeps both engines on one topology.
@@ -156,11 +152,9 @@ TEST(Registry, FrontierPresetsPinTheLeaveOneOutScale) {
   // K_64-complete and the 128-node hypercube exist because the f = 1
   // leave-one-out certifier and the SIMD row kernels make their rank checks
   // affordable; they must keep the shape that guarantees that path (f = 1,
-  // collapsed claims) and k64_complete must keep the measured-scale gate
-  // (~3.2e10 GF words) that admits its certification.
+  // collapsed claims).
   const scenario_family* k64c = find_family("k64_complete");
   ASSERT_NE(k64c, nullptr);
-  EXPECT_EQ(k64c->certify_cost_limit, 64'000'000'000u);
   for (const scenario& s : k64c->expand()) {
     EXPECT_EQ(s.topology.kind, topology_kind::complete) << s.name;
     EXPECT_EQ(topology_nodes(s.topology), 64) << s.name;
@@ -173,33 +167,6 @@ TEST(Registry, FrontierPresetsPinTheLeaveOneOutScale) {
     EXPECT_EQ(topology_nodes(s.topology), 128) << s.name;
     EXPECT_EQ(s.f, 1) << s.name;
     EXPECT_EQ(s.claim_backend, bb::claim_backend::collapsed) << s.name;
-  }
-}
-
-TEST(Registry, EveryPresetsCertifyCostEstimateFitsItsLimit) {
-  // The session gate skips certification when certify_cost_estimate exceeds
-  // the preset's certify_cost_limit, so a preset whose estimate outgrows its
-  // limit silently stops exercising the rank checks. Re-validate every
-  // distinct (topology, f, limit) in the catalog against the current model
-  // (random topologies are built from a fixed seed, like the other sweeps).
-  rng rand(11);
-  std::set<std::string> seen;
-  for (const scenario& s : all_scenarios()) {
-    const auto& t = s.topology;
-    const std::string key = to_string(t.kind) + ":" + std::to_string(t.n) + ":" +
-                            std::to_string(t.param_a) + ":" +
-                            std::to_string(t.param_b) + ":" +
-                            std::to_string(t.cap_lo) + ":" +
-                            std::to_string(t.cap_hi) + ":" + std::to_string(s.f) +
-                            ":" + std::to_string(s.certify_cost_limit);
-    if (!seen.insert(key).second) continue;
-    const graph::digraph g = build_topology(t, rand);
-    const core::dispute_record none;
-    const auto uk = core::compute_uk(g, s.f, none);
-    const auto omega = core::omega_subgraphs(g, s.f, none);
-    const std::uint64_t est = core::certify_cost_estimate(
-        g, omega, static_cast<int>(core::compute_rho(uk)));
-    EXPECT_LE(est, s.certify_cost_limit) << s.name;
   }
 }
 
