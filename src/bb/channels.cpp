@@ -89,23 +89,44 @@ channel_plan::route_table channel_plan::assemble(const graph::digraph& g,
     }
     out.stats_.pairs += block.pairs;
     out.stats_.flow_augmentations += block.flow_augmentations;
+    out.fanout_receivers_.push_back(static_cast<std::uint32_t>(block.pairs));
   }
 
   // Every path's hops as network link ids; a pair's paths are adjacent, so
   // its links come out contiguous in path-then-hop order.
   out.links_.reserve(out.pool_.size() - out.path_end_.size());
-  std::vector<char> crossed(static_cast<std::size_t>(n) * n, 0);
+  std::vector<std::uint32_t> crossings(static_cast<std::size_t>(n) * n, 0);
   std::uint32_t path_start = 0;
   for (const std::uint32_t path_end : out.path_end_) {
     for (std::uint32_t i = path_start; i + 1 < path_end; ++i) {
       const std::uint32_t id = sim::network::link_index(n, out.pool_[i], out.pool_[i + 1]);
       out.links_.push_back(id);
-      crossed[id] = 1;
+      ++crossings[id];
     }
     path_start = path_end;
   }
-  for (std::uint32_t id = 0; id < crossed.size(); ++id)
-    if (crossed[id] != 0) out.all_links_.push_back(id);
+  for (std::uint32_t id = 0; id < crossings.size(); ++id)
+    if (crossings[id] != 0) {
+      out.all_links_.push_back(id);
+      out.all_to_all_.push_back({id, crossings[id]});
+    }
+
+  // Each sender's fan-out load: its row of pairs is one contiguous run of
+  // links_, counted per link.
+  std::vector<std::uint32_t> row;
+  for (std::size_t u = 0; u < blocks.size(); ++u) {
+    const std::uint32_t first = u == 0 ? 0 : out.pair_end_[u * n - 1];
+    const std::uint32_t last = out.pair_end_[(u + 1) * n - 1];
+    row.assign(out.links_.begin() + out.link_begin(first),
+               out.links_.begin() + out.link_begin(last));
+    std::sort(row.begin(), row.end());
+    for (auto it = row.begin(); it != row.end();) {
+      const auto next = std::upper_bound(it, row.end(), *it);
+      out.fanout_loads_.push_back({*it, static_cast<std::uint32_t>(next - it)});
+      it = next;
+    }
+    out.fanout_end_.push_back(static_cast<std::uint32_t>(out.fanout_loads_.size()));
+  }
   return out;
 }
 
@@ -132,6 +153,8 @@ channel_plan::channel_plan(const graph::digraph& g, int f,
       f_(f),
       routes_(std::move(routes)),
       inboxes_(static_cast<std::size_t>(g.universe())),
+      fanouts_(static_cast<std::size_t>(g.universe())),
+      sent_to_(static_cast<std::size_t>(g.universe()) * g.universe(), 0),
       words_(g.universe()) {
   NAB_ASSERT(routes_ != nullptr && routes_->universe() == g.universe(),
              "channel_plan route table does not match the topology");
@@ -160,30 +183,71 @@ bool has_corrupt_relay(const route_table::path_view path, const sim::fault_set& 
 
 }  // namespace
 
-bool channel_plan::begin_transport(sim::network& net, std::size_t entries) {
+channel_plan::carriage channel_plan::begin_transport(sim::network& net,
+                                                     std::size_t entries) {
   // Clean links deliver every copy, so a unicast is one bulk charge of its
   // pair's link list — the hops of every route, in the order the per-hop
   // walk of a lossy network charges them. The network is checked once per
   // round to carry every link the routes cross, instead of once per hop.
-  const bool lossy_net = net.link_faults() != nullptr;
-  if (!lossy_net && entries != 0)
-    net.require_links(routes_->universe(), routes_->all_links());
-  return lossy_net;
+  if (net.link_faults() != nullptr) return carriage::lossy;
+  if (entries != 0) net.require_links(routes_->universe(), routes_->all_links());
+  return carriage::clean;
+}
+
+void channel_plan::charge_whole_fanouts(sim::network& net) {
+  // A sender's entries are its whole fan-out when they share one bits value,
+  // repeat no receiver, and number its routed receivers; their charge is
+  // then its fan-out load, whatever order they were queued in.
+  const auto n = static_cast<std::size_t>(routes_->universe());
+  const auto pair = [n](const sent_word& w) {
+    return static_cast<std::size_t>(w.from) * n + static_cast<std::size_t>(w.to);
+  };
+  std::fill(fanouts_.begin(), fanouts_.end(), fanout_check{});
+  for (const sent_word& w : sent_words_) {
+    fanout_check& s = fanouts_[static_cast<std::size_t>(w.from)];
+    if (s.entries++ == 0) {
+      s.bits = w.bits;
+      s.whole = true;
+    }
+    s.whole = s.whole && sent_to_[pair(w)] == 0 && w.bits == s.bits;
+    sent_to_[pair(w)] = 1;
+  }
+  for (const sent_word& w : sent_words_) sent_to_[pair(w)] = 0;
+
+  // When every routed sender's is whole with one bits value, the round is
+  // the all-to-all load once; otherwise each whole fan-out adds its own.
+  const std::uint64_t bits = sent_words_.front().bits;
+  bool all_to_all = true;
+  for (std::size_t u = 0; u < n; ++u) {
+    fanout_check& s = fanouts_[u];
+    const std::uint32_t receivers = routes_->fanout_receivers(static_cast<graph::node_id>(u));
+    if (receivers == 0) continue;  // an unrouted node queues nothing
+    s.whole = s.whole && s.entries == receivers;
+    all_to_all = all_to_all && s.whole && s.bits == bits;
+  }
+  if (all_to_all) {
+    net.charge_loads(routes_->all_to_all_load(), bits);
+    return;
+  }
+  for (std::size_t u = 0; u < n; ++u)
+    if (fanouts_[u].whole)
+      net.charge_loads(routes_->fanout_load(static_cast<graph::node_id>(u)), fanouts_[u].bits);
 }
 
 template <class MessageFn>
 channel_plan::arrival channel_plan::transport(sim::network& net,
                                               const sim::fault_set& faults,
-                                              relay_adversary* adv, bool lossy_net,
+                                              relay_adversary* adv, carriage how,
                                               graph::node_id from, graph::node_id to,
                                               std::uint64_t tag, std::uint64_t bits,
                                               const MessageFn& message,
                                               sim::payload& majority) {
   const route_table::route_view route_set = routes_->at(from, to);
+  const bool lossy_net = how == carriage::lossy;
   std::size_t live = route_set.size();
-  if (!lossy_net) {
+  if (how == carriage::clean) {
     net.charge_links(routes_->links(from, to), bits, tag);
-  } else {
+  } else if (lossy_net) {
     // Each hop runs its own ARQ loop; a copy survives iff every hop of its
     // path got through, and a dropped copy never charges the hops past
     // the failure. Paths are contiguous node spans in the flat pool.
@@ -243,12 +307,12 @@ channel_plan::arrival channel_plan::transport(sim::network& net,
 double channel_plan::end_round(sim::network& net, const sim::fault_set& faults,
                                relay_adversary* adv) {
   for (auto& box : inboxes_) box.clear();
-  const bool lossy_net = begin_transport(net, queued_.size());
+  const carriage how = begin_transport(net, queued_.size());
   sim::payload majority;
   for (sim::message& m : queued_) {
     const auto self = [&m]() -> const sim::message& { return m; };
     const arrival a =
-        transport(net, faults, adv, lossy_net, m.from, m.to, m.tag, m.bits, self, majority);
+        transport(net, faults, adv, how, m.from, m.to, m.tag, m.bits, self, majority);
     if (a == arrival::lost) continue;
     if (a == arrival::resolved) m.payload = std::move(majority);
     inboxes_[static_cast<std::size_t>(m.to)].push_back(std::move(m));
@@ -272,16 +336,26 @@ double channel_plan::end_word_round(sim::network& net, const sim::fault_set& fau
                                     relay_adversary* adv) {
   NAB_ASSERT(queued_.empty(), "message-lane traffic queued when a word round ends");
   words_.clear();
-  const bool lossy_net = begin_transport(net, sent_words_.size());
+  const carriage how = begin_transport(net, sent_words_.size());
+  // A trace records every hop and a lossy network draws per hop, so only a
+  // clean, untraced round charges whole fan-outs from the load templates.
+  const bool templates = how == carriage::clean && !net.traced() && !sent_words_.empty();
+  if (templates) charge_whole_fanouts(net);
   sim::payload majority;
   for (const sent_word& w : sent_words_) {
+    const bool charged = templates && fanouts_[static_cast<std::size_t>(w.from)].whole;
+    // Charged and with no relay adversary to tamper, the word arrives as sent.
+    if (charged && adv == nullptr) {
+      words_.deliver(w.to, w.from, w.word);
+      continue;
+    }
     // The tamper hook sees the word as the one-word message it stands for;
     // it is built only on that slow path.
     const auto as_message = [&w] {
       return sim::message{w.from, w.to, w.tag, {w.word}, w.bits};
     };
-    const arrival a = transport(net, faults, adv, lossy_net, w.from, w.to, w.tag, w.bits,
-                                as_message, majority);
+    const arrival a = transport(net, faults, adv, charged ? carriage::charged : how, w.from,
+                                w.to, w.tag, w.bits, as_message, majority);
     if (a == arrival::verbatim)
       words_.deliver(w.to, w.from, w.word);
     else if (a == arrival::resolved && !majority.empty())

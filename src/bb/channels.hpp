@@ -29,6 +29,14 @@ namespace nab::bb {
 /// Next to the paths sit their hops as sim::network link ids: each pair's
 /// links form one contiguous list in path-then-hop order, so a clean round
 /// charges a message with one bulk call instead of a per-hop walk.
+///
+/// On top of those sit load templates, also built in assemble: each
+/// sender's fan-out load (every link its routes to all other routed nodes
+/// cross, with how many of those routes cross it) and the sum of every
+/// sender's. A word round in which a sender sends one word of the same bits
+/// to every node it has routes to adds that sender's vector once, and an
+/// all-to-all round of one bits value adds the sum once, instead of
+/// charging every unicast's hops.
 class route_table {
  public:
   struct build_stats {
@@ -102,6 +110,23 @@ class route_table {
   /// a network is checked against, sim::network::require_links).
   std::span<const std::uint32_t> all_links() const { return all_links_; }
 
+  /// How many nodes `from` has routes to: the unicasts of its whole fan-out.
+  std::uint32_t fanout_receivers(graph::node_id from) const {
+    return fanout_receivers_[static_cast<std::size_t>(from)];
+  }
+
+  /// The load of `from`'s whole fan-out: every link its routes to all
+  /// other routed nodes cross, ascending, with how many of those routes
+  /// cross it. Charging it is charging each of those unicasts' links.
+  std::span<const sim::link_load> fanout_load(graph::node_id from) const {
+    const auto u = static_cast<std::size_t>(from);
+    const std::uint32_t first = u == 0 ? 0 : fanout_end_[u - 1];
+    return {fanout_loads_.data() + first, fanout_loads_.data() + fanout_end_[u]};
+  }
+
+  /// The sum of every sender's fan-out load: an all-to-all round's.
+  std::span<const sim::link_load> all_to_all_load() const { return all_to_all_; }
+
   int universe() const { return n_; }
   const build_stats& stats() const { return stats_; }
 
@@ -132,6 +157,10 @@ class route_table {
   std::vector<std::uint32_t> pair_end_;    ///< cumulative end path index per pair
   std::vector<std::uint32_t> links_;       ///< every path's hop link ids, concatenated
   std::vector<std::uint32_t> all_links_;   ///< distinct ids of links_, ascending
+  std::vector<std::uint32_t> fanout_receivers_;  ///< per sender, routed nodes
+  std::vector<sim::link_load> fanout_loads_;     ///< every sender's fan-out load
+  std::vector<std::uint32_t> fanout_end_;        ///< cumulative end per sender
+  std::vector<sim::link_load> all_to_all_;       ///< sum of the fan-out loads
   build_stats stats_;
 };
 
@@ -210,8 +239,16 @@ class word_inbox {
 /// Charging: on clean networks (no link-fault model attached) every copy
 /// arrives, so each unicast is one bulk charge of its pair's precomputed
 /// link list, and the network is checked once per round to carry every
-/// link the routes cross. Lossy networks walk each route hop by hop, every
-/// hop running its own ARQ loop.
+/// link the routes cross. A word round on a clean network with no trace
+/// attached goes further: a sender whose entries are exactly its whole
+/// fan-out, with one bits value, is charged its route table's fan-out load
+/// in one vector add (the all-to-all sum once when every sender's are), and
+/// its words land in the inbox verbatim unless a relay adversary is
+/// attached. Relays never change what a clean round charges, so the
+/// template charge holds under one too. Per-link totals, and so tau and
+/// total bits, are those of the per-entry charge. Lossy networks walk each
+/// route hop by hop, every hop running its own ARQ loop, and a traced
+/// network's charges stay per entry so its events stay per hop.
 class channel_plan {
  public:
   /// The flat pooled route storage (see route_table above).
@@ -312,6 +349,20 @@ class channel_plan {
     std::uint64_t tag, word, bits;
   };
 
+  /// How a round's unicasts are charged.
+  enum class carriage {
+    clean,    ///< every copy arrives; one charge_links per unicast
+    lossy,    ///< a fault model is attached: per-hop ARQ, copies may be lost
+    charged,  ///< clean, and the sender's fan-out load was charged already
+  };
+
+  /// One sender's entries in the word round being ended.
+  struct fanout_check {
+    std::uint32_t entries = 0;
+    std::uint64_t bits = 0;  ///< the first entry's
+    bool whole = false;      ///< exactly its whole fan-out, one bits value
+  };
+
   /// What the receiver of one transported unicast gets.
   enum class arrival {
     lost,      ///< every copy was erased in transit
@@ -321,20 +372,27 @@ class channel_plan {
 
   /// Starts transporting a round of `entries` unicasts: on a clean network
   /// a non-empty round checks once that `net` carries every route link.
-  /// Returns whether `net` is lossy.
-  bool begin_transport(sim::network& net, std::size_t entries);
+  /// Returns the round's carriage, clean or lossy.
+  carriage begin_transport(sim::network& net, std::size_t entries);
+
+  /// Charges, from the route table's load templates, every sender whose
+  /// queued words are exactly its whole fan-out with one bits value, and
+  /// marks them whole in fanouts_. Call only with words queued, on a clean,
+  /// untraced network.
+  void charge_whole_fanouts(sim::network& net);
 
   /// The one transport rule of both lanes: charges one unicast's routes on
   /// `net` (clean: one bulk charge; lossy: per-hop ARQ, a copy surviving
-  /// iff every hop of its path got through) and, only under a relay
-  /// adversary, scans the surviving paths for a corrupt relay. If one is
-  /// found, every surviving copy goes through the tamper hook where a
-  /// corrupt relay sits and `majority` receives the vote's winner, ties
-  /// going to the lexicographically smallest payload. `message()` yields
-  /// the unicast as a sim::message for the hook; it is called only then.
+  /// iff every hop of its path got through; charged: nothing) and, only
+  /// under a relay adversary, scans the surviving paths for a corrupt
+  /// relay. If one is found, every surviving copy goes through the tamper
+  /// hook where a corrupt relay sits and `majority` receives the vote's
+  /// winner, ties going to the lexicographically smallest payload.
+  /// `message()` yields the unicast as a sim::message for the hook; it is
+  /// called only then.
   template <class MessageFn>
   arrival transport(sim::network& net, const sim::fault_set& faults,
-                    relay_adversary* adv, bool lossy_net, graph::node_id from,
+                    relay_adversary* adv, carriage how, graph::node_id from,
                     graph::node_id to, std::uint64_t tag, std::uint64_t bits,
                     const MessageFn& message, sim::payload& majority);
 
@@ -344,6 +402,8 @@ class channel_plan {
   sim::message_list queued_;
   std::vector<sim::message_list> inboxes_;
   std::vector<sent_word> sent_words_;  // the word lane's reused send list
+  std::vector<fanout_check> fanouts_;  // per sender, one word round's
+  std::vector<char> sent_to_;          // n x n, (from, to) queued this round
   word_inbox words_;
   std::vector<char> arrived_;  // per-path delivery flags of a lossy unicast
 };

@@ -1,6 +1,5 @@
 #include "bb/phase_king.hpp"
 
-#include <map>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -46,6 +45,17 @@ pk_result phase_king_consensus(channel_plan& channels, sim::network& net,
   std::vector<std::uint64_t> current = initial;
   const word_inbox& received = channels.words();
   const double t0 = net.elapsed();
+  // Round A's tally at one node: each distinct word with its count, in
+  // first-seen order, reused from node to node.
+  std::vector<std::pair<std::uint64_t, int>> votes;
+  const auto vote = [&votes](std::uint64_t word) {
+    for (auto& [seen, count] : votes)
+      if (seen == word) {
+        ++count;
+        return;
+      }
+    votes.emplace_back(word, 1);
+  };
 
   for (int phase = 0; phase <= f; ++phase) {
     // Round A: all-to-all exchange; take the most frequent value.
@@ -54,10 +64,11 @@ pk_result phase_king_consensus(channel_plan& channels, sim::network& net,
     std::vector<std::uint64_t> maj(current.size(), 0);
     std::vector<int> mult(current.size(), 0);
     for (graph::node_id v : participants) {
-      std::map<std::uint64_t, int> votes;
-      ++votes[current[static_cast<std::size_t>(v)]];  // own value counts
+      votes.clear();
+      vote(current[static_cast<std::size_t>(v)]);  // own value counts
       for (graph::node_id s : participants)
-        if (received.heard(v, s)) ++votes[received.value(v, s)];
+        if (received.heard(v, s)) vote(received.value(v, s));
+      // The most frequent word, ties going to the smallest.
       int best = 0;
       std::uint64_t best_val = 0;
       for (const auto& [val, count] : votes)

@@ -283,23 +283,6 @@ inline void gauge_min(gauge g, std::int64_t v) {
   if (collector* col = ambient_collector()) col->gauge_min(g, v);
 }
 
-/// Order-sensitive 64-bit stream signature: fold values into an accumulator
-/// with signature_mix, starting from signature_seed. Deterministic (pure
-/// arithmetic, splitmix64-style finalizer per step), so two runs fold to the
-/// same signature iff they fed the same value sequence — which is what lets
-/// a coverage-guided search treat "the deterministic counters and margin
-/// gauges of this run" as a behavioral coordinate: novel signature = the
-/// adversary drove the protocol through a combination of counter/gauge
-/// outcomes no earlier probe produced. Collisions are the usual 2^-64 bet.
-inline constexpr std::uint64_t signature_seed = 0x0b5e55ed5eedULL;
-
-inline constexpr std::uint64_t signature_mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return h ^ (h >> 31);
-}
-
 /// RAII span over the ambient collector. Constructed with the sim-time at
 /// entry when the caller has a network clock (tau carries into timelines);
 /// `end_tau` sets the exit sim-time before destruction (otherwise the span

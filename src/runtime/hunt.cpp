@@ -11,6 +11,7 @@
 #include "runtime/executor.hpp"
 #include "runtime/runner.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace nab::runtime {
 
@@ -295,6 +296,20 @@ std::int64_t margin_score(const run_record& rec) {
 
 namespace {
 
+/// Order-sensitive 64-bit stream signature: fold values into an accumulator
+/// with signature_mix, starting from signature_seed. Deterministic (pure
+/// arithmetic, splitmix64's finalizer per step), so two runs fold to the
+/// same signature iff they fed the same value sequence — which is what lets
+/// a coverage-guided search treat "the deterministic counters and margin
+/// gauges of this run" as a behavioral coordinate: novel signature = the
+/// adversary drove the protocol through a combination of counter/gauge
+/// outcomes no earlier probe produced. Collisions are the usual 2^-64 bet.
+constexpr std::uint64_t signature_seed = 0x0b5e55ed5eedULL;
+
+constexpr std::uint64_t signature_mix(std::uint64_t h, std::uint64_t v) {
+  return splitmix64_finalize(h ^ (v + splitmix64_gamma + (h << 6) + (h >> 2)));
+}
+
 /// log2-style bucket for the big monotone counters: near-identical runs
 /// land in the same bucket, so novelty reflects behavior shape, not noise.
 std::uint64_t bucket(std::uint64_t v) {
@@ -309,26 +324,26 @@ std::uint64_t bucket(std::uint64_t v) {
 }  // namespace
 
 std::uint64_t record_signature(const run_record& rec) {
-  std::uint64_t h = obs::signature_seed;
+  std::uint64_t h = signature_seed;
   // Outcome tallies: raw (small, exact).
-  h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.dispute_phases));
-  h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.disputes));
-  h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.convictions));
-  h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.mismatch_instances));
-  h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.phase1_only_instances));
-  h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.default_outcome_instances));
-  h = obs::signature_mix(h, rec.counters[obs::counter::claim_fallbacks]);
-  h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.ok() ? 1 : 0));
+  h = signature_mix(h, static_cast<std::uint64_t>(rec.dispute_phases));
+  h = signature_mix(h, static_cast<std::uint64_t>(rec.disputes));
+  h = signature_mix(h, static_cast<std::uint64_t>(rec.convictions));
+  h = signature_mix(h, static_cast<std::uint64_t>(rec.mismatch_instances));
+  h = signature_mix(h, static_cast<std::uint64_t>(rec.phase1_only_instances));
+  h = signature_mix(h, static_cast<std::uint64_t>(rec.default_outcome_instances));
+  h = signature_mix(h, rec.counters[obs::counter::claim_fallbacks]);
+  h = signature_mix(h, static_cast<std::uint64_t>(rec.ok() ? 1 : 0));
   // Scored gauges: raw (the scoring coordinate must stay fine-grained).
   for (const obs::gauge_row& row : obs::gauge_table)
     if (row.scored)
-      h = obs::signature_mix(h, static_cast<std::uint64_t>(rec.gauges[row.id]));
+      h = signature_mix(h, static_cast<std::uint64_t>(rec.gauges[row.id]));
   // Work-volume counters: bucketed.
-  h = obs::signature_mix(h, bucket(obs::gf_ops(rec.counters)));
-  h = obs::signature_mix(h, bucket(rec.counters[obs::counter::cert_subgraphs]));
-  h = obs::signature_mix(h, bucket(rec.counters[obs::counter::claim_echoes]));
-  h = obs::signature_mix(h, bucket(rec.counters[obs::counter::claim_readys]));
-  h = obs::signature_mix(h, bucket(rec.dc1_claim_bits));
+  h = signature_mix(h, bucket(obs::gf_ops(rec.counters)));
+  h = signature_mix(h, bucket(rec.counters[obs::counter::cert_subgraphs]));
+  h = signature_mix(h, bucket(rec.counters[obs::counter::claim_echoes]));
+  h = signature_mix(h, bucket(rec.counters[obs::counter::claim_readys]));
+  h = signature_mix(h, bucket(rec.dc1_claim_bits));
   return h;
 }
 

@@ -29,7 +29,7 @@
 ///
 /// Novelty detection keeps the search exploring instead of re-finding one
 /// basin: every evaluation folds its deterministic obs counters and gauges
-/// into an obs::signature_mix behavioral signature, and genomes that reach
+/// into a behavioral signature (record_signature), and genomes that reach
 /// a never-seen signature enter the corpus even when their score does not
 /// improve on any champion.
 ///
@@ -229,8 +229,8 @@ std::int64_t margin_score(const run_record& rec);
 
 /// Behavioral novelty signature of a record: its deterministic obs counters
 /// (log2-bucketed so near-identical runs coincide), outcome tallies, and raw
-/// scored gauges folded through obs::signature_mix. Identical across --jobs
-/// counts because every input is.
+/// scored gauges folded through hunt.cpp's signature_mix. Identical across
+/// --jobs counts because every input is.
 std::uint64_t record_signature(const run_record& rec);
 
 /// Corpus <-> JSON. corpus_document is emitted with the runtime's

@@ -1,5 +1,6 @@
 #include "runtime/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -235,6 +236,8 @@ class reader {
     return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
   }
 
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
   json value() {
     skip_ws();
     switch (peek()) {
@@ -242,7 +245,8 @@ class reader {
       case '[': return array();
       case '"': return json::str(string());
       case 't':
-      case 'f': return boolean();
+      case 'f':
+      case 'n': return literal();
       default: return number();
     }
   }
@@ -305,9 +309,12 @@ class reader {
           case '"': out.push_back('"'); break;
           case '\\': out.push_back('\\'); break;
           case '/': out.push_back('/'); break;
+          case 'b': out.push_back('\b'); break;
+          case 'f': out.push_back('\f'); break;
           case 'n': out.push_back('\n'); break;
           case 't': out.push_back('\t'); break;
           case 'r': out.push_back('\r'); break;
+          case 'u': append_utf8(out, code_point()); break;
           default: fail("unsupported escape");
         }
         continue;
@@ -316,33 +323,104 @@ class reader {
     }
   }
 
-  json boolean() {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return json::boolean(true);
+  /// The four hex digits after "\u".
+  std::uint32_t hex4() {
+    if (text_.size() - pos_ < 4) fail("short \\u escape");
+    std::uint32_t v = 0;
+    const auto [end, ec] = std::from_chars(text_.data() + pos_, text_.data() + pos_ + 4, v, 16);
+    if (ec != std::errc() || end != text_.data() + pos_ + 4) fail("bad \\u escape");
+    pos_ += 4;
+    return v;
+  }
+
+  /// One \u escape's code point: a BMP unit, or a high surrogate joined
+  /// with the \u low surrogate that must follow it.
+  std::uint32_t code_point() {
+    const std::uint32_t unit = hex4();
+    if (unit < 0xD800 || unit > 0xDFFF) return unit;
+    if (unit > 0xDBFF || text_.compare(pos_, 2, "\\u") != 0) fail("lone surrogate");
+    pos_ += 2;
+    const std::uint32_t low = hex4();
+    if (low < 0xDC00 || low > 0xDFFF) fail("lone surrogate");
+    return 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+  }
+
+  static void append_utf8(std::string& out, std::uint32_t cp) {
+    const auto byte = [&out](std::uint32_t b) { out.push_back(static_cast<char>(b)); };
+    if (cp < 0x80) {
+      byte(cp);
+    } else if (cp < 0x800) {
+      byte(0xC0 | (cp >> 6));
+      byte(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+      byte(0xE0 | (cp >> 12));
+      byte(0x80 | ((cp >> 6) & 0x3F));
+      byte(0x80 | (cp & 0x3F));
+    } else {
+      byte(0xF0 | (cp >> 18));
+      byte(0x80 | ((cp >> 12) & 0x3F));
+      byte(0x80 | ((cp >> 6) & 0x3F));
+      byte(0x80 | (cp & 0x3F));
     }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return json::boolean(false);
-    }
-    fail("expected boolean");
+  }
+
+  json literal() {
+    const auto take = [this](std::string_view word) {
+      if (text_.compare(pos_, word.size(), word) != 0) return false;
+      pos_ += word.size();
+      return true;
+    };
+    if (take("true")) return json::boolean(true);
+    if (take("false")) return json::boolean(false);
+    if (take("null")) return json();
+    fail("expected true, false or null");
   }
 
   json number() {
+    const std::size_t start = pos_;
     const bool negative = peek() == '-';
     if (negative) ++pos_;
     if (!at_digit()) fail("expected number");
+    const std::size_t digits = pos_;
+    while (at_digit()) ++pos_;
+    if (at('.') || at('e') || at('E')) return real(start);
     // The magnitude accumulates unsigned against the int64 bound of its
     // sign (2^63 for a negative), so an out-of-range literal is rejected
     // before any arithmetic can overflow.
     const std::uint64_t limit = (std::uint64_t{1} << 63) - (negative ? 0 : 1);
     std::uint64_t magnitude = 0;
-    for (; at_digit(); ++pos_) {
-      const auto digit = static_cast<std::uint64_t>(text_[pos_] - '0');
-      if (magnitude > (limit - digit) / 10) fail("integer out of int64 range");
+    for (std::size_t i = digits; i < pos_; ++i) {
+      const auto digit = static_cast<std::uint64_t>(text_[i] - '0');
+      if (magnitude > (limit - digit) / 10) {
+        pos_ = i;
+        fail("integer out of int64 range");
+      }
       magnitude = magnitude * 10 + digit;
     }
     return json::num(static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude));
+  }
+
+  /// The rest of a literal that starts at `start` and has a fraction or an
+  /// exponent after its integer digits, read as a double.
+  json real(std::size_t start) {
+    if (at('.')) {
+      ++pos_;
+      if (!at_digit()) fail("malformed fraction");
+      while (at_digit()) ++pos_;
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (!at_digit()) fail("malformed exponent");
+      while (at_digit()) ++pos_;
+    }
+    double v = 0.0;
+    const auto [end, ec] = std::from_chars(text_.data() + start, text_.data() + pos_, v);
+    if (ec != std::errc() || end != text_.data() + pos_) {
+      pos_ = start;
+      fail("number out of double range");
+    }
+    return json::num(v);
   }
 
   std::string_view text_;

@@ -39,10 +39,13 @@ class json {
   std::string dump() const;
 
   /// Parses one document; throws nab::error naming the byte offset of the
-  /// first malformed token. The grammar is the subset the loaded documents
-  /// use: objects, arrays, strings with the \" \\ \/ \n \t \r escapes,
-  /// true/false, and integer literals within int64 — no null, fractions,
-  /// exponents, or \u escapes.
+  /// first malformed token. The grammar is JSON's, so every dump() parses
+  /// back: objects, arrays, null, true/false, strings with the \" \\ \/
+  /// \b \f \n \r \t escapes and \uXXXX (written back as UTF-8; a
+  /// surrogate must be half of a \u pair), integer literals within int64
+  /// (number_int), and literals with a fraction or an exponent (number_real,
+  /// finite doubles). It is lenient where dump() never tests it: strings
+  /// may carry raw control bytes, and integers leading zeros.
   static json parse(std::string_view text);
 
   kind type() const { return kind_; }
@@ -54,6 +57,7 @@ class json {
   const std::vector<json>& elements() const { return elements_; }
   const std::string& string_value() const { return string_; }
   std::int64_t int_value() const { return int_; }
+  double real_value() const { return real_; }
   bool bool_value() const { return bool_; }
 
  private:

@@ -84,6 +84,11 @@ void network::charge_links(std::span<const std::uint32_t> links, std::uint64_t b
   }
 }
 
+void network::charge_loads(std::span<const link_load> loads, std::uint64_t bits) {
+  NAB_ASSERT(trace_ == nullptr, "charge_loads would drop an attached trace's events");
+  for (const link_load& l : loads) step_bits_[l.link] += bits * l.count;
+}
+
 double network::end_step() {
   double duration = 0.0;
   for (const graph::edge& e : kept_edges()) {

@@ -10,13 +10,21 @@
 
 namespace nab::sim {
 
+/// One entry of a precomputed link load: `count` charges of the same bits
+/// on link `link` (a network::link_index id).
+struct link_load {
+  std::uint32_t link;
+  std::uint32_t count;
+  bool operator==(const link_load&) const = default;
+};
+
 /// Link meter of a synchronous point-to-point network under the paper's
 /// deterministic capacity/time model.
 ///
 /// Protocols proceed in *steps* (synchronous communication rounds). During a
 /// step, callers charge the bits they put on each link (`charge`,
-/// `charge_links`, `lossy_transmit`); `end_step` then computes the step
-/// duration
+/// `charge_links`, `charge_loads`, `lossy_transmit`); `end_step` then
+/// computes the step duration
 ///     tau = max over links e of bits(e) / z_e
 /// (a link of capacity z_e carries z_e * tau bits in tau time — Section 1's
 /// capacity model) and advances the simulation clock by tau. The network
@@ -67,6 +75,12 @@ class network {
   void charge_links(std::span<const std::uint32_t> links, std::uint64_t bits,
                     std::uint64_t tag);
 
+  /// Adds `bits` times each entry's count to its link: the per-link totals
+  /// of `count` charge_links calls per link, in one pass. It records no
+  /// trace events, so it must not run with a trace attached (traced()).
+  /// Callers vouch for the links with require_links, as for charge_links.
+  void charge_loads(std::span<const link_load> loads, std::uint64_t bits);
+
   /// Charges one logical message of `bits` on u -> v under the attached
   /// fault model, with link-layer ARQ: the initial copy is charged, and
   /// while the model erases the copy and the retry budget allows, a 1-bit
@@ -103,6 +117,10 @@ class network {
 
   /// Attaches a passive traffic observer (nullptr detaches). Not owned.
   void attach_trace(trace* t) { trace_ = t; }
+
+  /// True while a trace is attached: every charge must then be recorded
+  /// hop by hop.
+  bool traced() const { return trace_ != nullptr; }
 
  private:
   graph::digraph topo_;

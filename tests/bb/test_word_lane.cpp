@@ -4,12 +4,19 @@
 // rounds (send_word / end_word_round / words) must match it in decisions,
 // per-round tau, total bits, per-link totals, the exact trace-event
 // sequence, relay tampering and the ARQ counters.
+//
+// Those comparisons attach a trace, so they pin the per-entry charge. With
+// no trace on a clean network the word lane charges whole fan-outs from the
+// route table's load templates instead; the WordLaneTemplates tests run
+// that path and compare it with the traced per-entry path, reading each
+// link's bits from tau alone.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "bb/broadcast.hpp"
@@ -28,14 +35,19 @@ namespace {
 /// at receiver r, or nullopt when nothing (or an empty payload) arrived.
 using heard_words = std::vector<std::optional<std::uint64_t>>;
 
-/// The reference: phase-king broadcast with every round on the message
-/// lane, as phase_king_broadcast ran before the word lane existed.
-class message_lane_phase_king {
+/// Which lane the reference's rounds run on.
+enum class lane { word, message };
+
+/// The reference: phase-king broadcast with its own std::map vote tally,
+/// every round on the message lane as phase_king_broadcast ran before the
+/// word lane existed, or on the word lane round by round.
+class reference_phase_king {
  public:
-  message_lane_phase_king(channel_plan& channels, sim::network& net,
-                          const sim::fault_set& faults, std::uint64_t value_bits,
-                          pk_adversary* adv, relay_adversary* relay_adv)
-      : channels_(channels),
+  reference_phase_king(lane on, channel_plan& channels, sim::network& net,
+                       const sim::fault_set& faults, std::uint64_t value_bits,
+                       pk_adversary* adv, relay_adversary* relay_adv)
+      : lane_(on),
+        channels_(channels),
         net_(net),
         faults_(faults),
         value_bits_(value_bits),
@@ -86,7 +98,7 @@ class message_lane_phase_king {
     return current;
   }
 
-  /// Every end_round's step duration, in round order.
+  /// Every round's step duration, in round order.
   std::vector<double> round_tau;
 
  private:
@@ -94,29 +106,40 @@ class message_lane_phase_king {
     return static_cast<std::size_t>(r) * n_ + static_cast<std::size_t>(s);
   }
 
-  /// Each sender's word to every other participant as one message, in
-  /// sender-major, ascending-receiver order; a corrupt sender's word comes
-  /// from the phase-king adversary. `phase` -1 is the dissemination round
-  /// (tag 0).
+  /// Each sender's word to every other participant as one message or word,
+  /// in sender-major, ascending-receiver order; a corrupt sender's word
+  /// comes from the phase-king adversary. `phase` -1 is the dissemination
+  /// round (tag 0).
   heard_words round(const std::vector<graph::node_id>& senders,
                     const std::vector<std::uint64_t>& values, int phase, bool king_round) {
+    const std::uint64_t tag = phase < 0 ? 0 : static_cast<std::uint64_t>(phase);
     for (graph::node_id i : senders)
       for (graph::node_id j : participants_) {
         if (j == i) continue;
         std::uint64_t v = values[static_cast<std::size_t>(i)];
         if (faults_.is_corrupt(i) && adv_ != nullptr)
           v = adv_->exchange_value(i, j, phase, king_round, v);
-        channels_.unicast(i, j, phase < 0 ? 0 : static_cast<std::uint64_t>(phase), {v},
-                          value_bits_);
+        if (lane_ == lane::word)
+          channels_.send_word(i, j, tag, v, value_bits_);
+        else
+          channels_.unicast(i, j, tag, {v}, value_bits_);
       }
-    round_tau.push_back(channels_.end_round(net_, faults_, relay_adv_));
     heard_words heard(n_ * n_);
+    if (lane_ == lane::word) {
+      round_tau.push_back(channels_.end_word_round(net_, faults_, relay_adv_));
+      for (graph::node_id j : participants_)
+        for (graph::node_id s : participants_)
+          if (channels_.words().heard(j, s)) heard[at(j, s)] = channels_.words().value(j, s);
+      return heard;
+    }
+    round_tau.push_back(channels_.end_round(net_, faults_, relay_adv_));
     for (graph::node_id j : participants_)
       for (const sim::message& m : channels_.inbox(j))
         if (!m.payload.empty()) heard[at(j, m.from)] = m.payload[0];
     return heard;
   }
 
+  lane lane_;
   channel_plan& channels_;
   sim::network& net_;
   const sim::fault_set& faults_;
@@ -127,16 +150,24 @@ class message_lane_phase_king {
   std::size_t n_;
 };
 
+/// Every link's bits in each step of a trace: bits[step][u * n + v].
+using step_link_bits = std::vector<std::vector<std::uint64_t>>;
+
+step_link_bits link_bits_of(const sim::trace& t, int n, int steps) {
+  step_link_bits bits(static_cast<std::size_t>(steps),
+                      std::vector<std::uint64_t>(static_cast<std::size_t>(n) * n));
+  for (const sim::trace_event& e : t.events())
+    bits[static_cast<std::size_t>(e.step)][static_cast<std::size_t>(e.from) * n + e.to] += e.bits;
+  return bits;
+}
+
 /// Each step's tau recomputed from a trace the way network::end_step
 /// computes it: the slowest link's bits over its capacity, times the link's
 /// fixed dilation when a fault model is attached.
 std::vector<double> step_taus(const sim::trace& t, const graph::digraph& g, int steps,
                               const sim::link_fault_model* model) {
   const int n = g.universe();
-  std::vector<std::vector<std::uint64_t>> bits(
-      static_cast<std::size_t>(steps), std::vector<std::uint64_t>(static_cast<std::size_t>(n) * n));
-  for (const sim::trace_event& e : t.events())
-    bits[static_cast<std::size_t>(e.step)][static_cast<std::size_t>(e.from) * n + e.to] += e.bits;
+  const step_link_bits bits = link_bits_of(t, n, steps);
   std::vector<double> taus;
   for (const auto& step : bits) {
     double tau = 0.0;
@@ -182,6 +213,20 @@ class forger : public relay_adversary {
   sim::payload forged_;
 };
 
+/// Corrupt source 8 gives honest nodes 0-6 the words 12, 11, 10 by
+/// receiver (three 12s, two 11s, two 10s), and in every exchange corrupt 7
+/// reports 11 and 8 reports 10: each honest tally reads 3-3-3. King 0
+/// holds 12, the word it counts first, so only a tally that sends ties to
+/// the smallest word makes everyone decide 10.
+class three_way_tie : public pk_adversary {
+ public:
+  std::uint64_t exchange_value(graph::node_id sender, graph::node_id receiver, int phase,
+                               bool, std::uint64_t) override {
+    if (phase < 0) return 12 - static_cast<std::uint64_t>(receiver % 3);
+    return sender == 7 ? 11 : 10;
+  }
+};
+
 /// Broadcasts (source, input) one after another on one network.
 struct lane_case {
   lane_case(graph::digraph topology, int budget, std::vector<graph::node_id> corrupt_nodes,
@@ -199,6 +244,7 @@ struct lane_case {
   std::vector<std::pair<graph::node_id, std::uint64_t>> broadcasts;
   std::uint64_t value_bits;
   bool equivocate = false;            ///< corrupt nodes run `splitter`
+  pk_adversary* pk = nullptr;         ///< else corrupt nodes run this, when set
   std::optional<sim::payload> forge;  ///< corrupt relays forge this
   std::optional<sim::link_fault_params> loss;
 };
@@ -224,9 +270,21 @@ struct lane_run {
   std::vector<double> round_tau;  ///< reference side only
 };
 
-enum class lane { word, message };
+/// Who runs the case's rounds: production phase-king, or the reference on
+/// the message lane or the word lane.
+enum class engine { production, message_reference, word_reference };
 
-lane_run run_lane(const lane_case& c, lane which) {
+/// How a run is observed: traced, as every lane comparison runs, or with
+/// no trace, which lets clean word rounds take the load templates. A run
+/// may meter a `metered` copy of the case's topology (same links, other
+/// capacities) on `routes`, the case's route table built once.
+struct observation {
+  bool traced = true;
+  const graph::digraph* metered = nullptr;
+  std::shared_ptr<const route_table> routes;
+};
+
+lane_run run_lane(const lane_case& c, engine which, observation seen = {}) {
   lane_run out;
   obs::collector col;
   obs::scoped_collector collect(&col);
@@ -236,17 +294,22 @@ lane_run run_lane(const lane_case& c, lane which) {
     model.emplace(*c.loss, 4242);
     lossy.emplace(&*model);
   }
-  sim::network net(c.g);
-  net.attach_trace(&out.trace);
+  const graph::digraph& metered = seen.metered != nullptr ? *seen.metered : c.g;
+  sim::network net(metered);
+  if (seen.traced) net.attach_trace(&out.trace);
   const sim::fault_set faults(c.g.universe(), c.corrupt);
-  channel_plan plan(c.g, c.f);
+  std::shared_ptr<const route_table> routes = seen.routes;
+  if (routes == nullptr)
+    routes = std::make_shared<const route_table>(channel_plan::build_routes(c.g, c.f));
+  channel_plan plan(metered, c.f, routes);
   splitter split;
   forger relay(c.forge.value_or(sim::payload{}));
-  pk_adversary* adv = c.equivocate ? &split : nullptr;
+  pk_adversary* adv = c.pk != nullptr ? c.pk : c.equivocate ? &split : nullptr;
   relay_adversary* relay_adv = c.forge ? &relay : nullptr;
-  message_lane_phase_king reference(plan, net, faults, c.value_bits, adv, relay_adv);
+  reference_phase_king reference(which == engine::word_reference ? lane::word : lane::message,
+                                 plan, net, faults, c.value_bits, adv, relay_adv);
   for (const auto& [source, input] : c.broadcasts) {
-    if (which == lane::word) {
+    if (which == engine::production) {
       const pk_result r = phase_king_broadcast(plan, net, faults, source, input, c.f,
                                                c.value_bits, adv, relay_adv);
       out.decided.push_back(r.decided);
@@ -267,8 +330,8 @@ lane_run run_lane(const lane_case& c, lane which) {
 /// Runs `c` on both lanes and compares everything observable; returns the
 /// word lane's run.
 lane_run expect_lanes_agree(const lane_case& c) {
-  const lane_run word = run_lane(c, lane::word);
-  const lane_run ref = run_lane(c, lane::message);
+  const lane_run word = run_lane(c, engine::production);
+  const lane_run ref = run_lane(c, engine::message_reference);
 
   EXPECT_EQ(word.decided, ref.decided);
   EXPECT_EQ(word.total_bits, ref.total_bits);
@@ -437,6 +500,215 @@ TEST(WordLane, FlagBroadcastAllocatesFarBelowOnePerUnicast) {
               static_cast<unsigned long long>(allocs));
   EXPECT_LT(allocs, 99'200u / 10) << allocs << " arena allocations";
   plan.reclaim_round_storage();
+}
+
+/// Every link's bits in each step of an untraced run, read from tau alone.
+/// `run(h)` replays the run on a copy h of `g` in which one link has
+/// capacity 1 and every other link 2^40 and returns each step's tau: a step
+/// whose tau is at least 1 put exactly tau bits on that link, and any
+/// other step put none there (every other link's share stays below 1).
+template <class Run>
+step_link_bits link_bits_by_tau(const graph::digraph& g, const Run& run) {
+  const int n = g.universe();
+  step_link_bits bits;
+  for (const graph::edge& e : g.edges()) {
+    graph::digraph h(n);
+    for (const graph::edge& o : g.edges())
+      h.add_edge(o.from, o.to, o == e ? 1 : graph::capacity_t{1} << 40);
+    const std::vector<double> taus = run(h);
+    if (bits.empty())
+      bits.assign(taus.size(), std::vector<std::uint64_t>(static_cast<std::size_t>(n) * n));
+    EXPECT_EQ(taus.size(), bits.size());
+    for (std::size_t step = 0; step < std::min(taus.size(), bits.size()); ++step)
+      if (taus[step] >= 1.0)
+        bits[step][static_cast<std::size_t>(e.from) * n + e.to] =
+            static_cast<std::uint64_t>(taus[step]);
+  }
+  return bits;
+}
+
+/// Runs `c`'s rounds on the word lane untraced (whole fan-outs charged
+/// from the load templates) and traced (every entry charged hop by hop),
+/// and compares decisions, tau per round, steps, total bits, tamper calls
+/// and every link's bits in every round; production phase-king must also
+/// agree with itself untraced and traced.
+void expect_templates_match_per_entry(const lane_case& c) {
+  const auto routes = std::make_shared<const route_table>(channel_plan::build_routes(c.g, c.f));
+  const lane_run per_entry = run_lane(c, engine::word_reference, {.routes = routes});
+  const lane_run templated =
+      run_lane(c, engine::word_reference, {.traced = false, .routes = routes});
+  EXPECT_EQ(templated.decided, per_entry.decided);
+  EXPECT_EQ(templated.round_tau, per_entry.round_tau);
+  EXPECT_EQ(templated.steps, per_entry.steps);
+  EXPECT_EQ(templated.total_bits, per_entry.total_bits);
+  EXPECT_EQ(templated.elapsed, per_entry.elapsed);
+  EXPECT_EQ(templated.tamper_calls, per_entry.tamper_calls);
+  EXPECT_TRUE(templated.trace.events().empty());
+
+  const lane_run production = run_lane(c, engine::production, {.traced = false, .routes = routes});
+  const lane_run production_traced = run_lane(c, engine::production, {.routes = routes});
+  EXPECT_EQ(production.decided, per_entry.decided);
+  EXPECT_EQ(production.decided, production_traced.decided);
+  EXPECT_EQ(production.steps, production_traced.steps);
+  EXPECT_EQ(production.total_bits, production_traced.total_bits);
+  EXPECT_EQ(production.elapsed, production_traced.elapsed);
+  EXPECT_EQ(production.tamper_calls, production_traced.tamper_calls);
+
+  const step_link_bits want = link_bits_of(per_entry.trace, c.g.universe(), per_entry.steps);
+  const step_link_bits got = link_bits_by_tau(c.g, [&](const graph::digraph& h) {
+    return run_lane(c, engine::word_reference, {.traced = false, .metered = &h, .routes = routes})
+        .round_tau;
+  });
+  EXPECT_EQ(got, want);
+}
+
+TEST(WordLaneTemplates, MatchPerEntryChargeOnEmulatedRoutes) {
+  // Hypercube fan-outs cross shared links many times over: a template that
+  // lost a link's multiplicity would undercharge it. Corrupt nodes
+  // equivocate, and with forging relays every templated word still goes
+  // through the relay scan and the majority.
+  for (const bool forge : {false, true}) {
+    SCOPED_TRACE(forge ? "forging relays" : "honest relays");
+    lane_case q4{graph::hypercube(4), 1, {3}, {{0, 1}, {3, 1}, {9, 0}}};
+    q4.equivocate = true;
+    if (forge) q4.forge = sim::payload{666};
+    expect_templates_match_per_entry(q4);
+
+    lane_case q5{graph::hypercube(5, 2), 2, {5, 18}, {{5, 0}}};
+    q5.equivocate = true;
+    if (forge) q5.forge = sim::payload{666};
+    expect_templates_match_per_entry(q5);
+  }
+}
+
+TEST(WordLaneTemplates, MatchPerEntryChargeOnDirectLinks) {
+  for (const bool forge : {false, true}) {
+    SCOPED_TRACE(forge ? "forging relays" : "honest relays");
+    lane_case k9{graph::complete(9), 2, {2, 7}, {{0, 5}, {2, 9}, {7, 3}}, 64};
+    k9.equivocate = true;
+    if (forge) k9.forge = sim::payload{666};
+    expect_templates_match_per_entry(k9);
+  }
+}
+
+TEST(WordLaneTemplates, TiedVotesGoToTheSmallestWord) {
+  // Three words tie 3-3-3 at every honest node (three_way_tie). The
+  // reference tallies in a std::map; the production tally must break the
+  // tie the same way, to the smallest word, on either charge path.
+  three_way_tie ties;
+  lane_case c{graph::complete(9), 2, {7, 8}, {{8, 0}}, 8};
+  c.pk = &ties;
+  const lane_run word = expect_lanes_agree(c);
+  for (graph::node_id v = 0; v < 7; ++v)
+    EXPECT_EQ(word.decided[0][static_cast<std::size_t>(v)], 10u) << "node " << v;
+  expect_templates_match_per_entry(c);
+}
+
+/// One hand-built word-lane entry.
+struct queued_word {
+  graph::node_id from, to;
+  std::uint64_t word, bits;
+};
+
+/// What ending one hand-built word round showed.
+struct round_outcome {
+  double tau = 0.0;
+  std::uint64_t total_bits = 0;
+  heard_words heard;
+  sim::trace trace;
+};
+
+/// Queues `entries` in order and ends one word round on a fresh network
+/// over `metered` (the plan's topology, or a copy with other capacities),
+/// traced or not.
+round_outcome end_hand_built_round(const channel_plan::route_table& routes,
+                                   const graph::digraph& metered, int f,
+                                   const std::vector<queued_word>& entries, bool traced) {
+  round_outcome out;
+  channel_plan plan(metered, f, std::make_shared<const route_table>(routes));
+  sim::network net(metered);
+  if (traced) net.attach_trace(&out.trace);
+  for (const queued_word& e : entries) plan.send_word(e.from, e.to, 0, e.word, e.bits);
+  out.tau = plan.end_word_round(net, sim::fault_set(metered.universe()));
+  out.total_bits = net.total_bits();
+  const int n = metered.universe();
+  out.heard.resize(static_cast<std::size_t>(n) * n);
+  for (graph::node_id r = 0; r < n; ++r)
+    for (graph::node_id s = 0; s < n; ++s)
+      if (plan.words().heard(r, s))
+        out.heard[static_cast<std::size_t>(r) * n + s] = plan.words().value(r, s);
+  return out;
+}
+
+/// A round must charge and deliver exactly what its per-entry charge does,
+/// whether or not its senders' entries make whole fan-outs.
+void expect_round_charged_per_entry(const graph::digraph& g, int f,
+                                    const std::vector<queued_word>& entries) {
+  const channel_plan::route_table routes = channel_plan::build_routes(g, f);
+  const round_outcome per_entry = end_hand_built_round(routes, g, f, entries, true);
+  const round_outcome templated = end_hand_built_round(routes, g, f, entries, false);
+  EXPECT_EQ(templated.tau, per_entry.tau);
+  EXPECT_EQ(templated.total_bits, per_entry.total_bits);
+  EXPECT_EQ(templated.heard, per_entry.heard);
+  const step_link_bits got = link_bits_by_tau(g, [&](const graph::digraph& h) {
+    return std::vector<double>{end_hand_built_round(routes, h, f, entries, false).tau};
+  });
+  EXPECT_EQ(got, link_bits_of(per_entry.trace, g.universe(), 1));
+}
+
+TEST(WordLaneTemplates, IrregularRoundsChargeWhatTheirEntriesDo) {
+  for (const int f : {1, 2}) {
+    const graph::digraph g = f == 1 ? graph::hypercube(4) : graph::complete(9);
+    SCOPED_TRACE(f == 1 ? "hypercube(4), f = 1" : "K_9, f = 2");
+    const int n = g.universe();
+    // Every sender's whole fan-out, sender-major; each entry's word is its
+    // queue position, so a misdelivered word shows.
+    std::vector<queued_word> all;
+    for (graph::node_id u = 0; u < n; ++u)
+      for (graph::node_id v = 0; v < n; ++v)
+        if (v != u) all.push_back({u, v, all.size(), 1});
+    const auto entry_of = [&all](graph::node_id from, graph::node_id to) {
+      return std::find_if(all.begin(), all.end(), [&](const queued_word& e) {
+        return e.from == from && e.to == to;
+      });
+    };
+
+    const auto check = [&](const char* what, const std::vector<queued_word>& entries) {
+      SCOPED_TRACE(what);
+      expect_round_charged_per_entry(g, f, entries);
+    };
+
+    check("whole fan-outs, sender-major", all);
+
+    std::vector<queued_word> interleaved;
+    for (graph::node_id v = 0; v < n; ++v)
+      for (const queued_word& e : all)
+        if (e.to == v) interleaved.push_back(e);
+    check("whole fan-outs, interleaved senders", interleaved);
+
+    std::vector<queued_word> missing = all;
+    missing.erase(missing.begin() + (entry_of(3, 6) - all.begin()));
+    check("one fan-out missing a receiver", missing);
+
+    std::vector<queued_word> repeated = all;
+    repeated[static_cast<std::size_t>(entry_of(3, 6) - all.begin())].to = 7;
+    check("one fan-out repeating a receiver in place of another", repeated);
+
+    std::vector<queued_word> mixed = all;
+    mixed[static_cast<std::size_t>(entry_of(5, 2) - all.begin())].bits = 3;
+    check("mixed bits within one fan-out", mixed);
+
+    std::vector<queued_word> per_sender = all;
+    for (queued_word& e : per_sender) e.bits = 1 + static_cast<std::uint64_t>(e.from % 3);
+    check("whole fan-outs of different bits", per_sender);
+
+    std::vector<queued_word> king_and_partial;
+    for (graph::node_id v = 0; v < n; ++v) {
+      if (v != 4) king_and_partial.push_back(*entry_of(4, v));
+      if (v != 0 && v != 8) king_and_partial.push_back(*entry_of(0, v));
+    }
+    check("one whole fan-out and one partial, interleaved", king_and_partial);
+  }
 }
 
 }  // namespace

@@ -38,6 +38,28 @@ TEST(Determinism, JsonDocumentsAreByteIdenticalModuloWallClock) {
             sweep_document(kJsonSweep, 7, 5, b, -1.0).dump());
 }
 
+TEST(Determinism, TracedAndUntracedSweepsAgree) {
+  // A trace makes channel_plan charge every unicast hop by hop, and an
+  // untraced run charges a clean phase-king round's whole fan-outs from the
+  // route table's load templates; the records must not tell them apart.
+  // wan_5cluster runs phase-king over emulated multi-hop routes, and
+  // ablation-flags has phase-king runs on direct links. At jobs > 1 the
+  // shards share one route table, so its templates are read concurrently.
+  const std::vector<scenario> sweep = select_scenarios("wan_5cluster,ablation-flags");
+  std::vector<run_record> traced =
+      run_sweep(sweep, 5, 2, {}, nullptr, /*capture_traces=*/true);
+  const std::vector<run_record> untraced = run_sweep(sweep, 5, 3);
+  ASSERT_EQ(traced.size(), sweep.size());
+  int phase_king_runs = 0;
+  for (run_record& r : traced) {
+    EXPECT_FALSE(r.traffic.empty()) << r.scenario;
+    r.traffic.clear();
+    if (r.flag_protocol != "eig") ++phase_king_runs;
+  }
+  EXPECT_GE(phase_king_runs, 5);
+  EXPECT_EQ(traced, untraced);
+}
+
 TEST(Determinism, DifferentSeedsProduceDifferentRandomness) {
   const std::vector<scenario> sweep = select_scenarios("random-regular");
   const auto a = run_sweep(sweep, 1, 2);
