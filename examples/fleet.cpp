@@ -15,10 +15,11 @@
 //   --jobs N          worker threads (default 1; results identical for any N)
 //   --seed S          sweep base seed (default 1)
 //   --json FILE       output path (default BENCH_runtime.json; "-" = none)
-//   --trace FILE      capture per-run traffic matrices (sim ambient traces)
-//                     and dump them to FILE as JSON (sparse link lists plus
-//                     the per-run DC1 claim bytes — the communication-pattern
-//                     analysis mode)
+//   --trace FILE      capture per-run traffic matrices (sim ambient traces,
+//                     one record per link per step, summed per run) and dump
+//                     them to FILE as JSON (sparse link lists plus the
+//                     per-run DC1 claim bytes — the communication-pattern
+//                     analysis mode); capturing moves no record
 //   --timeline FILE   capture per-run phase spans (obs collectors) and dump
 //                     them to FILE as Chrome-trace JSON — load in
 //                     chrome://tracing or ui.perfetto.dev; one process per
@@ -50,8 +51,9 @@
 //
 // Every sweep ends with a per-phase rollup (top phases by wall time across
 // the sweep, per family) built from the same obs spans. Flag parsing is
-// strict (runtime/fleet_cli.hpp): unknown flags are errors naming the flag,
-// never silently ignored.
+// strict (runtime/fleet_cli.hpp): unknown flags, and flags of another mode
+// (a sweep flag under --hunt, a hunt flag without it), are errors naming the
+// flag, never silently ignored.
 
 #include <algorithm>
 #include <chrono>

@@ -160,15 +160,15 @@ channel_plan::channel_plan(const graph::digraph& g, int f,
              "channel_plan route table does not match the topology");
 }
 
-void channel_plan::unicast(graph::node_id from, graph::node_id to, std::uint64_t tag,
-                           sim::payload payload, std::uint64_t bits) {
+void channel_plan::unicast(graph::node_id from, graph::node_id to, sim::payload payload,
+                           std::uint64_t bits) {
   NAB_ASSERT(!routes_->at(from, to).empty(),
              "unicast between nodes with no planned route");
   if (bits == 0 && !payload.empty())
     throw error("channel_plan::unicast of nonempty payload with bits == 0 on " +
                 std::to_string(from) + "->" + std::to_string(to) +
                 " (zero-bit messages model absent/default values and must be empty)");
-  queued_.push_back({from, to, tag, std::move(payload), bits});
+  queued_.push_back({from, to, std::move(payload), bits});
 }
 
 namespace {
@@ -239,14 +239,13 @@ channel_plan::arrival channel_plan::transport(sim::network& net,
                                               const sim::fault_set& faults,
                                               relay_adversary* adv, carriage how,
                                               graph::node_id from, graph::node_id to,
-                                              std::uint64_t tag, std::uint64_t bits,
-                                              const MessageFn& message,
+                                              std::uint64_t bits, const MessageFn& message,
                                               sim::payload& majority) {
   const route_table::route_view route_set = routes_->at(from, to);
   const bool lossy_net = how == carriage::lossy;
   std::size_t live = route_set.size();
   if (how == carriage::clean) {
-    net.charge_links(routes_->links(from, to), bits, tag);
+    net.charge_links(routes_->links(from, to), bits);
   } else if (lossy_net) {
     // Each hop runs its own ARQ loop; a copy survives iff every hop of its
     // path got through, and a dropped copy never charges the hops past
@@ -256,7 +255,7 @@ channel_plan::arrival channel_plan::transport(sim::network& net,
     for (const route_table::path_view path : route_set) {
       bool ok = true;
       for (std::size_t i = 0; i + 1 < path.size(); ++i)
-        if (!net.lossy_transmit(path[i], path[i + 1], bits, tag)) {
+        if (!net.lossy_transmit(path[i], path[i + 1], bits)) {
           ok = false;
           break;
         }
@@ -311,8 +310,7 @@ double channel_plan::end_round(sim::network& net, const sim::fault_set& faults,
   sim::payload majority;
   for (sim::message& m : queued_) {
     const auto self = [&m]() -> const sim::message& { return m; };
-    const arrival a =
-        transport(net, faults, adv, how, m.from, m.to, m.tag, m.bits, self, majority);
+    const arrival a = transport(net, faults, adv, how, m.from, m.to, m.bits, self, majority);
     if (a == arrival::lost) continue;
     if (a == arrival::resolved) m.payload = std::move(majority);
     inboxes_[static_cast<std::size_t>(m.to)].push_back(std::move(m));
@@ -321,15 +319,15 @@ double channel_plan::end_round(sim::network& net, const sim::fault_set& faults,
   return net.end_step();
 }
 
-void channel_plan::send_word(graph::node_id from, graph::node_id to, std::uint64_t tag,
-                             std::uint64_t word, std::uint64_t bits) {
+void channel_plan::send_word(graph::node_id from, graph::node_id to, std::uint64_t word,
+                             std::uint64_t bits) {
   NAB_ASSERT(!routes_->at(from, to).empty(),
              "send_word between nodes with no planned route");
   if (bits == 0)
     throw error("channel_plan::send_word with bits == 0 on " + std::to_string(from) +
                 "->" + std::to_string(to) +
                 " (a word is content and must be charged)");
-  sent_words_.push_back({from, to, tag, word, bits});
+  sent_words_.push_back({from, to, word, bits});
 }
 
 double channel_plan::end_word_round(sim::network& net, const sim::fault_set& faults,
@@ -337,9 +335,9 @@ double channel_plan::end_word_round(sim::network& net, const sim::fault_set& fau
   NAB_ASSERT(queued_.empty(), "message-lane traffic queued when a word round ends");
   words_.clear();
   const carriage how = begin_transport(net, sent_words_.size());
-  // A trace records every hop and a lossy network draws per hop, so only a
-  // clean, untraced round charges whole fan-outs from the load templates.
-  const bool templates = how == carriage::clean && !net.traced() && !sent_words_.empty();
+  // A lossy network draws per hop, so only a clean round charges whole
+  // fan-outs from the load templates.
+  const bool templates = how == carriage::clean && !sent_words_.empty();
   if (templates) charge_whole_fanouts(net);
   sim::payload majority;
   for (const sent_word& w : sent_words_) {
@@ -352,10 +350,10 @@ double channel_plan::end_word_round(sim::network& net, const sim::fault_set& fau
     // The tamper hook sees the word as the one-word message it stands for;
     // it is built only on that slow path.
     const auto as_message = [&w] {
-      return sim::message{w.from, w.to, w.tag, {w.word}, w.bits};
+      return sim::message{w.from, w.to, {w.word}, w.bits};
     };
     const arrival a = transport(net, faults, adv, charged ? carriage::charged : how, w.from,
-                                w.to, w.tag, w.bits, as_message, majority);
+                                w.to, w.bits, as_message, majority);
     if (a == arrival::verbatim)
       words_.deliver(w.to, w.from, w.word);
     else if (a == arrival::resolved && !majority.empty())

@@ -229,8 +229,8 @@ class word_inbox {
 /// phase-king's rounds do, and writes what arrives straight into a dense
 /// word_inbox: no payload, message or inbox entry per unicast. Both lanes
 /// end a round by transporting their entries in send order through one
-/// private rule, so charges, trace events, ARQ draws, relay tampering and
-/// majority votes cannot differ between them.
+/// private rule, so per-link loads, ARQ draws, relay tampering and majority
+/// votes cannot differ between them.
 ///
 /// Accounting model: multi-hop forwarding within one synchronous step
 /// (cut-through, the paper's zero-propagation-delay model; see
@@ -239,16 +239,15 @@ class word_inbox {
 /// Charging: on clean networks (no link-fault model attached) every copy
 /// arrives, so each unicast is one bulk charge of its pair's precomputed
 /// link list, and the network is checked once per round to carry every
-/// link the routes cross. A word round on a clean network with no trace
-/// attached goes further: a sender whose entries are exactly its whole
-/// fan-out, with one bits value, is charged its route table's fan-out load
-/// in one vector add (the all-to-all sum once when every sender's are), and
-/// its words land in the inbox verbatim unless a relay adversary is
-/// attached. Relays never change what a clean round charges, so the
-/// template charge holds under one too. Per-link totals, and so tau and
-/// total bits, are those of the per-entry charge. Lossy networks walk each
-/// route hop by hop, every hop running its own ARQ loop, and a traced
-/// network's charges stay per entry so its events stay per hop.
+/// link the routes cross. A word round on a clean network goes further: a
+/// sender whose entries are exactly its whole fan-out, with one bits value,
+/// is charged its route table's fan-out load in one vector add (the
+/// all-to-all sum once when every sender's are), and its words land in the
+/// inbox verbatim unless a relay adversary is attached. Relays never change
+/// what a clean round charges, so the template charge holds under one too.
+/// Per-link loads, and so tau, total bits and an attached trace's events,
+/// are those of the per-entry charge. Lossy networks walk each route hop by
+/// hop, every hop running its own ARQ loop.
 class channel_plan {
  public:
   /// The flat pooled route storage (see route_table above).
@@ -294,8 +293,8 @@ class channel_plan {
   /// must be charged (bits > 0), or its content would cross every hop for
   /// free; throws nab::error otherwise. An empty zero-bit message models an
   /// absent/default value and is legal.
-  void unicast(graph::node_id from, graph::node_id to, std::uint64_t tag,
-               sim::payload payload, std::uint64_t bits);
+  void unicast(graph::node_id from, graph::node_id to, sim::payload payload,
+               std::uint64_t bits);
 
   /// Ends the round: charges `net`, applies relay tampering on compromised
   /// paths, majority-resolves copies, and fills the channel inboxes.
@@ -310,8 +309,8 @@ class channel_plan {
   /// Queues a one-word logical unicast on the word lane for the current
   /// word round. A word is content, so it must be charged: throws nab::error
   /// when bits == 0, as unicast does for a nonempty payload.
-  void send_word(graph::node_id from, graph::node_id to, std::uint64_t tag,
-                 std::uint64_t word, std::uint64_t bits);
+  void send_word(graph::node_id from, graph::node_id to, std::uint64_t word,
+                 std::uint64_t bits);
 
   /// Ends a word round: transports every queued word in send order under
   /// end_round's rule and writes each arrival into words(). A word whose
@@ -346,7 +345,7 @@ class channel_plan {
   /// One queued word-lane unicast.
   struct sent_word {
     graph::node_id from, to;
-    std::uint64_t tag, word, bits;
+    std::uint64_t word, bits;
   };
 
   /// How a round's unicasts are charged.
@@ -377,8 +376,8 @@ class channel_plan {
 
   /// Charges, from the route table's load templates, every sender whose
   /// queued words are exactly its whole fan-out with one bits value, and
-  /// marks them whole in fanouts_. Call only with words queued, on a clean,
-  /// untraced network.
+  /// marks them whole in fanouts_. Call only with words queued, on a clean
+  /// network.
   void charge_whole_fanouts(sim::network& net);
 
   /// The one transport rule of both lanes: charges one unicast's routes on
@@ -393,8 +392,8 @@ class channel_plan {
   template <class MessageFn>
   arrival transport(sim::network& net, const sim::fault_set& faults,
                     relay_adversary* adv, carriage how, graph::node_id from,
-                    graph::node_id to, std::uint64_t tag, std::uint64_t bits,
-                    const MessageFn& message, sim::payload& majority);
+                    graph::node_id to, std::uint64_t bits, const MessageFn& message,
+                    sim::payload& majority);
 
   graph::digraph topo_;
   int f_;

@@ -173,8 +173,7 @@ claim_outcome broadcast_claims_eig(channel_plan& channels, sim::network& net,
     eigs.push_back({inst.source, inst.input, inst.value_bits});
   }
   eig_result eig = eig_broadcast_all(channels, net, faults, eigs, f,
-                                     /*value_bits=*/64, adv, relay_adv,
-                                     claim_traffic_tag);
+                                     /*value_bits=*/64, adv, relay_adv);
   claim_outcome out;
   out.agreed = std::move(eig.decisions);
   out.time = eig.time;
@@ -182,9 +181,8 @@ claim_outcome broadcast_claims_eig(channel_plan& channels, sim::network& net,
 }
 
 // ---------------------------------------------------------------------------
-// Collapsed-claim Bracha-style backend. Every unicast is tagged
-// claim_traffic_tag; its items (propose, echo, ready, retrieval request and
-// response) are laid out in sim/wire.hpp's codec.
+// Collapsed-claim Bracha-style backend. Its items (propose, echo, ready,
+// retrieval request and response) are laid out in sim/wire.hpp's codec.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -410,7 +408,7 @@ claim_outcome broadcast_claims_collapsed(
       b.bits += inst.value_bits + claim_digest_bits + 16;
     }
   }
-  batches.flush(channels, claim_traffic_tag);
+  batches.flush(channels);
   channels.end_round(net, faults, relay_adv);
   {
     // Absorb every accepted proposal first, then digest the whole round as
@@ -469,7 +467,7 @@ claim_outcome broadcast_claims_collapsed(
       }
     }
   }
-  batches.flush(channels, claim_traffic_tag);
+  batches.flush(channels);
   channels.end_round(net, faults, relay_adv);
   for (graph::node_id j : participants) {
     // A node's own echo counts toward its quorum (no wire cost).
@@ -532,7 +530,7 @@ claim_outcome broadcast_claims_collapsed(
       }
     }
     if (!any_pending) break;
-    batches.flush(channels, claim_traffic_tag);
+    batches.flush(channels);
     channels.end_round(net, faults, relay_adv);
     for (graph::node_id j : participants) {
       for (const sim::message& m : channels.inbox(j)) {
@@ -607,7 +605,7 @@ claim_outcome broadcast_claims_collapsed(
         return true;
       });
     }
-  batches.flush(channels, claim_traffic_tag);
+  batches.flush(channels);
   channels.end_round(net, faults, relay_adv);
   {
     std::vector<bool> seen(q_count, false);
@@ -640,7 +638,7 @@ claim_outcome broadcast_claims_collapsed(
       b.bits += instances[q].value_bits + 16;
     }
   }
-  batches.flush(channels, claim_traffic_tag);
+  batches.flush(channels);
   channels.end_round(net, faults, relay_adv);
   {
     // Verify per message in one batch. Protocol-following holders answer

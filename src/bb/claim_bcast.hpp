@@ -40,11 +40,6 @@ enum class claim_backend {
   collapsed,
 };
 
-/// Trace tag stamped on every claim-dissemination unicast (and forwarded by
-/// the channel emulation onto every link-level charge), so a sim::trace can
-/// account DC1 claim bytes per backend — see trace::tag_total.
-inline constexpr std::uint64_t claim_traffic_tag = 0xC1A1B;
-
 /// Resolves auto_select for the given participant count. Never returns
 /// auto_select.
 claim_backend resolve_claim_backend(claim_backend requested,

@@ -143,7 +143,7 @@ eig_result eig_broadcast_all(channel_plan& channels, sim::network& net,
                              const sim::fault_set& faults,
                              const std::vector<eig_instance>& instances, int f,
                              std::uint64_t value_bits, eig_adversary* adv,
-                             relay_adversary* relay_adv, std::uint64_t tag) {
+                             relay_adversary* relay_adv) {
   const std::vector<graph::node_id> participants = channels.topology().active_nodes();
   const auto n = static_cast<int>(participants.size());
   NAB_ASSERT(n > 3 * f, "EIG requires more than 3f participants");
@@ -212,7 +212,7 @@ eig_result eig_broadcast_all(channel_plan& channels, sim::network& net,
       b.bits += vb + 8 * (root.size() + 1);
     }
   }
-  batches.flush(channels, tag);
+  batches.flush(channels);
   channels.end_round(net, faults, relay_adv);
   {
     label sigma;
@@ -273,7 +273,7 @@ eig_result eig_broadcast_all(channel_plan& channels, sim::network& net,
         for (auto& [sig, val] : self_stores) mine.store(sig, val);
       }
     }
-    batches.flush(channels, tag);
+    batches.flush(channels);
     channels.end_round(net, faults, relay_adv);
     label sigma;
     value v;

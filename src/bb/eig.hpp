@@ -73,14 +73,11 @@ struct eig_result {
 /// sequential protocol executions.
 ///
 /// `value_bits` is the wire size charged per transmitted value; label
-/// routing overhead is charged on top (8 bits per label entry). `tag`
-/// labels every round's unicasts for trace-level wire accounting (the
-/// Phase-3 claim path passes bb::claim_traffic_tag; flags keep 0).
+/// routing overhead is charged on top (8 bits per label entry).
 eig_result eig_broadcast_all(channel_plan& channels, sim::network& net,
                              const sim::fault_set& faults,
                              const std::vector<eig_instance>& instances, int f,
                              std::uint64_t value_bits, eig_adversary* adv = nullptr,
-                             relay_adversary* relay_adv = nullptr,
-                             std::uint64_t tag = 0);
+                             relay_adversary* relay_adv = nullptr);
 
 }  // namespace nab::bb

@@ -23,7 +23,7 @@ void exchange(channel_plan& channels, sim::network& net, const sim::fault_set& f
         sim::scoped_run_arena suspend_pooling(nullptr);  // stateful strategies
         v = adv->exchange_value(i, j, phase, king_round, v);
       }
-      channels.send_word(i, j, static_cast<std::uint64_t>(phase), v, value_bits);
+      channels.send_word(i, j, v, value_bits);
     }
   }
   channels.end_word_round(net, faults, relay_adv);
@@ -119,7 +119,7 @@ pk_result phase_king_broadcast(channel_plan& channels, sim::network& net,
       sim::scoped_run_arena suspend_pooling(nullptr);  // stateful strategies
       v = adv->exchange_value(source, j, /*phase=*/-1, /*is_king_round=*/false, v);
     }
-    channels.send_word(source, j, 0, v, value_bits);
+    channels.send_word(source, j, v, value_bits);
   }
   channels.end_word_round(net, faults, relay_adv);
 

@@ -33,14 +33,14 @@ class round_batches {
     return batches_[static_cast<std::size_t>(from) * universe_ + to];
   }
 
-  /// Queues every non-empty batch as one unicast tagged `tag` and clears
-  /// the slots for the next round.
-  void flush(channel_plan& channels, std::uint64_t tag) {
+  /// Queues every non-empty batch as one unicast and clears the slots for
+  /// the next round.
+  void flush(channel_plan& channels) {
     for (graph::node_id i : participants_)
       for (graph::node_id j : participants_) {
         round_batch& b = at(i, j);
         if (b.payload.empty()) continue;
-        channels.unicast(i, j, tag, std::move(b.payload), b.bits);
+        channels.unicast(i, j, std::move(b.payload), b.bits);
         b.payload.clear();
         b.bits = 0;
       }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "gf/matrix.hpp"
@@ -86,77 +85,6 @@ std::size_t row_reduce(matrix<F>& m, std::vector<std::size_t>* pivot_cols = null
 template <class F>
 std::size_t rank(matrix<F> m) {
   return row_reduce(m);
-}
-
-/// Inverse of a square matrix, or nullopt if singular.
-template <class F>
-std::optional<matrix<F>> inverse(const matrix<F>& m) {
-  NAB_ASSERT(m.rows() == m.cols(), "inverse requires a square matrix");
-  const std::size_t n = m.rows();
-  auto aug = matrix<F>::hconcat(m, matrix<F>::identity(n));
-  std::vector<std::size_t> pivots;
-  row_reduce(aug, &pivots);
-  // Invertible iff the left block is full-rank, i.e. all pivots land in it
-  // (the identity block always brings the augmented rank up to n).
-  if (pivots.size() < n || pivots[n - 1] >= n) return std::nullopt;
-  matrix<F> out(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < n; ++c) out.at(r, c) = aug.at(r, n + c);
-  return out;
-}
-
-/// Determinant of a square matrix. In characteristic 2 row swaps do not flip
-/// the sign, so plain elimination with pivot-product suffices.
-template <class F>
-typename F::value_type determinant(matrix<F> m) {
-  NAB_ASSERT(m.rows() == m.cols(), "determinant requires a square matrix");
-  using V = typename F::value_type;
-  const std::size_t n = m.rows();
-  V det = F::one();
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t pivot = col;
-    while (pivot < n && m.at(pivot, col) == F::zero()) ++pivot;
-    if (pivot == n) return F::zero();
-    if (pivot != col)
-      for (std::size_t c = col; c < n; ++c) std::swap(m.at(pivot, c), m.at(col, c));
-    det = F::mul(det, m.at(col, col));
-    const V scale = F::inv(m.at(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const V factor = F::mul(m.at(r, col), scale);
-      if (factor == F::zero()) continue;
-      for (std::size_t c = col; c < n; ++c)
-        m.at(r, c) = F::sub(m.at(r, c), F::mul(factor, m.at(col, c)));
-    }
-  }
-  return det;
-}
-
-/// True iff a square matrix is invertible.
-template <class F>
-bool invertible(const matrix<F>& m) {
-  return m.rows() == m.cols() && rank(m) == m.rows();
-}
-
-/// Solves x * A = b for a row vector x (the orientation used by the paper's
-/// check D_H * C_H = 0). Returns nullopt if no solution exists.
-template <class F>
-std::optional<std::vector<typename F::value_type>> solve_left(
-    const matrix<F>& a, const std::vector<typename F::value_type>& b) {
-  NAB_ASSERT(b.size() == a.cols(), "solve_left dimension mismatch");
-  // x * A = b  <=>  A^T * x^T = b^T.
-  auto at = a.transpose();
-  matrix<F> rhs(b.size(), 1);
-  for (std::size_t i = 0; i < b.size(); ++i) rhs.at(i, 0) = b[i];
-  auto aug = matrix<F>::hconcat(at, rhs);
-  std::vector<std::size_t> pivots;
-  const std::size_t r = row_reduce(aug, &pivots);
-  // Inconsistent if a pivot lands in the rhs column.
-  for (std::size_t i = 0; i < pivots.size(); ++i)
-    if (pivots[i] == at.cols()) return std::nullopt;
-  std::vector<typename F::value_type> x(at.cols(), F::zero());
-  for (std::size_t i = 0; i < r; ++i)
-    if (pivots[i] < at.cols()) x[pivots[i]] = aug.at(i, at.cols());
-  return x;
 }
 
 }  // namespace nab::gf

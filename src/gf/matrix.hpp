@@ -102,17 +102,6 @@ class matrix {
     return out;
   }
 
-  /// Horizontal concatenation [a | b]. Precondition: equal row counts.
-  static matrix hconcat(const matrix& a, const matrix& b) {
-    NAB_ASSERT(a.rows_ == b.rows_, "hconcat row mismatch");
-    matrix out(a.rows_, a.cols_ + b.cols_);
-    for (std::size_t r = 0; r < a.rows_; ++r) {
-      for (std::size_t c = 0; c < a.cols_; ++c) out.at(r, c) = a.at(r, c);
-      for (std::size_t c = 0; c < b.cols_; ++c) out.at(r, a.cols_ + c) = b.at(r, c);
-    }
-    return out;
-  }
-
   /// Copy of the given columns, in the given order.
   matrix select_columns(const std::vector<std::size_t>& cols) const {
     matrix out(rows_, cols.size());

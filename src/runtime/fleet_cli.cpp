@@ -66,6 +66,8 @@ fleet_options parse_fleet_args(const std::vector<std::string>& args) {
   fleet_options opt;
   bool scenario_given = false;
   std::string adhoc_flag;  // the last --f/--adversary/--corrupt seen
+  std::string sweep_flag;  // the last sweep-only flag seen
+  std::string hunt_flag;   // the last hunt-only flag seen
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     const auto next = [&]() -> const std::string& {
@@ -78,6 +80,7 @@ fleet_options parse_fleet_args(const std::vector<std::string>& args) {
     } else if (a == "--scenario") {
       opt.scenarios = next();
       scenario_given = true;
+      sweep_flag = a;
     } else if (a == "--jobs") {
       opt.jobs = parse_int_flag(a, next());
       if (opt.jobs < 1) opt.jobs = 1;
@@ -85,15 +88,19 @@ fleet_options parse_fleet_args(const std::vector<std::string>& args) {
       opt.seed = parse_u64_flag(a, next());
     } else if (a == "--json") {
       opt.json_path = next();
+      sweep_flag = a;
     } else if (a == "--trace") {
       opt.trace_path = next();
+      sweep_flag = a;
     } else if (a == "--timeline") {
       opt.timeline_path = next();
+      sweep_flag = a;
     } else if (a == "--loss") {
       opt.loss = next();
       // Reject unknown/malformed specs at the CLI boundary, naming them;
       // "none" (strip loss) attaches no model and parses nothing.
       if (opt.loss != "none") sim::parse_loss_spec(opt.loss);
+      sweep_flag = a;
     } else if (a == "--quiet") {
       opt.quiet = true;
     } else if (a == "--topology") {
@@ -111,22 +118,28 @@ fleet_options parse_fleet_args(const std::vector<std::string>& args) {
       opt.hunt = true;
     } else if (a == "--hunt-families") {
       opt.hunt_families = next();
+      hunt_flag = a;
     } else if (a == "--budget") {
       opt.budget = parse_int_flag(a, next());
       if (opt.budget < 1)
         throw error("fleet: --budget must be at least 1");
+      hunt_flag = a;
     } else if (a == "--population") {
       opt.population = parse_int_flag(a, next());
       if (opt.population < 1)
         throw error("fleet: --population must be at least 1");
+      hunt_flag = a;
     } else if (a == "--hunt-words") {
       opt.hunt_words = parse_u64_flag(a, next());
       if (opt.hunt_words < 1)
         throw error("fleet: --hunt-words must be at least 1");
+      hunt_flag = a;
     } else if (a == "--hunt-instances") {
       opt.hunt_instances = parse_int_flag(a, next());
+      hunt_flag = a;
     } else if (a == "--hunt-corpus") {
       opt.corpus_path = next();
+      hunt_flag = a;
     } else {
       throw error("fleet: unknown flag '" + a + "'");
     }
@@ -138,6 +151,11 @@ fleet_options parse_fleet_args(const std::vector<std::string>& args) {
     throw error(std::string("fleet: --topology cannot be combined with ") +
                 (opt.hunt ? "--hunt" : "--scenario"));
   }
+  // A hunt writes only its corpus, and only a hunt reads the hunt flags.
+  if (opt.hunt && !sweep_flag.empty())
+    throw error("fleet: " + sweep_flag + " cannot be combined with --hunt");
+  if (!opt.hunt && !hunt_flag.empty())
+    throw error("fleet: " + hunt_flag + " needs --hunt");
   return opt;
 }
 

@@ -16,13 +16,10 @@ namespace nab::sim {
 /// is ambient — see sim/run_arena.hpp); `bits` is the size charged
 /// against each link for time accounting (the paper's capacity constraint is
 /// about bits on the wire, which can be smaller than the in-memory
-/// representation). `tag` disambiguates concurrent logical streams (a
-/// phase-king phase, bb::claim_traffic_tag for DC1 claims) and is forwarded
-/// onto every hop's charge, so traces account wire bits per protocol.
+/// representation).
 struct message {
   graph::node_id from = -1;
   graph::node_id to = -1;
-  std::uint64_t tag = 0;
   sim::payload payload;
   std::uint64_t bits = 0;
 };

@@ -15,9 +15,8 @@ network::network(graph::digraph topology)
       trace_(ambient_trace()),
       faults_(ambient_link_faults()) {}
 
-bool network::lossy_transmit(graph::node_id u, graph::node_id v, std::uint64_t bits,
-                             std::uint64_t tag) {
-  charge(u, v, bits, tag);
+bool network::lossy_transmit(graph::node_id u, graph::node_id v, std::uint64_t bits) {
+  charge(u, v, bits);
   if (faults_ == nullptr) return true;
   const int budget = faults_->params().retry_budget;
   int retries = 0;
@@ -31,21 +30,19 @@ bool network::lossy_transmit(graph::node_id u, graph::node_id v, std::uint64_t b
     obs::count(obs::counter::link_retransmits);
     // The receiver's nack rides the reverse link when the topology has one
     // (the control plane is modeled reliable; see docs/RUNTIME.md).
-    if (topo_.has_edge(v, u)) charge(v, u, 1, tag);
-    charge(u, v, bits, tag);
+    if (topo_.has_edge(v, u)) charge(v, u, 1);
+    charge(u, v, bits);
   }
   if (retries > 0)
     obs::gauge_min(obs::gauge::retry_headroom, budget - retries);
   return true;
 }
 
-void network::charge(graph::node_id u, graph::node_id v, std::uint64_t bits,
-                     std::uint64_t tag) {
+void network::charge(graph::node_id u, graph::node_id v, std::uint64_t bits) {
   if (!topo_.has_edge(u, v))
     throw error("network::charge on nonexistent link " + std::to_string(u) + "->" +
                 std::to_string(v));
   step_bits_[link_index(u, v)] += bits;
-  if (trace_ != nullptr) trace_->record(steps_, u, v, tag, bits);
 }
 
 const std::vector<graph::edge>& network::kept_edges() {
@@ -73,19 +70,11 @@ void network::require_links(int universe, std::span<const std::uint32_t> links) 
   }
 }
 
-void network::charge_links(std::span<const std::uint32_t> links, std::uint64_t bits,
-                           std::uint64_t tag) {
-  const auto n = static_cast<std::uint32_t>(universe());
-  for (const std::uint32_t id : links) {
-    step_bits_[id] += bits;
-    if (trace_ != nullptr)
-      trace_->record(steps_, static_cast<graph::node_id>(id / n),
-                     static_cast<graph::node_id>(id % n), tag, bits);
-  }
+void network::charge_links(std::span<const std::uint32_t> links, std::uint64_t bits) {
+  for (const std::uint32_t id : links) step_bits_[id] += bits;
 }
 
 void network::charge_loads(std::span<const link_load> loads, std::uint64_t bits) {
-  NAB_ASSERT(trace_ == nullptr, "charge_loads would drop an attached trace's events");
   for (const link_load& l : loads) step_bits_[l.link] += bits * l.count;
 }
 
@@ -105,6 +94,7 @@ double network::end_step() {
       link_time *= faults_->time_dilation(e.from, e.to, universe());
     duration = std::max(duration, link_time);
     total_bits_ += bits;
+    if (trace_ != nullptr) trace_->record(steps_, e.from, e.to, bits);
   }
   NAB_ASSERT(std::isfinite(duration), "step duration tau must be finite");
   std::fill(step_bits_.begin(), step_bits_.end(), 0);

@@ -27,7 +27,8 @@ struct link_load {
 /// computes the step duration
 ///     tau = max over links e of bits(e) / z_e
 /// (a link of capacity z_e carries z_e * tau bits in tau time — Section 1's
-/// capacity model) and advances the simulation clock by tau. The network
+/// capacity model), advances the simulation clock by tau and hands an
+/// attached trace the same per-link loads, one event per link. The network
 /// carries no data: bb::channel_plan delivers the classical-BB
 /// sub-protocols' messages and charges their hops here, and Phases 1 and
 /// 2.1 charge their coded symbols with lossy_transmit.
@@ -42,16 +43,14 @@ class network {
   const graph::digraph& topology() const { return topo_; }
   int universe() const { return topo_.universe(); }
 
-  /// Ends the current step; returns its duration in time units.
+  /// Ends the current step and returns its duration in time units. An
+  /// attached trace receives one event per link that carried bits in the
+  /// step, in ascending link id: the only place traffic is recorded.
   double end_step();
 
-  /// Charges `bits` on the link u -> v in the current step. `tag` labels
-  /// the charge for attached traces (channel emulation forwards the logical
-  /// message's tag so per-protocol wire accounting survives multi-hop
-  /// routing); it never affects time or capacity accounting. Throws
+  /// Charges `bits` on the link u -> v in the current step. Throws
   /// nab::error when the topology has no link u -> v.
-  void charge(graph::node_id u, graph::node_id v, std::uint64_t bits,
-              std::uint64_t tag = 0);
+  void charge(graph::node_id u, graph::node_id v, std::uint64_t bits);
 
   /// Dense id of the directed link u -> v over `universe` nodes (row-major).
   /// The one definition of link ids: it indexes the network's per-link
@@ -70,15 +69,12 @@ class network {
 
   /// `charge` over a precomputed link list, without the per-link check
   /// (callers vouch for the list with require_links): adds `bits` to every
-  /// listed link and records one trace event per link, in list order —
-  /// exactly what calling `charge` link by link records.
-  void charge_links(std::span<const std::uint32_t> links, std::uint64_t bits,
-                    std::uint64_t tag);
+  /// listed link.
+  void charge_links(std::span<const std::uint32_t> links, std::uint64_t bits);
 
   /// Adds `bits` times each entry's count to its link: the per-link totals
-  /// of `count` charge_links calls per link, in one pass. It records no
-  /// trace events, so it must not run with a trace attached (traced()).
-  /// Callers vouch for the links with require_links, as for charge_links.
+  /// of `count` charge_links calls per link, in one pass. Callers vouch for
+  /// the links with require_links, as for charge_links.
   void charge_loads(std::span<const link_load> loads, std::uint64_t bits);
 
   /// Charges one logical message of `bits` on u -> v under the attached
@@ -92,8 +88,7 @@ class network {
   /// attached this is exactly `charge` + true. Counts
   /// obs link_retransmits / link_retry_exhaustions and records the
   /// margin_retry_headroom gauge for messages that needed retries.
-  bool lossy_transmit(graph::node_id u, graph::node_id v, std::uint64_t bits,
-                      std::uint64_t tag = 0);
+  bool lossy_transmit(graph::node_id u, graph::node_id v, std::uint64_t bits);
 
   /// The attached per-link fault model (nullptr = perfect links). Picked up
   /// from the thread's ambient model at construction, like the trace.
@@ -116,11 +111,8 @@ class network {
   int steps() const { return steps_; }
 
   /// Attaches a passive traffic observer (nullptr detaches). Not owned.
+  /// It sees the steps that end while it is attached.
   void attach_trace(trace* t) { trace_ = t; }
-
-  /// True while a trace is attached: every charge must then be recorded
-  /// hop by hop.
-  bool traced() const { return trace_ != nullptr; }
 
  private:
   graph::digraph topo_;

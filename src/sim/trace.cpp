@@ -9,30 +9,10 @@ std::uint64_t trace::link_total(graph::node_id from, graph::node_id to) const {
   return total;
 }
 
-std::uint64_t trace::tag_total(std::uint64_t tag) const {
-  std::uint64_t total = 0;
-  for (const trace_event& e : events_)
-    if (e.tag == tag) total += e.bits;
-  return total;
-}
-
 std::uint64_t trace::total_bits() const {
   std::uint64_t total = 0;
   for (const trace_event& e : events_) total += e.bits;
   return total;
-}
-
-std::vector<trace_event> trace::step_events(int step) const {
-  std::vector<trace_event> out;
-  for (const trace_event& e : events_)
-    if (e.step == step) out.push_back(e);
-  return out;
-}
-
-bool trace::used(graph::node_id from, graph::node_id to) const {
-  for (const trace_event& e : events_)
-    if (e.from == from && e.to == to && e.bits > 0) return true;
-  return false;
 }
 
 namespace {

@@ -7,24 +7,26 @@
 
 namespace nab::sim {
 
-/// One link-level transmission event recorded by a trace.
+/// One link's load in one synchronous step: the bits a network's meter
+/// summed on the link when the step ended.
 struct trace_event {
-  int step = 0;                ///< synchronous step index when it was charged
+  int step = 0;  ///< index of the step that carried the bits
   graph::node_id from = -1;
   graph::node_id to = -1;
-  std::uint64_t tag = 0;       ///< protocol tag (0 for bare charges)
   std::uint64_t bits = 0;
+  bool operator==(const trace_event&) const = default;
 };
 
 /// Passive observer of a network's traffic, attachable via
-/// network::attach_trace. Useful for debugging protocols and for asserting
-/// communication patterns in tests ("Phase 1 only used tree edges",
-/// "no traffic crossed a disputed link").
+/// network::attach_trace. network::end_step appends one event per link that
+/// carried bits in the step, in ascending link id: the per-link loads tau is
+/// computed from, so every charge path records alike. Useful for debugging
+/// protocols and for asserting communication patterns in tests ("Phase 1
+/// only used tree edges", "no traffic crossed a disputed link").
 class trace {
  public:
-  void record(int step, graph::node_id from, graph::node_id to, std::uint64_t tag,
-              std::uint64_t bits) {
-    events_.push_back({step, from, to, tag, bits});
+  void record(int step, graph::node_id from, graph::node_id to, std::uint64_t bits) {
+    events_.push_back({step, from, to, bits});
   }
 
   const std::vector<trace_event>& events() const { return events_; }
@@ -34,21 +36,9 @@ class trace {
   /// network itself does not keep.
   std::uint64_t link_total(graph::node_id from, graph::node_id to) const;
 
-  /// Total bits recorded under one protocol tag, across all links and steps.
-  /// Sub-protocols that tag their traffic (e.g. the Phase-3 claim backends,
-  /// bb/claim_bcast.hpp) become individually accountable: tests assert the
-  /// claim-byte drop across backends from a trace instead of eyeballing it.
-  std::uint64_t tag_total(std::uint64_t tag) const;
-
   /// Total bits recorded over all events (equals network::total_bits when
   /// the trace observed the network for its whole lifetime).
   std::uint64_t total_bits() const;
-
-  /// Events within one step, in charge order.
-  std::vector<trace_event> step_events(int step) const;
-
-  /// True iff some event used the given link.
-  bool used(graph::node_id from, graph::node_id to) const;
 
  private:
   std::vector<trace_event> events_;

@@ -50,33 +50,13 @@ TEST(Channels, DeliveryAndAccounting) {
   net.attach_trace(&wire);
   sim::fault_set faults(3);
   channel_plan plan(g, 0);
-  plan.unicast(0, 1, 9, {123}, 10);
+  plan.unicast(0, 1, {123}, 10);
   const double t = plan.end_round(net, faults);
   EXPECT_DOUBLE_EQ(t, 5.0);  // 10 bits on a capacity-2 link
   ASSERT_EQ(plan.inbox(1).size(), 1u);
   EXPECT_EQ(plan.inbox(1)[0].payload, (sim::payload{123}));
-  EXPECT_EQ(plan.inbox(1)[0].tag, 9u);
   EXPECT_EQ(wire.link_total(0, 1), 10u);
   EXPECT_EQ(net.total_bits(), 10u);
-}
-
-TEST(Channels, TagsSurviveMultiHopEmulation) {
-  // Per-protocol wire accounting (trace::tag_total) relies on end_round
-  // forwarding the logical message's tag onto every link-level charge —
-  // direct links and every hop of every emulated route alike.
-  graph::digraph g = graph::complete(5);
-  g.remove_edge_pair(0, 3);
-  sim::trace t;
-  sim::network net(g);
-  net.attach_trace(&t);
-  sim::fault_set faults(5);
-  channel_plan plan(g, 1);
-  plan.unicast(0, 3, /*tag=*/42, {7}, 10);   // emulated: 3 disjoint paths
-  plan.unicast(0, 1, /*tag=*/42, {8}, 6);    // direct link
-  plan.end_round(net, faults);
-  EXPECT_EQ(t.tag_total(42), net.total_bits());
-  EXPECT_GT(t.tag_total(42), 16u);  // multi-hop routes charge every hop
-  EXPECT_EQ(t.tag_total(0), 0u);
 }
 
 TEST(Channels, EmulatedPathChargesEveryHop) {
@@ -85,7 +65,7 @@ TEST(Channels, EmulatedPathChargesEveryHop) {
   sim::network net(g);
   sim::fault_set faults(5);
   channel_plan plan(g, 1);
-  plan.unicast(0, 3, 0, {7}, 6);
+  plan.unicast(0, 3, {7}, 6);
   plan.end_round(net, faults);
   // 3 disjoint paths, each with >= 2 hops, each hop charged 6 bits.
   EXPECT_GE(net.total_bits(), 6u * 6u);
@@ -109,7 +89,7 @@ TEST(Channels, MajorityDefeatsSingleCorruptRelay) {
   sim::fault_set faults(5, {1});  // node 1 may relay one of the three paths
   channel_plan plan(g, 1);
   forger adv;
-  plan.unicast(0, 3, 0, {42}, 8);
+  plan.unicast(0, 3, {42}, 8);
   plan.end_round(net, faults, &adv);
   ASSERT_EQ(plan.inbox(3).size(), 1u);
   // Two honest paths out of three: majority yields the true payload.
@@ -124,7 +104,7 @@ TEST(Channels, TamperWinsOnlyWithMajorityOfPaths) {
   sim::fault_set faults(5, {1, 2});
   channel_plan plan(g, 1);
   forger adv;
-  plan.unicast(0, 3, 0, {42}, 8);
+  plan.unicast(0, 3, {42}, 8);
   plan.end_round(net, faults, &adv);
   ASSERT_EQ(plan.inbox(3).size(), 1u);
   EXPECT_EQ(plan.inbox(3)[0].payload, (sim::payload{666}));
@@ -192,9 +172,9 @@ TEST(Channels, ZeroBitUnicastWithPayloadThrows) {
   graph::digraph g = graph::complete(5);
   g.remove_edge_pair(0, 3);
   channel_plan plan(g, 1);
-  EXPECT_THROW(plan.unicast(0, 3, 0, {7}, 0), nab::error);
-  EXPECT_THROW(plan.unicast(0, 1, 0, {7}, 0), nab::error);
-  EXPECT_NO_THROW(plan.unicast(0, 3, 0, {}, 0));
+  EXPECT_THROW(plan.unicast(0, 3, {7}, 0), nab::error);
+  EXPECT_THROW(plan.unicast(0, 1, {7}, 0), nab::error);
+  EXPECT_NO_THROW(plan.unicast(0, 3, {}, 0));
 }
 
 TEST(Channels, EndRoundOnAnotherTopologyThrows) {
@@ -212,13 +192,13 @@ TEST(Channels, EndRoundOnAnotherTopologyThrows) {
   lacking.remove_edge(path[1], path[2]);
   sim::network net(lacking);
   sim::fault_set faults(5);
-  plan.unicast(0, 3, 0, {7}, 6);
+  plan.unicast(0, 3, {7}, 6);
   EXPECT_THROW(plan.end_round(net, faults), nab::error);
 
   // A network over another node universe cannot match the plan's link ids.
   channel_plan direct(graph::complete(3), 0);
   sim::network wider(graph::complete(4));
-  direct.unicast(0, 1, 0, {1}, 1);
+  direct.unicast(0, 1, {1}, 1);
   EXPECT_THROW(direct.end_round(wider, sim::fault_set(4)), nab::error);
 }
 
@@ -229,7 +209,7 @@ double charge_per_hop(const channel_plan& plan, sim::network& net,
   for (const sim::message& m : batch)
     for (const route_table::path_view path : plan.routes(m.from, m.to))
       for (std::size_t i = 0; i + 1 < path.size(); ++i)
-        net.charge(path[i], path[i + 1], m.bits, m.tag);
+        net.charge(path[i], path[i + 1], m.bits);
   return net.end_step();
 }
 
@@ -245,7 +225,7 @@ void expect_clean_charging_matches_reference(
   bulk.attach_trace(&bulk_trace);
   ref.attach_trace(&ref_trace);
   for (const auto& batch : batches) {
-    for (const sim::message& m : batch) plan.unicast(m.from, m.to, m.tag, m.payload, m.bits);
+    for (const sim::message& m : batch) plan.unicast(m.from, m.to, m.payload, m.bits);
     EXPECT_EQ(plan.end_round(bulk, faults, adv), charge_per_hop(plan, ref, batch));
     std::vector<std::size_t> delivered(static_cast<std::size_t>(g.universe()), 0);
     for (const sim::message& m : batch) {
@@ -253,7 +233,6 @@ void expect_clean_charging_matches_reference(
       const std::size_t k = delivered[static_cast<std::size_t>(m.to)]++;
       ASSERT_LT(k, box.size());
       EXPECT_EQ(box[k].from, m.from);
-      EXPECT_EQ(box[k].tag, m.tag);
       EXPECT_EQ(box[k].payload, m.payload) << m.from << "->" << m.to;
     }
   }
@@ -263,36 +242,25 @@ void expect_clean_charging_matches_reference(
           << u << "->" << v;
   EXPECT_EQ(bulk.total_bits(), ref.total_bits());
   EXPECT_EQ(bulk.elapsed(), ref.elapsed());
-  const auto& got = bulk_trace.events();
-  const auto& want = ref_trace.events();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].step, want[i].step) << "event " << i;
-    EXPECT_EQ(got[i].from, want[i].from) << "event " << i;
-    EXPECT_EQ(got[i].to, want[i].to) << "event " << i;
-    EXPECT_EQ(got[i].tag, want[i].tag) << "event " << i;
-    EXPECT_EQ(got[i].bits, want[i].bits) << "event " << i;
-  }
+  EXPECT_EQ(bulk_trace.events(), ref_trace.events());
 }
 
-/// All-to-all and random sparse unicast batches with mixed bits and tags.
+/// All-to-all and random sparse unicast batches with mixed bits.
 std::vector<std::vector<sim::message>> mixed_batches(const graph::digraph& g, rng& rand) {
   const std::vector<graph::node_id> nodes = g.active_nodes();
-  const std::uint64_t tags[] = {0, 42, 0xc1a1b};
   std::vector<sim::message> all, sparse;
   for (graph::node_id u : nodes)
     for (graph::node_id v : nodes)
       if (u != v) {
         const std::uint64_t bits = 1 + rand.below(64);
-        all.push_back({u, v, tags[rand.below(3)], {bits * 3 + 1}, bits});
+        all.push_back({u, v, {bits * 3 + 1}, bits});
       }
   for (int i = 0; i < 3 * static_cast<int>(nodes.size()); ++i) {
     const graph::node_id u = nodes[rand.below(nodes.size())];
     const graph::node_id v = nodes[rand.below(nodes.size())];
     if (u == v) continue;
     const std::uint64_t bits = rand.below(1000);
-    sparse.push_back({u, v, tags[rand.below(3)],
-                      bits == 0 ? sim::payload{} : sim::payload{bits, bits ^ 5}, bits});
+    sparse.push_back({u, v, bits == 0 ? sim::payload{} : sim::payload{bits, bits ^ 5}, bits});
   }
   return {all, sparse, all};
 }
@@ -331,7 +299,7 @@ TEST(Channels, CleanChargingMatchesPerHopReference) {
   for (graph::node_id u = 0; u < 32; ++u)
     for (graph::node_id v = 0; v < 32; ++v) {
       if (u == v || faults.is_corrupt(u) || faults.is_corrupt(v)) continue;
-      honest.push_back({u, v, 7, {static_cast<std::uint64_t>(u * 32 + v)}, 3});
+      honest.push_back({u, v, {static_cast<std::uint64_t>(u * 32 + v)}, 3});
       for (const route_table::path_view path : plan.routes(u, v))
         for (std::size_t i = 1; i + 1 < path.size(); ++i)
           if (faults.is_corrupt(path[i])) {
@@ -350,7 +318,7 @@ TEST(Channels, RoundsClearInboxes) {
   sim::network net(g);
   sim::fault_set faults(3);
   channel_plan plan(g, 0);
-  plan.unicast(0, 1, 0, {1}, 1);
+  plan.unicast(0, 1, {1}, 1);
   plan.end_round(net, faults);
   EXPECT_EQ(plan.inbox(1).size(), 1u);
   plan.end_round(net, faults);

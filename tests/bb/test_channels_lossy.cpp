@@ -30,7 +30,7 @@ TEST(ChannelsLossy, DirectLinkSurvivesViaRetransmission) {
   int delivered = 0;
   std::uint64_t clean_bits = 0;
   for (int round = 0; round < 50; ++round) {
-    plan.unicast(0, 1, 9, {static_cast<std::uint64_t>(round)}, 10);
+    plan.unicast(0, 1, {static_cast<std::uint64_t>(round)}, 10);
     plan.end_round(net, faults);
     delivered += static_cast<int>(plan.inbox(1).size());
     clean_bits += 10;
@@ -51,7 +51,7 @@ TEST(ChannelsLossy, DeadLinkDegradesToMissingMessage) {
   net.attach_trace(&t);
   sim::fault_set faults(3);
   channel_plan plan(g, 0);
-  plan.unicast(0, 1, 9, {123}, 10);
+  plan.unicast(0, 1, {123}, 10);
   plan.end_round(net, faults);
   EXPECT_TRUE(plan.inbox(1).empty());
   // The budget was still paid for: initial + retry_budget charges.
@@ -70,7 +70,7 @@ TEST(ChannelsLossy, EmulatedRoutesSurviveWhileAnyPathDelivers) {
   channel_plan plan(g, 1);
   int delivered = 0;
   for (int round = 0; round < 25; ++round) {
-    plan.unicast(0, 3, 0, {42}, 8);
+    plan.unicast(0, 3, {42}, 8);
     plan.end_round(net, faults);
     for (const sim::message& msg : plan.inbox(3)) {
       EXPECT_EQ(msg.payload, (sim::payload{42}));
@@ -88,7 +88,7 @@ TEST(ChannelsLossy, AllPathsDeadMeansNoDelivery) {
   sim::network net(g);
   sim::fault_set faults(5);
   channel_plan plan(g, 1);
-  plan.unicast(0, 3, 0, {42}, 8);
+  plan.unicast(0, 3, {42}, 8);
   plan.end_round(net, faults);
   EXPECT_TRUE(plan.inbox(3).empty());
   // First hops pay their exhausted budgets; hops past a failure are never
@@ -108,8 +108,8 @@ TEST(ChannelsLossy, ZeroModelMatchesCleanRunExactly) {
   sim::network clean_net(g);
   clean_net.attach_trace(&clean_trace);
   channel_plan clean_plan(g, 1);
-  clean_plan.unicast(0, 3, 7, {11, 22}, 16);
-  clean_plan.unicast(2, 4, 8, {33}, 4);
+  clean_plan.unicast(0, 3, {11, 22}, 16);
+  clean_plan.unicast(2, 4, {33}, 4);
   const double clean_time = clean_plan.end_round(clean_net, faults);
 
   sim::link_fault_model zero(sim::parse_loss_spec("zero"), 77);
@@ -117,8 +117,8 @@ TEST(ChannelsLossy, ZeroModelMatchesCleanRunExactly) {
   sim::network lossy_net(g);
   lossy_net.attach_trace(&lossy_trace);
   channel_plan lossy_plan(g, 1);
-  lossy_plan.unicast(0, 3, 7, {11, 22}, 16);
-  lossy_plan.unicast(2, 4, 8, {33}, 4);
+  lossy_plan.unicast(0, 3, {11, 22}, 16);
+  lossy_plan.unicast(2, 4, {33}, 4);
   const double zero_time = lossy_plan.end_round(lossy_net, faults);
 
   EXPECT_DOUBLE_EQ(clean_time, zero_time);

@@ -1,22 +1,21 @@
 // channel_plan's word lane against the message lane it replaced for
 // phase-king. A test-local reference runs the same phase-king rounds through
-// unicast / end_round / inbox, one sim::message per unicast; the production
-// rounds (send_word / end_word_round / words) must match it in decisions,
-// per-round tau, total bits, per-link totals, the exact trace-event
-// sequence, relay tampering and the ARQ counters.
+// unicast / end_round / inbox, one sim::message per unicast, each charged
+// entry by entry; the production rounds (send_word / end_word_round / words)
+// must match it in decisions, per-round tau, total bits, every link's bits in
+// every step (the traces' records), relay tampering and the ARQ counters.
 //
-// Those comparisons attach a trace, so they pin the per-entry charge. With
-// no trace on a clean network the word lane charges whole fan-outs from the
-// route table's load templates instead; the WordLaneTemplates tests run
-// that path and compare it with the traced per-entry path, reading each
-// link's bits from tau alone.
+// On a clean network the word lane charges whole fan-outs from the route
+// table's load templates, traced or not. The WordLaneTemplates tests hold
+// that path to the message lane's per-entry charge: phase-king rounds run by
+// production and by the reference's tally on the word lane, and hand-built
+// rounds whose fan-outs are whole, partial or malformed.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <optional>
 
 #include "bb/broadcast.hpp"
@@ -109,10 +108,9 @@ class reference_phase_king {
   /// Each sender's word to every other participant as one message or word,
   /// in sender-major, ascending-receiver order; a corrupt sender's word
   /// comes from the phase-king adversary. `phase` -1 is the dissemination
-  /// round (tag 0).
+  /// round.
   heard_words round(const std::vector<graph::node_id>& senders,
                     const std::vector<std::uint64_t>& values, int phase, bool king_round) {
-    const std::uint64_t tag = phase < 0 ? 0 : static_cast<std::uint64_t>(phase);
     for (graph::node_id i : senders)
       for (graph::node_id j : participants_) {
         if (j == i) continue;
@@ -120,9 +118,9 @@ class reference_phase_king {
         if (faults_.is_corrupt(i) && adv_ != nullptr)
           v = adv_->exchange_value(i, j, phase, king_round, v);
         if (lane_ == lane::word)
-          channels_.send_word(i, j, tag, v, value_bits_);
+          channels_.send_word(i, j, v, value_bits_);
         else
-          channels_.unicast(i, j, tag, {v}, value_bits_);
+          channels_.unicast(i, j, {v}, value_bits_);
       }
     heard_words heard(n_ * n_);
     if (lane_ == lane::word) {
@@ -150,36 +148,18 @@ class reference_phase_king {
   std::size_t n_;
 };
 
-/// Every link's bits in each step of a trace: bits[step][u * n + v].
-using step_link_bits = std::vector<std::vector<std::uint64_t>>;
-
-step_link_bits link_bits_of(const sim::trace& t, int n, int steps) {
-  step_link_bits bits(static_cast<std::size_t>(steps),
-                      std::vector<std::uint64_t>(static_cast<std::size_t>(n) * n));
-  for (const sim::trace_event& e : t.events())
-    bits[static_cast<std::size_t>(e.step)][static_cast<std::size_t>(e.from) * n + e.to] += e.bits;
-  return bits;
-}
-
 /// Each step's tau recomputed from a trace the way network::end_step
 /// computes it: the slowest link's bits over its capacity, times the link's
-/// fixed dilation when a fault model is attached.
+/// fixed dilation when a fault model is attached. A trace holds one record
+/// per link per step, so each record is one link's whole step load.
 std::vector<double> step_taus(const sim::trace& t, const graph::digraph& g, int steps,
                               const sim::link_fault_model* model) {
-  const int n = g.universe();
-  const step_link_bits bits = link_bits_of(t, n, steps);
-  std::vector<double> taus;
-  for (const auto& step : bits) {
-    double tau = 0.0;
-    for (graph::node_id u = 0; u < n; ++u)
-      for (graph::node_id v = 0; v < n; ++v) {
-        const std::uint64_t b = step[static_cast<std::size_t>(u) * n + v];
-        if (b == 0) continue;
-        double link = static_cast<double>(b) / static_cast<double>(g.cap(u, v));
-        if (model != nullptr) link *= model->time_dilation(u, v, n);
-        tau = std::max(tau, link);
-      }
-    taus.push_back(tau);
+  std::vector<double> taus(static_cast<std::size_t>(steps), 0.0);
+  for (const sim::trace_event& e : t.events()) {
+    double link = static_cast<double>(e.bits) / static_cast<double>(g.cap(e.from, e.to));
+    if (model != nullptr) link *= model->time_dilation(e.from, e.to, g.universe());
+    double& tau = taus[static_cast<std::size_t>(e.step)];
+    tau = std::max(tau, link);
   }
   return taus;
 }
@@ -249,14 +229,6 @@ struct lane_case {
   std::optional<sim::link_fault_params> loss;
 };
 
-/// Every link's total bits over a trace, in one pass (row-major u * n + v).
-std::vector<std::uint64_t> link_totals(const sim::trace& t, int n) {
-  std::vector<std::uint64_t> totals(static_cast<std::size_t>(n) * n, 0);
-  for (const sim::trace_event& e : t.events())
-    totals[static_cast<std::size_t>(e.from) * n + e.to] += e.bits;
-  return totals;
-}
-
 /// One side of the comparison: its own network, trace, plan, collector,
 /// adversaries and (same-seeded) fault model.
 struct lane_run {
@@ -274,17 +246,7 @@ struct lane_run {
 /// the message lane or the word lane.
 enum class engine { production, message_reference, word_reference };
 
-/// How a run is observed: traced, as every lane comparison runs, or with
-/// no trace, which lets clean word rounds take the load templates. A run
-/// may meter a `metered` copy of the case's topology (same links, other
-/// capacities) on `routes`, the case's route table built once.
-struct observation {
-  bool traced = true;
-  const graph::digraph* metered = nullptr;
-  std::shared_ptr<const route_table> routes;
-};
-
-lane_run run_lane(const lane_case& c, engine which, observation seen = {}) {
+lane_run run_lane(const lane_case& c, engine which) {
   lane_run out;
   obs::collector col;
   obs::scoped_collector collect(&col);
@@ -294,14 +256,10 @@ lane_run run_lane(const lane_case& c, engine which, observation seen = {}) {
     model.emplace(*c.loss, 4242);
     lossy.emplace(&*model);
   }
-  const graph::digraph& metered = seen.metered != nullptr ? *seen.metered : c.g;
-  sim::network net(metered);
-  if (seen.traced) net.attach_trace(&out.trace);
+  sim::network net(c.g);
+  net.attach_trace(&out.trace);
   const sim::fault_set faults(c.g.universe(), c.corrupt);
-  std::shared_ptr<const route_table> routes = seen.routes;
-  if (routes == nullptr)
-    routes = std::make_shared<const route_table>(channel_plan::build_routes(c.g, c.f));
-  channel_plan plan(metered, c.f, routes);
+  channel_plan plan(c.g, c.f);
   splitter split;
   forger relay(c.forge.value_or(sim::payload{}));
   pk_adversary* adv = c.pk != nullptr ? c.pk : c.equivocate ? &split : nullptr;
@@ -327,10 +285,11 @@ lane_run run_lane(const lane_case& c, engine which, observation seen = {}) {
   return out;
 }
 
-/// Runs `c` on both lanes and compares everything observable; returns the
-/// word lane's run.
-lane_run expect_lanes_agree(const lane_case& c) {
-  const lane_run word = run_lane(c, engine::production);
+/// Runs `c` on the word lane (`word_side`: production phase-king, or the
+/// reference's rounds) and on the message lane, and compares everything
+/// observable; returns the word lane's run.
+lane_run expect_lanes_agree(const lane_case& c, engine word_side = engine::production) {
+  const lane_run word = run_lane(c, word_side);
   const lane_run ref = run_lane(c, engine::message_reference);
 
   EXPECT_EQ(word.decided, ref.decided);
@@ -351,20 +310,9 @@ lane_run expect_lanes_agree(const lane_case& c) {
   EXPECT_EQ(step_taus(ref.trace, c.g, ref.steps, model ? &*model : nullptr), ref.round_tau);
   EXPECT_EQ(word_tau, ref.round_tau);
 
-  EXPECT_EQ(link_totals(word.trace, c.g.universe()), link_totals(ref.trace, c.g.universe()));
-  const auto& got = word.trace.events();
-  const auto& want = ref.trace.events();
-  EXPECT_FALSE(got.empty());
-  EXPECT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
-    const bool same = got[i].step == want[i].step && got[i].from == want[i].from &&
-                      got[i].to == want[i].to && got[i].tag == want[i].tag &&
-                      got[i].bits == want[i].bits;
-    if (!same) {
-      ADD_FAILURE() << "trace events diverge at event " << i;
-      break;
-    }
-  }
+  // Every link's bits in every step.
+  EXPECT_FALSE(word.trace.events().empty());
+  EXPECT_EQ(word.trace.events(), ref.trace.events());
   return word;
 }
 
@@ -434,14 +382,14 @@ TEST(WordLane, ForgedEmptyWordIsNotHeard) {
   sim::network net(g);
   const sim::fault_set faults(4, {1, 2});
   forger empty(sim::payload{});
-  plan.send_word(0, 3, 0, 5, 8);
-  plan.send_word(0, 1, 0, 5, 8);
+  plan.send_word(0, 3, 5, 8);
+  plan.send_word(0, 1, 5, 8);
   plan.end_word_round(net, faults, &empty);
   EXPECT_FALSE(plan.words().heard(3, 0));
   ASSERT_TRUE(plan.words().heard(1, 0));  // direct link: no relay to forge
   EXPECT_EQ(plan.words().value(1, 0), 5u);
   forger longer(sim::payload{9, 4});
-  plan.send_word(0, 3, 0, 5, 8);
+  plan.send_word(0, 3, 5, 8);
   plan.end_word_round(net, faults, &longer);
   ASSERT_TRUE(plan.words().heard(3, 0));
   EXPECT_EQ(plan.words().value(3, 0), 9u);
@@ -454,9 +402,9 @@ TEST(WordLane, ZeroBitWordThrows) {
   graph::digraph g = graph::complete(5);
   g.remove_edge_pair(0, 3);
   channel_plan plan(g, 1);
-  EXPECT_THROW(plan.send_word(0, 3, 0, 7, 0), nab::error);
-  EXPECT_THROW(plan.send_word(0, 1, 0, 7, 0), nab::error);
-  EXPECT_NO_THROW(plan.send_word(0, 3, 0, 7, 1));
+  EXPECT_THROW(plan.send_word(0, 3, 7, 0), nab::error);
+  EXPECT_THROW(plan.send_word(0, 1, 7, 0), nab::error);
+  EXPECT_NO_THROW(plan.send_word(0, 3, 7, 1));
 }
 
 #if GTEST_HAS_DEATH_TEST
@@ -466,7 +414,7 @@ TEST(WordLaneDeathTest, MessageTrafficQueuedAtWordRoundEndAborts) {
         const graph::digraph g = graph::complete(3);
         channel_plan plan(g, 0);
         sim::network net(g);
-        plan.unicast(0, 1, 0, {1}, 1);
+        plan.unicast(0, 1, {1}, 1);
         plan.end_word_round(net, sim::fault_set(3));
       },
       "message-lane traffic");
@@ -502,64 +450,17 @@ TEST(WordLane, FlagBroadcastAllocatesFarBelowOnePerUnicast) {
   plan.reclaim_round_storage();
 }
 
-/// Every link's bits in each step of an untraced run, read from tau alone.
-/// `run(h)` replays the run on a copy h of `g` in which one link has
-/// capacity 1 and every other link 2^40 and returns each step's tau: a step
-/// whose tau is at least 1 put exactly tau bits on that link, and any
-/// other step put none there (every other link's share stays below 1).
-template <class Run>
-step_link_bits link_bits_by_tau(const graph::digraph& g, const Run& run) {
-  const int n = g.universe();
-  step_link_bits bits;
-  for (const graph::edge& e : g.edges()) {
-    graph::digraph h(n);
-    for (const graph::edge& o : g.edges())
-      h.add_edge(o.from, o.to, o == e ? 1 : graph::capacity_t{1} << 40);
-    const std::vector<double> taus = run(h);
-    if (bits.empty())
-      bits.assign(taus.size(), std::vector<std::uint64_t>(static_cast<std::size_t>(n) * n));
-    EXPECT_EQ(taus.size(), bits.size());
-    for (std::size_t step = 0; step < std::min(taus.size(), bits.size()); ++step)
-      if (taus[step] >= 1.0)
-        bits[step][static_cast<std::size_t>(e.from) * n + e.to] =
-            static_cast<std::uint64_t>(taus[step]);
-  }
-  return bits;
-}
-
-/// Runs `c`'s rounds on the word lane untraced (whole fan-outs charged
-/// from the load templates) and traced (every entry charged hop by hop),
-/// and compares decisions, tau per round, steps, total bits, tamper calls
-/// and every link's bits in every round; production phase-king must also
-/// agree with itself untraced and traced.
+/// The load templates against the message lane's per-entry charge. On a
+/// clean network every whole fan-out of a word round is charged from its
+/// template, so the word lane, run by production phase-king and by the
+/// reference's tally, must charge every link in every step what the message
+/// lane charges entry by entry, and decide and deliver what it does.
 void expect_templates_match_per_entry(const lane_case& c) {
-  const auto routes = std::make_shared<const route_table>(channel_plan::build_routes(c.g, c.f));
-  const lane_run per_entry = run_lane(c, engine::word_reference, {.routes = routes});
-  const lane_run templated =
-      run_lane(c, engine::word_reference, {.traced = false, .routes = routes});
-  EXPECT_EQ(templated.decided, per_entry.decided);
-  EXPECT_EQ(templated.round_tau, per_entry.round_tau);
-  EXPECT_EQ(templated.steps, per_entry.steps);
-  EXPECT_EQ(templated.total_bits, per_entry.total_bits);
-  EXPECT_EQ(templated.elapsed, per_entry.elapsed);
-  EXPECT_EQ(templated.tamper_calls, per_entry.tamper_calls);
-  EXPECT_TRUE(templated.trace.events().empty());
-
-  const lane_run production = run_lane(c, engine::production, {.traced = false, .routes = routes});
-  const lane_run production_traced = run_lane(c, engine::production, {.routes = routes});
-  EXPECT_EQ(production.decided, per_entry.decided);
-  EXPECT_EQ(production.decided, production_traced.decided);
-  EXPECT_EQ(production.steps, production_traced.steps);
-  EXPECT_EQ(production.total_bits, production_traced.total_bits);
-  EXPECT_EQ(production.elapsed, production_traced.elapsed);
-  EXPECT_EQ(production.tamper_calls, production_traced.tamper_calls);
-
-  const step_link_bits want = link_bits_of(per_entry.trace, c.g.universe(), per_entry.steps);
-  const step_link_bits got = link_bits_by_tau(c.g, [&](const graph::digraph& h) {
-    return run_lane(c, engine::word_reference, {.traced = false, .metered = &h, .routes = routes})
-        .round_tau;
-  });
-  EXPECT_EQ(got, want);
+  ASSERT_FALSE(c.loss) << "a lossy network charges every entry hop by hop";
+  for (const engine word_side : {engine::production, engine::word_reference}) {
+    SCOPED_TRACE(word_side == engine::production ? "production" : "reference tally");
+    expect_lanes_agree(c, word_side);
+  }
 }
 
 TEST(WordLaneTemplates, MatchPerEntryChargeOnEmulatedRoutes) {
@@ -593,15 +494,15 @@ TEST(WordLaneTemplates, MatchPerEntryChargeOnDirectLinks) {
 
 TEST(WordLaneTemplates, TiedVotesGoToTheSmallestWord) {
   // Three words tie 3-3-3 at every honest node (three_way_tie). The
-  // reference tallies in a std::map; the production tally must break the
-  // tie the same way, to the smallest word, on either charge path.
+  // reference tallies in a std::map; the production tally, on rounds
+  // charged from the templates, must break the tie the same way, to the
+  // smallest word.
   three_way_tie ties;
   lane_case c{graph::complete(9), 2, {7, 8}, {{8, 0}}, 8};
   c.pk = &ties;
   const lane_run word = expect_lanes_agree(c);
   for (graph::node_id v = 0; v < 7; ++v)
     EXPECT_EQ(word.decided[0][static_cast<std::size_t>(v)], 10u) << "node " << v;
-  expect_templates_match_per_entry(c);
 }
 
 /// One hand-built word-lane entry.
@@ -610,7 +511,7 @@ struct queued_word {
   std::uint64_t word, bits;
 };
 
-/// What ending one hand-built word round showed.
+/// What ending one hand-built round showed.
 struct round_outcome {
   double tau = 0.0;
   std::uint64_t total_bits = 0;
@@ -618,42 +519,47 @@ struct round_outcome {
   sim::trace trace;
 };
 
-/// Queues `entries` in order and ends one word round on a fresh network
-/// over `metered` (the plan's topology, or a copy with other capacities),
-/// traced or not.
-round_outcome end_hand_built_round(const channel_plan::route_table& routes,
-                                   const graph::digraph& metered, int f,
-                                   const std::vector<queued_word>& entries, bool traced) {
+/// Queues `entries` in order on one lane, as words or as one-word unicasts,
+/// and ends one round on a fresh traced network over g.
+round_outcome end_hand_built_round(const graph::digraph& g, int f,
+                                   const std::vector<queued_word>& entries, lane on) {
   round_outcome out;
-  channel_plan plan(metered, f, std::make_shared<const route_table>(routes));
-  sim::network net(metered);
-  if (traced) net.attach_trace(&out.trace);
-  for (const queued_word& e : entries) plan.send_word(e.from, e.to, 0, e.word, e.bits);
-  out.tau = plan.end_word_round(net, sim::fault_set(metered.universe()));
-  out.total_bits = net.total_bits();
-  const int n = metered.universe();
+  channel_plan plan(g, f);
+  sim::network net(g);
+  net.attach_trace(&out.trace);
+  const sim::fault_set faults(g.universe());
+  const int n = g.universe();
   out.heard.resize(static_cast<std::size_t>(n) * n);
-  for (graph::node_id r = 0; r < n; ++r)
-    for (graph::node_id s = 0; s < n; ++s)
-      if (plan.words().heard(r, s))
-        out.heard[static_cast<std::size_t>(r) * n + s] = plan.words().value(r, s);
+  if (on == lane::word) {
+    for (const queued_word& e : entries) plan.send_word(e.from, e.to, e.word, e.bits);
+    out.tau = plan.end_word_round(net, faults);
+    for (graph::node_id r = 0; r < n; ++r)
+      for (graph::node_id s = 0; s < n; ++s)
+        if (plan.words().heard(r, s))
+          out.heard[static_cast<std::size_t>(r) * n + s] = plan.words().value(r, s);
+  } else {
+    for (const queued_word& e : entries) plan.unicast(e.from, e.to, {e.word}, e.bits);
+    out.tau = plan.end_round(net, faults);
+    for (graph::node_id r = 0; r < n; ++r)
+      for (const sim::message& m : plan.inbox(r))
+        out.heard[static_cast<std::size_t>(r) * n + m.from] = m.payload[0];
+  }
+  out.total_bits = net.total_bits();
   return out;
 }
 
-/// A round must charge and deliver exactly what its per-entry charge does,
+/// A word round must charge and deliver exactly what the message lane's
+/// per-entry charge does with the same entries as one-word unicasts,
 /// whether or not its senders' entries make whole fan-outs.
 void expect_round_charged_per_entry(const graph::digraph& g, int f,
                                     const std::vector<queued_word>& entries) {
-  const channel_plan::route_table routes = channel_plan::build_routes(g, f);
-  const round_outcome per_entry = end_hand_built_round(routes, g, f, entries, true);
-  const round_outcome templated = end_hand_built_round(routes, g, f, entries, false);
-  EXPECT_EQ(templated.tau, per_entry.tau);
-  EXPECT_EQ(templated.total_bits, per_entry.total_bits);
-  EXPECT_EQ(templated.heard, per_entry.heard);
-  const step_link_bits got = link_bits_by_tau(g, [&](const graph::digraph& h) {
-    return std::vector<double>{end_hand_built_round(routes, h, f, entries, false).tau};
-  });
-  EXPECT_EQ(got, link_bits_of(per_entry.trace, g.universe(), 1));
+  const round_outcome per_entry = end_hand_built_round(g, f, entries, lane::message);
+  const round_outcome word = end_hand_built_round(g, f, entries, lane::word);
+  EXPECT_EQ(word.tau, per_entry.tau);
+  EXPECT_EQ(word.total_bits, per_entry.total_bits);
+  EXPECT_EQ(word.heard, per_entry.heard);
+  EXPECT_FALSE(word.trace.events().empty());
+  EXPECT_EQ(word.trace.events(), per_entry.trace.events());
 }
 
 TEST(WordLaneTemplates, IrregularRoundsChargeWhatTheirEntriesDo) {

@@ -33,15 +33,14 @@ graph::digraph k5_without_03() {
   return g;
 }
 
-/// Records, per (from, to), every payload tagged `tag` that crosses a
-/// corrupt relay, in round order.
+/// Records, per (from, to), every payload that crosses a corrupt relay, in
+/// round order. Each tap watches one protocol call, so it sees only that
+/// protocol's batches.
 class wire_tap : public bb::relay_adversary {
  public:
-  explicit wire_tap(std::uint64_t tag) : tag_(tag) {}
-
   std::optional<sim::payload> tamper(const std::vector<graph::node_id>&,
                                      const sim::message& m) override {
-    if (m.tag == tag_) copies_.push_back({m.from, m.to, {m.payload.begin(), m.payload.end()}});
+    copies_.push_back({m.from, m.to, {m.payload.begin(), m.payload.end()}});
     return std::nullopt;
   }
 
@@ -58,7 +57,6 @@ class wire_tap : public bb::relay_adversary {
     graph::node_id to;
     words payload;
   };
-  std::uint64_t tag_;
   std::vector<copy> copies_;
 };
 
@@ -72,7 +70,7 @@ TEST(Wire, EigItemsOnTheWire) {
   sim::network net(g);
   sim::fault_set faults(5, {1});
   bb::channel_plan plan(g, 1);
-  wire_tap tap(0);
+  wire_tap tap;
   const std::vector<bb::eig_instance> instances{{0, {0xAB, 0xCD}, 32}, {2, {0x11}, 16}};
   bb::eig_broadcast_all(plan, net, faults, instances, 1, 64, nullptr, &tap);
   // Round 1: source 0's own item; round 2: 0 relays label (2).
@@ -98,7 +96,7 @@ TEST(Wire, CollapsedItemsOnTheWire) {
   sim::network net(g);
   sim::fault_set faults(5, {1});
   bb::channel_plan plan(g, 1);
-  wire_tap tap(bb::claim_traffic_tag);
+  wire_tap tap;
   split_proposal adv;
   const std::vector<bb::claim_instance> instances{{0, {0xAB, 0xCD}, 32}, {1, {0x11}, 16}};
   bb::broadcast_claims_collapsed(plan, net, faults, instances, 1, &adv, &tap, 7);
@@ -126,7 +124,7 @@ class dc1_tap : public nab_adversary {
     return empty_input_ ? std::vector<word>{} : honest;
   }
   bb::relay_adversary* relay() override { return &tap; }
-  wire_tap tap{bb::claim_traffic_tag};
+  wire_tap tap;
 
  private:
   bool empty_input_;

@@ -56,19 +56,6 @@ TEST(Matrix, TransposeIsInvolution) {
   EXPECT_EQ(a.transpose().transpose(), a);
 }
 
-TEST(Matrix, HconcatShapesAndContent) {
-  rng rand(6);
-  const auto a = m16::random(3, 2, rand);
-  const auto b = m16::random(3, 4, rand);
-  const auto c = m16::hconcat(a, b);
-  EXPECT_EQ(c.rows(), 3u);
-  EXPECT_EQ(c.cols(), 6u);
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t j = 0; j < 2; ++j) EXPECT_EQ(c.at(r, j), a.at(r, j));
-    for (std::size_t j = 0; j < 4; ++j) EXPECT_EQ(c.at(r, 2 + j), b.at(r, j));
-  }
-}
-
 TEST(Matrix, SelectColumnsPicksInOrder) {
   rng rand(7);
   const auto a = m16::random(2, 5, rand);

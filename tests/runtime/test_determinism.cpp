@@ -39,10 +39,10 @@ TEST(Determinism, JsonDocumentsAreByteIdenticalModuloWallClock) {
 }
 
 TEST(Determinism, TracedAndUntracedSweepsAgree) {
-  // A trace makes channel_plan charge every unicast hop by hop, and an
-  // untraced run charges a clean phase-king round's whole fan-outs from the
-  // route table's load templates; the records must not tell them apart.
-  // wan_5cluster runs phase-king over emulated multi-hop routes, and
+  // A trace reads the per-link loads network::end_step sums and changes no
+  // charge path: clean phase-king rounds charge whole fan-outs from the
+  // route table's load templates either way. Capturing one must move no
+  // record. wan_5cluster runs phase-king over emulated multi-hop routes, and
   // ablation-flags has phase-king runs on direct links. At jobs > 1 the
   // shards share one route table, so its templates are read concurrently.
   const std::vector<scenario> sweep = select_scenarios("wan_5cluster,ablation-flags");

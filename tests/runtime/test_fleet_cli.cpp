@@ -1,7 +1,8 @@
 // fleet's CLI parser (runtime/fleet_cli.hpp): strict flag handling. A typo
 // like `--sced 7` must be a hard error naming the flag, not a silently
 // ignored token that runs the default sweep and stamps misleading metadata
-// into BENCH_runtime.json; an ad-hoc flag without --topology is one too.
+// into BENCH_runtime.json; an ad-hoc flag without --topology is one too, and
+// so is a sweep flag under --hunt or a hunt flag without it.
 
 #include <gtest/gtest.h>
 
@@ -94,6 +95,33 @@ TEST(FleetCli, AdHocFlagsNeedTopologyAndExcludeOtherModes) {
   expect_error_naming({"--topology", "k5.txt", "--scenario", "fig1"}, "--scenario");
   expect_error_naming({"--scenario", "all", "--topology", "k5.txt"}, "--scenario");
   expect_error_naming({"--topology", "k5.txt", "--hunt"}, "--hunt");
+}
+
+TEST(FleetCli, SweepFlagsAreErrorsUnderHunt) {
+  // A hunt writes only its corpus: a sweep's output or loss flag would be
+  // dropped without a word.
+  expect_error_naming({"--hunt", "--scenario", "fig1"}, "--scenario");
+  expect_error_naming({"--hunt", "--json", "g.json"}, "--json");
+  expect_error_naming({"--trace", "t.json", "--hunt"}, "--trace");
+  expect_error_naming({"--hunt", "--budget", "4", "--timeline", "tl.json"}, "--timeline");
+  expect_error_naming({"--hunt", "--loss", "bursty"}, "--loss");
+  expect_error_naming({"--hunt", "--trace", "t.json"}, "--hunt");
+  // The flags both modes read stay legal under --hunt.
+  const fleet_options opt = parse({"--hunt", "--jobs", "4", "--seed", "7", "--quiet"});
+  EXPECT_TRUE(opt.hunt);
+  EXPECT_EQ(opt.jobs, 4);
+  EXPECT_EQ(opt.seed, 7u);
+}
+
+TEST(FleetCli, HuntFlagsNeedHunt) {
+  expect_error_naming({"--hunt-families", "complete-f2"}, "--hunt-families");
+  expect_error_naming({"--scenario", "fig1", "--budget", "5"}, "--budget");
+  expect_error_naming({"--population", "4"}, "--population");
+  expect_error_naming({"--hunt-words", "8"}, "--hunt-words");
+  expect_error_naming({"--hunt-instances", "2"}, "--hunt-instances");
+  expect_error_naming({"--budget", "5", "--hunt-corpus", "x.json"}, "--hunt-corpus");
+  expect_error_naming({"--topology", "k5.txt", "--budget", "5"}, "--budget");
+  expect_error_naming({"--budget", "5"}, "needs --hunt");
 }
 
 TEST(FleetCli, MalformedAdHocValuesAreErrors) {

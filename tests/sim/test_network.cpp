@@ -30,7 +30,7 @@ TEST(Network, StepDurationIsMaxLoadOverCapacity) {
 TEST(Network, LoadsAccumulateWithinStep) {
   network net = make_line();
   net.charge(0, 1, 4);
-  net.charge(0, 1, 4, /*tag=*/1);
+  net.charge(0, 1, 4);
   EXPECT_DOUBLE_EQ(net.end_step(), 2.0);  // 8 bits total on cap 4
 }
 
@@ -65,7 +65,7 @@ TEST(Network, AttachedTraceLedgersEveryCharge) {
   const std::uint32_t links[] = {network::link_index(3, 0, 1),
                                  network::link_index(3, 1, 2)};
   net.require_links(3, links);
-  net.charge_links(links, 3, /*tag=*/5);
+  net.charge_links(links, 3);
   EXPECT_TRUE(net.lossy_transmit(1, 2, 2));
   net.end_step();
   EXPECT_EQ(t.link_total(0, 1), 4u + 3u);

@@ -12,54 +12,62 @@
 namespace nab::sim {
 namespace {
 
-TEST(Trace, RecordsTaggedAndBareCharges) {
+TEST(Trace, OneEventPerLinkPerStepAtStepEnd) {
   network net{graph::complete(3)};
   trace t;
   net.attach_trace(&t);
-  net.charge(0, 1, 32, /*tag=*/7);
+  net.charge(2, 0, 4);
+  net.charge(0, 1, 32);
   net.charge(1, 2, 8);
+  net.charge(0, 1, 16);  // a second charge on 0 -> 1 in the same step
+  EXPECT_TRUE(t.events().empty());  // nothing is recorded before end_step
   net.end_step();
-  net.charge(2, 0, 4, /*tag=*/9);
+  net.charge(1, 0, 4);
   net.end_step();
+  net.end_step();  // an empty step records nothing
 
-  ASSERT_EQ(t.events().size(), 3u);
-  EXPECT_EQ(t.events()[0].step, 0);
-  EXPECT_EQ(t.events()[0].tag, 7u);
-  EXPECT_EQ(t.events()[1].tag, 0u);  // bare charge
-  EXPECT_EQ(t.events()[2].step, 1);
-  EXPECT_EQ(t.link_total(0, 1), 32u);
-  EXPECT_EQ(t.link_total(1, 2), 8u);
-  EXPECT_TRUE(t.used(2, 0));
-  EXPECT_FALSE(t.used(0, 2));
-  EXPECT_EQ(t.step_events(0).size(), 2u);
-}
-
-TEST(Trace, TagTotalsAccountPerProtocol) {
-  network net{graph::complete(3)};
-  trace t;
-  net.attach_trace(&t);
-  net.charge(0, 1, 32, /*tag=*/7);
-  net.charge(1, 2, 8, /*tag=*/7);
-  net.charge(2, 0, 16);             // untagged charge
-  net.end_step();
-  net.charge(1, 0, 4, /*tag=*/7);
-  net.end_step();
-  EXPECT_EQ(t.tag_total(7), 32u + 8u + 4u);
-  EXPECT_EQ(t.tag_total(0), 16u);
-  EXPECT_EQ(t.tag_total(99), 0u);
-  EXPECT_EQ(t.total_bits(), 60u);
+  // Each step's links that carried bits, ascending by link id (u * n + v),
+  // not in charge order; the two charges on 0 -> 1 are one event.
+  const std::vector<trace_event> want = {
+      {0, 0, 1, 48}, {0, 1, 2, 8}, {0, 2, 0, 4}, {1, 1, 0, 4}};
+  EXPECT_EQ(t.events(), want);
+  EXPECT_EQ(t.link_total(0, 1), 48u);
+  EXPECT_EQ(t.link_total(0, 2), 0u);
+  EXPECT_EQ(t.total_bits(), 64u);
   EXPECT_EQ(t.total_bits(), net.total_bits());
 }
 
-TEST(Trace, DetachAndClear) {
+TEST(Trace, RecordsLoadTemplateCharges) {
+  // charge_loads is metered like every other charge, so a trace sees the
+  // bits of a round charged from load templates.
+  network net{graph::complete(3)};
+  trace t;
+  net.attach_trace(&t);
+  const std::uint32_t links[] = {network::link_index(3, 0, 1),
+                                 network::link_index(3, 2, 1)};
+  net.require_links(3, links);
+  const link_load loads[] = {{links[0], 3}, {links[1], 1}};
+  net.charge_loads(loads, 5);
+  net.charge_links(links, 2);
+  net.end_step();
+  const std::vector<trace_event> want = {{0, 0, 1, 3 * 5 + 2}, {0, 2, 1, 5 + 2}};
+  EXPECT_EQ(t.events(), want);
+  EXPECT_EQ(t.total_bits(), net.total_bits());
+}
+
+TEST(Trace, SeesOnlyStepsThatEndWhileAttached) {
   network net{graph::complete(3)};
   trace t;
   net.attach_trace(&t);
   net.charge(0, 1, 1);
-  net.attach_trace(nullptr);
+  net.attach_trace(nullptr);  // detached before the step ends
   net.charge(0, 2, 1);
   net.end_step();
-  EXPECT_EQ(t.events().size(), 1u);
+  EXPECT_TRUE(t.events().empty());
+  net.charge(0, 1, 2);
+  net.attach_trace(&t);  // attached before the step ends: sees all of it
+  net.end_step();
+  EXPECT_EQ(t.events(), (std::vector<trace_event>{{1, 0, 1, 2}}));
   t.clear();
   EXPECT_TRUE(t.events().empty());
 }
@@ -73,7 +81,7 @@ TEST(Trace, AmbientTraceAttachesToNewNetworksOnThisThread) {
     network net{graph::paper_fig1a()};  // constructed inside the scope
     net.charge(0, 1, 8);
     net.end_step();
-    EXPECT_EQ(t.events().size(), 1u);
+    EXPECT_EQ(t.events(), (std::vector<trace_event>{{0, 0, 1, 8}}));
     // Scopes nest and restore.
     trace inner;
     {
@@ -87,7 +95,7 @@ TEST(Trace, AmbientTraceAttachesToNewNetworksOnThisThread) {
   network quiet{graph::paper_fig1a()};
   quiet.charge(0, 1, 8);
   quiet.end_step();
-  EXPECT_EQ(t.events().size(), 1u);
+  EXPECT_EQ(t.total_bits(), 8u);
 }
 
 TEST(Trace, AmbientTraceIsThreadLocal) {
@@ -117,7 +125,7 @@ TEST(Trace, Phase1UsesOnlyTreeEdges) {
     for (const auto& tree : trees)
       for (const auto& te : tree.edges)
         if (te.from == e.from && te.to == e.to) in_some_tree = true;
-    EXPECT_EQ(t.used(e.from, e.to), in_some_tree)
+    EXPECT_EQ(t.link_total(e.from, e.to) > 0, in_some_tree)
         << e.from << "->" << e.to;
   }
 }
