@@ -1,11 +1,12 @@
 // fleet: the one session driver. Expands named scenario families from the
 // runtime registry into a concrete sweep (or builds one ad-hoc scenario from
-// a topology file), fans it out over a work-stealing shard pool, asserts the
+// a topology file), fans it out over parallel workers, asserts the
 // paper's invariants (agreement, validity, dispute soundness) on every run,
 // and writes the machine-readable metrics to BENCH_runtime.json.
 //
 // Usage:
 //   fleet --list                         show the preset catalog and exit
+//                                        (takes no other flag)
 //   fleet [options]                      run a sweep
 //   fleet --topology FILE [options]      run one session on FILE's network
 //   fleet --hunt [options]               coverage-guided adversary search
@@ -52,8 +53,8 @@
 // Every sweep ends with a per-phase rollup (top phases by wall time across
 // the sweep, per family) built from the same obs spans. Flag parsing is
 // strict (runtime/fleet_cli.hpp): unknown flags, and flags of another mode
-// (a sweep flag under --hunt, a hunt flag without it), are errors naming the
-// flag, never silently ignored.
+// (any flag with --list, a sweep flag under --hunt, a hunt flag without it),
+// are errors naming the flag, never silently ignored.
 
 #include <algorithm>
 #include <chrono>

@@ -8,18 +8,12 @@
 #include "graph/connectivity.hpp"
 #include "graph/maxflow.hpp"
 #include "obs/obs.hpp"
-#include "runtime/executor.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace nab::core {
 
 namespace {
-
-std::uint64_t fingerprint_words(const std::vector<std::int64_t>& words) {
-  std::uint64_t h = 0x6f6d6567615f6bULL;  // "omega_k"
-  for (std::int64_t w : words) h = splitmix64(h ^ static_cast<std::uint64_t>(w));
-  return h;
-}
 
 /// Canonical serialization of a digraph: universe, active flags, then the
 /// capacity of every ordered active pair. Two graphs serialize identically
@@ -33,16 +27,6 @@ void serialize_graph(const graph::digraph& g, std::vector<std::int64_t>& out) {
       if (u != v) out.push_back(g.cap(u, v));
 }
 
-template <class V, class Table>
-std::shared_ptr<const V> find_entry(const Table& table, std::uint64_t fp,
-                                    const std::vector<std::int64_t>& key) {
-  const auto it = table.find(fp);
-  if (it == table.end()) return nullptr;
-  for (const auto& entry : it->second)
-    if (entry.key == key) return entry.value;
-  return nullptr;
-}
-
 }  // namespace
 
 omega_cache& omega_cache::instance() {
@@ -50,90 +34,48 @@ omega_cache& omega_cache::instance() {
   return cache;
 }
 
+std::size_t omega_cache::key_hash::operator()(const canonical_key& key) const {
+  std::uint64_t h = 0x6f6d6567615f6bULL;  // "omega_k"
+  for (std::int64_t w : key) h = splitmix64(h ^ static_cast<std::uint64_t>(w));
+  return static_cast<std::size_t>(h);
+}
+
 template <class V, class Compute>
 std::shared_ptr<const V> omega_cache::get_or_compute(
-    table<V>& tbl, canonical_key key, const char* fill_span,
+    table<V>& tbl, const canonical_key& key, const char* fill_span,
     const Compute& compute) {
   obs::count(obs::counter::cache_lookups);
-  const std::uint64_t fp = fingerprint_words(key);
-  const auto probe = [&]() -> std::shared_ptr<const V> {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return find_entry<V>(tbl, fp, key);
-  };
-  const auto count_hit = [&](std::shared_ptr<const V> hit) {
+  std::promise<std::shared_ptr<const V>> fill;
+  std::shared_future<std::shared_ptr<const V>> pending;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto [it, inserted] = tbl.try_emplace(key);
+    if (inserted)
+      it->second = fill.get_future().share();
+    else
+      pending = it->second;
+  }
+  if (pending.valid()) {  // a hit: wait for the filling thread's value
+    std::shared_ptr<const V> hit = pending.get();
     obs::count(obs::counter::cache_hits);
     return hit;
-  };
-  if (auto hit = probe()) return count_hit(std::move(hit));
-
-  // Single-flight: elect one leader per key; everyone else waits on the
-  // latch and adopts the inserted value as a hit. The in-flight map is keyed
-  // on (table, fingerprint) — the table address disambiguates equal
-  // fingerprints across the four caches so unrelated fills never serialize
-  // behind each other's leader.
-  const std::uint64_t inflight_key =
-      splitmix64(fp ^ static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&tbl)));
-  for (;;) {
-    std::shared_ptr<inflight> slot;
-    bool leader = false;
-    {
-      std::lock_guard<std::mutex> lk(inflight_mu_);
-      auto& entry = inflight_[inflight_key];
-      if (!entry) {
-        entry = std::make_shared<inflight>();
-        leader = true;
-      }
-      slot = entry;
-    }
-    if (!leader) {
-      {
-        std::unique_lock<std::mutex> lk(slot->m);
-        slot->cv.wait(lk, [&] { return slot->done; });
-      }
-      if (auto hit = probe()) return count_hit(std::move(hit));
-      // The leader threw (or this was a fingerprint collision with a
-      // different key): try to become leader ourselves.
-      continue;
-    }
-
-    const auto release = [&] {
-      {
-        std::lock_guard<std::mutex> lk(inflight_mu_);
-        const auto it = inflight_.find(inflight_key);
-        if (it != inflight_.end() && it->second == slot) inflight_.erase(it);
-      }
-      std::lock_guard<std::mutex> lk(slot->m);
-      slot->done = true;
-      slot->cv.notify_all();
-    };
-
-    // Leadership won after a previous leader already filled the key: the
-    // re-probe keeps "exactly one fill per key".
-    if (auto hit = probe()) {
-      release();
-      return count_hit(std::move(hit));
-    }
-
-    std::shared_ptr<const V> value;
-    try {
-      obs::scoped_span span(fill_span);
-      value = compute();
-    } catch (...) {
-      release();
-      throw;
-    }
-
-    {
-      std::unique_lock<std::shared_mutex> lock(mu_);
-      obs::count(obs::counter::cache_misses);
-      if (auto hit = find_entry<V>(tbl, fp, key))
-        value = hit;  // fingerprint-collision twin; adopt it
-      else
-        tbl[fp].push_back({std::move(key), value});
-    }
-    release();
-    return value;
   }
+
+  std::shared_ptr<const V> value;
+  try {
+    obs::scoped_span span(fill_span);
+    value = compute();
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      tbl.erase(key);
+    }
+    fill.set_exception(std::current_exception());
+    throw;
+  }
+  fill.set_value(value);
+  obs::count(obs::counter::cache_misses);
+  return value;
 }
 
 int omega_cache::fill_jobs(const graph::digraph& g) const {
@@ -154,7 +96,7 @@ std::shared_ptr<const omega_analysis> omega_cache::analyze(
     key.push_back(a);
     key.push_back(b);
   }
-  return get_or_compute(analyses_, std::move(key),
+  return get_or_compute(analyses_, key,
                         "omega_cache/fill_analysis", [&] {
                           auto value = std::make_shared<omega_analysis>();
                           value->omega = omega_subgraphs(g, f, disputes);
@@ -169,7 +111,7 @@ std::shared_ptr<const phase1_plan> omega_cache::plan_for(const graph::digraph& g
   canonical_key key;
   serialize_graph(g, key);
   key.push_back(source);
-  auto plan = get_or_compute(plans_, std::move(key),
+  auto plan = get_or_compute(plans_, key,
                              "omega_cache/fill_plan", [&] {
     auto value = std::make_shared<phase1_plan>();
     // gamma = min over sinks of MINCUT(source, w): independent per-sink
@@ -178,7 +120,7 @@ std::shared_ptr<const phase1_plan> omega_cache::plan_for(const graph::digraph& g
     const auto nodes = g.active_nodes();
     std::vector<graph::capacity_t> cuts(
         nodes.size(), std::numeric_limits<graph::capacity_t>::max());
-    runtime::parallel_for_each_index(fill_jobs(g), nodes.size(), [&](std::size_t i) {
+    parallel_for_each_index(fill_jobs(g), nodes.size(), [&](std::size_t i) {
       if (nodes[i] != source) cuts[i] = graph::min_cut_value(g, source, nodes[i]);
     });
     // Fold like broadcast_mincut: 0 is a genuine min-cut (unreachable sink),
@@ -207,7 +149,7 @@ bool omega_cache::connectivity_at_least(const graph::digraph& g, int k) {
   canonical_key key;
   serialize_graph(g, key);
   key.push_back(k);
-  return *get_or_compute(connectivity_, std::move(key),
+  return *get_or_compute(connectivity_, key,
                          "omega_cache/fill_connectivity", [&] {
                            return std::make_shared<int>(
                                graph::global_vertex_connectivity_at_least(g, k) ? 1
@@ -220,7 +162,7 @@ std::shared_ptr<const bb::channel_plan::route_table> omega_cache::channel_routes
   canonical_key key;
   serialize_graph(g, key);
   key.push_back(f);
-  auto routes = get_or_compute(routes_, std::move(key),
+  auto routes = get_or_compute(routes_, key,
                                "omega_cache/fill_routes", [&] {
     // Per-source blocks into preallocated slots: each source's row is built
     // on its own warm-started residual network, so the filling thread may
@@ -229,7 +171,7 @@ std::shared_ptr<const bb::channel_plan::route_table> omega_cache::channel_routes
     // serial builder's first-failing-pair error for every worker count.
     const int n = g.universe();
     std::vector<bb::channel_plan::source_block> blocks(static_cast<std::size_t>(n));
-    runtime::parallel_for_each_index(fill_jobs(g), blocks.size(), [&](std::size_t u) {
+    parallel_for_each_index(fill_jobs(g), blocks.size(), [&](std::size_t u) {
       blocks[u] = bb::channel_plan::build_routes_for_source(
           g, f, static_cast<graph::node_id>(u));
     });
@@ -243,7 +185,7 @@ std::shared_ptr<const bb::channel_plan::route_table> omega_cache::channel_routes
 }
 
 void omega_cache::clear() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   analyses_.clear();
   plans_.clear();
   connectivity_.clear();

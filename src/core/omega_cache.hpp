@@ -1,11 +1,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -18,7 +17,7 @@ namespace nab::core {
 
 /// Everything the paper derives from (G_k, f, disputes) alone — i.e. from
 /// quantities that do NOT depend on a run's seed. Immutable once built;
-/// shared read-only across executor shards via shared_ptr.
+/// shared read-only across sweep workers via shared_ptr.
 struct omega_analysis {
   std::vector<std::vector<graph::node_id>> omega;  ///< Omega_k enumeration
   graph::capacity_t uk = 0;                        ///< U_k over Omega_k
@@ -45,15 +44,15 @@ struct phase1_plan {
 /// revisit the same instance graphs across adversary axes), so these
 /// quantities are computed once per sweep instead of once per run.
 ///
-/// Concurrency and determinism: entries are immutable behind
-/// shared_ptr<const>, the table is guarded by a shared_mutex (reads
-/// concurrent, inserts exclusive), and values are pure functions of their
-/// keys — two shards racing on the same miss compute identical results and
-/// the second insert is discarded, so a sweep's output is byte-identical
-/// for every --jobs value regardless of hit/miss interleaving.
+/// Concurrency and determinism: each table maps a key to the shared future
+/// of its immutable value, under one mutex held only to find or insert the
+/// entry. The first lookup of a key inserts the future and fills it outside
+/// the lock; concurrent lookups of the same key wait on it. Values are pure
+/// functions of their keys, so a sweep's output is byte-identical for every
+/// --jobs value regardless of hit/miss interleaving.
 ///
-/// Collision safety: the 64-bit fingerprint only selects a bucket; every
-/// bucket entry stores the full canonical key (universe, active set,
+/// Collision safety: the 64-bit fingerprint only picks the hash bucket;
+/// every entry stores the full canonical key (universe, active set,
 /// capacity matrix, f, dispute pairs) and is compared exactly on lookup, so
 /// a fingerprint collision costs a compare, never a wrong answer.
 class omega_cache {
@@ -98,46 +97,37 @@ class omega_cache {
  private:
   using canonical_key = std::vector<std::int64_t>;
 
-  template <class V>
-  struct bucket_entry {
-    canonical_key key;
-    std::shared_ptr<const V> value;
+  /// The splitmix fingerprint of the whole key.
+  struct key_hash {
+    std::size_t operator()(const canonical_key& key) const;
   };
   template <class V>
-  using table = std::unordered_map<std::uint64_t, std::vector<bucket_entry<V>>>;
+  using table = std::unordered_map<canonical_key,
+                                   std::shared_future<std::shared_ptr<const V>>,
+                                   key_hash>;
 
-  /// Per-key in-flight latch: concurrent misses on one key elect a single
-  /// filling thread; the rest block on the latch and adopt the winner's
-  /// value (they count as hits — exactly one fill span and one miss per
-  /// key). A leader that throws wakes the waiters, who re-probe and elect a
-  /// new leader.
-  struct inflight {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-  };
-
-  /// The shared lookup/compute/insert sequence behind every public method:
-  /// shared-lock probe, single-flight leader election on miss, unlocked
-  /// compute by the leader only (misses on distinct keys still proceed in
-  /// parallel), unique-lock insert. Every call counts one obs cache_lookups
-  /// and one cache_hits or cache_misses. `fill_span` names the obs span
-  /// wrapped around the compute (misses only — which run pays one is
-  /// scheduling-dependent, so fill spans and the per-run hit/miss counters
-  /// belong to the machine set; the lookup count is the deterministic
-  /// companion).
+  /// The shared lookup/fill sequence behind every public method. The first
+  /// lookup of a key is its one miss: it inserts the future, fills it outside
+  /// the lock inside the obs span `fill_span`, and counts cache_misses once
+  /// the value exists. Every later lookup waits on the future and counts
+  /// cache_hits once it gets the value. A fill that throws erases its entry,
+  /// and the filler and every waiter rethrow its error (the value is a pure
+  /// function of the key, so a retry would only recompute the same error);
+  /// such lookups count neither. Every call counts one cache_lookups. Which
+  /// run pays a fill is scheduling-dependent, so fill spans and the per-run
+  /// hit/miss counters belong to the machine set; the lookup count is the
+  /// deterministic companion.
   template <class V, class Compute>
-  std::shared_ptr<const V> get_or_compute(table<V>& tbl, canonical_key key,
+  std::shared_ptr<const V> get_or_compute(table<V>& tbl,
+                                          const canonical_key& key,
                                           const char* fill_span,
                                           const Compute& compute);
 
   /// Inner-loop worker count for the current fill (see set_fill_parallelism).
   int fill_jobs(const graph::digraph& g) const;
 
-  mutable std::shared_mutex mu_;
-  std::mutex inflight_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<inflight>> inflight_;
   std::atomic<int> fill_jobs_{1};
+  std::mutex mu_;  ///< guards the four tables (not the values they hold)
   table<omega_analysis> analyses_;
   table<phase1_plan> plans_;
   table<int> connectivity_;

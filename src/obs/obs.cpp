@@ -42,18 +42,6 @@ void collector::reset() {
   spans_.clear();
 }
 
-namespace {
-thread_local collector* ambient = nullptr;
-}  // namespace
-
-collector* ambient_collector() { return ambient; }
-
-scoped_collector::scoped_collector(collector* c) : previous_(ambient) {
-  ambient = c;
-}
-
-scoped_collector::~scoped_collector() { ambient = previous_; }
-
 scoped_span::scoped_span(const char* name, double tau_begin)
     : col_(ambient_collector()), tau_end_(tau_begin) {
   if (col_ != nullptr) id_ = col_->open_span(name, tau_begin);

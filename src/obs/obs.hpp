@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "util/ambient.hpp"
+
 namespace nab::obs {
 
 /// Which contract a counter obeys. Deterministic counters are pure
@@ -252,22 +254,13 @@ class collector {
 /// Mirrors sim::ambient_trace / sim::ambient_arena: instrumentation reaches
 /// the sessions a fleet shard runs without threading a handle through every
 /// call, and shards stay fully independent.
-collector* ambient_collector();
+inline collector* ambient_collector() { return ambient<collector>::current; }
 
 /// Installs `c` as the calling thread's ambient collector for the lifetime
 /// of the scope; restores the previous one on destruction. Scopes nest, and
 /// nullptr suspends collection (e.g. around warm-up work a measurement
 /// should not see).
-class scoped_collector {
- public:
-  explicit scoped_collector(collector* c);
-  ~scoped_collector();
-  scoped_collector(const scoped_collector&) = delete;
-  scoped_collector& operator=(const scoped_collector&) = delete;
-
- private:
-  collector* previous_;
-};
+using scoped_collector = ambient<collector>::scope;
 
 /// Adds to a counter on the ambient collector; no-op (one thread-local load
 /// and a branch) when none is installed. This is the only form

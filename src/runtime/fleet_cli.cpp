@@ -7,7 +7,8 @@ namespace nab::runtime {
 
 std::string fleet_usage() {
   return
-      "usage: fleet [--list] [--scenario NAMES|all] [--jobs N] [--seed S]\n"
+      "usage: fleet --list\n"
+      "       fleet [--scenario NAMES|all] [--jobs N] [--seed S]\n"
       "             [--json FILE] [--trace FILE] [--timeline FILE] [--quiet]\n"
       "             [--loss none|zero|light|bursty|heavy|pG,pB,pG2B,pB2G]\n"
       "       fleet --topology FILE [--f F] [--adversary KIND] [--corrupt A,B]\n"
@@ -68,6 +69,7 @@ fleet_options parse_fleet_args(const std::vector<std::string>& args) {
   std::string adhoc_flag;  // the last --f/--adversary/--corrupt seen
   std::string sweep_flag;  // the last sweep-only flag seen
   std::string hunt_flag;   // the last hunt-only flag seen
+  std::string other_flag;  // the first flag other than --list
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     const auto next = [&]() -> const std::string& {
@@ -75,6 +77,7 @@ fleet_options parse_fleet_args(const std::vector<std::string>& args) {
         throw error("fleet: " + a + " expects a value");
       return args[++i];
     };
+    if (a != "--list" && other_flag.empty()) other_flag = a;
     if (a == "--list") {
       opt.list = true;
     } else if (a == "--scenario") {
@@ -144,6 +147,9 @@ fleet_options parse_fleet_args(const std::vector<std::string>& args) {
       throw error("fleet: unknown flag '" + a + "'");
     }
   }
+  // --list prints the catalog and exits: any other flag would be dropped.
+  if (opt.list && !other_flag.empty())
+    throw error("fleet: --list cannot be combined with " + other_flag);
   if (opt.topology_path.empty()) {
     if (!adhoc_flag.empty())
       throw error("fleet: " + adhoc_flag + " needs --topology FILE");

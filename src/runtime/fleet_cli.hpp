@@ -17,8 +17,9 @@
 namespace nab::runtime {
 
 /// Everything the fleet CLI can configure. One struct for every mode; the
-/// parser rejects a hunt-only flag without `hunt` and a sweep-only flag
-/// (--scenario, --json, --trace, --timeline, --loss) with it.
+/// parser rejects any other flag with `list`, a hunt-only flag without
+/// `hunt` and a sweep-only flag (--scenario, --json, --trace, --timeline,
+/// --loss) with it.
 struct fleet_options {
   bool list = false;           ///< --list: print the preset catalog and exit
   std::string scenarios = "all";
@@ -62,9 +63,9 @@ std::string fleet_usage();
 
 /// Parses fleet arguments (argv[1..], shell-split). Throws nab::error on an
 /// unknown flag (naming it), a flag missing its value, a malformed number or
-/// name, an ad-hoc flag outside its --topology mode, or a sweep or hunt flag
-/// outside its mode (naming it); never exits and never silently ignores
-/// input.
+/// name, any other flag with --list, an ad-hoc flag outside its --topology
+/// mode, or a sweep or hunt flag outside its mode (naming it); never exits
+/// and never silently ignores input.
 fleet_options parse_fleet_args(const std::vector<std::string>& args);
 
 /// Strict non-negative integer parse for flag values (fleet, capacity_planner

@@ -8,9 +8,9 @@
 #include <set>
 #include <utility>
 
-#include "runtime/executor.hpp"
 #include "runtime/runner.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace nab::runtime {
@@ -564,7 +564,7 @@ hunt_corpus run_hunt(const hunt_config& cfg,
       }
     }
 
-    // --- evaluate across the work-stealing executor, slot-indexed ---
+    // --- evaluate across the workers, slot-indexed ---
     std::vector<run_record> records(probes.size());
     std::vector<std::string> failures(probes.size());
     parallel_for_each_index(cfg.jobs, probes.size(), [&](std::size_t i) {

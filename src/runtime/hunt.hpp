@@ -20,11 +20,11 @@
 /// — which phase to attack, equivocation/garble patterns, the collapsed
 /// claim backend's digest-equivocation / echo-suppression / forged-retrieval
 /// hooks, even the corrupt-set choice — is parameterized as a serializable
-/// `hunt_genome`, evaluated in cheap batches across the work-stealing
-/// executor, and scored by *minimizing* the invariant-margin gauges that
-/// obs::gauge_table marks scored: smaller margin = the run was driven closer
-/// to the edge where a quorum rule or the paper's f(f+1) dispute bound
-/// would have failed. An actual invariant violation is the jackpot the
+/// `hunt_genome`, evaluated in cheap batches across parallel workers
+/// (util/parallel.hpp), and scored by *minimizing* the invariant-margin
+/// gauges that obs::gauge_table marks scored: smaller margin = the run was
+/// driven closer to the edge where a quorum rule or the paper's f(f+1)
+/// dispute bound would have failed. An actual invariant violation is the jackpot the
 /// search exists to find (and CI asserts it never does).
 ///
 /// Novelty detection keeps the search exploring instead of re-finding one
@@ -198,7 +198,7 @@ struct hunt_config {
   std::uint64_t seed = 1;
   int budget = 2000;       ///< total scenario evaluations
   int population = 12;     ///< genomes alive per generation
-  int jobs = 1;            ///< executor shards (corpus identical for any value)
+  int jobs = 1;            ///< worker threads (corpus identical for any value)
   std::uint64_t words = 16;///< cheap payloads: the margins are size-oblivious
   int instances = 0;       ///< instances per evaluation (0 = family default)
 };

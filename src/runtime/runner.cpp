@@ -14,6 +14,7 @@
 #include "sim/link_faults.hpp"
 #include "sim/trace.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace nab::runtime {
 

@@ -30,9 +30,9 @@ run_record execute_scenario(const scenario& s, int run_index,
                             bool capture_trace = false,
                             bool capture_spans = false);
 
-/// Fans the sweep out over `jobs` workers (see executor.hpp). Results are
-/// indexed by sweep position, so the output is identical for every `jobs`
-/// value. `on_done`, when set, is invoked from worker threads under an
+/// Fans the sweep out over `jobs` workers (see util/parallel.hpp). Results
+/// are indexed by sweep position, so the output is identical for every
+/// `jobs` value. `on_done`, when set, is invoked from worker threads under an
 /// internal lock, in completion (not sweep) order — display only.
 /// `run_wall_seconds`, when set, receives each run's wall-clock duration by
 /// sweep position (machine- and contention-dependent — excluded from the

@@ -1,11 +1,12 @@
 #pragma once
 
 /// Umbrella header for the parallel scenario runtime: declarative scenario
-/// registry (scenario.hpp), work-stealing sharded executor (executor.hpp),
-/// per-run execution with invariant checking (runner.hpp), the JSON metrics
-/// sink (metrics.hpp) over the one JSON writer/reader (json.hpp), the
+/// registry (scenario.hpp), per-run seed derivation (executor.hpp), per-run
+/// execution with invariant checking (runner.hpp), the JSON metrics sink
+/// (metrics.hpp) over the one JSON writer/reader (json.hpp), the
 /// coverage-guided adversary search (hunt.hpp), and the fleet CLI parser
-/// (fleet_cli.hpp).
+/// (fleet_cli.hpp). Sweeps and hunts fan out over
+/// nab::parallel_for_each_index (util/parallel.hpp).
 ///
 /// Quick start:
 ///   #include "runtime/runtime.hpp"

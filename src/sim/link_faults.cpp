@@ -146,17 +146,4 @@ bool link_fault_model::in_bad_state(graph::node_id u, graph::node_id v,
   return chains_[index].bad;
 }
 
-namespace {
-thread_local link_fault_model* ambient_faults = nullptr;
-}  // namespace
-
-link_fault_model* ambient_link_faults() { return ambient_faults; }
-
-scoped_link_faults::scoped_link_faults(link_fault_model* m)
-    : previous_(ambient_faults) {
-  ambient_faults = m;
-}
-
-scoped_link_faults::~scoped_link_faults() { ambient_faults = previous_; }
-
 }  // namespace nab::sim

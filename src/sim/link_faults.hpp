@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "util/ambient.hpp"
 
 namespace nab::sim {
 
@@ -105,20 +106,13 @@ class link_fault_model {
 /// Networks constructed on a thread attach it automatically, mirroring
 /// sim::ambient_trace, so the fault process reaches the networks a
 /// core::session creates internally while fleet shards stay independent.
-link_fault_model* ambient_link_faults();
+inline link_fault_model* ambient_link_faults() {
+  return ambient<link_fault_model>::current;
+}
 
 /// Installs `m` as the calling thread's ambient fault model for the
 /// lifetime of the scope; restores the previous one on destruction. Scopes
 /// nest; nullptr suspends faults.
-class scoped_link_faults {
- public:
-  explicit scoped_link_faults(link_fault_model* m);
-  ~scoped_link_faults();
-  scoped_link_faults(const scoped_link_faults&) = delete;
-  scoped_link_faults& operator=(const scoped_link_faults&) = delete;
-
- private:
-  link_fault_model* previous_;
-};
+using scoped_link_faults = ambient<link_fault_model>::scope;
 
 }  // namespace nab::sim

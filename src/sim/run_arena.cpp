@@ -14,17 +14,7 @@ std::size_t round_up(std::size_t bytes, std::size_t align) {
   return (bytes + align - 1) & ~(align - 1);
 }
 
-thread_local run_arena* ambient = nullptr;
-
 }  // namespace
-
-run_arena* ambient_arena() { return ambient; }
-
-scoped_run_arena::scoped_run_arena(run_arena* a) : previous_(ambient) {
-  ambient = a;
-}
-
-scoped_run_arena::~scoped_run_arena() { ambient = previous_; }
 
 int run_arena::class_of(std::size_t bytes) {
   if (bytes > kMaxPooledBytes) return -1;
@@ -132,7 +122,8 @@ void* arena_allocate(std::size_t bytes) {
   // Large buffers bypass the arena even when one is ambient: malloc recycles
   // them adaptively, while a monotonic arena would burn cold pages on every
   // vector-growth step (see run_arena::max_pooled_bytes).
-  run_arena* a = total <= run_arena::max_pooled_bytes ? ambient : nullptr;
+  run_arena* a =
+      total <= run_arena::max_pooled_bytes ? ambient_arena() : nullptr;
   void* raw = a != nullptr ? a->allocate(total, alignof(alloc_header))
                            : ::operator new(total);
   auto* header = static_cast<alloc_header*>(raw);

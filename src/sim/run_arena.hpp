@@ -6,6 +6,8 @@
 #include <new>
 #include <vector>
 
+#include "util/ambient.hpp"
+
 namespace nab::sim {
 
 /// Per-run monotonic arena with pooled free lists for the small size classes
@@ -105,22 +107,13 @@ class run_arena {
 /// allocation time, so protocol code does not thread an allocator handle
 /// through every call; core::session installs its arena for the duration of
 /// each run_instance.
-run_arena* ambient_arena();
+inline run_arena* ambient_arena() { return ambient<run_arena>::current; }
 
 /// Installs `a` as the calling thread's ambient arena for the lifetime of
 /// the scope; restores the previous one on destruction. Scopes nest, and
 /// passing nullptr *suspends* pooling (used around allocations that must
 /// outlive the run, e.g. the session's cached channel plan).
-class scoped_run_arena {
- public:
-  explicit scoped_run_arena(run_arena* a);
-  ~scoped_run_arena();
-  scoped_run_arena(const scoped_run_arena&) = delete;
-  scoped_run_arena& operator=(const scoped_run_arena&) = delete;
-
- private:
-  run_arena* previous_;
-};
+using scoped_run_arena = ambient<run_arena>::scope;
 
 namespace detail {
 

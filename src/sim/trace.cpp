@@ -15,16 +15,4 @@ std::uint64_t trace::total_bits() const {
   return total;
 }
 
-namespace {
-thread_local trace* ambient = nullptr;
-}  // namespace
-
-trace* ambient_trace() { return ambient; }
-
-scoped_ambient_trace::scoped_ambient_trace(trace* t) : previous_(ambient) {
-  ambient = t;
-}
-
-scoped_ambient_trace::~scoped_ambient_trace() { ambient = previous_; }
-
 }  // namespace nab::sim

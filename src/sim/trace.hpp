@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "util/ambient.hpp"
 
 namespace nab::sim {
 
@@ -49,19 +50,10 @@ class trace {
 /// so instrumentation reaches the networks a `core::session` creates
 /// internally — per-thread, which keeps fleet shards running in parallel
 /// fully independent (no shared observer, no data races).
-trace* ambient_trace();
+inline trace* ambient_trace() { return ambient<trace>::current; }
 
 /// Installs `t` as the calling thread's ambient trace for the lifetime of
 /// the scope; restores the previous one on destruction. Scopes nest.
-class scoped_ambient_trace {
- public:
-  explicit scoped_ambient_trace(trace* t);
-  ~scoped_ambient_trace();
-  scoped_ambient_trace(const scoped_ambient_trace&) = delete;
-  scoped_ambient_trace& operator=(const scoped_ambient_trace&) = delete;
-
- private:
-  trace* previous_;
-};
+using scoped_ambient_trace = ambient<trace>::scope;
 
 }  // namespace nab::sim

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "core/omega.hpp"
@@ -17,8 +19,9 @@
 #include "graph/maxflow.hpp"
 #include "graph/tree_packing.hpp"
 #include "obs/obs.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/scenario.hpp"
+#include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace nab::core {
@@ -171,7 +174,7 @@ TEST(OmegaCache, ConcurrentLookupsAgree) {
   const auto expected_uk = compute_uk(g, 1, none);
   std::vector<graph::capacity_t> uks(32, -1);
   std::vector<obs::collector> collectors(uks.size());
-  runtime::parallel_for_each_index(8, uks.size(), [&](std::size_t i) {
+  parallel_for_each_index(8, uks.size(), [&](std::size_t i) {
     obs::scoped_collector ambient(&collectors[i]);
     uks[i] = cache.analyze(g, 1, none)->uk;
   });
@@ -190,10 +193,10 @@ TEST(OmegaCache, ConcurrentLookupsAgree) {
 }
 
 TEST(OmegaCache, ConcurrentMissesAreSingleFlight) {
-  // N threads miss the same plan key at once: the per-key in-flight latch
-  // must elect exactly one filling thread. Everyone shares the one value,
-  // exactly one fill span exists across all collectors, and the waiters
-  // count as hits. (This test is part of the TSan concurrency gate.)
+  // N threads miss the same plan key at once: the first lookup inserts the
+  // key's future and is the one filling thread. Everyone shares the one
+  // value, exactly one fill span exists across all collectors, and the
+  // waiters count as hits. (This test is part of the TSan concurrency gate.)
   omega_cache& cache = omega_cache::instance();
   cache.clear();
   const graph::digraph g = graph::hypercube(5, 2);
@@ -211,7 +214,7 @@ TEST(OmegaCache, ConcurrentMissesAreSingleFlight) {
 
   for (int t = 1; t < kThreads; ++t)
     EXPECT_EQ(plans[static_cast<std::size_t>(t)].get(), plans[0].get())
-        << "thread " << t << " must adopt the leader's value";
+        << "thread " << t << " must share the filler's value";
   std::size_t fill_spans = 0;
   std::uint64_t hits = 0, misses = 0;
   for (const obs::collector& c : collectors) {
@@ -230,6 +233,56 @@ TEST(OmegaCache, ConcurrentMissesAreSingleFlight) {
               collectors[0].value(obs::counter::plan_safety_checks));
     EXPECT_GT(c.value(obs::counter::plan_safety_checks), 0u);
   }
+}
+
+TEST(OmegaCache, FailedFillReachesEveryCallerAndIsNotCached) {
+  // A ring is only 2-connected: a non-adjacent pair has two node-disjoint
+  // paths, short of the 2f+1 = 3 that f = 1 needs, so the route fill throws.
+  // Every concurrent caller must get that error, none may count a hit or a
+  // miss, and the failure must not be cached. (Part of the TSan gate.)
+  omega_cache& cache = omega_cache::instance();
+  cache.clear();
+  const graph::digraph g = graph::ring(6, 1);
+  constexpr std::size_t kThreads = 8;
+  std::vector<obs::collector> collectors(kThreads);
+  // Waiters rethrow the filler's exception object itself, so each thread
+  // keeps a handle and the messages are read after the join: the reference
+  // count that orders the last owner's free after every other thread's read
+  // lives in the uninstrumented C++ runtime, where TSan cannot see it.
+  std::vector<std::exception_ptr> errors(kThreads);
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t)
+    pool.emplace_back([&cache, &collectors, &errors, &g, t] {
+      obs::scoped_collector ambient(&collectors[t]);
+      try {
+        cache.channel_routes_for(g, 1);
+      } catch (const nab::error&) {
+        errors[t] = std::current_exception();
+      }
+    });
+  for (std::thread& th : pool) th.join();
+
+  const auto message = [](const std::exception_ptr& e) -> std::string {
+    try {
+      if (e) std::rethrow_exception(e);
+    } catch (const nab::error& err) {
+      return err.what();
+    }
+    return "";  // the call did not throw
+  };
+  const std::string first = message(errors[0]);
+  EXPECT_NE(first.find("lacks 2f+1 disjoint paths"), std::string::npos)
+      << first;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const obs::collector& c = collectors[t];
+    EXPECT_EQ(message(errors[t]), first) << "thread " << t;
+    EXPECT_EQ(c.value(obs::counter::cache_lookups), 1u) << "thread " << t;
+    EXPECT_EQ(c.value(obs::counter::cache_hits), 0u) << "thread " << t;
+    EXPECT_EQ(c.value(obs::counter::cache_misses), 0u) << "thread " << t;
+  }
+  // Nothing was cached: a later lookup fills again and throws again.
+  EXPECT_THROW(cache.channel_routes_for(g, 1), nab::error);
 }
 
 TEST(OmegaCache, FillParallelismIsByteIdentical) {

@@ -2,7 +2,8 @@
 // like `--sced 7` must be a hard error naming the flag, not a silently
 // ignored token that runs the default sweep and stamps misleading metadata
 // into BENCH_runtime.json; an ad-hoc flag without --topology is one too, and
-// so is a sweep flag under --hunt or a hunt flag without it.
+// so is any other flag with --list, a sweep flag under --hunt or a hunt flag
+// without it.
 
 #include <gtest/gtest.h>
 
@@ -32,10 +33,10 @@ TEST(FleetCli, DefaultsWhenNoArgs) {
 
 TEST(FleetCli, ParsesEverySweepFlag) {
   const fleet_options opt =
-      parse({"--list", "--scenario", "fig1,ring", "--jobs", "8", "--seed",
-             "99", "--json", "out.json", "--trace", "t.json", "--timeline",
+      parse({"--scenario", "fig1,ring", "--jobs", "8", "--seed", "99",
+             "--json", "out.json", "--trace", "t.json", "--timeline",
              "tl.json", "--quiet"});
-  EXPECT_TRUE(opt.list);
+  EXPECT_FALSE(opt.list);
   EXPECT_EQ(opt.scenarios, "fig1,ring");
   EXPECT_EQ(opt.jobs, 8);
   EXPECT_EQ(opt.seed, 99u);
@@ -111,6 +112,21 @@ TEST(FleetCli, SweepFlagsAreErrorsUnderHunt) {
   EXPECT_TRUE(opt.hunt);
   EXPECT_EQ(opt.jobs, 4);
   EXPECT_EQ(opt.seed, 7u);
+}
+
+TEST(FleetCli, ListTakesNoOtherFlag) {
+  // --list prints the catalog and exits: a sweep's output or a hunt's
+  // corpus flag would be dropped without a word.
+  EXPECT_TRUE(parse({"--list"}).list);
+  expect_error_naming({"--list", "--scenario", "fig1", "--json", "y.json"},
+                      "--list cannot be combined with --scenario");
+  expect_error_naming(
+      {"--list", "--hunt", "--budget", "5", "--hunt-corpus", "x.json"},
+      "--list cannot be combined with --hunt");
+  expect_error_naming({"--jobs", "4", "--list"},
+                      "--list cannot be combined with --jobs");
+  expect_error_naming({"--list", "--quiet"}, "--quiet");
+  expect_error_naming({"--list", "--topology", "k5.txt"}, "--topology");
 }
 
 TEST(FleetCli, HuntFlagsNeedHunt) {

@@ -2,7 +2,8 @@
 // registry at high parallelism and asserts every paper invariant per run.
 // Build with -DNAB_SANITIZE=thread to get the data-race check the runtime's
 // "embarrassingly parallel" claim rests on; without instrumentation it still
-// exercises the executor's stealing paths and the invariant evaluation.
+// exercises the scheduler's shared index counter and the invariant
+// evaluation.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "runtime/runtime.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace nab::runtime {
 namespace {
@@ -78,9 +80,9 @@ TEST(Executor, FirstFailingIndexWinsExceptionPropagation) {
 }
 
 TEST(Executor, WorkStealingDrainsImbalancedLoads) {
-  // One pathological heavy index dealt to worker 0; stealing must keep the
-  // remaining 63 indices flowing through the other workers either way —
-  // observable here as plain completion (no deadlock, all indices run).
+  // One pathological heavy index; while one worker spins on it, the others
+  // must keep claiming the remaining 63 from the shared counter — observable
+  // here as plain completion (no deadlock, all indices run).
   std::atomic<int> done{0};
   parallel_for_each_index(4, 64, [&](std::size_t i) {
     if (i == 0) {
