@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "gf/gf2_16.hpp"
 #include "gf/gf2m.hpp"
 #include "gf/linalg.hpp"
@@ -69,6 +72,59 @@ BENCHMARK_CAPTURE(bm_axpy_backend, avx2, nab::gf::gf_backend::avx2)
     ->Name("gf2_16_axpy_avx2")->Arg(64)->Arg(640)->Arg(4096);
 BENCHMARK_CAPTURE(bm_axpy_backend, neon, nab::gf::gf_backend::neon)
     ->Name("gf2_16_axpy_neon")->Arg(64)->Arg(640)->Arg(4096);
+
+// One coded symbol of the equality check's encode: rho value symbols of
+// `slices` words each, times one column of C_e. Arg dot = 0 runs it as rho
+// axpy calls, each building its coefficient's tables (and below 128 words
+// taking the scalar loop); dot = 1 as one gf2_16::dot on tables built
+// before the timed loop, as core::coding_scheme::encode does.
+void bm_encode_backend(benchmark::State& state, nab::gf::gf_backend backend) {
+  using F = nab::gf::gf2_16;
+  if (!F::set_backend(backend)) {
+    state.SkipWithError("backend unsupported on this CPU");
+    return;
+  }
+  const auto rho = static_cast<std::size_t>(state.range(0));
+  const auto slices = static_cast<std::size_t>(state.range(1));
+  const bool fused = state.range(2) != 0;
+  nab::rng rand(6);
+  std::vector<F::value_type> x(rho * slices), coeffs(rho), dst(slices);
+  for (auto& w : x) w = static_cast<F::value_type>(rand.below(F::order));
+  std::vector<nab::gf::nibble_tables> tables;
+  for (auto& c : coeffs) {
+    c = static_cast<F::value_type>(1 + rand.below(F::order - 1));
+    tables.push_back(nab::gf::nibble_tables::of(c));
+  }
+  for (auto _ : state) {
+    if (fused) {
+      F::dot(dst.data(), x.data(), slices, coeffs.data(), tables.data(), rho, slices);
+    } else {
+      std::fill(dst.begin(), dst.end(), F::value_type{0});
+      for (std::size_t r = 0; r < rho; ++r)
+        F::axpy(dst.data(), x.data() + r * slices, coeffs[r], slices);
+    }
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rho * slices) * 2);
+  F::set_backend(nab::gf::gf_backend::scalar);
+}
+// lossy_dense's K_16 (rho = 13, 316-word symbols) and stream_sparse's Q_5
+// (rho = 6, 683-word symbols), each as axpy calls and as one dot.
+#define NAB_ENCODE_ROWS(backend)                                          \
+  BENCHMARK_CAPTURE(bm_encode_backend, backend, nab::gf::gf_backend::backend) \
+      ->Name("gf2_16_encode/" #backend)                                   \
+      ->ArgNames({"rho", "slices", "dot"})                                \
+      ->Args({13, 316, 0})                                                \
+      ->Args({13, 316, 1})                                                \
+      ->Args({6, 683, 0})                                                 \
+      ->Args({6, 683, 1})
+NAB_ENCODE_ROWS(scalar);
+NAB_ENCODE_ROWS(ssse3);
+NAB_ENCODE_ROWS(avx2);
+NAB_ENCODE_ROWS(neon);
+#undef NAB_ENCODE_ROWS
 
 void bm_matrix_mul(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

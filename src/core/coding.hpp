@@ -30,6 +30,10 @@ struct coded_symbols {
 /// and uniformly at random (Theorem 1). The scheme is part of the algorithm
 /// specification: every node derives the same matrices from the shared seed,
 /// so no communication is spent distributing them.
+///
+/// The entries stay fixed for as long as the scheme lives, so generation
+/// also builds each entry's GF half tables (128 bytes per entry) and every
+/// encode runs on them.
 class coding_scheme {
  public:
   coding_scheme() = default;
@@ -45,7 +49,7 @@ class coding_scheme {
   bool has_matrix(graph::node_id u, graph::node_id v) const;
 
   /// Y_e = X * C_e, applied slice-wise: coded symbol k, slice t equals
-  /// sum_s X(s, t) * C_e(s, k).
+  /// sum_s X(s, t) * C_e(s, k). One gf2_16::dot per coded symbol.
   coded_symbols encode(const value_vector& x, graph::node_id u, graph::node_id v) const;
 
   /// Step 2 of Algorithm 1: does the received payload equal X * C_e?
@@ -53,9 +57,18 @@ class coding_scheme {
              const coded_symbols& received) const;
 
  private:
+  /// C_e and what encode reads of it: C_e's entries column by column, so
+  /// coded symbol k's rho coefficients sit at [k * rho, (k + 1) * rho), and
+  /// the half tables of each entry in the same order.
+  struct edge_code {
+    gf::matrix<gf::gf2_16> matrix;
+    std::vector<word> columns;
+    std::vector<gf::nibble_tables> tables;
+  };
+
   int rho_ = 0;
   int universe_ = 0;
-  std::vector<gf::matrix<gf::gf2_16>> matrices_;  // dense [u*n+v]; empty = no edge
+  std::vector<edge_code> edges_;  // dense [u*n+v]; empty matrix = no edge
 
   std::size_t index(graph::node_id u, graph::node_id v) const {
     return static_cast<std::size_t>(u) * universe_ + v;

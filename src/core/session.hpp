@@ -112,13 +112,13 @@ class session {
   /// model); `adv` drives their behavior (nullptr = corrupt nodes behave
   /// honestly). Throws nab::error when n <= 3f or connectivity < 2f+1.
   ///
-  /// `arena` lends the session an external run arena (the fleet runtime
-  /// passes one per executor shard, so consecutive sessions on a shard reuse
-  /// the same pages); nullptr = the session owns a private arena. Either
-  /// way the session controls the arena's lifecycle: it is ambient exactly
-  /// for the duration of each run_instance and is reset — empty — between
-  /// instances, so nothing allocated from it may outlive the instance that
-  /// allocated it (instance reports copy into plain heap storage).
+  /// `arena` lends the session a run arena; nullptr = the calling thread's
+  /// sim::thread_arena(), so consecutive sessions on a thread reuse the
+  /// same pages. Either way the session controls the arena's lifecycle: it
+  /// is ambient exactly for the duration of each run_instance and is reset
+  /// — empty — between instances, so nothing allocated from it may outlive
+  /// the instance that allocated it (instance reports copy into plain heap
+  /// storage).
   session(session_config cfg, const sim::fault_set& faults,
           nab_adversary* adv = nullptr, sim::run_arena* arena = nullptr);
 
@@ -160,14 +160,14 @@ class session {
   const phase1_plan& source_state_for(graph::node_id source);
   bb::channel_plan& ensure_channels();  // lazy, built once over the original G
 
-  /// The run arena serving this session's instances (borrowed or owned).
-  sim::run_arena& arena() { return arena_ != nullptr ? *arena_ : owned_arena_; }
+  /// The run arena serving this session's instances: the lent one, else
+  /// the calling thread's.
+  sim::run_arena& arena() { return arena_ != nullptr ? *arena_ : sim::thread_arena(); }
 
   session_config cfg_;
   sim::fault_set faults_;
   nab_adversary* adv_;
-  sim::run_arena* arena_ = nullptr;  ///< borrowed (per-shard) arena, if any
-  sim::run_arena owned_arena_;
+  sim::run_arena* arena_ = nullptr;  ///< lent arena, if any
   graph::digraph gk_;
   dispute_record record_;
   session_stats stats_;
@@ -199,8 +199,8 @@ struct session_run {
 /// is touched (the GF tables are immutable after first use), so concurrent
 /// calls from different threads are safe as long as each call owns its
 /// `faults`/`adv`/`arena` arguments — this is the fleet runtime's shard
-/// body. `arena` is the optional per-shard run arena (see session::session);
-/// it must be thread-confined to the caller.
+/// body. `arena` is an optional lent run arena (see session::session); it
+/// must be thread-confined to the caller.
 session_run run_session(session_config cfg, const sim::fault_set& faults,
                         nab_adversary* adv, int q, std::size_t words_per_input,
                         std::uint64_t seed, bool rotate_sources = false,

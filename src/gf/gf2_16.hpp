@@ -5,7 +5,7 @@
 
 namespace nab::gf {
 
-/// Row-kernel implementation backends for gf2_16::axpy / gf2_16::scale.
+/// Row-kernel implementation backends for gf2_16::axpy / scale / dot.
 /// `scalar` is the portable loop and the bit-exact reference; the SIMD
 /// backends run the standard 4-bit half-table multiply (GF-Complete /
 /// sparsenc's `multiply_add_region` trick) over the two byte planes of each
@@ -13,6 +13,20 @@ namespace nab::gf {
 /// Every backend produces identical bytes and identical obs counters; only
 /// throughput differs.
 enum class gf_backend : int { scalar, ssse3, avx2, neon };
+
+/// The 4-bit half tables of one coefficient c, what the SIMD kernels
+/// multiply by c with: lo[k][v] and hi[k][v] are the low and high bytes of
+/// (c * x^{4k}) * v, the product of c with nibble v at nibble position k of
+/// a word. 128 bytes, two cache lines. axpy and scale build them on every
+/// call; a caller that multiplies by the same coefficients again and again
+/// (core::coding_scheme) builds them once and hands them to dot.
+struct alignas(64) nibble_tables {
+  std::uint8_t lo[4][16];
+  std::uint8_t hi[4][16];
+
+  /// The tables of `coeff`.
+  static nibble_tables of(std::uint16_t coeff);
+};
 
 namespace detail {
 
@@ -56,9 +70,10 @@ extern const gf2_16_tables gf2_16_t;
 /// Theorem 1 still holds).
 ///
 /// Scalar ops are header-inline over compile-time tables; the row kernels
-/// (axpy/scale) additionally hoist the scalar's log lookup out of the loop —
-/// Gaussian elimination in gf/linalg.hpp, the certifier in
-/// core/certify.cpp, and core::coding_scheme::encode all run on them.
+/// (axpy/scale/dot) additionally hoist the scalar's log lookup out of the
+/// loop — Gaussian elimination in gf/linalg.hpp and the certifier in
+/// core/certify.cpp run on axpy and scale, and core::coding_scheme::encode
+/// on dot.
 class gf2_16 {
  public:
   using value_type = std::uint16_t;
@@ -104,6 +119,18 @@ class gf2_16 {
   /// v[i] *= coeff for i in [0, n). Same words-presented counter contract
   /// as axpy (`gf_scale_words` counts n even for coeff 0 / 1).
   static void scale(value_type* v, value_type coeff, std::size_t n);
+
+  /// dst[i] = sum_r coeffs[r] * src[r * stride + i] for i in [0, n): one
+  /// column of coefficients applied to `rows` source rows, each sum written
+  /// to dst once. tables[r] must be nibble_tables::of(coeffs[r]), built by
+  /// the caller ahead of time, so the SIMD backends build nothing and take
+  /// rows of any length. dst must not overlap a source row.
+  ///
+  /// Counts rows * n to `gf_axpy_words`, before any early-out: the words
+  /// the `rows` axpy calls it replaces would present.
+  static void dot(value_type* dst, const value_type* src, std::size_t stride,
+                  const value_type* coeffs, const nibble_tables* tables,
+                  std::size_t rows, std::size_t n);
 
   /// The active row-kernel backend. Selected once on first kernel use:
   /// NAB_GF_BACKEND=scalar|ssse3|avx2|neon forces a backend (silently

@@ -1,4 +1,4 @@
-// Row-kernel backends for gf2_16::axpy / gf2_16::scale.
+// Row-kernel backends for gf2_16::axpy / scale / dot.
 //
 // The SIMD paths implement the classic 4-bit half-table region multiply
 // (GF-Complete / sparsenc lineage): for a fixed coefficient c, split every
@@ -11,14 +11,15 @@
 // one byte shuffle per plane: on u16 lanes, (s >> 4k) & 0x000f leaves the
 // nibble in the even byte and 0 in the odd byte, and T_k[0] = 0 maps the odd
 // bytes to 0, so no lane repacking (ALTMAP) is needed. Eight shuffles per
-// 128-bit vector of eight words; AVX2 doubles the width.
+// 128-bit vector of eight words; AVX2 doubles the width. dot keeps the two
+// planes' sums over all its rows apart and joins them once per vector.
 //
 // Backend selection happens once, on first kernel use: NAB_GF_BACKEND
 // forces a backend by name (falling back to the best supported one when the
 // CPU lacks it), otherwise the widest supported set wins. Every backend is
 // bit-exact against the scalar loop — the cross-check suite in
 // tests/gf/test_gf2_16_kernels.cpp pins that, including unaligned pointers,
-// 0..31 tails, and aliased scales.
+// 0..31 tails, aliased scales, and dot over 1..13 rows.
 
 #include <atomic>
 #include <cstdlib>
@@ -70,30 +71,19 @@ void scale_scalar(word* v, word coeff, std::size_t n) {
   }
 }
 
-// --- 4-bit half tables ------------------------------------------------------
-
-struct nibble_tables {
-  std::uint8_t lo[4][16];
-  std::uint8_t hi[4][16];
-};
-
-void build_tables(word coeff, nibble_tables& t) {
-  for (int k = 0; k < 4; ++k) {
-    // x^{4k} as a field element is just the monomial 1 << 4k (4k < 16, so
-    // no reduction), making T_k[v] = (coeff * x^{4k}) * v.
-    const word fk = gf2_16::mul(coeff, static_cast<word>(1u << (4 * k)));
-    for (int v = 0; v < 16; ++v) {
-      const word p = gf2_16::mul(fk, static_cast<word>(v));
-      t.lo[k][v] = static_cast<std::uint8_t>(p & 0xff);
-      t.hi[k][v] = static_cast<std::uint8_t>(p >> 8);
-    }
-  }
+/// dot's reference: zero dst, then one axpy per nonzero coefficient.
+void dot_scalar(word* dst, const word* src, std::size_t stride, const word* coeffs,
+                const nibble_tables*, std::size_t rows, std::size_t n) {
+  std::memset(dst, 0, n * sizeof(word));
+  for (std::size_t r = 0; r < rows; ++r)
+    if (coeffs[r] != 0) axpy_scalar(dst, src + r * stride, coeffs[r], n);
 }
 
-// The per-call half-table build (64 scalar muls, ~50 ns) only amortizes on
-// long rows; measured crossover vs the scalar loop sits near 90–140 words
-// on both SSSE3 and AVX2, so the SIMD kernels hand shorter rows straight
-// back to the scalar loop.
+// The per-call half-table build in axpy and scale (64 scalar muls, ~50 ns)
+// only amortizes on long rows; measured crossover vs the scalar loop sits
+// near 90–140 words on both SSSE3 and AVX2, so those kernels hand shorter
+// rows straight back to the scalar loop. dot's tables come prebuilt, so it
+// has no such cutoff.
 constexpr std::size_t simd_min_words = 128;
 
 #if NAB_GF_KERNELS_X86
@@ -104,8 +94,7 @@ __attribute__((target("ssse3"), aligned(64))) void axpy_ssse3(word* dst,
                                                               const word* src,
                                                               word coeff, std::size_t n) {
   if (n < simd_min_words) { axpy_scalar(dst, src, coeff, n); return; }
-  nibble_tables t;
-  build_tables(coeff, t);
+  const nibble_tables t = nibble_tables::of(coeff);
   __m128i tlo[4], thi[4];
   for (int k = 0; k < 4; ++k) {
     tlo[k] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo[k]));
@@ -137,8 +126,7 @@ __attribute__((target("ssse3"), aligned(64))) void axpy_ssse3(word* dst,
 __attribute__((target("ssse3"), aligned(64))) void scale_ssse3(word* v, word coeff,
                                                                std::size_t n) {
   if (n < simd_min_words) { scale_scalar(v, coeff, n); return; }
-  nibble_tables t;
-  build_tables(coeff, t);
+  const nibble_tables t = nibble_tables::of(coeff);
   __m128i tlo[4], thi[4];
   for (int k = 0; k < 4; ++k) {
     tlo[k] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo[k]));
@@ -169,8 +157,7 @@ __attribute__((target("ssse3"), aligned(64))) void scale_ssse3(word* v, word coe
 __attribute__((target("avx2"), aligned(64))) void axpy_avx2(word* dst, const word* src,
                                                             word coeff, std::size_t n) {
   if (n < simd_min_words) { axpy_scalar(dst, src, coeff, n); return; }
-  nibble_tables t;
-  build_tables(coeff, t);
+  const nibble_tables t = nibble_tables::of(coeff);
   __m256i tlo[4], thi[4];
   for (int k = 0; k < 4; ++k) {
     tlo[k] = _mm256_broadcastsi128_si256(
@@ -207,8 +194,7 @@ __attribute__((target("avx2"), aligned(64))) void axpy_avx2(word* dst, const wor
 __attribute__((target("avx2"), aligned(64))) void scale_avx2(word* v, word coeff,
                                                              std::size_t n) {
   if (n < simd_min_words) { scale_scalar(v, coeff, n); return; }
-  nibble_tables t;
-  build_tables(coeff, t);
+  const nibble_tables t = nibble_tables::of(coeff);
   __m256i tlo[4], thi[4];
   for (int k = 0; k < 4; ++k) {
     tlo[k] = _mm256_broadcastsi128_si256(
@@ -238,6 +224,82 @@ __attribute__((target("avx2"), aligned(64))) void scale_avx2(word* v, word coeff
   if (i < n) scale_ssse3(v + i, coeff, n - i);
 }
 
+// The fused dot loops read each row's tables from memory for every vector:
+// eight table registers per row leave no room to keep several rows' in
+// registers, and the tables of a whole column (rows * 128 bytes) stay in L1.
+
+inline __m128i table_ssse3(const std::uint8_t* plane) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(plane));
+}
+
+__attribute__((target("avx2"), always_inline)) inline __m256i table_avx2(
+    const std::uint8_t* plane) {
+  return _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(plane)));
+}
+
+__attribute__((target("ssse3"), aligned(64))) void dot_ssse3(
+    word* dst, const word* src, std::size_t stride, const word* coeffs,
+    const nibble_tables* tables, std::size_t rows, std::size_t n) {
+  const __m128i mask = _mm_set1_epi16(0x000f);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m128i lo = _mm_setzero_si128();
+    __m128i hi = _mm_setzero_si128();
+    for (std::size_t r = 0; r < rows; ++r) {
+      const nibble_tables& t = tables[r];
+      const __m128i s =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + r * stride + i));
+      __m128i idx = _mm_and_si128(s, mask);
+      lo = _mm_xor_si128(lo, _mm_shuffle_epi8(table_ssse3(t.lo[0]), idx));
+      hi = _mm_xor_si128(hi, _mm_shuffle_epi8(table_ssse3(t.hi[0]), idx));
+      idx = _mm_and_si128(_mm_srli_epi16(s, 4), mask);
+      lo = _mm_xor_si128(lo, _mm_shuffle_epi8(table_ssse3(t.lo[1]), idx));
+      hi = _mm_xor_si128(hi, _mm_shuffle_epi8(table_ssse3(t.hi[1]), idx));
+      idx = _mm_and_si128(_mm_srli_epi16(s, 8), mask);
+      lo = _mm_xor_si128(lo, _mm_shuffle_epi8(table_ssse3(t.lo[2]), idx));
+      hi = _mm_xor_si128(hi, _mm_shuffle_epi8(table_ssse3(t.hi[2]), idx));
+      idx = _mm_srli_epi16(s, 12);
+      lo = _mm_xor_si128(lo, _mm_shuffle_epi8(table_ssse3(t.lo[3]), idx));
+      hi = _mm_xor_si128(hi, _mm_shuffle_epi8(table_ssse3(t.hi[3]), idx));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     _mm_xor_si128(lo, _mm_slli_epi16(hi, 8)));
+  }
+  if (i < n) dot_scalar(dst + i, src + i, stride, coeffs, tables, rows, n - i);
+}
+
+__attribute__((target("avx2"), aligned(64))) void dot_avx2(
+    word* dst, const word* src, std::size_t stride, const word* coeffs,
+    const nibble_tables* tables, std::size_t rows, std::size_t n) {
+  const __m256i mask = _mm256_set1_epi16(0x000f);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m256i lo = _mm256_setzero_si256();
+    __m256i hi = _mm256_setzero_si256();
+    for (std::size_t r = 0; r < rows; ++r) {
+      const nibble_tables& t = tables[r];
+      const __m256i s =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + r * stride + i));
+      __m256i idx = _mm256_and_si256(s, mask);
+      lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(table_avx2(t.lo[0]), idx));
+      hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(table_avx2(t.hi[0]), idx));
+      idx = _mm256_and_si256(_mm256_srli_epi16(s, 4), mask);
+      lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(table_avx2(t.lo[1]), idx));
+      hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(table_avx2(t.hi[1]), idx));
+      idx = _mm256_and_si256(_mm256_srli_epi16(s, 8), mask);
+      lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(table_avx2(t.lo[2]), idx));
+      hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(table_avx2(t.hi[2]), idx));
+      idx = _mm256_srli_epi16(s, 12);
+      lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(table_avx2(t.lo[3]), idx));
+      hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(table_avx2(t.hi[3]), idx));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
+                        _mm256_xor_si256(lo, _mm256_slli_epi16(hi, 8)));
+  }
+  if (i < n) dot_ssse3(dst + i, src + i, stride, coeffs, tables, rows, n - i);
+}
+
 #endif  // NAB_GF_KERNELS_X86
 
 #if NAB_GF_KERNELS_NEON
@@ -263,8 +325,7 @@ uint16x8_t mul8_neon(uint16x8_t s, const uint8x16_t tlo[4],
 
 void axpy_neon(word* dst, const word* src, word coeff, std::size_t n) {
   if (n < simd_min_words) { axpy_scalar(dst, src, coeff, n); return; }
-  nibble_tables t;
-  build_tables(coeff, t);
+  const nibble_tables t = nibble_tables::of(coeff);
   uint8x16_t tlo[4], thi[4];
   for (int k = 0; k < 4; ++k) {
     tlo[k] = vld1q_u8(t.lo[k]);
@@ -280,8 +341,7 @@ void axpy_neon(word* dst, const word* src, word coeff, std::size_t n) {
 
 void scale_neon(word* v, word coeff, std::size_t n) {
   if (n < simd_min_words) { scale_scalar(v, coeff, n); return; }
-  nibble_tables t;
-  build_tables(coeff, t);
+  const nibble_tables t = nibble_tables::of(coeff);
   uint8x16_t tlo[4], thi[4];
   for (int k = 0; k < 4; ++k) {
     tlo[k] = vld1q_u8(t.lo[k]);
@@ -292,6 +352,13 @@ void scale_neon(word* v, word coeff, std::size_t n) {
   if (i < n) scale_scalar(v + i, coeff, n - i);
 }
 
+void dot_neon(word* dst, const word* src, std::size_t stride, const word* coeffs,
+              const nibble_tables*, std::size_t rows, std::size_t n) {
+  std::memset(dst, 0, n * sizeof(word));
+  for (std::size_t r = 0; r < rows; ++r)
+    if (coeffs[r] != 0) axpy_neon(dst, src + r * stride, coeffs[r], n);
+}
+
 #endif  // NAB_GF_KERNELS_NEON
 
 // --- backend selection ------------------------------------------------------
@@ -300,15 +367,17 @@ struct kernels {
   gf_backend id;
   void (*axpy)(word*, const word*, word, std::size_t);
   void (*scale)(word*, word, std::size_t);
+  void (*dot)(word*, const word*, std::size_t, const word*, const nibble_tables*,
+              std::size_t, std::size_t);
 };
 
-constexpr kernels k_scalar{gf_backend::scalar, axpy_scalar, scale_scalar};
+constexpr kernels k_scalar{gf_backend::scalar, axpy_scalar, scale_scalar, dot_scalar};
 #if NAB_GF_KERNELS_X86
-constexpr kernels k_ssse3{gf_backend::ssse3, axpy_ssse3, scale_ssse3};
-constexpr kernels k_avx2{gf_backend::avx2, axpy_avx2, scale_avx2};
+constexpr kernels k_ssse3{gf_backend::ssse3, axpy_ssse3, scale_ssse3, dot_ssse3};
+constexpr kernels k_avx2{gf_backend::avx2, axpy_avx2, scale_avx2, dot_avx2};
 #endif
 #if NAB_GF_KERNELS_NEON
-constexpr kernels k_neon{gf_backend::neon, axpy_neon, scale_neon};
+constexpr kernels k_neon{gf_backend::neon, axpy_neon, scale_neon, dot_neon};
 #endif
 
 /// The vtable for `b`, or nullptr when this build/CPU cannot run it.
@@ -377,6 +446,21 @@ const kernels* active() {
 
 }  // namespace
 
+nibble_tables nibble_tables::of(std::uint16_t coeff) {
+  nibble_tables t;
+  for (int k = 0; k < 4; ++k) {
+    // x^{4k} as a field element is just the monomial 1 << 4k (4k < 16, so
+    // no reduction), making T_k[v] = (coeff * x^{4k}) * v.
+    const word fk = gf2_16::mul(coeff, static_cast<word>(1u << (4 * k)));
+    for (int v = 0; v < 16; ++v) {
+      const word p = gf2_16::mul(fk, static_cast<word>(v));
+      t.lo[k][v] = static_cast<std::uint8_t>(p & 0xff);
+      t.hi[k][v] = static_cast<std::uint8_t>(p >> 8);
+    }
+  }
+  return t;
+}
+
 gf_backend gf2_16::backend() { return active()->id; }
 
 bool gf2_16::set_backend(gf_backend b) {
@@ -414,6 +498,14 @@ void gf2_16::scale(value_type* v, value_type coeff, std::size_t n) {
     return;
   }
   active()->scale(v, coeff, n);
+}
+
+void gf2_16::dot(value_type* dst, const value_type* src, std::size_t stride,
+                 const value_type* coeffs, const nibble_tables* tables,
+                 std::size_t rows, std::size_t n) {
+  obs::count(obs::counter::gf_axpy_words, rows * n);
+  if (n == 0) return;
+  active()->dot(dst, src, stride, coeffs, tables, rows, n);
 }
 
 }  // namespace nab::gf

@@ -24,11 +24,11 @@ enum class counter_set : std::uint8_t { deterministic, machine };
 /// this list, so adding a counter means adding one row. The machine rows:
 /// cache_hits / cache_misses (the process-wide omega_cache is shared across
 /// executor shards, so which run pays a miss depends on scheduling; the
-/// lookup count is the deterministic companion) and the arena pair (the
-/// per-shard arena's page state depends on what ran on the shard before).
+/// lookup count is the deterministic companion) and the arena pair (a
+/// thread arena's page state depends on what ran on the thread before).
 #define NAB_OBS_COUNTERS(X)                                                             \
   /* GF(2^16) kernel work (src/gf) */                                                   \
-  X(gf_axpy_words, deterministic)      /* words processed by gf2_16::axpy */            \
+  X(gf_axpy_words, deterministic)      /* words processed by gf2_16::axpy and dot */    \
   X(gf_scale_words, deterministic)     /* words processed by gf2_16::scale */           \
   X(gf_mul_ops, deterministic)         /* bulk-counted scalar mul/Horner (digests) */   \
   X(gf_rows_eliminated, deterministic) /* pivot rows set by row_reduce / certifier */   \

@@ -218,16 +218,14 @@ run_record execute_scenario(const scenario& s, int run_index,
   cfg.claim_backend = s.claim_backend;
   cfg.pool_memory = s.pool_memory;
 
-  // One run arena per executor shard (thread-confined, reused across every
-  // run the shard executes): the steady-state sweep allocates nothing — each
-  // session resets the arena between instances and leaves it empty. Arena
-  // use never affects results (only their cost), so the jobs-1-vs-N
-  // bit-identity contract is untouched.
-  static thread_local sim::run_arena shard_arena;
-
+  // The session runs in the worker thread's sim::thread_arena(), reused
+  // across every run the worker executes: the steady-state sweep allocates
+  // nothing — each session resets the arena between instances and leaves it
+  // empty. Arena use never affects results (only their cost), so the
+  // jobs-1-vs-N bit-identity contract is untouched.
   const core::session_run run = core::run_session(
       std::move(cfg), faults, adv.get(), s.instances, s.words,
-      splitmix64(run_seed ^ 0x1235813ULL), s.rotate_sources, &shard_arena);
+      splitmix64(run_seed ^ 0x1235813ULL), s.rotate_sources);
 
   // --- measured outcomes ---
   if (!run.reports.empty()) {

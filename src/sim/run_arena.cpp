@@ -57,7 +57,7 @@ void* run_arena::allocate(std::size_t bytes, std::size_t align) {
   NAB_ASSERT(align <= kAlign, "run_arena serves alignments up to 16");
   ++live_;
   ++total_;
-  // Machine-set counters: pool state depends on what ran on the shard before.
+  // Machine-set counters: pool state depends on what ran on the thread before.
   obs::count(obs::counter::arena_allocs);
   const int cls = class_of(bytes);
   if (cls >= 0) {
@@ -94,6 +94,11 @@ void run_arena::reset() {
   for (block& b : blocks_) b.used = 0;
   cursor_ = 0;
   ++resets_;
+}
+
+run_arena& thread_arena() {
+  static thread_local run_arena arena;
+  return arena;
 }
 
 bool run_arena::owns(const void* p) const {

@@ -15,9 +15,9 @@ namespace nab::sim {
 /// vectors, claim-map nodes).
 ///
 /// Lifetime contract (docs/RUNTIME.md §arena):
-/// - An arena is **thread-confined**: one shard (or one test) owns it; it is
-///   never shared across threads. The fleet executor keeps one arena per
-///   worker thread and reuses it for every run of the sweep.
+/// - An arena is **thread-confined**: one thread (or one test) owns it; it
+///   is never shared across threads. Each thread has one of its own,
+///   thread_arena(), which every session on that thread reuses.
 /// - Allocation is monotonic within a run: small blocks (<= 4 KiB, rounded
 ///   to a power-of-two size class) return to a per-class free list on
 ///   deallocation and are recycled; larger blocks are bump-only and are
@@ -101,6 +101,13 @@ class run_arena {
   std::uint64_t pool_hits_ = 0;
   std::uint64_t resets_ = 0;
 };
+
+/// The calling thread's own arena, created on first use and destroyed when
+/// the thread exits. A core::session lent no arena runs its instances in it,
+/// so consecutive sessions on one thread (a fleet worker's runs, nabbench's
+/// sessions) reuse the pages the first one grew instead of each growing and
+/// freeing blocks of its own.
+run_arena& thread_arena();
 
 /// The calling thread's ambient arena (nullptr when none is installed) —
 /// the same pattern as sim::ambient_trace. arena_alloc draws from it at

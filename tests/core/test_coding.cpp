@@ -75,6 +75,44 @@ TEST(Coding, CheckRejectsDifferentValueWithHighProbability) {
   }
 }
 
+TEST(Coding, EncodeMatchesMatrixProduct) {
+  // encode runs one fused GF dot per coded symbol on precomputed tables;
+  // on every backend it must equal the plain product X * C_e, entry by
+  // entry, here with z_e = 2 and slice counts off the 8- and 16-word SIMD
+  // strides.
+  const graph::digraph g = graph::complete(4, 2);
+  const int rho = 5;
+  const coding_scheme cs = coding_scheme::generate(g, rho, 13);
+  const gf::gf_backend initial = gf::gf2_16::backend();
+  for (gf::gf_backend b : {gf::gf_backend::scalar, gf::gf_backend::ssse3,
+                           gf::gf_backend::avx2, gf::gf_backend::neon}) {
+    if (!gf::gf2_16::set_backend(b)) continue;
+    rng rand(9);
+    for (int slices : {1, 7, 37, 133}) {
+      const value_vector x = value_vector::random(rho, slices, rand);
+      for (const graph::edge& e : g.edges()) {
+        const auto& ce = cs.matrix_for(e.from, e.to);
+        const coded_symbols y = cs.encode(x, e.from, e.to);
+        ASSERT_EQ(y.count, 2);
+        ASSERT_EQ(y.slices, slices);
+        for (int k = 0; k < y.count; ++k)
+          for (int t = 0; t < slices; ++t) {
+            word expect = 0;
+            for (int s = 0; s < rho; ++s)
+              expect = gf::gf2_16::add(
+                  expect, gf::gf2_16::mul(x.symbol(s, t),
+                                          ce.at(static_cast<std::size_t>(s),
+                                                static_cast<std::size_t>(k))));
+            EXPECT_EQ(y.words[static_cast<std::size_t>(k * slices + t)], expect)
+                << gf::gf2_16::backend_name(b) << " edge " << e.from << "->" << e.to
+                << " slices=" << slices << " k=" << k << " t=" << t;
+          }
+      }
+    }
+  }
+  gf::gf2_16::set_backend(initial);
+}
+
 TEST(Coding, WireSizeMatchesPaperFormula) {
   // Edge of capacity z_e carries z_e symbols of L/rho bits: bits() must be
   // z_e * slices * 16 = z_e * (L / rho).

@@ -45,8 +45,9 @@ class backend_scope {
 
 word ref_mul(word a, word b) { return gf2_16::mul(a, b); }
 
-/// 0..31 covers the short-row shunt (SIMD kernels hand rows below the
-/// table-build amortization cutoff back to the scalar loop); 128..159 starts
+/// 0..31 covers the short-row shunt (axpy and scale hand rows below the
+/// table-build amortization cutoff back to the scalar loop; dot, with no
+/// cutoff, runs its vector body and scalar tail on them); 128..159 starts
 /// past that cutoff, so every SIMD tail residue (AVX2 strides 16 words) is
 /// hit in the vector path.
 std::vector<std::size_t> test_lengths() {
@@ -155,6 +156,62 @@ TEST(GfKernels, AxpyToleratesDstAliasingSrc) {
       expect[i] = gf2_16::add(v[i], ref_mul(coeff, v[i]));
     gf2_16::axpy(v.data(), v.data(), coeff, v.size());
     EXPECT_EQ(v, expect) << gf2_16::backend_name(b);
+  }
+}
+
+TEST(GfKernels, DotMatchesMulAcrossBackendsRowsTailsAndAlignments) {
+  // Every backend must write the test-local sum of products word for word
+  // (over whatever dst held before), leave the words past n alone, and
+  // count rows * n words presented per call, whatever its coefficients.
+  std::vector<std::vector<word>> outputs;
+  std::vector<std::uint64_t> presented;
+  std::uint64_t expected_words = 0;
+  for (gf_backend b : supported_backends()) {
+    backend_scope scope(b);
+    rng rand(0xd07);  // the same calls on every backend
+    obs::collector col;
+    std::vector<word> all;
+    expected_words = 0;
+    {
+      obs::scoped_collector counting(&col);
+      for (std::size_t rows = 1; rows <= 13; ++rows) {
+        for (std::size_t n : test_lengths()) {
+          for (std::size_t off : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+            const std::size_t stride = n + 5;
+            const std::vector<word> src = random_row(rand, off + rows * stride);
+            std::vector<word> coeffs(rows);
+            std::vector<nibble_tables> tables;
+            for (word& c : coeffs) {
+              const auto pick = rand.below(4);
+              c = pick < 2 ? static_cast<word>(pick) : static_cast<word>(1 + rand.below(65535));
+              tables.push_back(nibble_tables::of(c));
+            }
+            std::vector<word> dst = random_row(rand, off + n + 1);
+            std::vector<word> expect(dst);
+            for (std::size_t i = 0; i < n; ++i) {
+              word sum = 0;
+              for (std::size_t r = 0; r < rows; ++r)
+                sum = gf2_16::add(sum, ref_mul(coeffs[r], src[off + r * stride + i]));
+              expect[off + i] = sum;
+            }
+            gf2_16::dot(dst.data() + off, src.data() + off, stride, coeffs.data(),
+                        tables.data(), rows, n);
+            EXPECT_EQ(dst, expect) << "backend " << gf2_16::backend_name(b)
+                                   << " rows=" << rows << " n=" << n << " off=" << off;
+            expected_words += rows * n;
+            all.insert(all.end(), dst.begin(), dst.end());
+          }
+        }
+      }
+    }
+    outputs.push_back(std::move(all));
+    presented.push_back(col.value(obs::counter::gf_axpy_words));
+  }
+  ASSERT_FALSE(outputs.empty());
+  EXPECT_EQ(presented.front(), expected_words);
+  for (std::size_t i = 1; i < outputs.size(); ++i) {
+    EXPECT_EQ(outputs[i], outputs.front());
+    EXPECT_EQ(presented[i], presented.front());
   }
 }
 

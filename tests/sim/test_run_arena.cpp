@@ -232,5 +232,27 @@ TEST(RunArena, SteadyStateSweepKeepsArenaPagesStable) {
   EXPECT_EQ(shard_arena.resets(), 7u);
 }
 
+TEST(RunArena, SessionsLentNoArenaShareTheThreadArena) {
+  // Back-to-back sessions on one thread run in thread_arena(): the second
+  // fits in the pages the first one grew, and each leaves the arena empty.
+  core::session_config cfg;
+  cfg.g = graph::complete(7);
+  cfg.f = 1;
+  const std::vector<core::word> input(64, 7);
+  const auto run_session = [&] {
+    core::session s(cfg, fault_set(7));
+    for (int i = 0; i < 3; ++i) s.run_instance(input);
+  };
+  run_arena& arena = thread_arena();
+  run_session();
+  const std::size_t blocks = arena.block_count();
+  const std::uint64_t resets = arena.resets();
+  EXPECT_GT(blocks, 0u);
+  run_session();
+  EXPECT_EQ(arena.block_count(), blocks);
+  EXPECT_EQ(arena.resets(), resets + 3);  // the second session ran in it
+  EXPECT_EQ(arena.live_allocations(), 0u);
+}
+
 }  // namespace
 }  // namespace nab::sim
