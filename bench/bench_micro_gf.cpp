@@ -97,7 +97,7 @@ void bm_encode_backend(benchmark::State& state, nab::gf::gf_backend backend) {
   }
   for (auto _ : state) {
     if (fused) {
-      F::dot(dst.data(), x.data(), slices, coeffs.data(), tables.data(), rho, slices);
+      F::dot(dst.data(), x.data(), slices, tables.data(), rho, slices);
     } else {
       std::fill(dst.begin(), dst.end(), F::value_type{0});
       for (std::size_t r = 0; r < rho; ++r)

@@ -13,17 +13,8 @@ coding_scheme coding_scheme::generate(const graph::digraph& g, int rho,
   out.edges_.resize(static_cast<std::size_t>(g.universe()) * g.universe());
   rng rand(seed);
   for (const graph::edge& e : g.edges()) {
-    edge_code& code = out.edges_[out.index(e.from, e.to)];
-    code.matrix = gf::matrix<gf::gf2_16>::random(
+    out.edges_[out.index(e.from, e.to)].matrix = gf::matrix<gf::gf2_16>::random(
         static_cast<std::size_t>(rho), static_cast<std::size_t>(e.cap), rand);
-    const std::size_t entries = code.matrix.rows() * code.matrix.cols();
-    code.columns.reserve(entries);
-    code.tables.reserve(entries);
-    for (std::size_t k = 0; k < code.matrix.cols(); ++k)
-      for (std::size_t s = 0; s < code.matrix.rows(); ++s) {
-        code.columns.push_back(code.matrix.at(s, k));
-        code.tables.push_back(gf::nibble_tables::of(code.columns.back()));
-      }
   }
   return out;
 }
@@ -54,10 +45,25 @@ coded_symbols coding_scheme::encode(const value_vector& x, graph::node_id u,
   // symbol-major, so the symbols are rho rows `slices` words apart.
   const std::size_t rho = ce.rows();
   const std::size_t slices = static_cast<std::size_t>(x.slices());
+  const word* src = x.words().data();
+  if (slices < gf::gf2_16::dot_vector_words) {
+    // dot would read each table for its coefficient alone: take it from
+    // C_e and build no tables (out.words starts zeroed).
+    for (std::size_t k = 0; k < ce.cols(); ++k)
+      for (std::size_t s = 0; s < rho; ++s)
+        gf::gf2_16::axpy(out.words.data() + k * slices, src + s * slices, ce.at(s, k),
+                         slices);
+    return out;
+  }
+  if (code.tables.empty()) {
+    code.tables.reserve(rho * ce.cols());
+    for (std::size_t k = 0; k < ce.cols(); ++k)
+      for (std::size_t s = 0; s < rho; ++s)
+        code.tables.push_back(gf::nibble_tables::of(ce.at(s, k)));
+  }
   for (std::size_t k = 0; k < ce.cols(); ++k)
-    gf::gf2_16::dot(out.words.data() + k * slices, x.words().data(), slices,
-                    code.columns.data() + k * rho, code.tables.data() + k * rho, rho,
-                    slices);
+    gf::gf2_16::dot(out.words.data() + k * slices, src, slices,
+                    code.tables.data() + k * rho, rho, slices);
   return out;
 }
 

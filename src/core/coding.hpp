@@ -31,9 +31,12 @@ struct coded_symbols {
 /// specification: every node derives the same matrices from the shared seed,
 /// so no communication is spent distributing them.
 ///
-/// The entries stay fixed for as long as the scheme lives, so generation
-/// also builds each entry's GF half tables (128 bytes per entry) and every
-/// encode runs on them.
+/// The entries stay fixed for as long as the scheme lives, so an edge's
+/// first encode with rows of at least gf2_16::dot_vector_words words builds
+/// its entries' GF half tables (128 bytes per entry), and every later such
+/// encode runs on them. That build makes encode mutate the scheme: one
+/// scheme must not be encoded from two threads at once (a session's coding
+/// is confined to the session's thread).
 class coding_scheme {
  public:
   coding_scheme() = default;
@@ -49,7 +52,8 @@ class coding_scheme {
   bool has_matrix(graph::node_id u, graph::node_id v) const;
 
   /// Y_e = X * C_e, applied slice-wise: coded symbol k, slice t equals
-  /// sum_s X(s, t) * C_e(s, k). One gf2_16::dot per coded symbol.
+  /// sum_s X(s, t) * C_e(s, k). One gf2_16::dot per coded symbol, or rho
+  /// axpy calls on rows shorter than dot's vectors.
   coded_symbols encode(const value_vector& x, graph::node_id u, graph::node_id v) const;
 
   /// Step 2 of Algorithm 1: does the received payload equal X * C_e?
@@ -57,13 +61,12 @@ class coding_scheme {
              const coded_symbols& received) const;
 
  private:
-  /// C_e and what encode reads of it: C_e's entries column by column, so
-  /// coded symbol k's rho coefficients sit at [k * rho, (k + 1) * rho), and
-  /// the half tables of each entry in the same order.
+  /// C_e and, once an encode has needed them, the half tables of its
+  /// entries column by column: coded symbol k's rho tables sit at
+  /// [k * rho, (k + 1) * rho).
   struct edge_code {
     gf::matrix<gf::gf2_16> matrix;
-    std::vector<word> columns;
-    std::vector<gf::nibble_tables> tables;
+    mutable std::vector<gf::nibble_tables> tables;
   };
 
   int rho_ = 0;

@@ -14,9 +14,8 @@
 
 namespace nab::core {
 
-session::session(session_config cfg, const sim::fault_set& faults, nab_adversary* adv,
-                 sim::run_arena* arena)
-    : cfg_(std::move(cfg)), faults_(faults), adv_(adv), arena_(arena), gk_(cfg_.g) {
+session::session(session_config cfg, const sim::fault_set& faults, nab_adversary* adv)
+    : cfg_(std::move(cfg)), faults_(faults), adv_(adv), gk_(cfg_.g) {
   const int n = cfg_.g.universe();
   if (cfg_.propagation == propagation_mode::pipelined)
     throw error("session: pipelined propagation is a whole-session schedule — "
@@ -145,12 +144,12 @@ instance_report session::run_instance(const std::vector<word>& input,
   // in-scope container has died) reclaims the channel plan's round storage
   // and rewinds the arena. reset() aborts if anything is still live, which
   // is the use-after-reset guarantee the arena tests pin down.
-  sim::scoped_run_arena ambient(cfg_.pool_memory ? &arena() : nullptr);
+  sim::scoped_run_arena ambient(cfg_.pool_memory ? &sim::thread_arena() : nullptr);
   struct arena_epoch {
     session* s;
     ~arena_epoch() {
       if (s->channels_) s->channels_->reclaim_round_storage();
-      s->arena().reset();
+      sim::thread_arena().reset();
     }
   } epoch{this};
 
@@ -209,7 +208,7 @@ instance_report session::run_instance(const std::vector<word>& input,
     report.phase1_only = true;
     for (graph::node_id v : gk_.active_nodes())
       report.outputs[static_cast<std::size_t>(v)] =
-          p1.received[static_cast<std::size_t>(v)];
+          std::move(p1.received[static_cast<std::size_t>(v)]);
   } else {
     // ---- Phase 2, step 2.1: Equality Check with parameter rho_k. ----
     std::vector<value_vector> values(static_cast<std::size_t>(gk_.universe()));
@@ -277,10 +276,11 @@ instance_report session::run_instance(const std::vector<word>& input,
     report.mismatch_announced = any_mismatch;
 
     if (!any_mismatch) {
-      // Clean instance: everyone keeps the Phase-1 value.
+      // Clean instance: everyone keeps the Phase-1 value, the receipt
+      // itself, so a value costs each node one heap buffer, not two.
       for (graph::node_id v : gk_.active_nodes())
         report.outputs[static_cast<std::size_t>(v)] =
-            p1.received[static_cast<std::size_t>(v)];
+            std::move(p1.received[static_cast<std::size_t>(v)]);
     } else {
       // ---- Phase 3: dispute control. ----
       report.dispute_phase_run = true;
@@ -389,9 +389,8 @@ std::vector<instance_report> session::run_many(int q, std::size_t words_per_inpu
 
 session_run run_session(session_config cfg, const sim::fault_set& faults,
                         nab_adversary* adv, int q, std::size_t words_per_input,
-                        std::uint64_t seed, bool rotate_sources,
-                        sim::run_arena* arena) {
-  session s(std::move(cfg), faults, adv, arena);
+                        std::uint64_t seed, bool rotate_sources) {
+  session s(std::move(cfg), faults, adv);
   rng rand(seed);
   session_run out;
   out.reports = s.run_many(q, words_per_input, rand, rotate_sources);

@@ -112,15 +112,14 @@ class session {
   /// model); `adv` drives their behavior (nullptr = corrupt nodes behave
   /// honestly). Throws nab::error when n <= 3f or connectivity < 2f+1.
   ///
-  /// `arena` lends the session a run arena; nullptr = the calling thread's
-  /// sim::thread_arena(), so consecutive sessions on a thread reuse the
-  /// same pages. Either way the session controls the arena's lifecycle: it
-  /// is ambient exactly for the duration of each run_instance and is reset
-  /// — empty — between instances, so nothing allocated from it may outlive
-  /// the instance that allocated it (instance reports copy into plain heap
-  /// storage).
+  /// Instances run in the calling thread's sim::thread_arena(), so
+  /// consecutive sessions on a thread reuse the same pages. The session
+  /// controls the arena's lifecycle while an instance runs: it is ambient
+  /// exactly for the duration of each run_instance and is reset — empty —
+  /// after it, so nothing allocated from it may outlive the instance that
+  /// allocated it (instance reports copy into plain heap storage).
   session(session_config cfg, const sim::fault_set& faults,
-          nab_adversary* adv = nullptr, sim::run_arena* arena = nullptr);
+          nab_adversary* adv = nullptr);
 
   /// Runs one instance broadcasting `input` (16-bit words; L = 16*|input|).
   /// `source_override` >= 0 broadcasts from that node instead of the
@@ -160,14 +159,9 @@ class session {
   const phase1_plan& source_state_for(graph::node_id source);
   bb::channel_plan& ensure_channels();  // lazy, built once over the original G
 
-  /// The run arena serving this session's instances: the lent one, else
-  /// the calling thread's.
-  sim::run_arena& arena() { return arena_ != nullptr ? *arena_ : sim::thread_arena(); }
-
   session_config cfg_;
   sim::fault_set faults_;
   nab_adversary* adv_;
-  sim::run_arena* arena_ = nullptr;  ///< lent arena, if any
   graph::digraph gk_;
   dispute_record record_;
   session_stats stats_;
@@ -198,12 +192,9 @@ struct session_run {
 /// rng(seed), and returns every observable by value. No global mutable state
 /// is touched (the GF tables are immutable after first use), so concurrent
 /// calls from different threads are safe as long as each call owns its
-/// `faults`/`adv`/`arena` arguments — this is the fleet runtime's shard
-/// body. `arena` is an optional lent run arena (see session::session); it
-/// must be thread-confined to the caller.
+/// `faults`/`adv` arguments — this is the fleet runtime's shard body.
 session_run run_session(session_config cfg, const sim::fault_set& faults,
                         nab_adversary* adv, int q, std::size_t words_per_input,
-                        std::uint64_t seed, bool rotate_sources = false,
-                        sim::run_arena* arena = nullptr);
+                        std::uint64_t seed, bool rotate_sources = false);
 
 }  // namespace nab::core

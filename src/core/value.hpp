@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "gf/gf2_16.hpp"
+#include "sim/run_arena.hpp"
 #include "util/rng.hpp"
 
 namespace nab::core {
@@ -20,6 +21,9 @@ using word = gf::gf2_16::value_type;
 /// check over GF(2^16), and values differ iff some slice does, so Theorem 1
 /// holds with field size 2^16 (theorem1_failure_bound). Symbol s consists of
 /// words [s*slices, (s+1)*slices).
+///
+/// Arena-backed: the values an instance reshapes for its equality check are
+/// per-instance churn, drawn from the run arena like the coded symbols.
 class value_vector {
  public:
   value_vector() = default;
@@ -46,14 +50,14 @@ class value_vector {
   /// All words of symbol s.
   std::vector<word> symbol_words(int s) const;
 
-  const std::vector<word>& words() const { return words_; }
+  const sim::pooled_vector<word>& words() const { return words_; }
 
   bool operator==(const value_vector&) const = default;
 
  private:
   int rho_ = 0;
   int slices_ = 0;
-  std::vector<word> words_;  // rho_ * slices_, symbol-major
+  sim::pooled_vector<word> words_;  // rho_ * slices_, symbol-major
 };
 
 }  // namespace nab::core

@@ -17,15 +17,21 @@ enum class gf_backend : int { scalar, ssse3, avx2, neon };
 /// The 4-bit half tables of one coefficient c, what the SIMD kernels
 /// multiply by c with: lo[k][v] and hi[k][v] are the low and high bytes of
 /// (c * x^{4k}) * v, the product of c with nibble v at nibble position k of
-/// a word. 128 bytes, two cache lines. axpy and scale build them on every
-/// call; a caller that multiplies by the same coefficients again and again
+/// a word. 128 bytes, 16-aligned so that no 16-byte plane load splits a
+/// cache line. axpy and scale build them on every call; a caller that
+/// multiplies by the same coefficients again and again
 /// (core::coding_scheme) builds them once and hands them to dot.
-struct alignas(64) nibble_tables {
+struct alignas(16) nibble_tables {
   std::uint8_t lo[4][16];
   std::uint8_t hi[4][16];
 
   /// The tables of `coeff`.
   static nibble_tables of(std::uint16_t coeff);
+
+  /// The coefficient itself: lo/hi[0][1] hold c * 1.
+  std::uint16_t coeff() const {
+    return static_cast<std::uint16_t>(lo[0][1] | hi[0][1] << 8);
+  }
 };
 
 namespace detail {
@@ -120,17 +126,22 @@ class gf2_16 {
   /// as axpy (`gf_scale_words` counts n even for coeff 0 / 1).
   static void scale(value_type* v, value_type coeff, std::size_t n);
 
-  /// dst[i] = sum_r coeffs[r] * src[r * stride + i] for i in [0, n): one
-  /// column of coefficients applied to `rows` source rows, each sum written
-  /// to dst once. tables[r] must be nibble_tables::of(coeffs[r]), built by
-  /// the caller ahead of time, so the SIMD backends build nothing and take
-  /// rows of any length. dst must not overlap a source row.
+  /// dst[i] = sum_r c_r * src[r * stride + i] for i in [0, n), where
+  /// tables[r] are the tables of c_r: one column of coefficients applied to
+  /// `rows` source rows, each sum written to dst once. The caller builds
+  /// the tables ahead of time, so the SIMD backends build nothing and run
+  /// their vector loops on rows of any length from dot_vector_words up.
+  /// dst must not overlap a source row.
   ///
   /// Counts rows * n to `gf_axpy_words`, before any early-out: the words
   /// the `rows` axpy calls it replaces would present.
   static void dot(value_type* dst, const value_type* src, std::size_t stride,
-                  const value_type* coeffs, const nibble_tables* tables,
-                  std::size_t rows, std::size_t n);
+                  const nibble_tables* tables, std::size_t rows, std::size_t n);
+
+  /// The narrowest vector dot steps by (128 bits). On rows shorter than
+  /// this every backend reads a table for its coefficient alone, so `rows`
+  /// axpy calls do the same work, with the same count, and need no tables.
+  static constexpr std::size_t dot_vector_words = 8;
 
   /// The active row-kernel backend. Selected once on first kernel use:
   /// NAB_GF_BACKEND=scalar|ssse3|avx2|neon forces a backend (silently

@@ -103,8 +103,8 @@ class run_arena {
 };
 
 /// The calling thread's own arena, created on first use and destroyed when
-/// the thread exits. A core::session lent no arena runs its instances in it,
-/// so consecutive sessions on one thread (a fleet worker's runs, nabbench's
+/// the thread exits. Every core::session runs its instances in it, so
+/// consecutive sessions on one thread (a fleet worker's runs, nabbench's
 /// sessions) reuse the pages the first one grew instead of each growing and
 /// freeing blocks of its own.
 run_arena& thread_arena();

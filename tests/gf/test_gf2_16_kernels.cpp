@@ -159,6 +159,12 @@ TEST(GfKernels, AxpyToleratesDstAliasingSrc) {
   }
 }
 
+TEST(GfKernels, NibbleTablesHoldTheirCoefficient) {
+  // dot's scalar path multiplies by the coefficient it reads back.
+  for (std::uint32_t c = 0; c < 65536; ++c)
+    ASSERT_EQ(nibble_tables::of(static_cast<word>(c)).coeff(), c);
+}
+
 TEST(GfKernels, DotMatchesMulAcrossBackendsRowsTailsAndAlignments) {
   // Every backend must write the test-local sum of products word for word
   // (over whatever dst held before), leave the words past n alone, and
@@ -194,8 +200,8 @@ TEST(GfKernels, DotMatchesMulAcrossBackendsRowsTailsAndAlignments) {
                 sum = gf2_16::add(sum, ref_mul(coeffs[r], src[off + r * stride + i]));
               expect[off + i] = sum;
             }
-            gf2_16::dot(dst.data() + off, src.data() + off, stride, coeffs.data(),
-                        tables.data(), rows, n);
+            gf2_16::dot(dst.data() + off, src.data() + off, stride, tables.data(), rows,
+                        n);
             EXPECT_EQ(dst, expect) << "backend " << gf2_16::backend_name(b)
                                    << " rows=" << rows << " n=" << n << " off=" << off;
             expected_words += rows * n;

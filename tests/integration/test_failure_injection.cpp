@@ -203,21 +203,23 @@ class mid_phase_flipper : public nab_adversary {
 };
 
 TEST(FailureInjection, MidPhaseFaultFlipUnderSharedArena) {
-  // The session borrows an external arena (the fleet-shard configuration);
-  // a fault that switches on mid-Equality-Check must leave the usual
-  // evidence and the arena empty after every instance.
+  // The session runs in its thread's arena, which every session on the
+  // thread shares (the fleet-worker configuration); a fault that switches
+  // on mid-Equality-Check must leave the usual evidence and the arena empty
+  // after every instance.
   const graph::digraph g = graph::complete(5, 2);
   sim::fault_set faults(5, {2});
   mid_phase_flipper adv;
-  sim::run_arena arena;
-  session s({.g = g, .f = 1}, faults, &adv, &arena);
+  sim::run_arena& arena = sim::thread_arena();
+  const std::uint64_t resets_before = arena.resets();
+  session s({.g = g, .f = 1}, faults, &adv);
   rng rand(21);
   const auto reports = s.run_many(5, 8, rand);
   expect_contract(reports);
   expect_soundness(s, faults, 1);
   EXPECT_TRUE(reports.front().mismatch_announced);  // the flip was caught
   EXPECT_EQ(arena.live_allocations(), 0u);
-  EXPECT_EQ(arena.resets(), 5u);
+  EXPECT_EQ(arena.resets(), resets_before + 5);
 }
 
 /// A run that aborts outright in the middle of a phase (the
@@ -242,13 +244,14 @@ TEST(FailureInjection, MidPhaseAbortDoesNotLeakIntoTheArena) {
   const graph::digraph g = graph::complete(5, 2);
   sim::fault_set faults(5, {2});
   mid_phase_aborter adv;
-  sim::run_arena arena;
-  session s({.g = g, .f = 1}, faults, &adv, &arena);
+  sim::run_arena& arena = sim::thread_arena();
+  const std::uint64_t resets_before = arena.resets();
+  session s({.g = g, .f = 1}, faults, &adv);
   rng rand(22);
   std::vector<word> input(8, 0x1234);
   EXPECT_THROW(s.run_instance(input), error);
   EXPECT_EQ(arena.live_allocations(), 0u);
-  EXPECT_GE(arena.resets(), 1u);
+  EXPECT_GE(arena.resets(), resets_before + 1);
   // The aborter stays past its trigger; later instances run clean on the
   // same arena.
   expect_contract(s.run_many(3, 8, rand));

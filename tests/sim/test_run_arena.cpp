@@ -218,21 +218,21 @@ TEST(RunArena, SteadyStateSweepKeepsArenaPagesStable) {
   core::session_config cfg;
   cfg.g = graph::complete(7);
   cfg.f = 1;
-  run_arena shard_arena;
-  core::session s(cfg, fault_set(7), nullptr, &shard_arena);
-  rng rand(2);
+  run_arena& arena = thread_arena();
+  const std::uint64_t resets_before = arena.resets();
+  core::session s(cfg, fault_set(7));
   std::vector<core::word> input(64, 7);
   s.run_instance(input);
-  const std::size_t blocks = shard_arena.block_count();
-  const std::uint64_t hits_before = shard_arena.pool_hits();
+  const std::size_t blocks = arena.block_count();
+  const std::uint64_t hits_before = arena.pool_hits();
   for (int i = 0; i < 6; ++i) s.run_instance(input);
-  EXPECT_EQ(shard_arena.block_count(), blocks);
-  EXPECT_GT(shard_arena.pool_hits(), hits_before);  // free lists are working
-  EXPECT_EQ(shard_arena.live_allocations(), 0u);    // reset left it empty
-  EXPECT_EQ(shard_arena.resets(), 7u);
+  EXPECT_EQ(arena.block_count(), blocks);
+  EXPECT_GT(arena.pool_hits(), hits_before);  // free lists are working
+  EXPECT_EQ(arena.live_allocations(), 0u);    // reset left it empty
+  EXPECT_EQ(arena.resets(), resets_before + 7);
 }
 
-TEST(RunArena, SessionsLentNoArenaShareTheThreadArena) {
+TEST(RunArena, ConsecutiveSessionsShareTheThreadArena) {
   // Back-to-back sessions on one thread run in thread_arena(): the second
   // fits in the pages the first one grew, and each leaves the arena empty.
   core::session_config cfg;
