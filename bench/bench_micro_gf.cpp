@@ -70,8 +70,32 @@ BENCHMARK_CAPTURE(bm_axpy_backend, ssse3, nab::gf::gf_backend::ssse3)
     ->Name("gf2_16_axpy_ssse3")->Arg(64)->Arg(640)->Arg(4096);
 BENCHMARK_CAPTURE(bm_axpy_backend, avx2, nab::gf::gf_backend::avx2)
     ->Name("gf2_16_axpy_avx2")->Arg(64)->Arg(640)->Arg(4096);
-BENCHMARK_CAPTURE(bm_axpy_backend, neon, nab::gf::gf_backend::neon)
-    ->Name("gf2_16_axpy_neon")->Arg(64)->Arg(640)->Arg(4096);
+
+void bm_scale_backend(benchmark::State& state, nab::gf::gf_backend backend) {
+  using F = nab::gf::gf2_16;
+  if (!F::set_backend(backend)) {
+    state.SkipWithError("backend unsupported on this CPU");
+    return;
+  }
+  const auto n = static_cast<std::size_t>(state.range(0));
+  nab::rng rand(7);
+  std::vector<F::value_type> v(n);
+  for (auto& x : v) x = static_cast<F::value_type>(rand.below(F::order));
+  for (auto _ : state) {
+    F::scale(v.data(), 0x1b3f, n);
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n) * 2);
+  F::set_backend(nab::gf::gf_backend::scalar);
+}
+BENCHMARK_CAPTURE(bm_scale_backend, scalar, nab::gf::gf_backend::scalar)
+    ->Name("gf2_16_scale_scalar")->Arg(64)->Arg(640)->Arg(4096);
+BENCHMARK_CAPTURE(bm_scale_backend, ssse3, nab::gf::gf_backend::ssse3)
+    ->Name("gf2_16_scale_ssse3")->Arg(64)->Arg(640)->Arg(4096);
+BENCHMARK_CAPTURE(bm_scale_backend, avx2, nab::gf::gf_backend::avx2)
+    ->Name("gf2_16_scale_avx2")->Arg(64)->Arg(640)->Arg(4096);
 
 // One coded symbol of the equality check's encode: rho value symbols of
 // `slices` words each, times one column of C_e. Arg dot = 0 runs it as rho
@@ -123,7 +147,6 @@ void bm_encode_backend(benchmark::State& state, nab::gf::gf_backend backend) {
 NAB_ENCODE_ROWS(scalar);
 NAB_ENCODE_ROWS(ssse3);
 NAB_ENCODE_ROWS(avx2);
-NAB_ENCODE_ROWS(neon);
 #undef NAB_ENCODE_ROWS
 
 void bm_matrix_mul(benchmark::State& state) {

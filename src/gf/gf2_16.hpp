@@ -6,13 +6,13 @@
 namespace nab::gf {
 
 /// Row-kernel implementation backends for gf2_16::axpy / scale / dot.
-/// `scalar` is the portable loop and the bit-exact reference; the SIMD
-/// backends run the standard 4-bit half-table multiply (GF-Complete /
-/// sparsenc's `multiply_add_region` trick) over the two byte planes of each
-/// 16-bit word — x86 `pshufb` (SSSE3, widened on AVX2) or AArch64 `vtbl`.
-/// Every backend produces identical bytes and identical obs counters; only
-/// throughput differs.
-enum class gf_backend : int { scalar, ssse3, avx2, neon };
+/// `scalar` is the portable loop, the bit-exact reference and the only
+/// backend off x86; the SIMD backends run the standard 4-bit half-table
+/// multiply (GF-Complete / sparsenc's `multiply_add_region` trick) over the
+/// two byte planes of each 16-bit word with x86 `pshufb` (SSSE3, widened on
+/// AVX2). Every backend produces identical bytes and identical obs
+/// counters; only throughput differs.
+enum class gf_backend : int { scalar, ssse3, avx2 };
 
 /// The 4-bit half tables of one coefficient c, what the SIMD kernels
 /// multiply by c with: lo[k][v] and hi[k][v] are the low and high bytes of
@@ -144,7 +144,7 @@ class gf2_16 {
   static constexpr std::size_t dot_vector_words = 8;
 
   /// The active row-kernel backend. Selected once on first kernel use:
-  /// NAB_GF_BACKEND=scalar|ssse3|avx2|neon forces a backend (silently
+  /// NAB_GF_BACKEND=scalar|ssse3|avx2 forces a backend (silently
   /// falling back to the best supported one when this CPU lacks it);
   /// unset/auto picks the widest supported instruction set.
   static gf_backend backend();

@@ -11,12 +11,15 @@
 // one byte shuffle per plane: on u16 lanes, (s >> 4k) & 0x000f leaves the
 // nibble in the even byte and 0 in the odd byte, and T_k[0] = 0 maps the odd
 // bytes to 0, so no lane repacking (ALTMAP) is needed. Eight shuffles per
-// 128-bit vector of eight words; AVX2 doubles the width. dot keeps the two
-// planes' sums over all its rows apart and joins them once per vector.
+// 128-bit vector of eight words; AVX2 doubles the width. Each instruction
+// set writes that multiply once (mul_add_ssse3, mul_add_avx2), and axpy,
+// scale and dot are loops around it. dot keeps the two planes' sums over all
+// its rows apart and joins them once per vector.
 //
 // Backend selection happens once, on first kernel use: NAB_GF_BACKEND
 // forces a backend by name (falling back to the best supported one when the
-// CPU lacks it), otherwise the widest supported set wins. Every backend is
+// CPU lacks it), otherwise the widest supported set wins; other
+// architectures run the scalar loop. Every backend is
 // bit-exact against the scalar loop — the cross-check suite in
 // tests/gf/test_gf2_16_kernels.cpp pins that, including unaligned pointers,
 // 0..31 tails, aliased scales, and dot over 1..13 rows.
@@ -33,9 +36,6 @@
     (defined(__GNUC__) || defined(__clang__))
 #define NAB_GF_KERNELS_X86 1
 #include <immintrin.h>
-#elif defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
-#define NAB_GF_KERNELS_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace nab::gf {
@@ -107,6 +107,83 @@ constexpr std::size_t simd_min_words = 128;
 
 #if NAB_GF_KERNELS_X86
 
+// A table plane as the multiplies read it: axpy and scale load their
+// coefficient's eight planes into registers once per call, dot reads each
+// row's from its nibble_tables where the shuffle uses it. Eight table
+// registers per row leave no room to hold several rows' planes, and a
+// column's tables (rows * 128 bytes) stay in L1; copying a row's planes into
+// locals before its multiply made dot about 50% slower at AVX2 and 20% at
+// SSSE3.
+
+__attribute__((target("ssse3"), always_inline)) inline __m128i plane_ssse3(__m128i p) {
+  return p;
+}
+
+__attribute__((target("ssse3"), always_inline)) inline __m128i plane_ssse3(
+    const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+__attribute__((target("avx2"), always_inline)) inline __m256i plane_avx2(__m256i p) {
+  return p;
+}
+
+__attribute__((target("avx2"), always_inline)) inline __m256i plane_avx2(
+    const std::uint8_t* p) {
+  return _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+/// lo ^= the low bytes and hi ^= the high bytes of c * s, for the eight
+/// words of s, where tlo and thi hold c's four low and four high planes:
+/// registers, or the lo and hi arrays of c's nibble_tables.
+template <class Planes>
+__attribute__((target("ssse3"), always_inline)) inline void mul_add_ssse3(
+    __m128i s, const Planes& tlo, const Planes& thi, __m128i& lo, __m128i& hi) {
+  const __m128i mask = _mm_set1_epi16(0x000f);
+  __m128i idx = _mm_and_si128(s, mask);
+  lo = _mm_xor_si128(lo, _mm_shuffle_epi8(plane_ssse3(tlo[0]), idx));
+  hi = _mm_xor_si128(hi, _mm_shuffle_epi8(plane_ssse3(thi[0]), idx));
+  idx = _mm_and_si128(_mm_srli_epi16(s, 4), mask);
+  lo = _mm_xor_si128(lo, _mm_shuffle_epi8(plane_ssse3(tlo[1]), idx));
+  hi = _mm_xor_si128(hi, _mm_shuffle_epi8(plane_ssse3(thi[1]), idx));
+  idx = _mm_and_si128(_mm_srli_epi16(s, 8), mask);
+  lo = _mm_xor_si128(lo, _mm_shuffle_epi8(plane_ssse3(tlo[2]), idx));
+  hi = _mm_xor_si128(hi, _mm_shuffle_epi8(plane_ssse3(thi[2]), idx));
+  idx = _mm_srli_epi16(s, 12);  // high byte already 0
+  lo = _mm_xor_si128(lo, _mm_shuffle_epi8(plane_ssse3(tlo[3]), idx));
+  hi = _mm_xor_si128(hi, _mm_shuffle_epi8(plane_ssse3(thi[3]), idx));
+}
+
+/// mul_add_ssse3 on sixteen words.
+template <class Planes>
+__attribute__((target("avx2"), always_inline)) inline void mul_add_avx2(
+    __m256i s, const Planes& tlo, const Planes& thi, __m256i& lo, __m256i& hi) {
+  const __m256i mask = _mm256_set1_epi16(0x000f);
+  __m256i idx = _mm256_and_si256(s, mask);
+  lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(plane_avx2(tlo[0]), idx));
+  hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(plane_avx2(thi[0]), idx));
+  idx = _mm256_and_si256(_mm256_srli_epi16(s, 4), mask);
+  lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(plane_avx2(tlo[1]), idx));
+  hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(plane_avx2(thi[1]), idx));
+  idx = _mm256_and_si256(_mm256_srli_epi16(s, 8), mask);
+  lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(plane_avx2(tlo[2]), idx));
+  hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(plane_avx2(thi[2]), idx));
+  idx = _mm256_srli_epi16(s, 12);
+  lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(plane_avx2(tlo[3]), idx));
+  hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(plane_avx2(thi[3]), idx));
+}
+
+/// The words whose low and high byte planes are lo and hi.
+__attribute__((target("ssse3"), always_inline)) inline __m128i join_ssse3(__m128i lo,
+                                                                          __m128i hi) {
+  return _mm_xor_si128(lo, _mm_slli_epi16(hi, 8));
+}
+
+__attribute__((target("avx2"), always_inline)) inline __m256i join_avx2(__m256i lo,
+                                                                        __m256i hi) {
+  return _mm256_xor_si256(lo, _mm256_slli_epi16(hi, 8));
+}
+
 // aligned(64): each hot kernel starts a cache line wherever unrelated edits
 // move the code around it, so their speed does not vary with link layout.
 __attribute__((target("ssse3"), aligned(64))) void axpy_ssse3(word* dst,
@@ -117,28 +194,17 @@ __attribute__((target("ssse3"), aligned(64))) void axpy_ssse3(word* dst,
   build_tables(coeff, t);
   __m128i tlo[4], thi[4];
   for (int k = 0; k < 4; ++k) {
-    tlo[k] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo[k]));
-    thi[k] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi[k]));
+    tlo[k] = plane_ssse3(t.lo[k]);
+    thi[k] = plane_ssse3(t.hi[k]);
   }
-  const __m128i mask = _mm_set1_epi16(0x000f);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    __m128i idx = _mm_and_si128(s, mask);
-    __m128i lo = _mm_shuffle_epi8(tlo[0], idx);
-    __m128i hi = _mm_shuffle_epi8(thi[0], idx);
-    idx = _mm_and_si128(_mm_srli_epi16(s, 4), mask);
-    lo = _mm_xor_si128(lo, _mm_shuffle_epi8(tlo[1], idx));
-    hi = _mm_xor_si128(hi, _mm_shuffle_epi8(thi[1], idx));
-    idx = _mm_and_si128(_mm_srli_epi16(s, 8), mask);
-    lo = _mm_xor_si128(lo, _mm_shuffle_epi8(tlo[2], idx));
-    hi = _mm_xor_si128(hi, _mm_shuffle_epi8(thi[2], idx));
-    idx = _mm_srli_epi16(s, 12);  // high byte already 0
-    lo = _mm_xor_si128(lo, _mm_shuffle_epi8(tlo[3], idx));
-    hi = _mm_xor_si128(hi, _mm_shuffle_epi8(thi[3], idx));
-    const __m128i prod = _mm_xor_si128(lo, _mm_slli_epi16(hi, 8));
+    __m128i lo = _mm_setzero_si128(), hi = _mm_setzero_si128();
+    mul_add_ssse3(_mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i)), tlo, thi, lo,
+                  hi);
     const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm_xor_si128(d, prod));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     _mm_xor_si128(d, join_ssse3(lo, hi)));
   }
   if (i < n) axpy_scalar(dst + i, src + i, coeff, n - i);
 }
@@ -150,27 +216,14 @@ __attribute__((target("ssse3"), aligned(64))) void scale_ssse3(word* v, word coe
   build_tables(coeff, t);
   __m128i tlo[4], thi[4];
   for (int k = 0; k < 4; ++k) {
-    tlo[k] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo[k]));
-    thi[k] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi[k]));
+    tlo[k] = plane_ssse3(t.lo[k]);
+    thi[k] = plane_ssse3(t.hi[k]);
   }
-  const __m128i mask = _mm_set1_epi16(0x000f);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i));
-    __m128i idx = _mm_and_si128(s, mask);
-    __m128i lo = _mm_shuffle_epi8(tlo[0], idx);
-    __m128i hi = _mm_shuffle_epi8(thi[0], idx);
-    idx = _mm_and_si128(_mm_srli_epi16(s, 4), mask);
-    lo = _mm_xor_si128(lo, _mm_shuffle_epi8(tlo[1], idx));
-    hi = _mm_xor_si128(hi, _mm_shuffle_epi8(thi[1], idx));
-    idx = _mm_and_si128(_mm_srli_epi16(s, 8), mask);
-    lo = _mm_xor_si128(lo, _mm_shuffle_epi8(tlo[2], idx));
-    hi = _mm_xor_si128(hi, _mm_shuffle_epi8(thi[2], idx));
-    idx = _mm_srli_epi16(s, 12);
-    lo = _mm_xor_si128(lo, _mm_shuffle_epi8(tlo[3], idx));
-    hi = _mm_xor_si128(hi, _mm_shuffle_epi8(thi[3], idx));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(v + i),
-                     _mm_xor_si128(lo, _mm_slli_epi16(hi, 8)));
+    __m128i lo = _mm_setzero_si128(), hi = _mm_setzero_si128();
+    mul_add_ssse3(_mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i)), tlo, thi, lo, hi);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(v + i), join_ssse3(lo, hi));
   }
   if (i < n) scale_scalar(v + i, coeff, n - i);
 }
@@ -182,33 +235,17 @@ __attribute__((target("avx2"), aligned(64))) void axpy_avx2(word* dst, const wor
   build_tables(coeff, t);
   __m256i tlo[4], thi[4];
   for (int k = 0; k < 4; ++k) {
-    tlo[k] = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo[k])));
-    thi[k] = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi[k])));
+    tlo[k] = plane_avx2(t.lo[k]);
+    thi[k] = plane_avx2(t.hi[k]);
   }
-  const __m256i mask = _mm256_set1_epi16(0x000f);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    __m256i idx = _mm256_and_si256(s, mask);
-    __m256i lo = _mm256_shuffle_epi8(tlo[0], idx);
-    __m256i hi = _mm256_shuffle_epi8(thi[0], idx);
-    idx = _mm256_and_si256(_mm256_srli_epi16(s, 4), mask);
-    lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(tlo[1], idx));
-    hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(thi[1], idx));
-    idx = _mm256_and_si256(_mm256_srli_epi16(s, 8), mask);
-    lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(tlo[2], idx));
-    hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(thi[2], idx));
-    idx = _mm256_srli_epi16(s, 12);
-    lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(tlo[3], idx));
-    hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(thi[3], idx));
-    const __m256i prod = _mm256_xor_si256(lo, _mm256_slli_epi16(hi, 8));
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
+    __m256i lo = _mm256_setzero_si256(), hi = _mm256_setzero_si256();
+    mul_add_avx2(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i)), tlo, thi,
+                 lo, hi);
+    const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(d, prod));
+                        _mm256_xor_si256(d, join_avx2(lo, hi)));
   }
   if (i < n) axpy_ssse3(dst + i, src + i, coeff, n - i);
 }
@@ -220,74 +257,29 @@ __attribute__((target("avx2"), aligned(64))) void scale_avx2(word* v, word coeff
   build_tables(coeff, t);
   __m256i tlo[4], thi[4];
   for (int k = 0; k < 4; ++k) {
-    tlo[k] = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo[k])));
-    thi[k] = _mm256_broadcastsi128_si256(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi[k])));
+    tlo[k] = plane_avx2(t.lo[k]);
+    thi[k] = plane_avx2(t.hi[k]);
   }
-  const __m256i mask = _mm256_set1_epi16(0x000f);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
-    __m256i idx = _mm256_and_si256(s, mask);
-    __m256i lo = _mm256_shuffle_epi8(tlo[0], idx);
-    __m256i hi = _mm256_shuffle_epi8(thi[0], idx);
-    idx = _mm256_and_si256(_mm256_srli_epi16(s, 4), mask);
-    lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(tlo[1], idx));
-    hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(thi[1], idx));
-    idx = _mm256_and_si256(_mm256_srli_epi16(s, 8), mask);
-    lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(tlo[2], idx));
-    hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(thi[2], idx));
-    idx = _mm256_srli_epi16(s, 12);
-    lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(tlo[3], idx));
-    hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(thi[3], idx));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(v + i),
-                        _mm256_xor_si256(lo, _mm256_slli_epi16(hi, 8)));
+    __m256i lo = _mm256_setzero_si256(), hi = _mm256_setzero_si256();
+    mul_add_avx2(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i)), tlo, thi, lo,
+                 hi);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(v + i), join_avx2(lo, hi));
   }
   if (i < n) scale_ssse3(v + i, coeff, n - i);
-}
-
-// The fused dot loops read each row's tables from memory for every vector:
-// eight table registers per row leave no room to keep several rows' in
-// registers, and the tables of a whole column (rows * 128 bytes) stay in L1.
-
-inline __m128i table_ssse3(const std::uint8_t* plane) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(plane));
-}
-
-__attribute__((target("avx2"), always_inline)) inline __m256i table_avx2(
-    const std::uint8_t* plane) {
-  return _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(plane)));
 }
 
 __attribute__((target("ssse3"), aligned(64))) void dot_ssse3(
     word* dst, const word* src, std::size_t stride, const nibble_tables* tables,
     std::size_t rows, std::size_t n) {
-  const __m128i mask = _mm_set1_epi16(0x000f);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    __m128i lo = _mm_setzero_si128();
-    __m128i hi = _mm_setzero_si128();
-    for (std::size_t r = 0; r < rows; ++r) {
-      const nibble_tables& t = tables[r];
-      const __m128i s =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + r * stride + i));
-      __m128i idx = _mm_and_si128(s, mask);
-      lo = _mm_xor_si128(lo, _mm_shuffle_epi8(table_ssse3(t.lo[0]), idx));
-      hi = _mm_xor_si128(hi, _mm_shuffle_epi8(table_ssse3(t.hi[0]), idx));
-      idx = _mm_and_si128(_mm_srli_epi16(s, 4), mask);
-      lo = _mm_xor_si128(lo, _mm_shuffle_epi8(table_ssse3(t.lo[1]), idx));
-      hi = _mm_xor_si128(hi, _mm_shuffle_epi8(table_ssse3(t.hi[1]), idx));
-      idx = _mm_and_si128(_mm_srli_epi16(s, 8), mask);
-      lo = _mm_xor_si128(lo, _mm_shuffle_epi8(table_ssse3(t.lo[2]), idx));
-      hi = _mm_xor_si128(hi, _mm_shuffle_epi8(table_ssse3(t.hi[2]), idx));
-      idx = _mm_srli_epi16(s, 12);
-      lo = _mm_xor_si128(lo, _mm_shuffle_epi8(table_ssse3(t.lo[3]), idx));
-      hi = _mm_xor_si128(hi, _mm_shuffle_epi8(table_ssse3(t.hi[3]), idx));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_xor_si128(lo, _mm_slli_epi16(hi, 8)));
+    __m128i lo = _mm_setzero_si128(), hi = _mm_setzero_si128();
+    for (std::size_t r = 0; r < rows; ++r)
+      mul_add_ssse3(_mm_loadu_si128(reinterpret_cast<const __m128i*>(src + r * stride + i)),
+                    tables[r].lo, tables[r].hi, lo, hi);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), join_ssse3(lo, hi));
   }
   if (i < n) dot_scalar(dst + i, src + i, stride, tables, rows, n - i);
 }
@@ -295,97 +287,19 @@ __attribute__((target("ssse3"), aligned(64))) void dot_ssse3(
 __attribute__((target("avx2"), aligned(64))) void dot_avx2(
     word* dst, const word* src, std::size_t stride, const nibble_tables* tables,
     std::size_t rows, std::size_t n) {
-  const __m256i mask = _mm256_set1_epi16(0x000f);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    __m256i lo = _mm256_setzero_si256();
-    __m256i hi = _mm256_setzero_si256();
-    for (std::size_t r = 0; r < rows; ++r) {
-      const nibble_tables& t = tables[r];
-      const __m256i s =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + r * stride + i));
-      __m256i idx = _mm256_and_si256(s, mask);
-      lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(table_avx2(t.lo[0]), idx));
-      hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(table_avx2(t.hi[0]), idx));
-      idx = _mm256_and_si256(_mm256_srli_epi16(s, 4), mask);
-      lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(table_avx2(t.lo[1]), idx));
-      hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(table_avx2(t.hi[1]), idx));
-      idx = _mm256_and_si256(_mm256_srli_epi16(s, 8), mask);
-      lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(table_avx2(t.lo[2]), idx));
-      hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(table_avx2(t.hi[2]), idx));
-      idx = _mm256_srli_epi16(s, 12);
-      lo = _mm256_xor_si256(lo, _mm256_shuffle_epi8(table_avx2(t.lo[3]), idx));
-      hi = _mm256_xor_si256(hi, _mm256_shuffle_epi8(table_avx2(t.hi[3]), idx));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(lo, _mm256_slli_epi16(hi, 8)));
+    __m256i lo = _mm256_setzero_si256(), hi = _mm256_setzero_si256();
+    for (std::size_t r = 0; r < rows; ++r)
+      mul_add_avx2(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + r * stride + i)),
+          tables[r].lo, tables[r].hi, lo, hi);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), join_avx2(lo, hi));
   }
   if (i < n) dot_ssse3(dst + i, src + i, stride, tables, rows, n - i);
 }
 
 #endif  // NAB_GF_KERNELS_X86
-
-#if NAB_GF_KERNELS_NEON
-
-uint16x8_t mul8_neon(uint16x8_t s, const uint8x16_t tlo[4],
-                     const uint8x16_t thi[4]) {
-  const uint16x8_t mask = vdupq_n_u16(0x000f);
-  uint16x8_t idx = vandq_u16(s, mask);
-  uint8x16_t lo = vqtbl1q_u8(tlo[0], vreinterpretq_u8_u16(idx));
-  uint8x16_t hi = vqtbl1q_u8(thi[0], vreinterpretq_u8_u16(idx));
-  idx = vandq_u16(vshrq_n_u16(s, 4), mask);
-  lo = veorq_u8(lo, vqtbl1q_u8(tlo[1], vreinterpretq_u8_u16(idx)));
-  hi = veorq_u8(hi, vqtbl1q_u8(thi[1], vreinterpretq_u8_u16(idx)));
-  idx = vandq_u16(vshrq_n_u16(s, 8), mask);
-  lo = veorq_u8(lo, vqtbl1q_u8(tlo[2], vreinterpretq_u8_u16(idx)));
-  hi = veorq_u8(hi, vqtbl1q_u8(thi[2], vreinterpretq_u8_u16(idx)));
-  idx = vshrq_n_u16(s, 12);
-  lo = veorq_u8(lo, vqtbl1q_u8(tlo[3], vreinterpretq_u8_u16(idx)));
-  hi = veorq_u8(hi, vqtbl1q_u8(thi[3], vreinterpretq_u8_u16(idx)));
-  return veorq_u16(vreinterpretq_u16_u8(lo),
-                   vshlq_n_u16(vreinterpretq_u16_u8(hi), 8));
-}
-
-void axpy_neon(word* dst, const word* src, word coeff, std::size_t n) {
-  if (n < simd_min_words) { axpy_scalar(dst, src, coeff, n); return; }
-  nibble_tables t;
-  build_tables(coeff, t);
-  uint8x16_t tlo[4], thi[4];
-  for (int k = 0; k < 4; ++k) {
-    tlo[k] = vld1q_u8(t.lo[k]);
-    thi[k] = vld1q_u8(t.hi[k]);
-  }
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const uint16x8_t prod = mul8_neon(vld1q_u16(src + i), tlo, thi);
-    vst1q_u16(dst + i, veorq_u16(vld1q_u16(dst + i), prod));
-  }
-  if (i < n) axpy_scalar(dst + i, src + i, coeff, n - i);
-}
-
-void scale_neon(word* v, word coeff, std::size_t n) {
-  if (n < simd_min_words) { scale_scalar(v, coeff, n); return; }
-  nibble_tables t;
-  build_tables(coeff, t);
-  uint8x16_t tlo[4], thi[4];
-  for (int k = 0; k < 4; ++k) {
-    tlo[k] = vld1q_u8(t.lo[k]);
-    thi[k] = vld1q_u8(t.hi[k]);
-  }
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) vst1q_u16(v + i, mul8_neon(vld1q_u16(v + i), tlo, thi));
-  if (i < n) scale_scalar(v + i, coeff, n - i);
-}
-
-void dot_neon(word* dst, const word* src, std::size_t stride,
-              const nibble_tables* tables, std::size_t rows, std::size_t n) {
-  std::memset(dst, 0, n * sizeof(word));
-  for (std::size_t r = 0; r < rows; ++r)
-    if (const word c = tables[r].coeff(); c != 0)
-      axpy_neon(dst, src + r * stride, c, n);
-}
-
-#endif  // NAB_GF_KERNELS_NEON
 
 // --- backend selection ------------------------------------------------------
 
@@ -401,9 +315,6 @@ constexpr kernels k_scalar{gf_backend::scalar, axpy_scalar, scale_scalar, dot_sc
 #if NAB_GF_KERNELS_X86
 constexpr kernels k_ssse3{gf_backend::ssse3, axpy_ssse3, scale_ssse3, dot_ssse3};
 constexpr kernels k_avx2{gf_backend::avx2, axpy_avx2, scale_avx2, dot_avx2};
-#endif
-#if NAB_GF_KERNELS_NEON
-constexpr kernels k_neon{gf_backend::neon, axpy_neon, scale_neon, dot_neon};
 #endif
 
 /// The vtable for `b`, or nullptr when this build/CPU cannot run it.
@@ -421,12 +332,6 @@ const kernels* kernels_for(gf_backend b) {
       if (__builtin_cpu_supports("avx2")) return &k_avx2;
 #endif
       return nullptr;
-    case gf_backend::neon:
-#if NAB_GF_KERNELS_NEON
-      return &k_neon;
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }
@@ -435,9 +340,6 @@ const kernels* best_supported() {
 #if NAB_GF_KERNELS_X86
   if (__builtin_cpu_supports("avx2")) return &k_avx2;
   if (__builtin_cpu_supports("ssse3")) return &k_ssse3;
-#endif
-#if NAB_GF_KERNELS_NEON
-  return &k_neon;
 #endif
   return &k_scalar;
 }
@@ -450,7 +352,6 @@ const kernels* select_from_env() {
     if (v == "scalar") forced = kernels_for(gf_backend::scalar);
     else if (v == "ssse3") forced = kernels_for(gf_backend::ssse3);
     else if (v == "avx2") forced = kernels_for(gf_backend::avx2);
-    else if (v == "neon") forced = kernels_for(gf_backend::neon);
     // Unknown names, "auto", and backends this CPU lacks all fall back to
     // auto-detection — a CI matrix leg may name a set the runner is missing.
     if (forced != nullptr) return forced;
@@ -492,7 +393,6 @@ const char* gf2_16::backend_name(gf_backend b) {
     case gf_backend::scalar: return "scalar";
     case gf_backend::ssse3: return "ssse3";
     case gf_backend::avx2: return "avx2";
-    case gf_backend::neon: return "neon";
   }
   return "unknown";
 }

@@ -11,7 +11,9 @@ namespace nab::gf {
 /// Dense row-major matrix over a binary extension field.
 ///
 /// `F` is a stateless field tag (gf2_16, gf2m<M>) exposing
-/// value_type, zero/one, add/sub/mul/inv/div. The matrix owns its storage;
+/// value_type, zero/one, add/sub/mul/inv/div. Elimination (gf/linalg.hpp)
+/// is over gf2_16 alone; gf2m matrices are only built and multiplied (the
+/// Theorem-1 miss-rate test in tests/paper). The matrix owns its storage;
 /// copying is explicit and cheap enough for the sizes NAB needs (the largest
 /// matrices are the (n-f-1)*rho square certification matrices, well under
 /// 10^3 x 10^3).
@@ -55,8 +57,8 @@ class matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Contiguous storage of row r (rows are row-major) — the batched row
-  /// kernels (F::axpy / F::scale) operate directly on these.
+  /// Contiguous storage of row r (rows are row-major) — row_reduce runs
+  /// gf2_16's row kernels (axpy / scale) directly on these.
   value_type* row_ptr(std::size_t r) {
     NAB_ASSERT(r < rows_, "matrix row out of range");
     return data_.data() + r * cols_;

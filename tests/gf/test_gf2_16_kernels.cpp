@@ -24,8 +24,7 @@ using word = gf2_16::value_type;
 std::vector<gf_backend> supported_backends() {
   const gf_backend initial = gf2_16::backend();
   std::vector<gf_backend> out;
-  for (gf_backend b : {gf_backend::scalar, gf_backend::ssse3, gf_backend::avx2,
-                       gf_backend::neon})
+  for (gf_backend b : {gf_backend::scalar, gf_backend::ssse3, gf_backend::avx2})
     if (gf2_16::set_backend(b)) out.push_back(b);
   gf2_16::set_backend(initial);
   return out;
@@ -66,17 +65,27 @@ std::vector<word> random_row(rng& rand, std::size_t n) {
   return row;
 }
 
+/// One row holding every word 0..65535: every nibble value at every nibble
+/// position, so multiplying it by a coefficient reads every entry of that
+/// coefficient's eight table planes. Run for the identity, the bench's
+/// coefficient and the all-ones word.
+std::vector<word> every_word() {
+  std::vector<word> row(65536);
+  for (std::size_t i = 0; i < row.size(); ++i) row[i] = static_cast<word>(i);
+  return row;
+}
+constexpr word every_word_coeffs[] = {1, 0x1b3f, 0xffff};
+
 TEST(GfKernels, ScalarIsTheDefaultFallbackAndNamesRoundTrip) {
   EXPECT_TRUE(gf2_16::set_backend(gf_backend::scalar));
   EXPECT_EQ(gf2_16::backend(), gf_backend::scalar);
   EXPECT_STREQ(gf2_16::backend_name(gf_backend::scalar), "scalar");
   EXPECT_STREQ(gf2_16::backend_name(gf_backend::ssse3), "ssse3");
   EXPECT_STREQ(gf2_16::backend_name(gf_backend::avx2), "avx2");
-  EXPECT_STREQ(gf2_16::backend_name(gf_backend::neon), "neon");
-  // At least one SIMD backend is expected on the CI x86 / AArch64 runners,
-  // but a build must never FAIL for lacking one — unsupported requests are
-  // rejected cleanly.
-  for (gf_backend b : {gf_backend::ssse3, gf_backend::avx2, gf_backend::neon}) {
+  // At least one SIMD backend is expected on the CI x86 runners, but a
+  // build must never FAIL for lacking one (off x86 there is none) —
+  // unsupported requests are rejected cleanly.
+  for (gf_backend b : {gf_backend::ssse3, gf_backend::avx2}) {
     if (!gf2_16::set_backend(b)) {
       EXPECT_NE(gf2_16::backend(), b);
     }
@@ -116,6 +125,16 @@ TEST(GfKernels, AxpyMatchesMulAcrossBackendsTailsAlignmentsAndCoeffs) {
       expect[i] = gf2_16::add(expect[i], ref_mul(coeff, src[i]));
     gf2_16::axpy(dst.data(), src.data(), coeff, n);
     EXPECT_EQ(dst, expect) << gf2_16::backend_name(b);
+    for (word c : every_word_coeffs) {
+      const std::vector<word> all = every_word();
+      std::vector<word> acc = random_row(rand, all.size());
+      std::vector<word> want(acc);
+      for (std::size_t i = 0; i < all.size(); ++i)
+        want[i] = gf2_16::add(want[i], ref_mul(c, all[i]));
+      gf2_16::axpy(acc.data(), all.data(), c, all.size());
+      EXPECT_EQ(acc, want) << "backend " << gf2_16::backend_name(b)
+                           << " every word, coeff=" << c;
+    }
   }
 }
 
@@ -139,6 +158,14 @@ TEST(GfKernels, ScaleMatchesMulIncludingAliasedInPlaceUse) {
                                << " coeff=" << coeff;
         }
       }
+    }
+    for (word c : every_word_coeffs) {
+      std::vector<word> v = every_word();
+      std::vector<word> expect(v.size());
+      for (std::size_t i = 0; i < v.size(); ++i) expect[i] = ref_mul(c, v[i]);
+      gf2_16::scale(v.data(), c, v.size());
+      EXPECT_EQ(v, expect) << "backend " << gf2_16::backend_name(b)
+                           << " every word, coeff=" << c;
     }
   }
 }
@@ -212,6 +239,16 @@ TEST(GfKernels, DotMatchesMulAcrossBackendsRowsTailsAndAlignments) {
     }
     outputs.push_back(std::move(all));
     presented.push_back(col.value(obs::counter::gf_axpy_words));
+    for (word c : every_word_coeffs) {
+      const std::vector<word> src = every_word();
+      const nibble_tables tables = nibble_tables::of(c);
+      std::vector<word> dst(src.size());
+      std::vector<word> expect(src.size());
+      for (std::size_t i = 0; i < src.size(); ++i) expect[i] = ref_mul(c, src[i]);
+      gf2_16::dot(dst.data(), src.data(), src.size(), &tables, 1, src.size());
+      EXPECT_EQ(dst, expect) << "backend " << gf2_16::backend_name(b)
+                             << " every word, coeff=" << c;
+    }
   }
   ASSERT_FALSE(outputs.empty());
   EXPECT_EQ(presented.front(), expected_words);

@@ -24,22 +24,37 @@ inline std::uint64_t heap_allocs() {
 
 }  // namespace nab::util
 
-void* operator new(std::size_t n) {
+// noinline, every one: when GCC inlines one side of a new/delete pair into a
+// caller in the including translation unit and not the other, it sees
+// `malloc` paired with `delete`, or `new` with `free`, and warns
+// -Wmismatched-new-delete (an inlined delete under -fsanitize=thread, an
+// inlined new in the default build). Kept out of line, every pair GCC sees
+// stays new/delete.
+__attribute__((noinline)) void* operator new(std::size_t n) {
   nab::util::heap_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+__attribute__((noinline)) void* operator new[](std::size_t n) { return operator new(n); }
+__attribute__((noinline)) void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   nab::util::heap_alloc_count.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n != 0 ? n : 1);
 }
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
+__attribute__((noinline)) void* operator new[](std::size_t n,
+                                               const std::nothrow_t& t) noexcept {
   return operator new(n, t);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
